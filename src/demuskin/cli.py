@@ -12,8 +12,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from demuskin import __version__
 from demuskin.class2_words import (
     ClassTwoEndo,
@@ -118,15 +116,6 @@ def _load_action_endo(path: str, pres: DemushkinPresentation) -> ClassTwoEndo:
         return ClassTwoEndo.from_json(data, pres.gens, pres.mod)
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"bad action file {path}: {exc}") from None
-
-
-def _matrix_json(arr: np.ndarray, modulus: int) -> dict:
-    return {
-        "modulus": int(modulus),
-        "rows": int(arr.shape[0]),
-        "cols": int(arr.shape[1]) if arr.ndim == 2 else int(arr.shape[0]),
-        "entries": [int(x) for x in np.asarray(arr).reshape(-1)],
-    }
 
 
 def cmd_present(args) -> dict:
@@ -398,10 +387,11 @@ def cmd_oracle(args) -> dict:
     d = pres.d
     try:
         full_max = max_isotropic_oracle(coh.cup, Submodule.full(d, pres.mod.q))
-        kerb_max = max_isotropic_oracle(coh.cup, kerb)
-        maximal = isotropic_free_submodules(coh.cup, kerb, rank=kerb_max)
+        in_kernel = isotropic_free_submodules(coh.cup, kerb)
     except ValueError as exc:
         raise InputError(str(exc)) from None
+    kerb_max = in_kernel[-1].rank
+    maximal = [sub for sub in in_kernel if sub.rank == kerb_max]
     line = gamma_line(pres)
     contain = all(sub.contains_submodule(line) for sub in maximal)
     expected = pres.n // 2 + 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
@@ -263,13 +264,16 @@ class Submodule:
 
     def reduce(self, vec) -> np.ndarray:
         """Residue of `vec` after clearing every pivot; zero iff contained."""
-        v = np.mod(np.asarray(vec, dtype=np.int64), self.modulus)
+        v = np.asarray(vec, dtype=np.int64)
         if v.shape != (self.ambient,):
             raise ValueError("vector has wrong length")
+        return self._residues(v[None])[0]
+
+    def _residues(self, vecs: np.ndarray) -> np.ndarray:
+        """`reduce` applied to every row of a (k x ambient) array at once."""
+        v = np.mod(vecs, self.modulus)
         for row, (c, pk) in zip(self.basis, self._pivots):
-            x = int(v[c])
-            if x:
-                v = (v - (x // pk) * row) % self.modulus
+            v = (v - (v[:, c : c + 1] // pk) * row) % self.modulus
         return v
 
     def contains(self, vec) -> bool:
@@ -311,18 +315,19 @@ class Submodule:
         return Submodule((self.basis @ mat) % self.modulus, mat.shape[1], self.modulus)
 
     def vectors(self) -> list[np.ndarray]:
-        """All elements of the span (m^rank combinations, deduplicated)."""
-        out = {}
-        coeffs = [np.zeros(self.ambient, dtype=np.int64)]
-        for row in self.basis:
-            coeffs = [
-                (v + k * row) % self.modulus
-                for v in coeffs
-                for k in range(self.modulus)
-            ]
-        for v in coeffs:
-            out[v.tobytes()] = v
-        return list(out.values())
+        """All elements of the span, each once."""
+        return list(self._span_array())
+
+    def _span_array(self) -> np.ndarray:
+        """All elements of the span, each once, as the rows of one array.
+
+        In Howell form every element is sum c_i * row_i for exactly one
+        choice of c_i in [0, m / pivot_i): `reduce` finds these c_i, and
+        their number is the size of the span.
+        """
+        sizes = tuple(self.modulus // pk for _, pk in self._pivots)
+        coeffs = np.indices(sizes, dtype=np.int64).reshape(len(sizes), prod(sizes)).T
+        return (coeffs @ self.basis) % self.modulus
 
     def __eq__(self, other):
         return (
@@ -510,52 +515,64 @@ def _oracle_guard(form: BilinearForm):
 def isotropic_free_submodules(
     form: BilinearForm, constraint: Submodule, rank: int | None = None
 ) -> list[Submodule]:
-    """Every free totally isotropic submodule of `constraint`, by brute force.
+    """Every free totally isotropic submodule of `constraint`, rank by rank.
 
-    Exhaustive (each submodule visited once via its canonical form), so it is
-    guarded to small instances.
+    Exhaustive search, one rank at a time from the zero submodule.  A node S
+    (free and totally isotropic) is extended by the isotropic vectors v of
+    `constraint` with <S, v> = <v, S> = 0 whose reduction mod p lies outside
+    S mod p.  Those are exactly the v for which S + <v> is free of rank
+    rank(S) + 1: a free submodule is a direct summand, so its rank is the
+    dimension of its reduction mod p.  Every free rank-(r+1) isotropic
+    submodule contains a free rank-r one, so nothing is missed.  After a
+    child is built, the node's remaining candidates that it contains are
+    dropped, since they give the same child; children reached from several
+    nodes are merged by their Howell form.
+
+    The result starts with the zero submodule, then every rank-1 submodule,
+    then rank 2, and so on; within a rank the order is deterministic.  With
+    `rank` given, only the submodules of that rank are returned.  The search
+    visits every such submodule, so it is guarded to small instances.
     """
     _oracle_guard(form)
     if form.dim != constraint.ambient or form.modulus != constraint.modulus:
         raise ValueError("form and constraint have mismatched dimensions")
     m = form.modulus
     d = form.dim
+    p, _ = _prime_power_base(m)
     gram = form.gram.array
-    vecs = [v for v in constraint.vectors() if v.any()]
-    zero = Submodule.zero(d, m)
-    seen = {zero.basis.tobytes()}
-    found = [zero]
-    stack = [zero]
-    while stack:
-        sub = stack.pop()
-        for v in vecs:
-            if int((v @ gram @ v) % m):
-                continue
-            if sub.ngens and ((sub.basis @ gram @ v) % m).any():
-                continue
-            if sub.ngens and ((v @ gram @ sub.basis.T) % m).any():
-                continue
-            if sub.contains(v):
-                continue
-            bigger = Submodule(
-                np.vstack([sub.basis, v.reshape(1, -1)]), d, m
-            )
-            if not bigger.is_free or bigger.rank != sub.rank + 1:
-                continue
-            key = bigger.basis.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            found.append(bigger)
-            stack.append(bigger)
+    vecs = constraint._span_array()
+    vecs = vecs[((vecs @ gram) * vecs).sum(axis=1) % m == 0]
+    left = (vecs @ gram) % m  # <v, b> = left[v] . b
+    right = (vecs @ gram.T) % m  # <b, v> = right[v] . b
+    levels = [[Submodule.zero(d, m)]]
+    top = d if rank is None else rank
+    while len(levels) <= top and levels[-1]:
+        seen = set()
+        children = []
+        for sub in levels[-1]:
+            cand = vecs
+            if sub.ngens:
+                ortho = ~((left @ sub.basis.T) % m).any(axis=1)
+                ortho &= ~((right @ sub.basis.T) % m).any(axis=1)
+                cand = vecs[ortho]
+            cand = cand[Submodule(sub.basis, d, p)._residues(cand).any(axis=1)]
+            while len(cand):
+                child = Submodule(np.vstack([sub.basis, cand[:1]]), d, m)
+                cand = cand[1:][child._residues(cand[1:]).any(axis=1)]
+                key = child.basis.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    children.append(child)
+        levels.append(children)
     if rank is not None:
-        return [s for s in found if s.rank == rank]
-    return found
+        return levels[rank] if 0 <= rank < len(levels) else []
+    return [sub for level in levels for sub in level]
 
 
 def max_isotropic_oracle(form: BilinearForm, constraint: Submodule) -> int:
     """Maximum rank of a free totally isotropic submodule inside `constraint`.
 
-    Exhaustive enumeration; raises when the instance exceeds the guard.
+    The rank of the last submodule `isotropic_free_submodules` returns (it
+    lists them rank by rank); raises when the instance exceeds the guard.
     """
-    return max(s.rank for s in isotropic_free_submodules(form, constraint))
+    return isotropic_free_submodules(form, constraint)[-1].rank

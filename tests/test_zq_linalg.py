@@ -1,12 +1,23 @@
 import random
+from collections import Counter
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from demuskin.demushkin_core import (
+    DemushkinPresentation,
+    bockstein_kernel,
+    gamma_line,
+    invariants,
+)
 from demuskin.zq_linalg import (
     ANTISYMMETRIC,
     NO_SYMMETRY,
+    SYMMETRIC,
     BilinearForm,
     Modulus,
     Submodule,
@@ -170,6 +181,14 @@ class TestSubmodule:
             got = {tuple(int(x) for x in v) for v in inter.vectors()}
             assert got == set(truth)
 
+    def test_vectors_list_the_span_once(self):
+        for m in (9, 25, 27):
+            for _ in range(10):
+                rows = [[rng.randrange(m) for _ in range(3)] for _ in range(rng.randrange(4))]
+                got = [tuple(int(x) for x in v) for v in Submodule(rows, 3, m).vectors()]
+                assert len(got) == len(set(got))
+                assert set(got) == (brute_span(rows, m) if rows else {(0, 0, 0)})
+
     def test_json_round_trip(self):
         s = Submodule([[1, 2, 3], [0, 3, 6]], 3, 9)
         assert Submodule.from_json(s.to_json()) == s
@@ -329,6 +348,159 @@ class TestIsotropicOracle:
         form = standard_gram_4()
         lines = isotropic_free_submodules(form, Submodule.full(4, 3), rank=1)
         assert len(lines) == (3 ** 4 - 1) // (3 - 1)
+
+    def test_zero_node_rejects_non_free_lines(self):
+        # over Z/9 the line spanned by 3 is isotropic but not free
+        form = BilinearForm(ZqMatrix.zeros(2, 2, 9), NO_SYMMETRY)
+        subs = isotropic_free_submodules(form, Submodule([[3, 0], [0, 1]], 2, 9))
+        assert all(s.is_free for s in subs)
+        assert [s.rank for s in subs] == [0, 1, 1, 1]  # (3a, 1) for a in 0, 1, 2
+
+    def test_rank_by_rank_order(self):
+        form = standard_gram_4()
+        full = Submodule.full(4, 3)
+        subs = isotropic_free_submodules(form, full)
+        ranks = [s.rank for s in subs]
+        assert ranks == sorted(ranks) and ranks[0] == 0
+        assert len({s.basis.tobytes() for s in subs}) == len(subs)
+        assert isotropic_free_submodules(form, full, rank=2) == [
+            s for s in subs if s.rank == 2
+        ]
+        assert isotropic_free_submodules(form, full, rank=3) == []
+
+
+def lagrangian_count(p, k, g):
+    """Free Lagrangians of a rank-2g symplectic Z/p^k module.
+
+    p^((k-1)g(g+1)/2) * prod_{i=1..g} (p^i + 1): the field count times the
+    Hensel lifts (Milnor-Husemoller, Symmetric Bilinear Forms, ch. I).
+    """
+    return p ** ((k - 1) * g * (g + 1) // 2) * prod(p**i + 1 for i in range(1, g + 1))
+
+
+def standard_cup(p, f, n):
+    pres = DemushkinPresentation.standard(n, Modulus(p, f))
+    return pres, invariants(pres).cup
+
+
+class TestOracleClosedForms:
+    """Counts of the search against closed forms on standard presentations."""
+
+    @pytest.mark.parametrize("p,f,n", [(3, 1, 2), (5, 1, 2), (7, 1, 2)])
+    def test_full_module_counts(self, p, f, n):
+        pres, cup = standard_cup(p, f, n)
+        q, d, g = p**f, pres.d, n // 2 + 1
+        ranks = Counter(s.rank for s in isotropic_free_submodules(cup, Submodule.full(d, q)))
+        assert max(ranks) == g
+        assert ranks[g] == lagrangian_count(p, f, g)
+        assert ranks[1] == (q**d - (q // p) ** d) // (q - q // p)
+
+    def test_free_lines_over_z9(self):
+        pres, cup = standard_cup(3, 2, 2)
+        lines = isotropic_free_submodules(cup, Submodule.full(4, 9), rank=1)
+        assert len(lines) == (9**4 - 3**4) // 6
+
+    @pytest.mark.parametrize(
+        "p,f,n,count",
+        [(3, 1, 2, 4), (5, 1, 2, 6), (7, 1, 2, 8), (3, 2, 2, 12), (3, 1, 4, 40)],
+    )
+    def test_maximal_in_bockstein_kernel(self, p, f, n, count):
+        # ker B is the orthogonal of the cyclotomic line, and every maximal
+        # free isotropic submodule there contains it: they are the
+        # Lagrangians of line^perp / line, a symplectic module of rank n
+        pres, cup = standard_cup(p, f, n)
+        g = n // 2 + 1
+        maximal = isotropic_free_submodules(cup, bockstein_kernel(pres), rank=g)
+        assert len(maximal) == lagrangian_count(p, f, n // 2) == count
+        line = gamma_line(pres)
+        assert all(s.contains_submodule(line) for s in maximal)
+
+
+def gaussian_binomial(d, r, p):
+    num = prod(p ** (d - i) - 1 for i in range(r))
+    return num // prod(p ** (i + 1) - 1 for i in range(r))
+
+
+@pytest.mark.parametrize("p,k,d", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
+def test_zero_form_counts_direct_summands(p, k, d):
+    # under the zero form every free submodule is isotropic; the free
+    # rank-r submodules of (Z/p^k)^d number p^((k-1)r(d-r)) [d choose r]_p
+    q = p**k
+    form = BilinearForm(ZqMatrix.zeros(d, d, q), NO_SYMMETRY)
+    ranks = Counter(s.rank for s in isotropic_free_submodules(form, Submodule.full(d, q)))
+    assert ranks == {
+        r: p ** ((k - 1) * r * (d - r)) * gaussian_binomial(d, r, p) for r in range(d + 1)
+    }
+
+
+def reference_isotropic_free_submodules(form, constraint):
+    """Depth-first search over every vector at every node (slow reference)."""
+    m = form.modulus
+    d = form.dim
+    gram = form.gram.array
+    vecs = [v for v in constraint.vectors() if v.any()]
+    zero = Submodule.zero(d, m)
+    seen = {zero.basis.tobytes()}
+    found = [zero]
+    stack = [zero]
+    while stack:
+        sub = stack.pop()
+        for v in vecs:
+            if int((v @ gram @ v) % m):
+                continue
+            if sub.ngens and ((sub.basis @ gram @ v) % m).any():
+                continue
+            if sub.ngens and ((v @ gram @ sub.basis.T) % m).any():
+                continue
+            if sub.contains(v):
+                continue
+            bigger = Submodule(np.vstack([sub.basis, v.reshape(1, -1)]), d, m)
+            if not bigger.is_free or bigger.rank != sub.rank + 1:
+                continue
+            key = bigger.basis.tobytes()
+            if key in seen:
+                continue
+            seen.add(key)
+            found.append(bigger)
+            stack.append(bigger)
+    return found
+
+
+@st.composite
+def forms_and_constraints(draw):
+    m = draw(st.sampled_from([3, 5, 9]))
+    d = draw(st.integers(1, 3))
+    tag = draw(st.sampled_from([NO_SYMMETRY, SYMMETRIC, ANTISYMMETRIC]))
+    entries = st.lists(st.integers(0, m - 1), min_size=d * d, max_size=d * d)
+    a = np.array(draw(entries), dtype=np.int64).reshape(d, d)
+    if tag == SYMMETRIC:
+        a = np.triu(a) + np.triu(a, 1).T
+    elif tag == ANTISYMMETRIC:
+        a = np.triu(a, 1) - np.triu(a, 1).T
+    # The reference tries every constraint vector at every node: over the
+    # whole of (Z/9)^3 (729 vectors) one degenerate form takes tens of
+    # seconds, so there the constraint has at most two generators; the
+    # whole module is covered by test_zero_form_counts_direct_summands.
+    small = m**d <= 125
+    if small and draw(st.booleans()):
+        return BilinearForm(ZqMatrix(a, m), tag), Submodule.full(d, m)
+    vec = st.lists(st.integers(0, m - 1), min_size=d, max_size=d)
+    rows = draw(st.lists(vec, min_size=1, max_size=3 if small else 2))
+    return BilinearForm(ZqMatrix(a, m), tag), Submodule(rows, d, m)
+
+
+class TestOracleAgainstReference:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(forms_and_constraints())
+    def test_same_submodules(self, case):
+        form, constraint = case
+        got = isotropic_free_submodules(form, constraint)
+        want = reference_isotropic_free_submodules(form, constraint)
+        keys = [s.basis.tobytes() for s in got]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == {s.basis.tobytes() for s in want}
+        ranks = [s.rank for s in got]
+        assert ranks == sorted(ranks)
 
 
 class TestJson:
