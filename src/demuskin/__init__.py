@@ -30,9 +30,12 @@ from demuskin.class2_words import (
 from demuskin.demushkin_core import (
     CharacterData,
     CohomologyData,
+    CoinvariantMachine,
     CoinvariantsResult,
     DemushkinPresentation,
     InvolutionAction,
+    NotAnInvolutionError,
+    RelatorNotPreservedError,
     bockstein_kernel,
     coinvariants,
     delta_map,

@@ -13,15 +13,12 @@ import json
 import sys
 
 from demuskin import __version__
-from demuskin.class2_words import (
-    ClassTwoEndo,
-    compose,
-    format_word,
-    invert_auto,
-)
+from demuskin.class2_words import ClassTwoEndo, format_word
 from demuskin.demushkin_core import (
     DemushkinPresentation,
     InvolutionAction,
+    NotAnInvolutionError,
+    RelatorNotPreservedError,
     bockstein_kernel,
     coinvariants,
     gamma_line,
@@ -167,13 +164,12 @@ def _action_checks(pres: DemushkinPresentation, endo: ClassTwoEndo):
     checks = []
     try:
         action = InvolutionAction.build(pres, endo)
-    except ValueError as exc:
-        msg = str(exc)
-        if "square" in msg:
-            checks.append(_check("action_squares_to_identity", False, msg))
-        else:
-            checks.append(_check("action_squares_to_identity", True))
-            checks.append(_check("relator_carried_to_power", False, msg))
+    except NotAnInvolutionError as exc:
+        checks.append(_check("action_squares_to_identity", False, str(exc)))
+        return None, checks
+    except RelatorNotPreservedError as exc:
+        checks.append(_check("action_squares_to_identity", True))
+        checks.append(_check("relator_carried_to_power", False, str(exc)))
         return None, checks
     checks.append(_check("action_squares_to_identity", True))
     checks.append(_check("relator_carried_to_power", True, f"h2_scalar = {action.h2_scalar}"))
@@ -242,11 +238,10 @@ def cmd_symmetrize(args) -> dict:
         checks.append(_check("lift_to_exact_involution", False, str(exc)))
         return _report(config, results, checks)
     try:
-        basis, relator = symmetrize_basis(pres, action)
+        basis, relator, clean_endo = symmetrize_basis(pres, action)
     except (ValueError, AssertionError) as exc:
         checks.append(_check("clean_diagonal_action", False, str(exc)))
         return _report(config, results, checks)
-    clean_endo = compose(invert_auto(basis), compose(action.endo, basis))
     results = {
         "basis_change": basis.to_json()["images"],
         "relator": format_word(relator),
@@ -315,17 +310,10 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _modulus_for_q(q: int) -> Modulus:
-    for p in range(3, q + 1, 2):
-        if q % p == 0:
-            f = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                f += 1
-            if m == 1:
-                return _modulus(p, f)
-            break
-    raise InputError(f"q={q} is not an odd prime power")
+    try:
+        return Modulus.from_q(q)
+    except ValueError:
+        raise InputError(f"q={q} is not an odd prime power") from None
 
 
 def cmd_sweep(args) -> dict:

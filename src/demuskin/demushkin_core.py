@@ -16,7 +16,7 @@ and the scalar by which it acts on H^2, i.e. the power t with w -> w^t.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from demuskin.class2_words import (
     format_word,
     invert_auto,
     parse_word,
+    quotient_kill,
 )
 from demuskin.zq_linalg import (
     ANTISYMMETRIC,
@@ -41,7 +42,6 @@ from demuskin.zq_linalg import (
     Submodule,
     ZqMatrix,
     eigen_split,
-    inv_mod,
     kernel,
 )
 
@@ -220,6 +220,14 @@ def bockstein_kernel(pres: DemushkinPresentation) -> Submodule:
     return kernel(ZqMatrix(coh.bockstein.reshape(1, -1), pres.mod.q))
 
 
+class NotAnInvolutionError(ValueError):
+    """The endomorphism does not square to the identity on F/F^3."""
+
+
+class RelatorNotPreservedError(ValueError):
+    """The endomorphism carries the relator to neither w nor w^-1."""
+
+
 class InvolutionAction:
     """An order <= 2 automorphism of F/F^3 compatible with the relator.
 
@@ -245,24 +253,20 @@ class InvolutionAction:
         mod = pres.mod
         ident = ClassTwoEndo.identity(pres.gens, mod)
         if compose(endo, endo) != ident:
-            raise ValueError("endomorphism does not square to the identity on F/F^3")
+            raise NotAnInvolutionError("endomorphism does not square to the identity on F/F^3")
+        # an involution carrying w to a power w^t has t^2 = 1 modulo the
+        # order of w, a power of the odd p, so w^t is w or w^-1
         w = pres.relator
         image = endo(w)
-        t = None
-        for cand in range(1, mod.q):
-            if cand % mod.p == 0:
-                continue
-            if w ** cand == image:
-                t = cand
-                break
-        if t is None:
-            raise ValueError(
+        if image == w:
+            t = 1
+        elif image == w.inverse():
+            t = -1
+        else:
+            raise RelatorNotPreservedError(
                 "relator is not carried to a power of itself; "
                 "the action does not descend to the one-relator quotient"
             )
-        if t != 1 and t != mod.q - 1:
-            raise ValueError(f"relator power t={t} is not +-1, impossible for an involution")
-        scalar = 1 if t == 1 else -1
         L = endo.linear_matrix
         gram = invariants(pres).cup.gram.array
         coherent = not ((L.T @ gram @ L - t * gram) % mod.q).any()
@@ -272,7 +276,7 @@ class InvolutionAction:
                 "impossible at the class-2 truncation",
                 stacklevel=2,
             )
-        return cls(endo, ZqMatrix(L, mod.q), scalar, coherent)
+        return cls(endo, ZqMatrix(L, mod.q), t, coherent)
 
     @property
     def is_trivial(self) -> bool:
@@ -394,13 +398,14 @@ def _diagonal_signs(action: InvolutionAction) -> np.ndarray | None:
 
 def symmetrize_basis(
     pres: DemushkinPresentation, action: InvolutionAction
-) -> tuple[ClassTwoEndo, ClassTwoElement]:
+) -> tuple[ClassTwoEndo, ClassTwoElement, ClassTwoEndo]:
     """Absorb central perturbations into the basis via central square roots.
 
     For sigma(g) = g . a the new generator is g . a^(1/2); for
-    sigma(g) = g^-1 . b it is b^(-1/2) . g.  The returned basis change is
-    unipotent, the conjugated action is exactly diagonal (+-1 on each
-    generator), and the relator keeps its shape in the new basis.
+    sigma(g) = g^-1 . b it is b^(-1/2) . g.  Returns (basis, relator,
+    clean_endo): the basis change, which is unipotent; the relator rewritten
+    in the new basis, which keeps its shape; and the conjugated action,
+    checked to be exactly diagonal (+-1 on each generator).
     """
     signs = _diagonal_signs(action)
     if signs is None:
@@ -430,8 +435,7 @@ def symmetrize_basis(
         expected = ClassTwoElement.generator(gens, mod, i) ** int(s)
         if new_action_endo.images[i] != expected:
             raise AssertionError("symmetrization did not produce a clean action")
-    new_relator = basis_inv(pres.relator)
-    return basis, new_relator
+    return basis, basis_inv(pres.relator), new_action_endo
 
 
 def transform_presentation(
@@ -476,7 +480,7 @@ class CoinvariantsResult:
     warnings: tuple
 
 
-class _CoinvariantMachine:
+class CoinvariantMachine:
     """Shared mechanics: the quotient map onto the coinvariant truncation.
 
     After diagonalizing the linear part, a generator with sign -1 satisfies
@@ -571,19 +575,12 @@ class _CoinvariantMachine:
 
     def project(self, u: ClassTwoElement) -> ClassTwoElement:
         """Image in the truncated free group on the kept generators."""
-        from demuskin.class2_words import quotient_kill
-
         return quotient_kill(self.elim_labels, self.subst(u))
-
-    def vanishes(self, u_original: ClassTwoElement) -> bool:
-        """Membership of an original-frame element in the quotient kernel."""
-        img = self.project(self.to_frame(u_original))
-        return self.span.is_trivial(img)
 
 
 def coinvariants(pres: DemushkinPresentation, action: InvolutionAction) -> CoinvariantsResult:
     """Rank and free/Demushkin dichotomy of the coinvariant truncation."""
-    machine = _CoinvariantMachine(pres, action)
+    machine = CoinvariantMachine(pres, action)
     mod = pres.mod
     rank = len(machine.kept)
     wbar = machine.relator_image

@@ -6,6 +6,21 @@ of the truncated free group in which V is spanned by duals of generators,
 kill the complementary generators, and certify that the relator dies in the
 quotient.  Every certificate records which of the conditions held, so a
 failing input produces a red certificate rather than an exception.
+
+The change of basis is one symplectic completion over Z/q that keeps the
+eigenspaces H+ and H- of the involution and the Bockstein kernel ker B.
+The dual basis falls into n/2 + 1 slots, each a pair (a, b) with a in H+,
+b in H- and <a, b> = 1: slot 0 holds the duals of g and x0, slot k >= 1
+those of x_(2k) and x_(2k-1), and every vector but the dual of x0 lies in
+ker B.  V's basis is placed first, each vector in a fresh slot; then slot
+0 is filled from a vector of B-value 1; then each remaining slot is seeded
+with the first unimodular vector of H- in ker B that is left.  Every
+partner comes from one rule: in the working space (the opposite
+eigenspace, inside ker B, orthogonal to everything placed and to the V
+vectors still pending), take the first Howell row r with r . w a unit and
+scale it so that r . w = 1.  Only the cyclotomic direction pairs with
+nothing in ker B; it takes slot 0, with a partner of unit B-value found
+outside ker B.
 """
 
 from __future__ import annotations
@@ -25,14 +40,13 @@ from demuskin.class2_words import (
     quotient_kill,
 )
 from demuskin.demushkin_core import (
+    CoinvariantMachine,
     DemushkinPresentation,
     InvolutionAction,
-    _CoinvariantMachine,
     bockstein_kernel,
     delta_map,
     gamma_line,
     invariants,
-    standard_involution,
     standard_relator,
     standard_sign_pattern,
     symmetrize_basis,
@@ -41,7 +55,6 @@ from demuskin.demushkin_core import (
 from demuskin.zq_linalg import (
     Submodule,
     ZqMatrix,
-    eigen_split,
     inv_mod,
     is_totally_isotropic,
     orthogonal_complement,
@@ -165,209 +178,99 @@ def _require_clean_standard(pres: DemushkinPresentation, action: InvolutionActio
         raise ValueError("expected the standard relator; symmetrize the basis first")
     if action.is_trivial:
         return
-    expected = standard_involution(pres).endo
-    if action.endo != expected:
-        raise ValueError(
-            "expected the clean diagonal involution; symmetrize the action first"
-        )
+    signs = standard_sign_pattern(pres.n)
+    for i, (image, s) in enumerate(zip(action.endo.images, signs)):
+        if image != ClassTwoElement.generator(pres.gens, pres.mod, i) ** int(s):
+            raise ValueError(
+                "expected the clean diagonal involution; symmetrize the action first"
+            )
 
 
-def _unimodular_rows(space: Submodule, p: int):
-    for row in space.basis:
-        if ((row % p) != 0).any():
-            yield row
-
-
-def _partner_in(space: Submodule, vec, gram: np.ndarray, p: int, q: int):
-    """First basis row pairing with vec by a unit, scaled so <vec, u> = 1."""
-    w = (vec @ gram) % q
-    for row in space.basis:
-        val = int((row @ w) % q)
-        if val % p:
-            return (row * pow(val, -1, q)) % q
-    return None
-
-
-def _partner_with_unit_bockstein(space: Submodule, vec, gram: np.ndarray, bvec, p: int, q: int):
-    """Element u of `space` with B(u) = 1 and <vec, u> a unit, by scanning
-    coefficient combinations of the basis rows."""
-    w = (vec @ gram) % q
-    rows = space.basis
-    k = rows.shape[0]
-    if k == 0:
+def _unit_partner(rows: np.ndarray, w: np.ndarray, mod) -> np.ndarray | None:
+    """The first row r with r . w a unit, scaled so that r . w = 1."""
+    vals = (rows @ w) % mod.q
+    hits = np.flatnonzero(vals % mod.p)
+    if not hits.size:
         return None
-    coeffs = np.zeros(k, dtype=np.int64)
-    while True:
-        u = (coeffs @ rows) % q
-        bval = int((u @ bvec) % q)
-        pval = int((u @ w) % q)
-        if bval % p and pval % p:
-            return (u * pow(bval, -1, q)) % q
-        j = 0
-        while j < k:
-            coeffs[j] += 1
-            if coeffs[j] < q:
-                break
-            coeffs[j] = 0
-            j += 1
-        if j == k:
-            return None
+    return (rows[hits[0]] * pow(int(vals[hits[0]]), -1, mod.q)) % mod.q
 
 
-class _FrameBuilder:
-    """Sequential completion of an adapted dual basis.
+def _cyclotomic_partner(rows: np.ndarray, w: np.ndarray, bvec: np.ndarray, mod) -> np.ndarray | None:
+    """An element u of the span of `rows` with u . w a unit and B(u) = 1.
 
-    Maintains the list of placed dual vectors; the working space is always
-    the orthogonal complement of everything placed, intersected with the
-    relevant eigenspace, the Bockstein kernel when the slot requires it, and
-    the perp of the prescribed vectors not yet placed.
+    With r_i the first row of unit B-value and r_j the first row with
+    r_j . w a unit, the first of r_i, r_j, r_i + r_j that has both is the
+    first hit of a scan over coefficient vectors in counting order (row 0
+    the fastest digit): combinations of earlier rows have neither unit.
     """
+    units = (rows @ np.stack([bvec, w], axis=1)) % mod.q % mod.p != 0
+    if not units.any(axis=0).all():
+        return None
+    r_i, r_j = rows[units.argmax(axis=0)]
+    cands = np.array([r_i, r_j, r_i + r_j]) % mod.q
+    return _unit_partner(cands[(cands @ w) % mod.q % mod.p != 0], bvec, mod)
 
-    def __init__(self, pres, action, iso):
-        self.pres = pres
-        self.q = pres.mod.q
-        self.p = pres.mod.p
-        self.d = pres.d
-        coh = invariants(pres)
-        self.form = coh.cup
-        self.gram = coh.cup.gram.array
-        self.bvec = coh.bockstein
-        self.kerb = bockstein_kernel(pres)
-        self.trivial = action.is_trivial
-        full = Submodule.full(self.d, self.q)
-        if self.trivial:
-            self.hplus = full
-            self.hminus = full
-        else:
-            signs = standard_sign_pattern(pres.n)
-            eye = np.eye(self.d, dtype=np.int64)
-            self.hplus = Submodule(eye[signs == 1], self.d, self.q)
-            self.hminus = Submodule(eye[signs == -1], self.d, self.q)
-        self.nslots = pres.n // 2 + 1
-        self.a_rows = [None] * self.nslots
-        self.b_rows = [None] * self.nslots
-        self.placed: list[np.ndarray] = []
-        self.v_slots: list[tuple[int, str]] = []  # (slot, half) hosting V vectors
-        self.iso = iso
 
-    def working_space(self, side: Submodule, kerb: bool, pending) -> Submodule:
-        space = side
-        if kerb:
-            space = space.intersect(self.kerb)
-        if self.placed:
-            span = Submodule(np.array(self.placed), self.d, self.q)
-            space = space.intersect(orthogonal_complement(self.form, span))
-        if pending:
-            span = Submodule(np.array(pending), self.d, self.q)
-            space = space.intersect(orthogonal_complement(self.form, span))
-        return space
+def _symplectic_frame(pres: DemushkinPresentation, hplus: Submodule, hminus: Submodule, queue) -> np.ndarray:
+    """Rows of the adapted dual basis, in generator order, by the
+    symplectic completion of the module docstring; `queue` lists V's basis
+    vectors with the eigenspace ("plus" or "minus") of each."""
+    mod, d, q = pres.mod, pres.d, pres.mod.q
+    coh = invariants(pres)
+    gram, bvec = coh.cup.gram.array, coh.bockstein
+    kerb = bockstein_kernel(pres)
+    plus_k, minus_k = hplus.intersect(kerb), hminus.intersect(kerb)
+    slots = [None] * (pres.n // 2 + 1)  # (a, b) per hyperbolic pair
+    placed: list[np.ndarray] = []
 
-    def next_free_slot(self, start: int) -> int:
-        for k in range(start, self.nslots):
-            if self.a_rows[k] is None and self.b_rows[k] is None:
-                return k
-        raise AssertionError("ran out of hyperbolic slots; engine inconsistency")
+    def working_rows(space: Submodule, pending=()) -> np.ndarray:
+        others = placed + list(pending)
+        if others:
+            span = Submodule(np.array(others), d, q)
+            space = space.intersect(orthogonal_complement(coh.cup, span))
+        return space.basis
 
-    def place_prescribed(self, vec: np.ndarray, side: str, pending):
-        """Put a V-basis vector into a fresh slot and find its partner."""
-        if side == "plus":
-            cand = self.working_space(self.hminus, True, pending)
-            partner = _partner_in(cand, vec, self.gram, self.p, self.q)
-            if partner is not None:
-                slot = self.next_free_slot(1)
-                self.a_rows[slot], self.b_rows[slot] = vec, partner
-            else:
-                # only the cyclotomic direction pairs into nothing inside
-                # the Bockstein kernel; it takes the distinguished slot
-                if self.a_rows[0] is not None or self.b_rows[0] is not None:
-                    raise AssertionError("distinguished slot already used")
-                cand = self.working_space(self.hminus, False, pending)
-                partner = _partner_with_unit_bockstein(
-                    cand, vec, self.gram, self.bvec, self.p, self.q
-                )
-                if partner is None:
-                    raise AssertionError("no partner for a validated V vector")
-                scale = int((vec @ self.gram @ partner) % self.q)
-                vec = (vec * pow(scale, -1, self.q)) % self.q
-                slot = 0
-                self.a_rows[0], self.b_rows[0] = vec, partner
-            self.v_slots.append((slot, "a"))
-        else:
-            cand = self.working_space(self.hplus, True, pending)
-            partner = _partner_in(cand, vec, self.gram, self.p, self.q)
-            if partner is None:
-                raise AssertionError("no partner for a validated V vector")
-            # _partner_in normalized <vec, partner> = 1; the slot stores
-            # (a, b) with <a, b> = 1, so flip the sign for the a-half
-            partner = (-partner) % self.q
-            slot = self.next_free_slot(1)
-            self.a_rows[slot], self.b_rows[slot] = partner, vec
-            self.v_slots.append((slot, "b"))
-        self.placed.extend([self.a_rows[slot], self.b_rows[slot]])
+    def fill(a, b, slot=None):
+        if slot is None:
+            if None not in slots[1:]:
+                raise AssertionError("ran out of hyperbolic slots; engine inconsistency")
+            slot = slots.index(None, 1)
+        slots[slot] = (a, b)
+        placed.extend((a, b))
 
-    def fill_distinguished_slot(self):
-        cand_b = self.working_space(self.hminus, False, [])
-        b0 = None
-        for row in cand_b.basis:
-            bval = int((row @ self.bvec) % self.q)
-            if bval % self.p:
-                b0 = (row * pow(bval, -1, self.q)) % self.q
-                break
+    def pair_minus(b, pending=(), slot=None):
+        a = _unit_partner(working_rows(plus_k, pending), gram @ b, mod)
+        if a is None:
+            raise AssertionError("no partner in H+ for a vector of H-")
+        fill(a, b, slot)
+
+    for k, (vec, side) in enumerate(queue):
+        pending = [v for v, _ in queue[k + 1 :]]
+        if side == "minus":
+            pair_minus(vec, pending)
+            continue
+        b = _unit_partner(working_rows(minus_k, pending), vec @ gram, mod)
+        if b is not None:
+            fill(vec, b)
+            continue
+        if slots[0] is not None:
+            raise AssertionError("distinguished slot already used")
+        b = _cyclotomic_partner(working_rows(hminus, pending), vec @ gram, bvec, mod)
+        if b is None:
+            raise AssertionError("no partner for a validated V vector")
+        fill((vec * pow(int(vec @ gram @ b), -1, q)) % q, b, slot=0)
+    if slots[0] is None:
+        b0 = _unit_partner(working_rows(hminus), bvec, mod)
         if b0 is None:
             raise AssertionError("no unit Bockstein value available")
-        cand_a = self.working_space(self.hplus, True, [])
-        a0 = None
-        # partner condition is <a0, b0> = 1
-        w = (self.gram @ b0) % self.q
-        for row in cand_a.basis:
-            val = int((row @ w) % self.q)
-            if val % self.p:
-                a0 = (row * pow(val, -1, self.q)) % self.q
-                break
-        if a0 is None:
-            raise AssertionError("no dual partner for the distinguished slot")
-        self.a_rows[0], self.b_rows[0] = a0, b0
-        self.placed.extend([a0, b0])
-
-    def fill_generic_slot(self, slot: int):
-        cand_b = self.working_space(self.hminus, True, [])
-        b = None
-        for row in _unimodular_rows(cand_b, self.p):
-            b = row
-            break
-        if b is None:
+        pair_minus(b0, slot=0)
+    while None in slots:
+        rows = working_rows(minus_k)
+        free = rows[(rows % mod.p).any(axis=1)]
+        if not len(free):
             raise AssertionError("no free direction left for a generic slot")
-        cand_a = self.working_space(self.hplus, True, [])
-        w = (self.gram @ b) % self.q
-        a = None
-        for row in cand_a.basis:
-            val = int((row @ w) % self.q)
-            if val % self.p:
-                a = (row * pow(val, -1, self.q)) % self.q
-                break
-        if a is None:
-            raise AssertionError("pairing degenerated on the working space")
-        self.a_rows[slot], self.b_rows[slot] = a, b
-        self.placed.extend([a, b])
-
-    def assemble(self) -> np.ndarray:
-        """Rows of the new dual basis, in generator order."""
-        t_star = np.zeros((self.d, self.d), dtype=np.int64)
-        t_star[0] = self.a_rows[0]
-        t_star[1] = self.b_rows[0]
-        for k in range(1, self.nslots):
-            t_star[2 * k] = self.b_rows[k]
-            t_star[2 * k + 1] = self.a_rows[k]
-        return t_star
-
-    def kept_indices(self) -> list[int]:
-        out = []
-        for slot, half in self.v_slots:
-            if slot == 0:
-                out.append(0 if half == "a" else 1)
-            else:
-                out.append(2 * slot + 1 if half == "a" else 2 * slot)
-        return sorted(out)
+        pair_minus(free[0])
+    return np.array([slots[0][0], slots[0][1]] + [x for a, b in slots[1:] for x in (b, a)])
 
 
 def _coordinate_dual_indices(V: Submodule) -> list[int] | None:
@@ -381,6 +284,16 @@ def _coordinate_dual_indices(V: Submodule) -> list[int] | None:
     return idx
 
 
+def _extend_to_free_basis(rows, start: list, d: int, q: int) -> list:
+    """`start` greedily extended by those of `rows` that keep it a free basis."""
+    out = list(start)
+    for row in rows:
+        trial = Submodule(np.array(out + [row]), d, q)
+        if trial.is_free and trial.rank == len(out) + 1:
+            out.append(row)
+    return out
+
+
 def _build_adapted_change(
     pres: DemushkinPresentation, action: InvolutionAction, iso: IsotropicSubmodule
 ) -> ClassTwoEndo:
@@ -390,47 +303,28 @@ def _build_adapted_change(
     if _coordinate_dual_indices(V) is not None:
         return ClassTwoEndo.identity(pres.gens, pres.mod)
 
-    builder = _FrameBuilder(pres, action, iso)
-    gvec = delta_map(pres, 1)
-    plus_rows: list[np.ndarray] = []
-    minus_rows: list[np.ndarray] = []
-    if builder.trivial:
+    if action.is_trivial:
+        hplus = hminus = Submodule.full(d, q)
         vplus, vminus = V, Submodule.zero(d, q)
     else:
-        vplus = V.intersect(builder.hplus)
-        vminus = V.intersect(builder.hminus)
+        signs = standard_sign_pattern(pres.n)
+        eye = np.eye(d, dtype=np.int64)
+        hplus = Submodule(eye[signs == 1], d, q)
+        hminus = Submodule(eye[signs == -1], d, q)
+        vplus, vminus = V.intersect(hplus), V.intersect(hminus)
         if not (vplus.is_free and vminus.is_free):
             raise AssertionError("eigenparts of a validated V must be free")
         if vplus.rank + vminus.rank != V.rank:
             raise AssertionError("V does not split along the eigenspaces")
-    # start the plus list with the cyclotomic direction when present, then
-    # greedily extend to a basis
-    if V.contains(gvec):
-        plus_rows.append(gvec % q)
-    for row in vplus.basis:
-        trial = Submodule(np.array(plus_rows + [row]), d, q)
-        if trial.is_free and trial.rank == len(plus_rows) + 1:
-            plus_rows.append(row)
-    if len(plus_rows) != vplus.rank:
-        raise AssertionError("failed to extend the cyclotomic line to a basis of V+")
-    for row in vminus.basis:
-        trial = Submodule(np.array(minus_rows + [row]), d, q)
-        if trial.is_free and trial.rank == len(minus_rows) + 1:
-            minus_rows.append(row)
-    if len(minus_rows) != vminus.rank:
-        raise AssertionError("failed to pick a free basis of V-")
+    # the plus list starts with the cyclotomic direction when V holds it
+    gvec = delta_map(pres, 1)
+    plus_rows = _extend_to_free_basis(vplus.basis, [gvec % q] if V.contains(gvec) else [], d, q)
+    minus_rows = _extend_to_free_basis(vminus.basis, [], d, q)
+    if len(plus_rows) != vplus.rank or len(minus_rows) != vminus.rank:
+        raise AssertionError("failed to pick free bases of the eigenparts of V")
 
     queue = [(row, "plus") for row in plus_rows] + [(row, "minus") for row in minus_rows]
-    for k, (vec, side) in enumerate(queue):
-        pending = [v for v, _ in queue[k + 1 :]]
-        builder.place_prescribed(vec, side, pending)
-    if builder.a_rows[0] is None:
-        builder.fill_distinguished_slot()
-    for slot in range(1, builder.nslots):
-        if builder.a_rows[slot] is None:
-            builder.fill_generic_slot(slot)
-
-    t_star = builder.assemble()
+    t_star = _symplectic_frame(pres, hplus, hminus, queue)
     gram = invariants(pres).cup.gram.array
     if not np.array_equal((t_star @ gram @ t_star.T) % q, gram):
         raise AssertionError("adapted dual basis does not reproduce the standard pairing")
@@ -474,11 +368,9 @@ class FreeQuotientCertificate:
         "flags",
         "V_realized",
         "note",
-        "_final_linear",
-        "_kept_idx",
     )
 
-    def __init__(self, basis_change, killed, kept, signature, flags, V_realized, note, final_linear=None, kept_idx=None):
+    def __init__(self, basis_change, killed, kept, signature, flags, V_realized, note):
         self.basis_change = basis_change
         self.killed = tuple(killed)
         self.kept = tuple(kept)
@@ -486,8 +378,6 @@ class FreeQuotientCertificate:
         self.flags = dict(flags)
         self.V_realized = V_realized
         self.note = note
-        self._final_linear = final_linear
-        self._kept_idx = tuple(kept_idx) if kept_idx is not None else None
 
     @property
     def all_green(self) -> bool:
@@ -532,16 +422,17 @@ def free_quotient(
             V_realized=iso.V,
             note="validation failed; no quotient constructed",
         )
+    _require_clean_standard(pres, action)
     basis1 = _build_adapted_change(pres, action, iso)
     pres2, action2 = transform_presentation(pres, action, basis1)
-    basis2, _ = symmetrize_basis(pres2, action2)
+    # symmetrize_basis rewrites the relator and checks the conjugated action
+    # is the clean diagonal one, so the final frame needs no second transform
+    basis2, relator, clean = symmetrize_basis(pres2, action2)
     total = compose(basis1, basis2)
-    pres3, action3 = transform_presentation(pres, action, total)
-    if pres3.relator != standard_relator(pres.n, pres.mod):
+    if relator != standard_relator(pres.n, pres.mod):
         raise AssertionError("final frame lost the standard relator shape")
 
-    t_total = total.linear_matrix
-    new_coords = iso.V.image_under(t_total.T)
+    new_coords = iso.V.image_under(total.linear_matrix.T)
     kept_idx = _coordinate_dual_indices(new_coords)
     if kept_idx is None:
         raise AssertionError("final frame does not realize V on generator duals")
@@ -549,33 +440,19 @@ def free_quotient(
     labels = pres.gens.labels
     kept = [labels[i] for i in kept_idx]
     killed = [lab for i, lab in enumerate(labels) if i not in kept_idx]
-    killed_idx = [i for i in range(pres.d) if i not in kept_idx]
-
-    if kept:
-        image = quotient_kill(killed, pres3.relator)
-        flags["relator_contained"] = image.is_identity
-    else:
-        flags["relator_contained"] = True
-
-    kill_ok = True
-    q, q2 = pres.mod.q, pres.mod.q2
-    for s in killed_idx:
-        img = action3.endo.images[s]
-        if (img.gen_exp[kept_idx] % q2).any():
-            kill_ok = False
-        if img.comm[np.ix_(kept_idx, kept_idx)].any():
-            kill_ok = False
-    flags["delta_invariant_kill"] = kill_ok
+    flags["relator_contained"] = quotient_kill(killed, relator).is_identity if kept else True
+    flags["delta_invariant_kill"] = not any(
+        (clean.images[s].gen_exp[kept_idx] % pres.mod.q2).any()
+        or clean.images[s].comm[np.ix_(kept_idx, kept_idx)].any()
+        for s in range(pres.d)
+        if s not in kept_idx
+    )
     # kept generators project onto the quotient mod squares by construction
     flags["surjective_mod_F2"] = True
 
-    final_linear = action3.endo.linear_matrix
-    sub = final_linear[np.ix_(kept_idx, kept_idx)] if kept_idx else np.zeros((0, 0), dtype=np.int64)
-    if kept_idx:
-        plus, minus = eigen_split(ZqMatrix(sub, q))
-        sig = Signature(plus.rank - 1, minus.rank)
-    else:
-        sig = Signature(-1, 0)
+    # the clean action is diagonal, +1 or -1 on each generator
+    diagonal = clean.linear_matrix.diagonal()[kept_idx]
+    sig = Signature(int((diagonal == 1).sum()) - 1, int((diagonal == pres.mod.q - 1).sum()))
     return FreeQuotientCertificate(
         basis_change=total,
         killed=killed,
@@ -584,24 +461,16 @@ def free_quotient(
         flags=flags,
         V_realized=iso.V,
         note=LIFTING_NOTE,
-        final_linear=final_linear,
-        kept_idx=kept_idx,
     )
 
 
 def signature_of(cert: FreeQuotientCertificate, action: InvolutionAction) -> Signature:
-    """Eigen-rank data of the induced action on the quotient mod squares."""
+    """Eigen-rank data of the induced action on the quotient mod squares,
+    as `free_quotient` measured it: (rank of the +1 part minus the
+    cyclotomic line, rank of the -1 part)."""
     if not cert.all_green:
         raise ValueError("signature is only defined for green certificates")
-    if cert._final_linear is None or cert._kept_idx is None:
-        raise ValueError("certificate carries no quotient action data")
-    q = action.h1_matrix.modulus
-    idx = list(cert._kept_idx)
-    if not idx:
-        return Signature(-1, 0)
-    sub = cert._final_linear[np.ix_(idx, idx)]
-    plus, minus = eigen_split(ZqMatrix(sub, q))
-    return Signature(plus.rank - 1, minus.rank)
+    return cert.signature
 
 
 def factoring_check(pres: DemushkinPresentation, V) -> bool:
@@ -630,7 +499,7 @@ def uniqueness_check(
     if action.h2_scalar != -1:
         raise ValueError("uniqueness check needs an action with h2_scalar = -1")
 
-    machine = _CoinvariantMachine(pres, action)
+    machine = CoinvariantMachine(pres, action)
     coinv_span = TruncatedQuotient(
         machine.small_gens,
         pres.mod,

@@ -47,6 +47,12 @@ class Modulus:
         if self.f < 1:
             raise ValueError(f"f must be a positive integer, got {self.f}")
 
+    @classmethod
+    def from_q(cls, q: int) -> "Modulus":
+        """The modulus with p^f = q; raises ValueError unless q is an odd
+        prime power."""
+        return cls(*_prime_power_base(q))
+
     @property
     def q(self) -> int:
         return self.p ** self.f

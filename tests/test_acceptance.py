@@ -267,7 +267,7 @@ def test_criterion_9_lift_and_symmetrize():
         act = lift_involution(pres, linear, ClassTwoEndo(images))
         ok &= compose(act.endo, act.endo) == ident
         ok &= np.array_equal(act.endo.linear_matrix, linear)
-        basis, relator = symmetrize_basis(pres, act)
+        basis, relator, _ = symmetrize_basis(pres, act)
         ok &= relator == standard_relator(2, mod)
         clean = compose(invert_auto(basis), compose(act.endo, basis))
         ok &= clean == base.endo

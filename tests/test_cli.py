@@ -113,6 +113,11 @@ class TestSweep:
         proc = run_cli("sweep", "--sweep-n", "2", "--sweep-q", "27")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("q", ["1", "4", "15"])
+    def test_modulus_not_an_odd_prime_power(self, capsys, q):
+        assert main(["sweep", "--sweep-n", "2", "--sweep-q", q]) == 2
+        assert f"q={q} is not an odd prime power" in capsys.readouterr().err
+
 
 class TestQuotientCommand:
     def test_green_run(self, tmp_path):
@@ -175,6 +180,24 @@ class TestVerify:
         report = json.loads(text)
         failed = {c["name"] for c in report["checks"] if not c["pass"]}
         assert failed & {"action_squares_to_identity", "relator_carried_to_power"}
+
+    def test_relator_of_order_below_q_is_carried_to_its_inverse(self, tmp_path):
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps({"p": 3, "f": 2, "n": 0, "relator": "x0^27 [x0,g]^3"}))
+        act = tmp_path / "act.json"
+        act.write_text(json.dumps({"images": {"g": "g", "x0": "x0^-1"}}))
+        code, text = run_inproc(
+            tmp_path, "verify", "--presentation", str(pres), "--action", str(act)
+        )
+        report = json.loads(text)
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["action_squares_to_identity"]["pass"]
+        assert checks["relator_carried_to_power"]["pass"]
+        assert checks["relator_carried_to_power"]["detail"] == "h2_scalar = -1"
+        assert report["results"]["h2_scalar"] == -1
+        # the pairing is 3 times a unimodular one, degenerate mod p
+        assert not checks["cup_nondegenerate"]["pass"]
+        assert code == 1
 
     def test_missing_action_argument(self, tmp_path):
         pres, _ = self.write_inputs(tmp_path)

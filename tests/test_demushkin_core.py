@@ -17,6 +17,8 @@ from demuskin.demushkin_core import (
     CharacterData,
     DemushkinPresentation,
     InvolutionAction,
+    NotAnInvolutionError,
+    RelatorNotPreservedError,
     _diagonal_signs,
     bockstein_kernel,
     coinvariants,
@@ -250,6 +252,28 @@ class TestStandardInvolution:
         with pytest.raises(ValueError, match="square"):
             InvolutionAction.build(pres, ClassTwoEndo(images))
 
+    def test_failures_are_typed(self):
+        pres = DemushkinPresentation.standard(2, Modulus(3, 1))
+        swap = [pres.element(w) for w in ("g", "x0", "x2", "x1")]
+        with pytest.raises(RelatorNotPreservedError):
+            InvolutionAction.build(pres, ClassTwoEndo(swap))
+        shear = [pres.element(w) for w in ("g x0", "x0", "x1", "x2")]
+        with pytest.raises(NotAnInvolutionError):
+            InvolutionAction.build(pres, ClassTwoEndo(shear))
+
+    def test_relator_of_order_below_q(self):
+        # over q = 9 this relator has order 3, so w^-1 = w^2 and the sign
+        # must be read as -1, not as the exponent 2
+        pres = DemushkinPresentation.from_json(
+            {"p": 3, "f": 2, "n": 0, "relator": "x0^27 [x0,g]^3"}
+        )
+        endo = ClassTwoEndo([pres.element("g"), pres.element("x0^-1")])
+        assert endo(pres.relator) == pres.relator.inverse()
+        assert pres.relator ** 3 == ClassTwoElement.identity(pres.gens, pres.mod)
+        act = InvolutionAction.build(pres, endo)
+        assert act.h2_scalar == -1
+        assert act.coherence_ok
+
 
 class TestLiftInvolution:
     def setup_method(self):
@@ -306,9 +330,10 @@ class TestSymmetrizeBasis:
         self.standard = standard_involution(self.pres)
 
     def test_clean_action_gives_identity_change(self):
-        basis, relator = symmetrize_basis(self.pres, self.standard)
+        basis, relator, clean = symmetrize_basis(self.pres, self.standard)
         assert basis == ClassTwoEndo.identity(self.pres.gens, self.mod)
         assert relator == self.pres.relator
+        assert clean == self.standard.endo
 
     def test_fixed_generator_perturbation(self):
         a = self.pres.element("[x2,x1]")
@@ -317,13 +342,14 @@ class TestSymmetrizeBasis:
         act = lift_involution(
             self.pres, self.standard.endo.linear_matrix, ClassTwoEndo(images)
         )
-        basis, relator = symmetrize_basis(self.pres, act)
+        basis, relator, clean = symmetrize_basis(self.pres, act)
         # gamma' = g . a^((q+1)/2)
         expected = self.pres.element("g") * a ** 2
         assert basis.images[0] == expected
         assert relator == self.pres.relator
         new_endo = compose(invert_auto(basis), compose(act.endo, basis))
         assert new_endo == self.standard.endo
+        assert clean == new_endo
 
     def test_negated_generator_perturbation(self):
         # the central factor must be fixed by the action for sigma to keep
@@ -336,13 +362,14 @@ class TestSymmetrizeBasis:
         assert compose(pert, pert) == ident  # already exact
         act = lift_involution(self.pres, self.standard.endo.linear_matrix, pert)
         assert act.endo == pert
-        basis, relator = symmetrize_basis(self.pres, act)
+        basis, relator, clean = symmetrize_basis(self.pres, act)
         # x0' = b^(-(q+1)/2) . x0
         expected = b ** (-2) * self.pres.element("x0")
         assert basis.images[1] == expected
         assert relator == self.pres.relator
         new_endo = compose(invert_auto(basis), compose(act.endo, basis))
         assert new_endo == self.standard.endo
+        assert clean == new_endo
 
     @pytest.mark.parametrize("mod", [Modulus(3, 1), Modulus(3, 2), Modulus(5, 1)], ids=lambda m: f"q{m.q}")
     def test_random_perturbations_are_cleaned(self, mod):
@@ -352,10 +379,11 @@ class TestSymmetrizeBasis:
         for _ in range(15):
             images = [im * random_central(pres) for im in base.endo.images]
             act = lift_involution(pres, linear, ClassTwoEndo(images))
-            basis, relator = symmetrize_basis(pres, act)
+            basis, relator, clean = symmetrize_basis(pres, act)
             assert relator == pres.relator
             new_endo = compose(invert_auto(basis), compose(act.endo, basis))
             assert new_endo == base.endo
+            assert clean == new_endo
 
     def test_non_product_shape_rejected(self):
         # an action mixing generators linearly is outside this routine

@@ -1,7 +1,10 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demuskin.class2_words import (
     ClassTwoEndo,
@@ -17,12 +20,14 @@ from demuskin.demushkin_core import (
     invariants,
     standard_involution,
     standard_relator,
+    transform_presentation,
     trivial_action,
 )
 from demuskin.quotient_builder import (
     FreeQuotientCertificate,
     IsotropicSubmodule,
     Signature,
+    _cyclotomic_partner,
     adapted_basis,
     build_V,
     factoring_check,
@@ -34,6 +39,8 @@ from demuskin.quotient_builder import (
 from demuskin.zq_linalg import (
     Modulus,
     Submodule,
+    ZqMatrix,
+    inv_mod,
     isotropic_free_submodules,
 )
 
@@ -259,6 +266,20 @@ class TestFreeQuotient:
         assert cert.kept == ("g",)
         assert cert.signature == Signature(0, 0)
 
+    def test_non_standard_frame_is_rejected(self):
+        # after x1 -> x1 x2 the relator keeps its shape but the involution
+        # is no longer diagonal; the builder needs the symmetrized frame
+        pres, act = standard_setup(2, Modulus(3, 1))
+        change = ClassTwoEndo([pres.element(w) for w in ("g", "x0", "x1 x2", "x2")])
+        pres2, act2 = transform_presentation(pres, act, change)
+        V = build_V(pres, act, Signature(1, 0)).V.image_under(change.linear_matrix.T)
+        iso = validate_V(pres2, act2, V)
+        assert iso.ok
+        with pytest.raises(ValueError, match="clean diagonal"):
+            free_quotient(pres2, act2, iso)
+        with pytest.raises(ValueError, match="clean diagonal"):
+            adapted_basis(pres2, act2, iso)
+
     def test_mixed_V_trivial_action_pipeline(self):
         pres = DemushkinPresentation.standard(2, Modulus(3, 1))
         act = trivial_action(pres)
@@ -359,3 +380,93 @@ class TestFactoringCheck:
         pres, _ = standard_setup(2, Modulus(3, 1))
         with pytest.raises(ValueError):
             factoring_check(pres, gamma_line(pres))
+
+
+@st.composite
+def unimodular_matrices(draw, k, mod):
+    """P L U over Z/q: a permutation, a unit lower and an upper triangular
+    matrix with unit diagonal, so every draw is invertible."""
+    q = mod.q
+    units = [u for u in range(1, q) if u % mod.p]
+    entry = st.integers(0, q - 1)
+    perm = draw(st.permutations(range(k)))
+    lower = np.eye(k, dtype=np.int64)
+    upper = np.zeros((k, k), dtype=np.int64)
+    for i in range(k):
+        upper[i, i] = draw(st.sampled_from(units))
+        for j in range(i):
+            lower[i, j] = draw(entry)
+        for j in range(i + 1, k):
+            upper[i, j] = draw(entry)
+    return (np.eye(k, dtype=np.int64)[list(perm)] @ lower @ upper) % q
+
+
+class TestRandomEquivariantFrame:
+    """free_quotient on the image of build_V's V under a random equivariant
+    isometry, which moves V off the coordinate duals.
+
+    In dual coordinates the pairs (a_k, b_k) = (x_(2k)*, x_(2k-1)*), k >= 1,
+    span H+ + H- and pair alike.  Sending the a's by N and the b's by N^-T,
+    N unimodular, preserves the pairing and the eigenspaces and fixes g*,
+    x0* and the Bockstein kernel.
+    """
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("mod", [Modulus(3, 1), Modulus(3, 2), Modulus(5, 2)], ids=lambda m: f"q{m.q}")
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_signature_green(self, mod, n, data):
+        pres, act = standard_setup(n, mod)
+        q, k, d = mod.q, n // 2, n + 2
+        N = data.draw(unimodular_matrices(k, mod))
+        a_idx = [2 * j + 1 for j in range(1, k + 1)]  # x_(2j)* sits at 2j + 1
+        b_idx = [2 * j for j in range(1, k + 1)]
+        T = np.eye(d, dtype=np.int64)
+        T[np.ix_(a_idx, a_idx)] = N
+        T[np.ix_(b_idx, b_idx)] = inv_mod(ZqMatrix(N, q)).array.T
+        for u_plus in range(k + 1):
+            sig = Signature(u_plus, k - u_plus)
+            V = build_V(pres, act, sig).V.image_under(T)
+            iso = validate_V(pres, act, V)
+            assert iso.ok and iso.gamma_contained is True
+            cert = free_quotient(pres, act, iso)
+            assert cert.all_green, (sig, cert.flags)
+            assert cert.signature == sig
+            assert signature_of(cert, act) == sig
+            assert cert.V_realized == V
+            assert len(cert.kept) == k + 1
+
+
+def reference_cyclotomic_partner(rows, w, bvec, mod):
+    """The first u = sum c_i rows_i, coefficient vectors in counting order
+    (row 0 the fastest digit), with u . w and B(u) units, scaled to B(u) = 1."""
+    p, q = mod.p, mod.q
+    for coeffs in product(range(q), repeat=len(rows)):
+        u = (np.array(coeffs[::-1], dtype=np.int64) @ rows) % q
+        bval = int(u @ bvec) % q
+        if bval % p and int(u @ w) % q % p:
+            return (u * pow(bval, -1, q)) % q
+    return None
+
+
+@st.composite
+def partner_cases(draw):
+    mod = draw(st.sampled_from([Modulus(3, 1), Modulus(3, 2), Modulus(5, 1)]))
+    d = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(0, mod.q - 1), min_size=d, max_size=d)
+    rows = draw(st.lists(vec, max_size=3))
+    # Howell rows, at most three so that the reference scan stays small
+    basis = Submodule(np.array(rows, dtype=np.int64).reshape(-1, d), d, mod.q).basis[:3]
+    return basis, np.array(draw(vec)), np.array(draw(vec)), mod
+
+
+class TestCyclotomicPartner:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(partner_cases())
+    def test_matches_coefficient_scan(self, case):
+        rows, w, bvec, mod = case
+        got = _cyclotomic_partner(rows, w, bvec, mod)
+        want = reference_cyclotomic_partner(rows, w, bvec, mod)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
