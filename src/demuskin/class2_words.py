@@ -8,7 +8,10 @@ Every element of F/F^3 has a unique normal form
 with generator exponents a_i mod q^2 and commutator exponents c_ij mod q.
 The commutator convention is [x, y] = x^-1 y^-1 x y, so collection moves use
 g_j g_i = g_i g_j [g_j, g_i] for i < j; coordinate (i, j) with i < j stores
-the exponent of the basic commutator [g_j, g_i].
+the exponent of the basic commutator [g_j, g_i].  On exponent arrays the
+product is the 2-cocycle (a, C)(b, D) = (a + b, C + D + triu(b (x) a)), so
+powers, commutators and endomorphisms are closed formulas in (a, C): the
+class-2 case of Deep Thought collection (Leedham-Green & Soicher, 1998).
 
 Elements, endomorphisms and quotients are immutable values; all operations
 are pure functions.
@@ -62,6 +65,12 @@ def demushkin_generators(n: int) -> GeneratorSet:
     return GeneratorSet(("g",) + tuple(f"x{i}" for i in range(n + 1)))
 
 
+def _exact_dtype(mod: Modulus, d: int):
+    """Dtype for intermediates: sums of d products of two residues mod q^2
+    stay exact in int64 while d q^4 < 2^63, and in Python ints beyond."""
+    return np.int64 if d * mod.q2**2 < 2**63 else object
+
+
 def _check_same_group(u: "ClassTwoElement", v: "ClassTwoElement"):
     if u.gens != v.gens or u.mod != v.mod:
         raise ValueError("elements live in different truncated groups")
@@ -112,33 +121,26 @@ class ClassTwoElement:
 
     def __mul__(self, other: "ClassTwoElement") -> "ClassTwoElement":
         _check_same_group(self, other)
-        q, q2 = self.mod.q, self.mod.q2
-        ge = (self.gen_exp + other.gen_exp) % q2
-        # collecting v's generators through u's picks up [g_j, g_i]^(a_j b_i)
-        cross = np.outer(other.gen_exp % q, self.gen_exp % q)
-        cm = (self.comm + other.comm + np.triu(cross, 1)) % q
-        return ClassTwoElement(self.gens, self.mod, ge, cm)
+        q = self.mod.q
+        a = self.gen_exp.astype(_exact_dtype(self.mod, 1), copy=False)
+        # collecting v's generators through u's picks up [g_j, g_i]^(a_j b_i);
+        # the constructor keeps the part above the diagonal
+        cross = np.outer(other.gen_exp % q, a % q)
+        return ClassTwoElement(
+            self.gens, self.mod, (a + other.gen_exp) % self.mod.q2, (self.comm + other.comm + cross) % q
+        )
 
     def inverse(self) -> "ClassTwoElement":
-        q, q2 = self.mod.q, self.mod.q2
-        a = self.gen_exp
-        ge = (-a) % q2
-        cross = np.outer(a % q, a % q)
-        cm = (-self.comm + np.triu(cross, 1)) % q
-        return ClassTwoElement(self.gens, self.mod, ge, cm)
+        return self ** -1
 
     def __pow__(self, k: int) -> "ClassTwoElement":
+        """u^k = (k a, k C + C(k,2) triu(a (x) a)) for every integer k."""
         k = int(k)
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = ClassTwoElement.identity(self.gens, self.mod)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        q, q2 = self.mod.q, self.mod.q2
+        a = self.gen_exp.astype(_exact_dtype(self.mod, 1), copy=False)
+        a1 = a % q
+        cm = (k % q) * self.comm + (k * (k - 1) // 2 % q) * np.outer(a1, a1)
+        return ClassTwoElement(self.gens, self.mod, (k % q2) * a % q2, cm % q)
 
     def __eq__(self, other):
         return (
@@ -156,13 +158,7 @@ class ClassTwoElement:
         return f"<{format_word(self)}>"
 
     def to_json(self) -> dict:
-        d = self.gens.d
-        sparse = [
-            [i, j, int(self.comm[i, j])]
-            for i in range(d)
-            for j in range(i + 1, d)
-            if self.comm[i, j]
-        ]
+        sparse = [[int(i), int(j), int(self.comm[i, j])] for i, j in zip(*np.nonzero(self.comm))]
         return {"gen_exp": [int(x) for x in self.gen_exp], "comm_exp": sparse}
 
     @classmethod
@@ -187,8 +183,11 @@ def power(u: ClassTwoElement, k: int) -> ClassTwoElement:
 
 
 def commutator(u: ClassTwoElement, v: ClassTwoElement) -> ClassTwoElement:
-    """[u, v] = u^-1 v^-1 u v, computed literally; lands in F^2/F^3."""
-    return u.inverse() * v.inverse() * u * v
+    """[u, v] = u^-1 v^-1 u v = (0, triu(b (x) a - a (x) b)); lands in F^2/F^3."""
+    _check_same_group(u, v)
+    q = u.mod.q
+    cross = np.outer(v.gen_exp % q, u.gen_exp % q)
+    return ClassTwoElement(u.gens, u.mod, np.zeros_like(u.gen_exp), (cross - cross.T) % q)
 
 
 def central_sqrt(c: ClassTwoElement) -> ClassTwoElement:
@@ -240,19 +239,26 @@ class ClassTwoEndo:
         return True
 
     def __call__(self, u: ClassTwoElement) -> ClassTwoElement:
+        """prod_i y_i^(a_i) . prod_(i<j) [y_j, y_i]^(c_ij) for images y_i = (L_i, M_i).
+
+        Collecting the powers and commutators of the images is one quadratic
+        form: (a L, sum_i a_i M_i + triu(L^T K L)) with the form
+        K = diag(C(a_i, 2)) + tril(a (x) a, -1) + C - C^T over Z/q; as q is
+        odd, C(a_i, 2) mod q depends on a_i mod q only.
+        """
         if u.gens != self.gens or u.mod != self.mod:
             raise ValueError("element and endomorphism have different domains")
-        res = ClassTwoElement.identity(self.gens, self.mod)
-        for i, a in enumerate(u.gen_exp):
-            if a:
-                res = res * self.images[i] ** int(a)
-        d = self.gens.d
-        for i in range(d):
-            for j in range(i + 1, d):
-                c = int(u.comm[i, j])
-                if c:
-                    res = res * commutator(self.images[j], self.images[i]) ** c
-        return res
+        q, q2 = self.mod.q, self.mod.q2
+        dt = _exact_dtype(self.mod, self.gens.d)
+        a = u.gen_exp.astype(dt, copy=False)
+        lin = self.linear_matrix_q2.astype(dt, copy=False)
+        a1, lin1 = a % q, lin % q
+        form = np.diag(a1 * (a1 - 1) // 2) + np.tril(np.outer(a1, a1), -1) + u.comm - u.comm.T
+        # only the images of generators occurring in u enter sum_i a_i M_i
+        nz = np.flatnonzero(a1)
+        comms = np.array([self.images[i].comm for i in nz], dtype=dt).reshape(len(nz), form.size)
+        cm = (a1[nz] @ comms).reshape(form.shape) + lin1.T @ (form % q @ lin1 % q)
+        return ClassTwoElement(self.gens, self.mod, a @ lin % q2, cm % q)
 
     def __eq__(self, other):
         return (
@@ -368,10 +374,6 @@ def quotient_kill(gens_to_kill, u: ClassTwoElement) -> ClassTwoElement:
     )
 
 
-def _comm_pairs(d: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(d) for j in range(i + 1, d)]
-
-
 class TruncatedQuotient:
     """(F/F^3) / <central relators>, with equality decided by linear algebra.
 
@@ -402,9 +404,7 @@ class TruncatedQuotient:
         )
 
     def _lift(self, el: ClassTwoElement) -> np.ndarray:
-        q = self.mod.q
-        pairs = _comm_pairs(self.gens.d)
-        comm_part = np.array([q * int(el.comm[i, j]) for i, j in pairs], dtype=np.int64)
+        comm_part = self.mod.q * el.comm[np.triu_indices(self.gens.d, 1)]
         return np.concatenate([el.gen_exp, comm_part]) % self.mod.q2
 
     def equal(self, u: ClassTwoElement, v: ClassTwoElement) -> bool:
@@ -525,11 +525,8 @@ def format_word(el: ClassTwoElement) -> str:
     for i, a in enumerate(el.gen_exp):
         if a:
             parts.append(labels[i] if a == 1 else f"{labels[i]}^{int(a)}")
-    d = el.gens.d
-    for i in range(d):
-        for j in range(i + 1, d):
-            c = int(el.comm[i, j])
-            if c:
-                base = f"[{labels[j]},{labels[i]}]"
-                parts.append(base if c == 1 else f"{base}^{c}")
+    for i, j in zip(*np.nonzero(el.comm)):
+        c = int(el.comm[i, j])
+        base = f"[{labels[j]},{labels[i]}]"
+        parts.append(base if c == 1 else f"{base}^{c}")
     return " ".join(parts) if parts else "1"

@@ -492,7 +492,6 @@ class CoinvariantMachine:
     """
 
     def __init__(self, pres: DemushkinPresentation, action: InvolutionAction):
-        self.base_change: ClassTwoEndo | None = None
         signs = _diagonal_signs(action)
         if signs is None:
             plus, minus = action.f2_eigenspaces()
@@ -508,7 +507,6 @@ class CoinvariantMachine:
                 )
                 for i in range(pres.d)
             )
-            self.base_change = basis
             pres, action = transform_presentation(pres, action, basis)
             signs = _diagonal_signs(action)
             if signs is None:
@@ -567,11 +565,6 @@ class CoinvariantMachine:
             cm[i, :] = 0
             cm[:, i] = 0
         return ClassTwoElement(el.gens, el.mod, ge, cm)
-
-    def to_frame(self, u: ClassTwoElement) -> ClassTwoElement:
-        if self.base_change is None:
-            return u
-        return invert_auto(self.base_change)(u)
 
     def project(self, u: ClassTwoElement) -> ClassTwoElement:
         """Image in the truncated free group on the kept generators."""

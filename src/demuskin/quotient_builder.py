@@ -40,10 +40,10 @@ from demuskin.class2_words import (
     quotient_kill,
 )
 from demuskin.demushkin_core import (
+    CohomologyData,
     CoinvariantMachine,
     DemushkinPresentation,
     InvolutionAction,
-    bockstein_kernel,
     delta_map,
     gamma_line,
     invariants,
@@ -57,6 +57,7 @@ from demuskin.zq_linalg import (
     ZqMatrix,
     inv_mod,
     is_totally_isotropic,
+    kernel,
     orthogonal_complement,
 )
 
@@ -121,19 +122,24 @@ def validate_V(
     pres: DemushkinPresentation, action: InvolutionAction, V: Submodule
 ) -> IsotropicSubmodule:
     """Evaluate the four quotient conditions, plus the cyclotomic-line
-    containment whenever V has the maximal rank n/2 + 1."""
+    containment whenever V is free of the maximal rank n/2 + 1.
+
+    `free` means V and V + <gamma> are free: inside ker B = gamma^perp the
+    sum is isotropic, and an adapted frame extends a free basis of it.
+    """
     if V.ambient != pres.d or V.modulus != pres.mod.q:
         raise ValueError("V does not live in H^1 of the presentation")
     coh = invariants(pres)
-    free = V.is_free
+    gamma = gamma_line(pres)
+    free = V.is_free and Submodule(np.vstack([V.basis, gamma.basis]), pres.d, pres.mod.q).is_free
     image = V.image_under(action.h1_matrix.array.T)
     invariant = image == V
     isotropic = is_totally_isotropic(coh.cup, V)
     q = pres.mod.q
     in_ker = not ((V.basis @ coh.bockstein) % q).any() if V.ngens else True
     gamma_contained = None
-    if free and V.rank == pres.n // 2 + 1:
-        gamma_contained = V.contains_submodule(gamma_line(pres))
+    if V.is_free and V.rank == pres.n // 2 + 1:
+        gamma_contained = V.contains_submodule(gamma)
     return IsotropicSubmodule(V, free, invariant, isotropic, in_ker, gamma_contained)
 
 
@@ -211,14 +217,14 @@ def _cyclotomic_partner(rows: np.ndarray, w: np.ndarray, bvec: np.ndarray, mod) 
     return _unit_partner(cands[(cands @ w) % mod.q % mod.p != 0], bvec, mod)
 
 
-def _symplectic_frame(pres: DemushkinPresentation, hplus: Submodule, hminus: Submodule, queue) -> np.ndarray:
+def _symplectic_frame(pres: DemushkinPresentation, coh: CohomologyData, hplus: Submodule, hminus: Submodule, queue) -> np.ndarray:
     """Rows of the adapted dual basis, in generator order, by the
-    symplectic completion of the module docstring; `queue` lists V's basis
-    vectors with the eigenspace ("plus" or "minus") of each."""
+    symplectic completion of the module docstring; `coh` holds the
+    invariants of `pres`, and `queue` lists V's basis vectors with the
+    eigenspace ("plus" or "minus") of each."""
     mod, d, q = pres.mod, pres.d, pres.mod.q
-    coh = invariants(pres)
     gram, bvec = coh.cup.gram.array, coh.bockstein
-    kerb = bockstein_kernel(pres)
+    kerb = kernel(ZqMatrix(bvec.reshape(1, -1), q))
     plus_k, minus_k = hplus.intersect(kerb), hminus.intersect(kerb)
     slots = [None] * (pres.n // 2 + 1)  # (a, b) per hyperbolic pair
     placed: list[np.ndarray] = []
@@ -324,8 +330,9 @@ def _build_adapted_change(
         raise AssertionError("failed to pick free bases of the eigenparts of V")
 
     queue = [(row, "plus") for row in plus_rows] + [(row, "minus") for row in minus_rows]
-    t_star = _symplectic_frame(pres, hplus, hminus, queue)
-    gram = invariants(pres).cup.gram.array
+    coh = invariants(pres)
+    t_star = _symplectic_frame(pres, coh, hplus, hminus, queue)
+    gram = coh.cup.gram.array
     if not np.array_equal((t_star @ gram @ t_star.T) % q, gram):
         raise AssertionError("adapted dual basis does not reproduce the standard pairing")
     t_gen = inv_mod(ZqMatrix(t_star, q)).array.T % q
@@ -498,6 +505,8 @@ def uniqueness_check(
         )
     if action.h2_scalar != -1:
         raise ValueError("uniqueness check needs an action with h2_scalar = -1")
+    # the coinvariant machine must work in the certificate's frame
+    _require_clean_standard(pres, action)
 
     machine = CoinvariantMachine(pres, action)
     coinv_span = TruncatedQuotient(
@@ -508,8 +517,7 @@ def uniqueness_check(
     )
 
     def in_coinv_kernel(u: ClassTwoElement) -> bool:
-        img = machine.project(machine.to_frame(u))
-        return coinv_span.is_trivial(img)
+        return coinv_span.is_trivial(machine.project(u))
 
     tau = cert.basis_change
     tau_inv = invert_auto(tau)

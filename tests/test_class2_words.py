@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demuskin.class2_words import (
     ClassTwoElement,
@@ -331,6 +333,122 @@ class TestEndomorphisms:
                 assert power_of_p <= bound
             # order divides a power of p by construction of the loop
             assert endo_power(e, power_of_p) == ident
+
+
+# Pure Python-int reference for the exactness tests: an element is (a, c)
+# with a a list of exponents mod q^2 and c a dict {(i, j): exponent mod q}
+# over i < j.  The product is the defining collection move; powers,
+# inverses, commutators and endomorphisms are built from it literally.
+
+
+def ref_of(u):
+    d = u.gens.d
+    return (
+        [int(x) for x in u.gen_exp],
+        {(i, j): int(u.comm[i, j]) for i in range(d) for j in range(i + 1, d)},
+    )
+
+
+def ref_mul(u, v, q):
+    (a, c), (b, e) = u, v
+    return (
+        [(x + y) % (q * q) for x, y in zip(a, b)],
+        {(i, j): (c[i, j] + e[i, j] + b[i] * a[j]) % q for i, j in c},
+    )
+
+
+def ref_pow(u, k, q):
+    """Square and multiply; u^(q^2) = 1, so negative k wraps mod q^2."""
+    a, c = u
+    acc = ([0] * len(a), {key: 0 for key in c})
+    k %= q * q
+    while k:
+        if k & 1:
+            acc = ref_mul(acc, u, q)
+        u = ref_mul(u, u, q)
+        k >>= 1
+    return acc
+
+
+def ref_commutator(u, v, q):
+    inv_u, inv_v = ref_pow(u, -1, q), ref_pow(v, -1, q)
+    return ref_mul(ref_mul(ref_mul(inv_u, inv_v, q), u, q), v, q)
+
+
+def ref_apply(images, u, q):
+    """prod_i y_i^(a_i) . prod_(i<j) [y_j, y_i]^(c_ij)."""
+    a, c = u
+    acc = ref_pow(images[0], 0, q)
+    for y, k in zip(images, a):
+        acc = ref_mul(acc, ref_pow(y, k, q), q)
+    for (i, j), k in c.items():
+        acc = ref_mul(acc, ref_pow(ref_commutator(images[j], images[i], q), k, q), q)
+    return acc
+
+
+# int64 intermediates up to q = 3^9, Python ints from q = 3^10 on; at the
+# prime 2247483659 even the sum of two exponents mod q^2 passes 2^63
+EXACT_MODULI = [
+    Modulus(3, 1),
+    Modulus(3, 2),
+    Modulus(5, 2),
+    Modulus(3, 9),
+    Modulus(3, 10),
+    Modulus(3, 12),
+    Modulus(3, 19),
+    Modulus(2247483659, 1),
+]
+
+
+@st.composite
+def exact_cases(draw, mod, count):
+    """d <= 6 generators and `count` random elements over `mod`."""
+    d = draw(st.integers(1, 6))
+    gens = GeneratorSet(f"y{i}" for i in range(d))
+    elements = []
+    for _ in range(count):
+        ge = draw(st.lists(st.integers(0, mod.q2 - 1), min_size=d, max_size=d))
+        cm = np.zeros((d, d), dtype=np.int64)
+        for i in range(d):
+            for j in range(i + 1, d):
+                cm[i, j] = draw(st.integers(0, mod.q - 1))
+        elements.append(ClassTwoElement(gens, mod, ge, cm))
+    return gens, elements
+
+
+@pytest.mark.parametrize("mod", EXACT_MODULI, ids=lambda m: f"q{m.p}^{m.f}")
+class TestExactAgainstPythonInts:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data(), k=st.integers(-(10**40), 10**40))
+    def test_product_and_power(self, mod, data, k):
+        _, (u, v) = data.draw(exact_cases(mod, 2))
+        assert ref_of(u * v) == ref_mul(ref_of(u), ref_of(v), mod.q)
+        assert ref_of(u ** k) == ref_pow(ref_of(u), k, mod.q)
+        assert ref_of(u.inverse()) == ref_pow(ref_of(u), -1, mod.q)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_commutator(self, mod, data):
+        _, (u, v) = data.draw(exact_cases(mod, 2))
+        assert ref_of(commutator(u, v)) == ref_commutator(ref_of(u), ref_of(v), mod.q)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_endomorphism_application(self, mod, data):
+        gens, elements = data.draw(exact_cases(mod, 7))
+        images, u = elements[: gens.d], elements[-1]
+        e = ClassTwoEndo(images)
+        assert ref_of(e(u)) == ref_apply([ref_of(y) for y in images], ref_of(u), mod.q)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_compose(self, mod, data):
+        gens, elements = data.draw(exact_cases(mod, 13))
+        d = gens.d
+        first, second, u = elements[:d], elements[d : 2 * d], elements[-1]
+        inner = ref_apply([ref_of(y) for y in second], ref_of(u), mod.q)
+        want = ref_apply([ref_of(y) for y in first], inner, mod.q)
+        assert ref_of(compose(ClassTwoEndo(first), ClassTwoEndo(second))(u)) == want
 
 
 class TestQuotientKill:

@@ -242,3 +242,21 @@ class TestInvolutionCommand:
         proc = run_cli("involution", "--p", "3", "--n", "2", "--format", "text")
         assert proc.returncode == 0
         assert "[PASS]" in proc.stdout
+
+
+class TestLargeModuli:
+    # products of two exponents mod q^2 pass 2^63 here, so the collection
+    # formulas must run on Python ints
+    @pytest.mark.parametrize("f", ["12", "19"])
+    def test_reports_pass(self, tmp_path, f):
+        for command in ("present", "invariants", "involution"):
+            code, text = run_inproc(tmp_path, command, "--p", "3", "--f", f, "--n", "2")
+            assert code == 0 and json.loads(text)["all_pass"], command
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps({"p": 3, "f": int(f), "n": 2}))
+        act = tmp_path / "act.json"
+        act.write_text(json.dumps({"images": {"g": "g", "x0": "x0^-1", "x1": "x1^-1", "x2": "x2"}}))
+        code, text = run_inproc(tmp_path, "verify", "--presentation", str(pres), "--action", str(act))
+        report = json.loads(text)
+        assert code == 0 and report["all_pass"]
+        assert report["results"]["coinvariants"] == {"kind": "free", "rank": 2}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demuskin import demushkin_core, quotient_builder
 from demuskin.class2_words import (
     ClassTwoEndo,
     compose,
@@ -14,6 +15,7 @@ from demuskin.class2_words import (
 )
 from demuskin.demushkin_core import (
     DemushkinPresentation,
+    InvolutionAction,
     bockstein_kernel,
     coinvariants,
     gamma_line,
@@ -87,6 +89,17 @@ class TestValidateV:
         V = Submodule([[0, 0, 1, 1]], 4, 3)  # x1* + x2* mixes eigenspaces
         iso = validate_V(self.pres, self.act, V)
         assert not iso.delta_invariant
+
+    def test_V_plus_gamma_must_be_free(self):
+        # over Z/9, g* + 3 x2* lies in ker B and is free, but adding gamma = g*
+        # leaves 3 x2*: no adapted frame holds both, so V is not a target
+        pres, act = standard_setup(2, Modulus(3, 2))
+        V = Submodule([[1, 0, 0, 3]], 4, 9)
+        iso = validate_V(pres, act, V)
+        assert V.is_free and iso.delta_invariant and iso.totally_isotropic
+        assert iso.in_bockstein_kernel and not iso.free
+        cert = free_quotient(pres, act, iso)
+        assert not cert.all_green and cert.kept == ()
 
     def test_maximal_rank_records_gamma_containment(self):
         V = coordinate_span([0, 3], 4, 3)
@@ -229,6 +242,44 @@ class TestAdaptedBasis:
 
 
 class TestFreeQuotient:
+    @pytest.mark.parametrize(
+        "make_action, green, red",
+        [(standard_involution, 13, 2), (trivial_action, 121, 8)],
+        ids=["standard", "trivial"],
+    )
+    def test_every_target_at_n2_q9(self, make_action, green, red):
+        # every free isotropic V in ker B that the action preserves gets a
+        # certificate, red exactly when V + <gamma> is not free
+        pres = DemushkinPresentation.standard(2, Modulus(3, 2))
+        act = make_action(pres)
+        gamma = gamma_line(pres).basis
+        colors = []
+        for sub in isotropic_free_submodules(invariants(pres).cup, bockstein_kernel(pres)):
+            iso = validate_V(pres, act, sub)
+            if sub.ngens == 0 or not iso.delta_invariant:
+                continue
+            cert = free_quotient(pres, act, iso)
+            assert cert.all_green == Submodule(np.vstack([sub.basis, gamma]), 4, 9).is_free
+            colors.append(cert.all_green)
+        assert (colors.count(True), colors.count(False)) == (green, red)
+
+    def test_invariants_once_per_presentation(self, monkeypatch):
+        # the mixed V of test_maximal_mixed_V_at_n4: one call for the
+        # presentation, one for the presentation in the adapted frame
+        pres, act = standard_setup(4, Modulus(3, 1))
+        V = Submodule([[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 1], [0, 0, 1, 0, 2, 0]], 6, 3)
+        iso = validate_V(pres, act, V)
+        seen = []
+
+        def counting(p):
+            seen.append(p)
+            return invariants(p)
+
+        monkeypatch.setattr(quotient_builder, "invariants", counting)
+        monkeypatch.setattr(demushkin_core, "invariants", counting)
+        assert free_quotient(pres, act, iso).all_green
+        assert len(seen) == 2 and seen[0] is pres and seen[1] is not pres
+
     def test_signature_one_zero(self):
         pres, act = standard_setup(2, Modulus(3, 1))
         cert = free_quotient(pres, act, build_V(pres, act, Signature(1, 0)))
@@ -333,6 +384,16 @@ class TestSignatureSweep:
         cert = free_quotient(pres, act, build_V(pres, act, Signature(0, 1)))
         with pytest.raises(ValueError):
             uniqueness_check(pres, act, cert)
+
+    def test_uniqueness_needs_the_clean_action(self):
+        # x1 -> x2^-1, x2 -> x1^-1 also inverts the relator, but is not diagonal
+        pres, act = standard_setup(2, Modulus(3, 1))
+        cert = free_quotient(pres, act, build_V(pres, act, Signature(1, 0)))
+        swap = ClassTwoEndo([pres.element(w) for w in ("g", "x0^-1", "x2^-1", "x1^-1")])
+        other = InvolutionAction.build(pres, swap)
+        assert other.h2_scalar == -1
+        with pytest.raises(ValueError, match="clean diagonal"):
+            uniqueness_check(pres, other, cert)
 
     def test_non_uniqueness_of_signature(self):
         # two green certificates with signature (1, 1) whose kill sets
