@@ -41,6 +41,7 @@ from demuskin.demushkin_core import (
     delta_map,
     gamma_line,
     invariants,
+    is_clean_diagonal,
     lift_involution,
     standard_involution,
     standard_relator,

@@ -394,30 +394,33 @@ class TruncatedQuotient:
             if not r.is_central:
                 raise ValueError(f"relator {r!r} is not central (not in F^2/F^3)")
         self.central_relators = relators
-        d = gens.d
-        rows = [self._lift(r) for r in relators]
-        width = d + d * (d - 1) // 2
-        self._span = Submodule(
-            np.array(rows) if rows else np.zeros((0, width), dtype=np.int64),
-            width,
-            mod.q2,
-        )
+        lifts = self._lifts(relators)
+        self._span = Submodule(lifts, lifts.shape[1], mod.q2)
 
-    def _lift(self, el: ClassTwoElement) -> np.ndarray:
-        comm_part = self.mod.q * el.comm[np.triu_indices(self.gens.d, 1)]
-        return np.concatenate([el.gen_exp, comm_part]) % self.mod.q2
+    def _lifts(self, elements) -> np.ndarray:
+        """One row (a, q c_ij for i < j) mod q^2 per element."""
+        upper = np.triu_indices(self.gens.d, 1)
+        rows = [np.concatenate([el.gen_exp, self.mod.q * el.comm[upper]]) for el in elements]
+        width = self.gens.d + len(upper[0])
+        return np.array(rows, dtype=np.int64).reshape(len(rows), width) % self.mod.q2
+
+    def are_trivial(self, elements) -> np.ndarray:
+        """Per element, whether it dies in the quotient: one stacked lift and
+        one Howell reduction for the whole batch.  A non-central element is
+        never in the span, as every relator's generator part is divisible
+        by q."""
+        elements = list(elements)
+        for el in elements:
+            if el.gens != self.gens or el.mod != self.mod:
+                raise ValueError("elements live in a different truncated group")
+        return ~self._span._residues(self._lifts(elements)).any(axis=1)
+
+    def is_trivial(self, u: ClassTwoElement) -> bool:
+        return bool(self.are_trivial([u])[0])
 
     def equal(self, u: ClassTwoElement, v: ClassTwoElement) -> bool:
         _check_same_group(u, v)
-        if u.gens != self.gens or u.mod != self.mod:
-            raise ValueError("elements live in a different truncated group")
-        diff = u * v.inverse()
-        if not diff.is_central:
-            return False
-        return self._span.contains(self._lift(diff))
-
-    def is_trivial(self, u: ClassTwoElement) -> bool:
-        return self.equal(u, ClassTwoElement.identity(self.gens, self.mod))
+        return self.is_trivial(u * v.inverse())
 
 
 def quotient_equal(tq: TruncatedQuotient, u: ClassTwoElement, v: ClassTwoElement) -> bool:

@@ -26,7 +26,6 @@ from demuskin.class2_words import (
     GeneratorSet,
     TruncatedQuotient,
     central_sqrt,
-    commutator,
     compose,
     demushkin_generators,
     endo_power,
@@ -81,13 +80,17 @@ class CharacterData:
 
 
 def standard_relator(n: int, mod: Modulus) -> ClassTwoElement:
+    """x0^q [x0, g] [x1, x2] ... [x_(n-1), x_n] in normal form: x0 (index 1)
+    has exponent q, [x0, g] is the basic commutator [g_1, g_0], and
+    [x_k, x_(k+1)] = [g_(k+2), g_(k+1)]^-1 for odd k."""
     gens = demushkin_generators(n)
-    x = [ClassTwoElement.generator(gens, mod, f"x{i}") for i in range(n + 1)]
-    g = ClassTwoElement.generator(gens, mod, "g")
-    w = x[0] ** mod.q * commutator(x[0], g)
-    for k in range(1, n, 2):
-        w = w * commutator(x[k], x[k + 1])
-    return w
+    gen_exp = np.zeros(gens.d, dtype=np.int64)
+    gen_exp[1] = mod.q
+    comm = np.zeros((gens.d, gens.d), dtype=np.int64)
+    comm[0, 1] = 1
+    odd = np.arange(1, n, 2)
+    comm[odd + 1, odd + 2] = mod.q - 1
+    return ClassTwoElement(gens, mod, gen_exp, comm)
 
 
 class DemushkinPresentation:
@@ -280,13 +283,7 @@ class InvolutionAction:
 
     @property
     def is_trivial(self) -> bool:
-        return np.array_equal(
-            self.h1_matrix.array,
-            np.eye(self.h1_matrix.rows, dtype=np.int64),
-        ) and all(
-            im == ClassTwoElement.generator(self.endo.gens, self.endo.mod, i)
-            for i, im in enumerate(self.endo.images)
-        )
+        return is_clean_diagonal(self.endo, np.ones(self.endo.gens.d, dtype=np.int64))
 
     def h1_eigenspaces(self) -> tuple[Submodule, Submodule]:
         """(plus, minus) eigenspaces of the action on H^1 coordinate rows.
@@ -377,23 +374,20 @@ def lift_involution(
     return InvolutionAction.build(pres, corrected)
 
 
+def is_clean_diagonal(endo: ClassTwoEndo, signs) -> bool:
+    """Whether endo maps each g_i to exactly g_i^(signs[i]): its linear part
+    is diag(signs) mod q^2 and no image has a commutator part."""
+    diag = np.diag(np.asarray(signs, dtype=np.int64)) % endo.mod.q2
+    return np.array_equal(endo.linear_matrix_q2, diag) and not any(im.comm.any() for im in endo.images)
+
+
 def _diagonal_signs(action: InvolutionAction) -> np.ndarray | None:
     """Signs when every image is g^(+-1) times a central element, else None."""
-    endo = action.endo
-    q = endo.mod.q
-    d = endo.gens.d
-    signs = np.zeros(d, dtype=np.int64)
-    for i, im in enumerate(endo.images):
-        row = im.gen_exp % q
-        e_i = np.zeros(d, dtype=np.int64)
-        e_i[i] = 1
-        if np.array_equal(row, e_i):
-            signs[i] = 1
-        elif np.array_equal(row, (-e_i) % q):
-            signs[i] = -1
-        else:
-            return None
-    return signs
+    lin = action.endo.linear_matrix
+    diag = lin.diagonal()
+    if (lin - np.diag(diag)).any() or not np.isin(diag, (1, action.endo.mod.q - 1)).all():
+        return None
+    return np.where(diag == 1, 1, -1)
 
 
 def symmetrize_basis(
@@ -405,7 +399,8 @@ def symmetrize_basis(
     sigma(g) = g^-1 . b it is b^(-1/2) . g.  Returns (basis, relator,
     clean_endo): the basis change, which is unipotent; the relator rewritten
     in the new basis, which keeps its shape; and the conjugated action,
-    checked to be exactly diagonal (+-1 on each generator).
+    checked to be exactly diagonal (+-1 on each generator).  An action that
+    is already clean keeps the identity basis.
     """
     signs = _diagonal_signs(action)
     if signs is None:
@@ -414,6 +409,8 @@ def symmetrize_basis(
             "itself or its inverse times a central element"
         )
     gens, mod = pres.gens, pres.mod
+    if is_clean_diagonal(action.endo, signs):
+        return ClassTwoEndo.identity(gens, mod), pres.relator, action.endo
     new_gens = []
     for i, s in enumerate(signs):
         g = ClassTwoElement.generator(gens, mod, i)
@@ -431,10 +428,8 @@ def symmetrize_basis(
     basis = ClassTwoEndo(new_gens)
     basis_inv = invert_auto(basis)
     new_action_endo = compose(basis_inv, compose(action.endo, basis))
-    for i, s in enumerate(signs):
-        expected = ClassTwoElement.generator(gens, mod, i) ** int(s)
-        if new_action_endo.images[i] != expected:
-            raise AssertionError("symmetrization did not produce a clean action")
+    if not is_clean_diagonal(new_action_endo, signs):
+        raise AssertionError("symmetrization did not produce a clean action")
     return basis, basis_inv(pres.relator), new_action_endo
 
 

@@ -47,6 +47,7 @@ from demuskin.demushkin_core import (
     delta_map,
     gamma_line,
     invariants,
+    is_clean_diagonal,
     standard_relator,
     standard_sign_pattern,
     symmetrize_basis,
@@ -182,14 +183,10 @@ def _require_clean_standard(pres: DemushkinPresentation, action: InvolutionActio
     """The builder entry points work in the symmetrized standard frame."""
     if pres.relator != standard_relator(pres.n, pres.mod):
         raise ValueError("expected the standard relator; symmetrize the basis first")
-    if action.is_trivial:
-        return
-    signs = standard_sign_pattern(pres.n)
-    for i, (image, s) in enumerate(zip(action.endo.images, signs)):
-        if image != ClassTwoElement.generator(pres.gens, pres.mod, i) ** int(s):
-            raise ValueError(
-                "expected the clean diagonal involution; symmetrize the action first"
-            )
+    if not (action.is_trivial or is_clean_diagonal(action.endo, standard_sign_pattern(pres.n))):
+        raise ValueError(
+            "expected the clean diagonal involution; symmetrize the action first"
+        )
 
 
 def _unit_partner(rows: np.ndarray, w: np.ndarray, mod) -> np.ndarray | None:
@@ -302,12 +299,14 @@ def _extend_to_free_basis(rows, start: list, d: int, q: int) -> list:
 
 def _build_adapted_change(
     pres: DemushkinPresentation, action: InvolutionAction, iso: IsotropicSubmodule
-) -> ClassTwoEndo:
+) -> ClassTwoEndo | None:
+    """The change of basis adapted to V, or None when V is already a
+    coordinate span and the standard frame is adapted."""
     q = pres.mod.q
     d = pres.d
     V = iso.V
     if _coordinate_dual_indices(V) is not None:
-        return ClassTwoEndo.identity(pres.gens, pres.mod)
+        return None
 
     if action.is_trivial:
         hplus = hminus = Submodule.full(d, q)
@@ -358,8 +357,9 @@ def adapted_basis(
         raise ValueError(f"V fails validation: {iso.flag_dict()}")
     _require_clean_standard(pres, action)
     basis = _build_adapted_change(pres, action, iso)
-    check = invert_auto(basis)(pres.relator)
-    if check != standard_relator(pres.n, pres.mod):
+    if basis is None:
+        return ClassTwoEndo.identity(pres.gens, pres.mod)
+    if invert_auto(basis)(pres.relator) != standard_relator(pres.n, pres.mod):
         raise AssertionError("adapted basis did not preserve the relator shape")
     return basis
 
@@ -430,12 +430,13 @@ def free_quotient(
             note="validation failed; no quotient constructed",
         )
     _require_clean_standard(pres, action)
-    basis1 = _build_adapted_change(pres, action, iso)
-    pres2, action2 = transform_presentation(pres, action, basis1)
+    change = _build_adapted_change(pres, action, iso)
+    frame = (pres, action) if change is None else transform_presentation(pres, action, change)
     # symmetrize_basis rewrites the relator and checks the conjugated action
-    # is the clean diagonal one, so the final frame needs no second transform
-    basis2, relator, clean = symmetrize_basis(pres2, action2)
-    total = compose(basis1, basis2)
+    # is the clean diagonal one, so the final frame needs no second transform;
+    # on the clean standard frame it returns the identity at no cost
+    basis, relator, clean = symmetrize_basis(*frame)
+    total = basis if change is None else compose(change, basis)
     if relator != standard_relator(pres.n, pres.mod):
         raise AssertionError("final frame lost the standard relator shape")
 
@@ -516,38 +517,35 @@ def uniqueness_check(
         + ([machine.relator_image] if not machine.relator_image.is_identity else []),
     )
 
-    def in_coinv_kernel(u: ClassTwoElement) -> bool:
-        return coinv_span.is_trivial(machine.project(u))
-
     tau = cert.basis_change
-    tau_inv = invert_auto(tau)
     killed = list(cert.killed)
-    rel_final = tau_inv(pres.relator)
-    kill_rel = quotient_kill(killed, rel_final)
+    # a certificate in the standard frame needs no change of coordinates
+    tau_inv = None if tau == ClassTwoEndo.identity(pres.gens, pres.mod) else invert_auto(tau)
+
+    def kill_image(u: ClassTwoElement) -> ClassTwoElement:
+        return quotient_kill(killed, u if tau_inv is None else tau_inv(u))
+
+    kill_rel = kill_image(pres.relator)
     kill_span = TruncatedQuotient(
         GeneratorSet(cert.kept),
         pres.mod,
         [kill_rel] if not kill_rel.is_identity else [],
     )
 
-    def in_kill_kernel(u: ClassTwoElement) -> bool:
-        return kill_span.is_trivial(quotient_kill(killed, tau_inv(u)))
-
-    gens = [
-        ClassTwoElement.generator(pres.gens, pres.mod, i) for i in range(pres.d)
-    ]
+    gens = [ClassTwoElement.generator(pres.gens, pres.mod, i) for i in range(pres.d)]
     coinv_generators = [pres.relator]
     for i, g in enumerate(gens):
         r = g.inverse() * action.endo.images[i]
         coinv_generators.append(r)
         coinv_generators.extend(commutator(r, h) for h in gens)
+    # tau(g_i) is the i-th image of tau
     kill_generators = [pres.relator]
-    killed_elems = [tau(ClassTwoElement.generator(pres.gens, pres.mod, lab)) for lab in killed]
-    frame_gens = [tau(g) for g in gens]
-    for ke in killed_elems:
+    for lab in killed:
+        ke = tau.images[pres.gens.index(lab)]
         kill_generators.append(ke)
-        kill_generators.extend(commutator(ke, h) for h in frame_gens)
+        kill_generators.extend(commutator(ke, h) for h in tau.images)
 
-    return all(in_coinv_kernel(u) for u in kill_generators) and all(
-        in_kill_kernel(u) for u in coinv_generators
+    return bool(
+        coinv_span.are_trivial(machine.project(u) for u in kill_generators).all()
+        and kill_span.are_trivial(kill_image(u) for u in coinv_generators).all()
     )

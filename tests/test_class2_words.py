@@ -514,10 +514,67 @@ class TestTruncatedQuotient:
             u = random_element(self.gens, self.mod)
             assert quotient_equal(self.tq, u * self.w, u)
 
+    def test_empty_batch(self):
+        assert self.tq.are_trivial([]).shape == (0,)
+
     def test_non_central_relator_rejected(self):
         bad = parse_word("x0", self.gens, self.mod)
         with pytest.raises(ValueError):
             TruncatedQuotient(self.gens, self.mod, [bad])
+
+
+@st.composite
+def membership_cases(draw):
+    """A quotient by random central relators and a list of elements:
+    central and non-central ones, the identity, and words in the relators,
+    which die in the quotient, alone or times a random element."""
+    mod = draw(st.sampled_from([Modulus(3, 1), Modulus(3, 2), Modulus(5, 2)]))
+    d = draw(st.integers(1, 5))
+    gens = GeneratorSet(f"y{i}" for i in range(d))
+    upper = np.triu_indices(d, 1)
+
+    def element(central):
+        scale, top = (mod.q, mod.q) if central else (1, mod.q2)
+        ge = [scale * draw(st.integers(0, top - 1)) for _ in range(d)]
+        cm = np.zeros((d, d), dtype=np.int64)
+        cm[upper] = draw(st.lists(st.integers(0, mod.q - 1), min_size=len(upper[0]), max_size=len(upper[0])))
+        return ClassTwoElement(gens, mod, ge, cm)
+
+    relators = [element(True) for _ in range(draw(st.integers(0, 3)))]
+    kinds = ["central", "any", "identity", "word", "word times central", "word times any"]
+    elements = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=8)):
+        u = ClassTwoElement.identity(gens, mod)
+        if kind.startswith("word"):
+            for r in relators:
+                u = u * r ** draw(st.integers(-mod.q2, mod.q2))
+        if kind.endswith("central"):
+            u = u * element(True)
+        elif kind.endswith("any"):
+            u = u * element(False)
+        elements.append(u)
+    return TruncatedQuotient(gens, mod, relators), elements
+
+
+class TestBatchedMembership:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(membership_cases())
+    def test_matches_per_element_reference(self, case):
+        tq, elements = case
+        q, q2, upper = tq.mod.q, tq.mod.q2, np.triu_indices(tq.gens.d, 1)
+        want = [
+            u.is_central and tq._span.contains(np.concatenate([u.gen_exp, q * u.comm[upper]]) % q2)
+            for u in elements
+        ]
+        got = tq.are_trivial(elements)
+        assert got.shape == (len(elements),) and got.tolist() == want
+        assert [tq.is_trivial(u) for u in elements] == want
+
+    def test_other_group_rejected(self):
+        mod = Modulus(3, 1)
+        tq = TruncatedQuotient(GeneratorSet(("a", "b")), mod, [])
+        with pytest.raises(ValueError, match="different truncated group"):
+            tq.are_trivial([ClassTwoElement.identity(GeneratorSet(("a", "c")), mod)])
 
 
 class TestWordGrammar:

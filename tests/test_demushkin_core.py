@@ -4,6 +4,7 @@ from itertools import product as cartesian
 import numpy as np
 import pytest
 
+from demuskin import demushkin_core
 from demuskin.class2_words import (
     ClassTwoElement,
     ClassTwoEndo,
@@ -25,6 +26,7 @@ from demuskin.demushkin_core import (
     delta_map,
     gamma_line,
     invariants,
+    is_clean_diagonal,
     lift_involution,
     standard_involution,
     standard_relator,
@@ -87,6 +89,18 @@ class TestStandardPresentation:
             * x1.inverse() * x2.inverse() * x1 * x2
         )
         assert word == standard_relator(2, mod)
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 3**12, 3**19])
+    def test_closed_form_matches_the_product(self, q):
+        mod = Modulus.from_q(q)
+        for n in range(13):
+            gens = demushkin_generators(n)
+            x = [ClassTwoElement.generator(gens, mod, f"x{i}") for i in range(n + 1)]
+            g = ClassTwoElement.generator(gens, mod, "g")
+            w = x[0] ** mod.q * commutator(x[0], g)
+            for k in range(1, n, 2):
+                w = w * commutator(x[k], x[k + 1])
+            assert standard_relator(n, mod) == w
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
@@ -329,11 +343,28 @@ class TestSymmetrizeBasis:
         self.pres = DemushkinPresentation.standard(2, self.mod)
         self.standard = standard_involution(self.pres)
 
-    def test_clean_action_gives_identity_change(self):
-        basis, relator, clean = symmetrize_basis(self.pres, self.standard)
-        assert basis == ClassTwoEndo.identity(self.pres.gens, self.mod)
-        assert relator == self.pres.relator
-        assert clean == self.standard.endo
+    def test_clean_action_gives_identity_change(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(demushkin_core, "invert_auto", lambda e: calls.append(e) or invert_auto(e))
+        for n in (0, 2, 4, 6):
+            pres = DemushkinPresentation.standard(n, self.mod)
+            act = standard_involution(pres)
+            basis, relator, clean = symmetrize_basis(pres, act)
+            assert basis == ClassTwoEndo.identity(pres.gens, self.mod)
+            assert relator == pres.relator
+            assert clean == act.endo
+        assert calls == []
+
+    def test_perturbed_action_takes_the_full_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(demushkin_core, "invert_auto", lambda e: calls.append(e) or invert_auto(e))
+        images = list(self.standard.endo.images)
+        images[0] = images[0] * self.pres.element("[x2,x1]")
+        act = lift_involution(self.pres, self.standard.endo.linear_matrix, ClassTwoEndo(images))
+        basis, relator, clean = symmetrize_basis(self.pres, act)
+        assert len(calls) == 1
+        assert basis.images[0] == self.pres.element("g [x2,x1]^2")
+        assert relator == self.pres.relator and clean == self.standard.endo
 
     def test_fixed_generator_perturbation(self):
         a = self.pres.element("[x2,x1]")
@@ -399,6 +430,27 @@ class TestSymmetrizeBasis:
         pres2, act2 = transform_presentation(pres, self.standard, basis)
         with pytest.raises(ValueError, match="product shape"):
             symmetrize_basis(pres2, act2)
+
+
+class TestCleanDiagonal:
+    def setup_method(self):
+        self.mod = Modulus(3, 2)
+        self.pres = DemushkinPresentation.standard(4, self.mod)
+        self.signs = standard_sign_pattern(4)
+
+    def test_standard_and_trivial_actions(self):
+        endo = standard_involution(self.pres).endo
+        ones = np.ones(self.pres.d, dtype=np.int64)
+        assert is_clean_diagonal(endo, self.signs)
+        assert not is_clean_diagonal(endo, ones)
+        assert is_clean_diagonal(trivial_action(self.pres).endo, ones)
+
+    def test_central_perturbations_are_not_clean(self):
+        images = list(standard_involution(self.pres).endo.images)
+        # each image of x0 agrees with x0^-1 mod q on its linear part
+        for extra in ("x0^3", "g^3", "[x2,x1]"):
+            perturbed = images[:1] + [images[1] * self.pres.element(extra)] + images[2:]
+            assert not is_clean_diagonal(ClassTwoEndo(perturbed), self.signs)
 
 
 class TestCoinvariants:

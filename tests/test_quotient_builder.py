@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from demuskin import demushkin_core, quotient_builder
 from demuskin.class2_words import (
     ClassTwoEndo,
+    commutator,
     compose,
     demushkin_generators,
     invert_auto,
@@ -410,6 +411,74 @@ class TestSignatureSweep:
                 if cert.all_green and cert.signature == Signature(1, 1):
                     kills.add(cert.killed)
         assert len(kills) >= 2
+
+
+def count_calls(monkeypatch, name):
+    """Calls of the demushkin_core function `name`, counted through both
+    module namespaces that call it."""
+    calls = []
+    real = getattr(demushkin_core, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (demushkin_core, quotient_builder):
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def reframed(cert, tau):
+    return FreeQuotientCertificate(tau, cert.killed, cert.kept, cert.signature, cert.flags, cert.V_realized, cert.note)
+
+
+class TestIdentityFrames:
+    """Every build_V target is a coordinate span in the clean standard frame,
+    so certifying it needs no basis change and no inversion; other inputs
+    still take the full path."""
+
+    @pytest.mark.parametrize("mod", [Modulus(3, 1), Modulus(3, 2), Modulus(5, 2)], ids=lambda m: f"q{m.q}")
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_build_V_targets_skip_the_transform(self, monkeypatch, n, mod):
+        pres, act = standard_setup(n, mod)
+        targets = [build_V(pres, act, Signature(u, n // 2 - u)) for u in range(n // 2 + 1)]
+        transforms = count_calls(monkeypatch, "transform_presentation")
+        inversions = count_calls(monkeypatch, "invert_auto")
+        certs = [free_quotient(pres, act, iso) for iso in targets]
+        assert transforms == [] and inversions == []
+        for cert in certs:
+            assert cert.all_green
+            assert cert.basis_change == ClassTwoEndo.identity(pres.gens, mod)
+        assert uniqueness_check(pres, act, certs[-1])
+        assert inversions == []
+
+    def test_non_coordinate_V_takes_the_full_path(self, monkeypatch):
+        # the mixed V of test_maximal_mixed_V_at_n4
+        pres, act = standard_setup(4, Modulus(3, 1))
+        V = Submodule([[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 1], [0, 0, 1, 0, 2, 0]], 6, 3)
+        iso = validate_V(pres, act, V)
+        transforms = count_calls(monkeypatch, "transform_presentation")
+        inversions = count_calls(monkeypatch, "invert_auto")
+        cert = free_quotient(pres, act, iso)
+        assert len(transforms) == 1 and inversions
+        assert cert.all_green and cert.V_realized == V and len(cert.kept) == 3
+        assert cert.basis_change != ClassTwoEndo.identity(pres.gens, pres.mod)
+
+    @pytest.mark.parametrize("n, mod", [(2, Modulus(3, 1)), (4, Modulus(3, 2)), (4, Modulus(5, 1))])
+    def test_uniqueness_in_another_frame(self, monkeypatch, n, mod):
+        # an inner automorphism keeps the normal closure of the killed
+        # generators, so the check still holds; a shear of x0 by the
+        # commutator of two kept generators breaks it
+        pres, act = standard_setup(n, mod)
+        cert = free_quotient(pres, act, build_V(pres, act, Signature(n // 2, 0)))
+        gens = ClassTwoEndo.identity(pres.gens, mod).images
+        h = pres.element("g x1^2 x2")
+        inner = ClassTwoEndo(y * commutator(y, h) for y in gens)
+        shear = ClassTwoEndo(gens[:1] + (gens[1] * pres.element("[g,x2]"),) + gens[2:])
+        inversions = count_calls(monkeypatch, "invert_auto")
+        assert uniqueness_check(pres, act, reframed(cert, inner))
+        assert not uniqueness_check(pres, act, reframed(cert, shear))
+        assert len(inversions) == 2
 
 
 class TestFactoringCheck:
