@@ -10,9 +10,9 @@ prescribed signature.
 from demuskin.class2_words import (
     ClassTwoElement,
     ClassTwoEndo,
+    ClassTwoStack,
     GeneratorSet,
     TruncatedQuotient,
-    apply_endo,
     central_sqrt,
     commutator,
     compose,
@@ -24,7 +24,6 @@ from demuskin.class2_words import (
     multiply,
     parse_word,
     power,
-    quotient_equal,
     quotient_kill,
 )
 from demuskin.demushkin_core import (

@@ -12,18 +12,21 @@ the exponent of the basic commutator [g_j, g_i].  On exponent arrays the
 product is the 2-cocycle (a, C)(b, D) = (a + b, C + D + triu(b (x) a)), so
 powers, commutators and endomorphisms are closed formulas in (a, C): the
 class-2 case of Deep Thought collection (Leedham-Green & Soicher, 1998).
+Each formula carries a leading element axis unchanged, so a ClassTwoStack
+of N elements is mapped, commuted, killed and tested in one array pass.
 
-Elements, endomorphisms and quotients are immutable values; all operations
-are pure functions.
+Elements, stacks, endomorphisms and quotients are immutable values; all
+operations are pure functions.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 import numpy as np
 
-from demuskin.zq_linalg import Modulus, Submodule, ZqMatrix, inv_mod
+from demuskin.zq_linalg import Modulus, Submodule, ZqMatrix, exact_dtype, inv_mod, matmul_mod
 
 
 class GeneratorSet:
@@ -65,10 +68,27 @@ def demushkin_generators(n: int) -> GeneratorSet:
     return GeneratorSet(("g",) + tuple(f"x{i}" for i in range(n + 1)))
 
 
-def _exact_dtype(mod: Modulus, d: int):
-    """Dtype for intermediates: sums of d products of two residues mod q^2
-    stay exact in int64 while d q^4 < 2^63, and in Python ints beyond."""
-    return np.int64 if d * mod.q2**2 < 2**63 else object
+@lru_cache(maxsize=None)
+def _strictly_upper(d: int) -> np.ndarray:
+    """Mask of the coordinates (i, j), i < j, that hold commutator exponents."""
+    mask = np.triu(np.ones((d, d), dtype=bool), 1)
+    mask.setflags(write=False)
+    return mask
+
+
+def _normal_form(gens: GeneratorSet, mod: Modulus, gen_exp, comm, lead: tuple):
+    """gen_exp mod q^2 and the strictly upper part of comm mod q, as
+    read-only int64 arrays of shapes lead + (d,) and lead + (d, d)."""
+    d = gens.d
+    ge = np.mod(gen_exp, mod.q2).astype(np.int64, copy=False)
+    cm = np.mod(comm, mod.q)
+    if ge.shape != lead + (d,) or cm.shape != lead + (d, d):
+        raise ValueError(f"need gen_exp of shape {lead + (d,)} and comm of shape {lead + (d, d)}")
+    cm *= _strictly_upper(d)
+    cm = cm.astype(np.int64, copy=False)
+    ge.setflags(write=False)
+    cm.setflags(write=False)
+    return ge, cm
 
 
 def _check_same_group(u: "ClassTwoElement", v: "ClassTwoElement"):
@@ -84,18 +104,7 @@ class ClassTwoElement:
     def __init__(self, gens: GeneratorSet, mod: Modulus, gen_exp, comm):
         self.gens = gens
         self.mod = mod
-        d = gens.d
-        ge = np.mod(np.asarray(gen_exp, dtype=np.int64), mod.q2)
-        if ge.shape != (d,):
-            raise ValueError(f"gen_exp must have length {d}")
-        cm = np.mod(np.asarray(comm, dtype=np.int64), mod.q)
-        if cm.shape != (d, d):
-            raise ValueError(f"comm must be a {d}x{d} array")
-        cm = np.triu(cm, 1)
-        ge.setflags(write=False)
-        cm.setflags(write=False)
-        self.gen_exp = ge
-        self.comm = cm
+        self.gen_exp, self.comm = _normal_form(gens, mod, gen_exp, comm, ())
 
     @classmethod
     def identity(cls, gens: GeneratorSet, mod: Modulus) -> "ClassTwoElement":
@@ -122,7 +131,7 @@ class ClassTwoElement:
     def __mul__(self, other: "ClassTwoElement") -> "ClassTwoElement":
         _check_same_group(self, other)
         q = self.mod.q
-        a = self.gen_exp.astype(_exact_dtype(self.mod, 1), copy=False)
+        a = self.gen_exp.astype(exact_dtype(self.mod.q2**2), copy=False)
         # collecting v's generators through u's picks up [g_j, g_i]^(a_j b_i);
         # the constructor keeps the part above the diagonal
         cross = np.outer(other.gen_exp % q, a % q)
@@ -137,7 +146,7 @@ class ClassTwoElement:
         """u^k = (k a, k C + C(k,2) triu(a (x) a)) for every integer k."""
         k = int(k)
         q, q2 = self.mod.q, self.mod.q2
-        a = self.gen_exp.astype(_exact_dtype(self.mod, 1), copy=False)
+        a = self.gen_exp.astype(exact_dtype(q2**2), copy=False)
         a1 = a % q
         cm = (k % q) * self.comm + (k * (k - 1) // 2 % q) * np.outer(a1, a1)
         return ClassTwoElement(self.gens, self.mod, (k % q2) * a % q2, cm % q)
@@ -170,6 +179,73 @@ class ClassTwoElement:
         return cls(gens, mod, np.asarray(data["gen_exp"]), cm)
 
 
+class ClassTwoStack:
+    """N elements of F/F^3 as one pair of exponent arrays: gen_exp is N x d
+    mod q^2 and comm is N x d x d, strictly upper triangular mod q.
+
+    Indexing with an integer gives a ClassTwoElement, with a slice or an
+    index array a substack; iteration yields the rows as elements.
+    """
+
+    __slots__ = ("gens", "mod", "gen_exp", "comm")
+
+    def __init__(self, gens: GeneratorSet, mod: Modulus, gen_exp, comm):
+        self.gens = gens
+        self.mod = mod
+        self.gen_exp, self.comm = _normal_form(gens, mod, gen_exp, comm, np.shape(gen_exp)[:1])
+
+    @classmethod
+    def _normal(cls, gens: GeneratorSet, mod: Modulus, gen_exp, comm) -> "ClassTwoStack":
+        """A stack of arrays already in normal form, taken without a copy."""
+        stack = cls.__new__(cls)
+        stack.gens, stack.mod = gens, mod
+        gen_exp.setflags(write=False)
+        comm.setflags(write=False)
+        stack.gen_exp, stack.comm = gen_exp, comm
+        return stack
+
+    @classmethod
+    def of(cls, gens: GeneratorSet, mod: Modulus, items) -> "ClassTwoStack":
+        """The rows of the given elements and stacks, in order."""
+        items = list(items)
+        for it in items:
+            if it.gens != gens or it.mod != mod:
+                raise ValueError("elements live in a different truncated group")
+        d = gens.d
+        ge = [it.gen_exp.reshape(-1, d) for it in items] or [np.zeros((0, d), dtype=np.int64)]
+        cm = [it.comm.reshape(-1, d, d) for it in items] or [np.zeros((0, d, d), dtype=np.int64)]
+        return cls._normal(gens, mod, np.concatenate(ge), np.concatenate(cm))
+
+    @classmethod
+    def generators(cls, gens: GeneratorSet, mod: Modulus) -> "ClassTwoStack":
+        d = gens.d
+        return cls._normal(gens, mod, np.eye(d, dtype=np.int64), np.zeros((d, d, d), dtype=np.int64))
+
+    def __len__(self):
+        return len(self.gen_exp)
+
+    def __getitem__(self, idx):
+        if isinstance(idx, (int, np.integer)):
+            return ClassTwoElement(self.gens, self.mod, self.gen_exp[idx], self.comm[idx])
+        return ClassTwoStack._normal(self.gens, self.mod, self.gen_exp[idx], self.comm[idx])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def is_identity(self) -> np.ndarray:
+        """Per row, whether the element is the identity."""
+        return ~(self.gen_exp.any(axis=1) | self.comm.any(axis=(1, 2)))
+
+    @property
+    def is_central(self) -> np.ndarray:
+        """Per row, whether the element lies in F^2/F^3."""
+        return ~(self.gen_exp % self.mod.q).any(axis=1)
+
+    def __repr__(self):
+        return f"ClassTwoStack[{', '.join(format_word(el) for el in self)}]"
+
+
 def multiply(u: ClassTwoElement, v: ClassTwoElement) -> ClassTwoElement:
     return u * v
 
@@ -182,19 +258,33 @@ def power(u: ClassTwoElement, k: int) -> ClassTwoElement:
     return u ** k
 
 
-def commutator(u: ClassTwoElement, v: ClassTwoElement) -> ClassTwoElement:
-    """[u, v] = u^-1 v^-1 u v = (0, triu(b (x) a - a (x) b)); lands in F^2/F^3."""
+def commutator(u, v):
+    """[u, v] = u^-1 v^-1 u v = (0, triu(b (x) a - a (x) b)); lands in F^2/F^3.
+
+    With a stack on either side, the stack of [u_i, v_j] over every pair,
+    i major.
+    """
     _check_same_group(u, v)
-    q = u.mod.q
-    cross = np.outer(v.gen_exp % q, u.gen_exp % q)
-    return ClassTwoElement(u.gens, u.mod, np.zeros_like(u.gen_exp), (cross - cross.T) % q)
+    q, d = u.mod.q, u.gens.d
+    a = u.gen_exp.reshape(-1, 1, 1, d) % q
+    b = v.gen_exp.reshape(1, -1, d, 1) % q
+    cross = (b * a).reshape(-1, d, d)
+    comm = (cross - cross.swapaxes(1, 2)) % q
+    if isinstance(u, ClassTwoElement) and isinstance(v, ClassTwoElement):
+        return ClassTwoElement(u.gens, u.mod, np.zeros(d, dtype=np.int64), comm[0])
+    return ClassTwoStack(u.gens, u.mod, np.zeros((len(comm), d), dtype=np.int64), comm)
 
 
-def central_sqrt(c: ClassTwoElement) -> ClassTwoElement:
-    """The unique square root inside F^2/F^3, a group of odd exponent q."""
-    if not c.is_central:
+def central_sqrt(c):
+    """The unique square root inside F^2/F^3, a group of odd exponent q:
+    c^k = (k a, k C) with k = (q+1)/2, as a (x) a vanishes mod q.  Takes an
+    element or a stack of central elements."""
+    mod = c.mod
+    if (c.gen_exp % mod.q).any():
         raise ValueError("central_sqrt needs an element of F^2/F^3")
-    return c ** ((c.mod.q + 1) // 2)
+    k = (mod.q + 1) // 2
+    dt = exact_dtype(k * mod.q2)
+    return type(c)(c.gens, mod, k * c.gen_exp.astype(dt) % mod.q2, k * c.comm.astype(dt) % mod.q)
 
 
 class ClassTwoEndo:
@@ -203,7 +293,7 @@ class ClassTwoEndo:
     __slots__ = ("gens", "mod", "images")
 
     def __init__(self, images):
-        images = tuple(images)
+        images = tuple(images)  # a ClassTwoStack gives its rows
         if not images:
             raise ValueError("need at least one image")
         first = images[0]
@@ -217,9 +307,7 @@ class ClassTwoEndo:
 
     @classmethod
     def identity(cls, gens: GeneratorSet, mod: Modulus) -> "ClassTwoEndo":
-        return cls(
-            ClassTwoElement.generator(gens, mod, i) for i in range(gens.d)
-        )
+        return cls(ClassTwoStack.generators(gens, mod))
 
     @property
     def linear_matrix(self) -> np.ndarray:
@@ -230,35 +318,57 @@ class ClassTwoEndo:
     def linear_matrix_q2(self) -> np.ndarray:
         return np.array([im.gen_exp for im in self.images])
 
-    @property
-    def is_automorphism(self) -> bool:
-        try:
-            inv_mod(ZqMatrix(self.linear_matrix, self.mod.q))
-        except ValueError:
-            return False
-        return True
+    def image_stack(self) -> ClassTwoStack:
+        """The images as one stack, built on each call and not kept."""
+        ge = np.array([im.gen_exp for im in self.images])
+        return ClassTwoStack._normal(self.gens, self.mod, ge, np.array([im.comm for im in self.images]))
 
-    def __call__(self, u: ClassTwoElement) -> ClassTwoElement:
+    def __call__(self, u):
         """prod_i y_i^(a_i) . prod_(i<j) [y_j, y_i]^(c_ij) for images y_i = (L_i, M_i).
 
         Collecting the powers and commutators of the images is one quadratic
         form: (a L, sum_i a_i M_i + triu(L^T K L)) with the form
         K = diag(C(a_i, 2)) + tril(a (x) a, -1) + C - C^T over Z/q; as q is
-        odd, C(a_i, 2) mod q depends on a_i mod q only.
+        odd, C(a_i, 2) mod q depends on a_i mod q only.  A stack of N
+        elements goes through the formula in one pass, with K built per row;
+        an element is its one-row case.
         """
         if u.gens != self.gens or u.mod != self.mod:
             raise ValueError("element and endomorphism have different domains")
-        q, q2 = self.mod.q, self.mod.q2
-        dt = _exact_dtype(self.mod, self.gens.d)
-        a = u.gen_exp.astype(dt, copy=False)
-        lin = self.linear_matrix_q2.astype(dt, copy=False)
-        a1, lin1 = a % q, lin % q
-        form = np.diag(a1 * (a1 - 1) // 2) + np.tril(np.outer(a1, a1), -1) + u.comm - u.comm.T
-        # only the images of generators occurring in u enter sum_i a_i M_i
-        nz = np.flatnonzero(a1)
-        comms = np.array([self.images[i].comm for i in nz], dtype=dt).reshape(len(nz), form.size)
-        cm = (a1[nz] @ comms).reshape(form.shape) + lin1.T @ (form % q @ lin1 % q)
-        return ClassTwoElement(self.gens, self.mod, a @ lin % q2, cm % q)
+        q, d = self.mod.q, self.gens.d
+        images = self.image_stack()
+        a = u.gen_exp.reshape(-1, d)
+        c = u.comm.reshape(-1, d, d)
+        a1, lin1 = a % q, images.gen_exp % q
+        form = a1[:, :, None] * a1[:, None, :]
+        form *= _strictly_upper(d).T
+        form += c
+        form -= c.swapaxes(1, 2)
+        diag = np.arange(d)
+        form[:, diag, diag] = a1 * (a1 - 1) // 2
+        form %= q
+        form = matmul_mod(form, lin1, q)
+        cm = matmul_mod(lin1.T, form, q)
+        # only the images with a commutator part enter sum_i a_i M_i
+        nz = images.comm.any(axis=(1, 2))
+        if nz.any():
+            cm += matmul_mod(a1[:, nz], images.comm[nz].reshape(-1, d * d), q).reshape(cm.shape)
+        ge = matmul_mod(a, images.gen_exp, self.mod.q2)
+        if isinstance(u, ClassTwoStack):
+            return ClassTwoStack(self.gens, self.mod, ge, cm)
+        return ClassTwoElement(self.gens, self.mod, ge[0], cm[0])
+
+    def defects(self, signs=None) -> ClassTwoStack:
+        """Row i is g_i^(-s_i) phi(g_i), with s_i = signs[i] (default +1):
+        the difference relators g_i^-1 phi(g_i), or g_i phi(g_i) where phi
+        inverts g_i up to F^2.  The cocycle gives every row at once:
+        (L_i - s_i e_i, M_i + triu(L_i (x) (-s_i e_i)))."""
+        d = self.gens.d
+        s = np.ones(d, dtype=np.int64) if signs is None else np.asarray(signs, dtype=np.int64)
+        images = self.image_stack()
+        lead = -np.diag(s)
+        cross = (images.gen_exp % self.mod.q)[:, :, None] * lead[:, None, :]
+        return ClassTwoStack(self.gens, self.mod, images.gen_exp + lead, images.comm + cross)
 
     def __eq__(self, other):
         return (
@@ -295,15 +405,11 @@ class ClassTwoEndo:
         return cls(images)
 
 
-def apply_endo(e: ClassTwoEndo, u: ClassTwoElement) -> ClassTwoElement:
-    return e(u)
-
-
 def compose(e1: ClassTwoEndo, e2: ClassTwoEndo) -> ClassTwoEndo:
-    """The endomorphism u -> e1(e2(u))."""
+    """The endomorphism u -> e1(e2(u)): e1 maps e2's image stack in one pass."""
     if e1.gens != e2.gens or e1.mod != e2.mod:
         raise ValueError("endomorphisms have different domains")
-    return ClassTwoEndo(e1(im) for im in e2.images)
+    return ClassTwoEndo(e1(e2.image_stack()))
 
 
 def endo_power(e: ClassTwoEndo, k: int) -> ClassTwoEndo:
@@ -331,19 +437,14 @@ def invert_auto(e: ClassTwoEndo) -> ClassTwoEndo:
         minv = inv_mod(m).array
     except ValueError:
         raise ValueError("endomorphism is not an automorphism (singular linear part)")
-    gens, mod = e.gens, e.mod
-    zero_comm = np.zeros((gens.d, gens.d), dtype=np.int64)
-    f0 = ClassTwoEndo(
-        ClassTwoElement(gens, mod, row, zero_comm) for row in minv
-    )
-    h = compose(e, f0)
-    corrected = []
-    for i in range(gens.d):
-        g = ClassTwoElement.generator(gens, mod, i)
-        defect = g.inverse() * h(g)
-        if not defect.is_central:
-            raise AssertionError("linear correction left a non-central defect")
-        corrected.append(g * defect.inverse())
+    gens, mod, d = e.gens, e.mod, e.gens.d
+    f0 = ClassTwoEndo(ClassTwoStack(gens, mod, minv, np.zeros((d, d, d), dtype=np.int64)))
+    z = compose(e, f0).defects()
+    if not z.is_central.all():
+        raise AssertionError("linear correction left a non-central defect")
+    # g_i z_i^-1 = (e_i - z_i, -Z_i) for central z_i = (z_i, Z_i): both the
+    # power and the cocycle terms vanish mod q
+    corrected = ClassTwoStack(gens, mod, np.eye(d, dtype=np.int64) - z.gen_exp, -z.comm)
     result = compose(f0, ClassTwoEndo(corrected))
     ident = ClassTwoEndo.identity(gens, mod)
     if compose(e, result) != ident or compose(result, e) != ident:
@@ -351,8 +452,9 @@ def invert_auto(e: ClassTwoEndo) -> ClassTwoEndo:
     return result
 
 
-def quotient_kill(gens_to_kill, u: ClassTwoElement) -> ClassTwoElement:
-    """Image of u in the truncated free group on the surviving generators.
+def quotient_kill(gens_to_kill, u):
+    """Image of u (an element or a stack) in the truncated free group on the
+    surviving generators.
 
     Substituting the identity for killed generators keeps the normal form:
     the surviving coordinates are just sliced out.  Killing free generators
@@ -369,9 +471,7 @@ def quotient_kill(gens_to_kill, u: ClassTwoElement) -> ClassTwoElement:
     if not keep:
         raise ValueError("killing every generator leaves no group")
     small = GeneratorSet(u.gens.labels[i] for i in keep)
-    return ClassTwoElement(
-        small, u.mod, u.gen_exp[keep], u.comm[np.ix_(keep, keep)]
-    )
+    return type(u)(small, u.mod, u.gen_exp[..., keep], u.comm[..., keep, :][..., keep])
 
 
 class TruncatedQuotient:
@@ -394,25 +494,24 @@ class TruncatedQuotient:
             if not r.is_central:
                 raise ValueError(f"relator {r!r} is not central (not in F^2/F^3)")
         self.central_relators = relators
-        lifts = self._lifts(relators)
+        lifts = self._lifts(ClassTwoStack.of(gens, mod, relators))
         self._span = Submodule(lifts, lifts.shape[1], mod.q2)
 
-    def _lifts(self, elements) -> np.ndarray:
-        """One row (a, q c_ij for i < j) mod q^2 per element."""
+    def _lifts(self, stack: ClassTwoStack) -> np.ndarray:
+        """One row (a, q c_ij for i < j) mod q^2 per element of the stack."""
         upper = np.triu_indices(self.gens.d, 1)
-        rows = [np.concatenate([el.gen_exp, self.mod.q * el.comm[upper]]) for el in elements]
-        width = self.gens.d + len(upper[0])
-        return np.array(rows, dtype=np.int64).reshape(len(rows), width) % self.mod.q2
+        comm = self.mod.q * stack.comm[:, upper[0], upper[1]]
+        return np.concatenate([stack.gen_exp, comm], axis=1) % self.mod.q2
 
     def are_trivial(self, elements) -> np.ndarray:
-        """Per element, whether it dies in the quotient: one stacked lift and
-        one Howell reduction for the whole batch.  A non-central element is
-        never in the span, as every relator's generator part is divisible
-        by q."""
-        elements = list(elements)
-        for el in elements:
-            if el.gens != self.gens or el.mod != self.mod:
-                raise ValueError("elements live in a different truncated group")
+        """Per element of a stack or an iterable of elements, whether it dies
+        in the quotient: one stacked lift and one Howell reduction for the
+        whole batch.  A non-central element is never in the span, as every
+        relator's generator part is divisible by q."""
+        if not isinstance(elements, ClassTwoStack):
+            elements = ClassTwoStack.of(self.gens, self.mod, elements)
+        if elements.gens != self.gens or elements.mod != self.mod:
+            raise ValueError("elements live in a different truncated group")
         return ~self._span._residues(self._lifts(elements)).any(axis=1)
 
     def is_trivial(self, u: ClassTwoElement) -> bool:
@@ -421,10 +520,6 @@ class TruncatedQuotient:
     def equal(self, u: ClassTwoElement, v: ClassTwoElement) -> bool:
         _check_same_group(u, v)
         return self.is_trivial(u * v.inverse())
-
-
-def quotient_equal(tq: TruncatedQuotient, u: ClassTwoElement, v: ClassTwoElement) -> bool:
-    return tq.equal(u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ configurations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -549,9 +550,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = _COMMANDS[args.command](args)
     except InputError as exc:

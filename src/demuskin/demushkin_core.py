@@ -23,6 +23,7 @@ import numpy as np
 from demuskin.class2_words import (
     ClassTwoElement,
     ClassTwoEndo,
+    ClassTwoStack,
     GeneratorSet,
     TruncatedQuotient,
     central_sqrt,
@@ -42,6 +43,7 @@ from demuskin.zq_linalg import (
     ZqMatrix,
     eigen_split,
     kernel,
+    matmul_mod,
 )
 
 
@@ -254,8 +256,7 @@ class InvolutionAction:
         if endo.gens != pres.gens or endo.mod != pres.mod:
             raise ValueError("endomorphism does not act on the presentation's group")
         mod = pres.mod
-        ident = ClassTwoEndo.identity(pres.gens, mod)
-        if compose(endo, endo) != ident:
+        if not is_clean_diagonal(compose(endo, endo), np.ones(pres.d, dtype=np.int64)):
             raise NotAnInvolutionError("endomorphism does not square to the identity on F/F^3")
         # an involution carrying w to a power w^t has t^2 = 1 modulo the
         # order of w, a power of the odd p, so w^t is w or w^-1
@@ -272,7 +273,8 @@ class InvolutionAction:
             )
         L = endo.linear_matrix
         gram = invariants(pres).cup.gram.array
-        coherent = not ((L.T @ gram @ L - t * gram) % mod.q).any()
+        twisted = matmul_mod(matmul_mod(L.T, gram, mod.q), L, mod.q)
+        coherent = not ((twisted - t * gram) % mod.q).any()
         if not coherent:
             warnings.warn(
                 "cup-form coherence (M^T G M = t G) failed; this should be "
@@ -299,7 +301,7 @@ class InvolutionAction:
 
     def act_h1(self, row) -> np.ndarray:
         q = self.h1_matrix.modulus
-        return (np.asarray(row, dtype=np.int64) @ self.h1_matrix.array.T) % q
+        return matmul_mod(np.mod(np.asarray(row, dtype=np.int64), q), self.h1_matrix.array.T, q)
 
     def to_json(self) -> dict:
         return {
@@ -325,11 +327,9 @@ def standard_involution(pres: DemushkinPresentation) -> InvolutionAction:
     """g -> g, x0 -> x0^-1, odd x -> inverse, even x -> fixed."""
     if pres.relator != standard_relator(pres.n, pres.mod):
         raise ValueError("the standard involution needs the standard relator")
-    signs = standard_sign_pattern(pres.n)
-    images = [
-        ClassTwoElement.generator(pres.gens, pres.mod, i) ** int(s)
-        for i, s in enumerate(signs)
-    ]
+    d = pres.d
+    zero = np.zeros((d, d, d), dtype=np.int64)
+    images = ClassTwoStack(pres.gens, pres.mod, np.diag(standard_sign_pattern(pres.n)), zero)
     return InvolutionAction.build(pres, ClassTwoEndo(images))
 
 
@@ -353,7 +353,7 @@ def lift_involution(
     d = pres.d
     if lin.shape != (d, d):
         raise ValueError("linear part has the wrong shape")
-    if not np.array_equal((lin @ lin) % mod.q, np.eye(d, dtype=np.int64)):
+    if not np.array_equal(matmul_mod(lin, lin, mod.q), np.eye(d, dtype=np.int64)):
         raise ValueError("prescribed linear part is not an involution mod q")
     if not np.array_equal(perturbation.linear_matrix, lin):
         raise ValueError("perturbation does not reduce to the prescribed linear part")
@@ -411,21 +411,25 @@ def symmetrize_basis(
     gens, mod = pres.gens, pres.mod
     if is_clean_diagonal(action.endo, signs):
         return ClassTwoEndo.identity(gens, mod), pres.relator, action.endo
-    new_gens = []
-    for i, s in enumerate(signs):
-        g = ClassTwoElement.generator(gens, mod, i)
-        img = action.endo.images[i]
-        if s == 1:
-            defect = g.inverse() * img
-            if not defect.is_central:
-                raise ValueError("perturbation of a fixed generator is not central")
-            new_gens.append(g * central_sqrt(defect))
-        else:
-            defect = g * img
-            if not defect.is_central:
-                raise ValueError("perturbation of a negated generator is not central")
-            new_gens.append(g * central_sqrt(defect).inverse())
-    basis = ClassTwoEndo(new_gens)
+    # row i: g^-1 sigma(g) = a on a fixed generator, g sigma(g) = b on a
+    # negated one
+    defects = action.endo.defects(signs)
+    off = ~defects.is_central
+    if off.any():
+        kind = "fixed" if signs[off.argmax()] == 1 else "negated"
+        raise ValueError(f"perturbation of a {kind} generator is not central")
+    # g . z^(+-1) = (e_i +- z, +-Z) for central z = (z, Z): the cocycle
+    # term vanishes mod q
+    roots = central_sqrt(defects)
+    d = gens.d
+    basis = ClassTwoEndo(
+        ClassTwoStack(
+            gens,
+            mod,
+            np.eye(d, dtype=np.int64) + signs[:, None] * roots.gen_exp,
+            signs[:, None, None] * roots.comm,
+        )
+    )
     basis_inv = invert_auto(basis)
     new_action_endo = compose(basis_inv, compose(action.endo, basis))
     if not is_clean_diagonal(new_action_endo, signs):
@@ -493,15 +497,8 @@ class CoinvariantMachine:
             rows = np.vstack([plus.basis, minus.basis])
             if rows.shape[0] != pres.d:
                 raise AssertionError("eigenspace ranks do not fill the module")
-            basis = ClassTwoEndo(
-                ClassTwoElement(
-                    pres.gens,
-                    pres.mod,
-                    rows[i],
-                    np.zeros((pres.d, pres.d), dtype=np.int64),
-                )
-                for i in range(pres.d)
-            )
+            zero = np.zeros((pres.d, pres.d, pres.d), dtype=np.int64)
+            basis = ClassTwoEndo(ClassTwoStack(pres.gens, pres.mod, rows, zero))
             pres, action = transform_presentation(pres, action, basis)
             signs = _diagonal_signs(action)
             if signs is None:
@@ -517,52 +514,36 @@ class CoinvariantMachine:
         if not self.kept:
             raise ValueError("no generator survives; the coinvariants are trivial")
 
-        subst_images = []
-        for i, s in enumerate(signs):
-            g = ClassTwoElement.generator(gens, mod, i)
-            if s == 1:
-                subst_images.append(g)
-            else:
-                # sigma(g) = g^-1 z; the difference relator gives g^2 = g sigma(g)
-                b = g * action.endo.images[i]
-                subst_images.append(central_sqrt(self._strip(b)))
-        self.subst = ClassTwoEndo(subst_images)
+        # sigma(g) = g^-1 z on an eliminated generator; the difference
+        # relator gives g^2 = g sigma(g) = z, so g is the central square root
+        # of z once every coordinate touching an eliminated generator, which
+        # lies in the kernel of the quotient map, is zeroed
+        z = action.endo.defects(signs)[self.elim]
+        ge, cm = z.gen_exp.copy(), z.comm.copy()
+        ge[:, self.elim] = 0
+        cm[:, self.elim, :] = 0
+        cm[:, :, self.elim] = 0
+        roots = central_sqrt(ClassTwoStack(gens, mod, ge, cm))
+        d = pres.d
+        sub_ge, sub_cm = np.eye(d, dtype=np.int64), np.zeros((d, d, d), dtype=np.int64)
+        sub_ge[self.elim], sub_cm[self.elim] = roots.gen_exp, roots.comm
+        self.subst = ClassTwoEndo(ClassTwoStack(gens, mod, sub_ge, sub_cm))
         self.small_gens = GeneratorSet(self.kept_labels)
 
-        relators = []
-        for i in self.kept:
-            g = ClassTwoElement.generator(gens, mod, i)
-            r = g.inverse() * action.endo.images[i]
-            if not r.is_central:
-                raise AssertionError("difference relator of a fixed generator is not central")
-            img = self.project(r)
-            if not img.is_identity:
-                relators.append(img)
-        for i in self.elim:
-            g = ClassTwoElement.generator(gens, mod, i)
-            r = g.inverse() * action.endo.images[i]
-            if not self.project(r).is_identity:
-                raise AssertionError("eliminated generator relation did not project away")
-        self.central_relators = relators
-        self.span = TruncatedQuotient(self.small_gens, mod, relators)
+        # the difference relators g^-1 sigma(g), projected in one batch
+        diffs = action.endo.defects()
+        if not diffs.is_central[self.kept].all():
+            raise AssertionError("difference relator of a fixed generator is not central")
+        images = self.project(diffs)
+        if not images.is_identity[self.elim].all():
+            raise AssertionError("eliminated generator relation did not project away")
+        self.central_relators = [images[i] for i in self.kept if not images.is_identity[i]]
+        self.span = TruncatedQuotient(self.small_gens, mod, self.central_relators)
         self.relator_image = self.project(pres.relator)
 
-    def _strip(self, el: ClassTwoElement) -> ClassTwoElement:
-        """Zero every coordinate touching an eliminated generator.
-
-        Valid only for central elements used in the substitution: those
-        coordinates lie in the kernel of the quotient map.
-        """
-        ge = el.gen_exp.copy()
-        cm = el.comm.copy()
-        for i in self.elim:
-            ge[i] = 0
-            cm[i, :] = 0
-            cm[:, i] = 0
-        return ClassTwoElement(el.gens, el.mod, ge, cm)
-
-    def project(self, u: ClassTwoElement) -> ClassTwoElement:
-        """Image in the truncated free group on the kept generators."""
+    def project(self, u):
+        """Image of an element or a stack in the truncated free group on the
+        kept generators."""
         return quotient_kill(self.elim_labels, self.subst(u))
 
 

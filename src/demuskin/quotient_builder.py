@@ -30,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from demuskin.class2_words import (
-    ClassTwoElement,
     ClassTwoEndo,
+    ClassTwoStack,
     GeneratorSet,
     TruncatedQuotient,
     commutator,
@@ -59,6 +59,7 @@ from demuskin.zq_linalg import (
     inv_mod,
     is_totally_isotropic,
     kernel,
+    matmul_mod,
     orthogonal_complement,
 )
 
@@ -137,7 +138,7 @@ def validate_V(
     invariant = image == V
     isotropic = is_totally_isotropic(coh.cup, V)
     q = pres.mod.q
-    in_ker = not ((V.basis @ coh.bockstein) % q).any() if V.ngens else True
+    in_ker = not matmul_mod(V.basis, coh.bockstein, q).any() if V.ngens else True
     gamma_contained = None
     if V.is_free and V.rank == pres.n // 2 + 1:
         gamma_contained = V.contains_submodule(gamma)
@@ -191,7 +192,7 @@ def _require_clean_standard(pres: DemushkinPresentation, action: InvolutionActio
 
 def _unit_partner(rows: np.ndarray, w: np.ndarray, mod) -> np.ndarray | None:
     """The first row r with r . w a unit, scaled so that r . w = 1."""
-    vals = (rows @ w) % mod.q
+    vals = matmul_mod(rows, w, mod.q)
     hits = np.flatnonzero(vals % mod.p)
     if not hits.size:
         return None
@@ -206,12 +207,12 @@ def _cyclotomic_partner(rows: np.ndarray, w: np.ndarray, bvec: np.ndarray, mod) 
     first hit of a scan over coefficient vectors in counting order (row 0
     the fastest digit): combinations of earlier rows have neither unit.
     """
-    units = (rows @ np.stack([bvec, w], axis=1)) % mod.q % mod.p != 0
+    units = matmul_mod(rows, np.stack([bvec, w], axis=1), mod.q) % mod.p != 0
     if not units.any(axis=0).all():
         return None
     r_i, r_j = rows[units.argmax(axis=0)]
     cands = np.array([r_i, r_j, r_i + r_j]) % mod.q
-    return _unit_partner(cands[(cands @ w) % mod.q % mod.p != 0], bvec, mod)
+    return _unit_partner(cands[matmul_mod(cands, w, mod.q) % mod.p != 0], bvec, mod)
 
 
 def _symplectic_frame(pres: DemushkinPresentation, coh: CohomologyData, hplus: Submodule, hminus: Submodule, queue) -> np.ndarray:
@@ -242,7 +243,7 @@ def _symplectic_frame(pres: DemushkinPresentation, coh: CohomologyData, hplus: S
         placed.extend((a, b))
 
     def pair_minus(b, pending=(), slot=None):
-        a = _unit_partner(working_rows(plus_k, pending), gram @ b, mod)
+        a = _unit_partner(working_rows(plus_k, pending), matmul_mod(gram, b, q), mod)
         if a is None:
             raise AssertionError("no partner in H+ for a vector of H-")
         fill(a, b, slot)
@@ -252,16 +253,16 @@ def _symplectic_frame(pres: DemushkinPresentation, coh: CohomologyData, hplus: S
         if side == "minus":
             pair_minus(vec, pending)
             continue
-        b = _unit_partner(working_rows(minus_k, pending), vec @ gram, mod)
+        b = _unit_partner(working_rows(minus_k, pending), matmul_mod(vec, gram, q), mod)
         if b is not None:
             fill(vec, b)
             continue
         if slots[0] is not None:
             raise AssertionError("distinguished slot already used")
-        b = _cyclotomic_partner(working_rows(hminus, pending), vec @ gram, bvec, mod)
+        b = _cyclotomic_partner(working_rows(hminus, pending), matmul_mod(vec, gram, q), bvec, mod)
         if b is None:
             raise AssertionError("no partner for a validated V vector")
-        fill((vec * pow(int(vec @ gram @ b), -1, q)) % q, b, slot=0)
+        fill((vec * pow(int(matmul_mod(matmul_mod(vec, gram, q), b, q)), -1, q)) % q, b, slot=0)
     if slots[0] is None:
         b0 = _unit_partner(working_rows(hminus), bvec, mod)
         if b0 is None:
@@ -332,13 +333,11 @@ def _build_adapted_change(
     coh = invariants(pres)
     t_star = _symplectic_frame(pres, coh, hplus, hminus, queue)
     gram = coh.cup.gram.array
-    if not np.array_equal((t_star @ gram @ t_star.T) % q, gram):
+    if not np.array_equal(matmul_mod(matmul_mod(t_star, gram, q), t_star.T, q), gram):
         raise AssertionError("adapted dual basis does not reproduce the standard pairing")
     t_gen = inv_mod(ZqMatrix(t_star, q)).array.T % q
-    zero_comm = np.zeros((d, d), dtype=np.int64)
-    basis = ClassTwoEndo(
-        ClassTwoElement(pres.gens, pres.mod, row, zero_comm) for row in t_gen
-    )
+    zero = np.zeros((d, d, d), dtype=np.int64)
+    basis = ClassTwoEndo(ClassTwoStack(pres.gens, pres.mod, t_gen, zero))
     # V expressed in the new dual coordinates must be a coordinate span
     new_coords = V.image_under(t_gen.T)
     if _coordinate_dual_indices(new_coords) is None:
@@ -496,7 +495,14 @@ def uniqueness_check(
 ) -> bool:
     """Compare the kill kernel with the coinvariants kernel inside the
     class-2 quotient; equality certifies the trivial-signature quotient is
-    the maximal one with trivial action."""
+    the maximal one with trivial action.
+
+    Each kernel is the normal closure of a few generators: the relator, the
+    difference relators g_i^-1 sigma(g_i) and their commutators with every
+    g_h on one side; the relator, the killed tau(g_k) and their commutators
+    with every tau(g_h) on the other.  Each side's candidates are mapped
+    into the other quotient as one stack and tested there with one Howell
+    reduction."""
     if not cert.all_green:
         raise ValueError("uniqueness check needs a green certificate")
     if cert.signature != Signature(pres.n // 2, 0):
@@ -520,9 +526,9 @@ def uniqueness_check(
     tau = cert.basis_change
     killed = list(cert.killed)
     # a certificate in the standard frame needs no change of coordinates
-    tau_inv = None if tau == ClassTwoEndo.identity(pres.gens, pres.mod) else invert_auto(tau)
+    tau_inv = None if is_clean_diagonal(tau, np.ones(pres.d)) else invert_auto(tau)
 
-    def kill_image(u: ClassTwoElement) -> ClassTwoElement:
+    def kill_image(u):
         return quotient_kill(killed, u if tau_inv is None else tau_inv(u))
 
     kill_rel = kill_image(pres.relator)
@@ -532,20 +538,26 @@ def uniqueness_check(
         [kill_rel] if not kill_rel.is_identity else [],
     )
 
-    gens = [ClassTwoElement.generator(pres.gens, pres.mod, i) for i in range(pres.d)]
-    coinv_generators = [pres.relator]
-    for i, g in enumerate(gens):
-        r = g.inverse() * action.endo.images[i]
-        coinv_generators.append(r)
-        coinv_generators.extend(commutator(r, h) for h in gens)
+    diffs = action.endo.defects()
+    gens = ClassTwoStack.generators(pres.gens, pres.mod)
     # tau(g_i) is the i-th image of tau
-    kill_generators = [pres.relator]
-    for lab in killed:
-        ke = tau.images[pres.gens.index(lab)]
-        kill_generators.append(ke)
-        kill_generators.extend(commutator(ke, h) for h in tau.images)
-
+    images = tau.image_stack()
+    kills = images[[pres.gens.index(lab) for lab in killed]]
     return bool(
-        coinv_span.are_trivial(machine.project(u) for u in kill_generators).all()
-        and kill_span.are_trivial(kill_image(u) for u in coinv_generators).all()
+        coinv_span.are_trivial(_closure_images(machine.project, pres.relator, kills, images)).all()
+        and kill_span.are_trivial(_closure_images(kill_image, pres.relator, diffs, gens)).all()
+    )
+
+
+def _closure_images(hom, relator, bases: ClassTwoStack, partners: ClassTwoStack) -> ClassTwoStack:
+    """The images under the homomorphism `hom` of the relator, of each base
+    b and of every commutator [b, p], b a base and p a partner (b major).
+
+    One stacked pass of `hom` maps the relator, the bases and the partners;
+    the commutators are then formed in the image, as hom [b, p] =
+    [hom b, hom p]."""
+    k = len(bases)
+    image = hom(ClassTwoStack.of(relator.gens, relator.mod, [relator, bases, partners]))
+    return ClassTwoStack.of(
+        image.gens, image.mod, [image[: 1 + k], commutator(image[1 : 1 + k], image[1 + k :])]
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
+from math import isqrt, prod
 
 import numpy as np
 
@@ -46,6 +46,9 @@ class Modulus:
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if self.f < 1:
             raise ValueError(f"f must be a positive integer, got {self.f}")
+        if self.p ** (2 * self.f) >= 2**63:
+            # exponents mod q^2 are stored in int64 arrays
+            raise ValueError(f"q^2 = {self.p}^{2 * self.f} does not fit in int64")
 
     @classmethod
     def from_q(cls, q: int) -> "Modulus":
@@ -70,17 +73,34 @@ def _prime_power_base(m: int) -> tuple[int, int]:
     """Decompose m = p^e; raises if m is not a prime power."""
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    n = m
-    for p in range(2, m + 1):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if n != 1:
-                raise ValueError(f"modulus {m} is not a prime power")
-            return p, e
-    raise ValueError(f"modulus {m} is not a prime power")
+    # the least divisor p > 1 of m is prime; m has none up to sqrt(m) iff
+    # m itself is prime
+    p = next((k for k in range(2, isqrt(m) + 1) if m % k == 0), m)
+    n, e = m, 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    if n != 1:
+        raise ValueError(f"modulus {m} is not a prime power")
+    return p, e
+
+
+def exact_dtype(largest: int):
+    """Dtype for a kernel whose intermediates stay below `largest` in
+    absolute value: int64 while that fits, Python-int object arrays beyond.
+    Either way the caller reduces mod m after every product, so the object
+    path stays exact at every modulus (Storjohann & Mulders, 1998)."""
+    return np.int64 if largest < 2**63 else object
+
+
+def matmul_mod(a, b, m: int) -> np.ndarray:
+    """a @ b mod m as int64, exact for entries in (-m, m): each entry sums
+    a.shape[-1] products below m^2."""
+    a, b = np.asarray(a), np.asarray(b)
+    dt = exact_dtype(a.shape[-1] * m * m)
+    out = np.asarray(a.astype(dt, copy=False) @ b.astype(dt, copy=False))
+    np.remainder(out, m, out=out)
+    return out.astype(np.int64, copy=False)
 
 
 def _valuation(x: int, p: int, cap: int) -> int:
@@ -164,7 +184,9 @@ def _howell_rows(rows_in, ncols: int, m: int) -> np.ndarray:
     the last columns is a combination of the rows supported there.
     """
     p, e = _prime_power_base(m)
-    work = [np.mod(np.asarray(r, dtype=np.int64), m) for r in rows_in]
+    # a row update subtracts (x // p^v) * pivot row, below m^2
+    dt = exact_dtype(m * m)
+    work = [np.mod(np.asarray(r, dtype=np.int64).astype(dt, copy=False), m) for r in rows_in]
     done: list[np.ndarray] = []
     for c in range(ncols):
         best = None
@@ -277,10 +299,12 @@ class Submodule:
 
     def _residues(self, vecs: np.ndarray) -> np.ndarray:
         """`reduce` applied to every row of a (k x ambient) array at once."""
-        v = np.mod(vecs, self.modulus)
-        for row, (c, pk) in zip(self.basis, self._pivots):
-            v = (v - (v[:, c : c + 1] // pk) * row) % self.modulus
-        return v
+        m = self.modulus
+        dt = exact_dtype(m * m)
+        v = np.mod(vecs, m).astype(dt, copy=False)
+        for row, (c, pk) in zip(self.basis.astype(dt, copy=False), self._pivots):
+            v = (v - (v[:, c : c + 1] // pk) * row) % m
+        return v.astype(np.int64, copy=False)
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec).any()
@@ -308,17 +332,15 @@ class Submodule:
             return Submodule.zero(self.ambient, self.modulus)
         stacked = np.vstack([self.basis, other.basis])
         rel = kernel(ZqMatrix(stacked.T, self.modulus))
-        rows = [
-            (x[: self.ngens] @ self.basis) % self.modulus for x in rel.basis
-        ]
-        return Submodule(np.array(rows or np.zeros((0, self.ambient))), self.ambient, self.modulus)
+        rows = matmul_mod(rel.basis[:, : self.ngens], self.basis, self.modulus)
+        return Submodule(rows, self.ambient, self.modulus)
 
     def image_under(self, matrix) -> "Submodule":
         """Span of basis @ matrix, for a right action on row vectors."""
         mat = matrix.array if isinstance(matrix, ZqMatrix) else np.asarray(matrix)
         if self.ngens == 0:
             return Submodule.zero(mat.shape[1], self.modulus)
-        return Submodule((self.basis @ mat) % self.modulus, mat.shape[1], self.modulus)
+        return Submodule(matmul_mod(self.basis, mat, self.modulus), mat.shape[1], self.modulus)
 
     def vectors(self) -> list[np.ndarray]:
         """All elements of the span, each once."""
@@ -387,7 +409,8 @@ def inv_mod(mat: ZqMatrix) -> ZqMatrix:
         raise ValueError("only square matrices can be inverted")
     m = mat.modulus
     p, _ = _prime_power_base(m)
-    aug = np.hstack([a, np.eye(n, dtype=np.int64)]) % m
+    # a row update subtracts x * pivot row, below m^2
+    aug = np.hstack([a, np.eye(n, dtype=np.int64)]).astype(exact_dtype(m * m)) % m
     for col in range(n):
         piv = None
         for r in range(col, n):
@@ -434,9 +457,10 @@ class BilinearForm:
         return self.gram.modulus
 
     def pair(self, u, v) -> int:
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        return int((u @ self.gram.array @ v) % self.modulus)
+        m = self.modulus
+        u = np.mod(np.asarray(u, dtype=np.int64), m)
+        v = np.mod(np.asarray(v, dtype=np.int64), m)
+        return int(matmul_mod(matmul_mod(u, self.gram.array, m), v, m))
 
     def is_nondegenerate(self) -> bool:
         p, _ = _prime_power_base(self.modulus)
@@ -447,7 +471,8 @@ class BilinearForm:
 
 
 def _rank_mod_p(a: np.ndarray, p: int) -> int:
-    m = (a % p).astype(np.int64).copy()
+    # a row update subtracts x * pivot row, below p^2
+    m = (a % p).astype(exact_dtype(p * p))
     rows, cols = m.shape
     rank = 0
     for c in range(cols):
@@ -474,7 +499,7 @@ def orthogonal_complement(form: BilinearForm, s: Submodule) -> Submodule:
         raise ValueError("form and submodule have mismatched dimensions")
     if s.ngens == 0:
         return Submodule.full(s.ambient, s.modulus)
-    mat = ZqMatrix((s.basis @ form.gram.array.T) % s.modulus, s.modulus)
+    mat = ZqMatrix(matmul_mod(s.basis, form.gram.array.T, s.modulus), s.modulus)
     return kernel(mat)
 
 
@@ -484,8 +509,8 @@ def is_totally_isotropic(form: BilinearForm, s: Submodule) -> bool:
         raise ValueError("form and submodule have mismatched dimensions")
     if s.ngens == 0:
         return True
-    vals = (s.basis @ form.gram.array @ s.basis.T) % s.modulus
-    return not vals.any()
+    m = s.modulus
+    return not matmul_mod(matmul_mod(s.basis, form.gram.array, m), s.basis.T, m).any()
 
 
 def eigen_split(action: ZqMatrix) -> tuple[Submodule, Submodule]:
@@ -500,12 +525,13 @@ def eigen_split(action: ZqMatrix) -> tuple[Submodule, Submodule]:
         raise ValueError("action matrix must be square")
     if m % 2 == 0:
         raise ValueError("modulus must be odd so that 2 is invertible")
-    if not np.array_equal((a @ a) % m, np.eye(d, dtype=np.int64)):
+    if not np.array_equal(matmul_mod(a, a, m), np.eye(d, dtype=np.int64)):
         raise ValueError("action matrix is not an involution")
     inv2 = pow(2, -1, m)
     eye = np.eye(d, dtype=np.int64)
-    plus = Submodule((inv2 * (eye + a)) % m, d, m)
-    minus = Submodule((inv2 * (eye - a)) % m, d, m)
+    half = inv2 * eye
+    plus = Submodule(matmul_mod((eye + a) % m, half, m), d, m)
+    minus = Submodule(matmul_mod((eye - a) % m, half, m), d, m)
     return plus, minus
 
 

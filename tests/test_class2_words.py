@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from demuskin.class2_words import (
     ClassTwoElement,
     ClassTwoEndo,
+    ClassTwoStack,
     GeneratorSet,
     TruncatedQuotient,
-    apply_endo,
     central_sqrt,
     commutator,
     compose,
@@ -22,10 +22,9 @@ from demuskin.class2_words import (
     multiply,
     parse_word,
     power,
-    quotient_equal,
     quotient_kill,
 )
-from demuskin.zq_linalg import Modulus
+from demuskin.zq_linalg import Modulus, ZqMatrix, inv_mod
 
 rng = random.Random(357911)
 
@@ -40,6 +39,15 @@ def random_element(gens, mod):
         for j in range(i + 1, d):
             cm[i, j] = rng.randrange(mod.q)
     return ClassTwoElement(gens, mod, ge, cm)
+
+
+def is_automorphism(e: ClassTwoEndo) -> bool:
+    """An endomorphism of F/F^3 is invertible iff its linear part is mod q."""
+    try:
+        inv_mod(ZqMatrix(e.linear_matrix, e.mod.q))
+    except ValueError:
+        return False
+    return True
 
 
 def naive_collect(letters, gens, mod):
@@ -260,12 +268,12 @@ class TestEndomorphisms:
     def test_identity_endo(self):
         e = ClassTwoEndo.identity(self.gens, self.mod)
         u = random_element(self.gens, self.mod)
-        assert apply_endo(e, u) == u
+        assert e(u) == u
 
     def test_unipotent_central_example(self):
         c = commutator(self.g2, self.g1)
         e = ClassTwoEndo([self.g1 * c, self.g2])
-        assert apply_endo(e, c) == c
+        assert e(c) == c
         inv = invert_auto(e)
         assert inv.images[0] == self.g1 * c.inverse()
         assert inv.images[1] == self.g2
@@ -288,7 +296,7 @@ class TestEndomorphisms:
         done = 0
         while done < 25:
             e = ClassTwoEndo([random_element(gens, mod) for _ in range(3)])
-            if not e.is_automorphism:
+            if not is_automorphism(e):
                 continue
             done += 1
             inv = invert_auto(e)
@@ -493,7 +501,7 @@ class TestTruncatedQuotient:
 
     def test_reflexive(self):
         u = random_element(self.gens, self.mod)
-        assert quotient_equal(self.tq, u, u)
+        assert self.tq.equal(u, u)
 
     def test_relator_is_trivial(self):
         assert self.tq.is_trivial(self.w)
@@ -502,17 +510,17 @@ class TestTruncatedQuotient:
     def test_two_sides_of_the_relation(self):
         u = parse_word("x0^3", self.gens, self.mod)
         v = parse_word("[x0,g]^-1 [x1,x2]^-1", self.gens, self.mod)
-        assert quotient_equal(self.tq, u, v)
+        assert self.tq.equal(u, v)
 
     def test_distinct_elements_differ(self):
         u = parse_word("x0", self.gens, self.mod)
         v = parse_word("x1", self.gens, self.mod)
-        assert not quotient_equal(self.tq, u, v)
+        assert not self.tq.equal(u, v)
 
     def test_congruence_under_multiplication(self):
         for _ in range(40):
             u = random_element(self.gens, self.mod)
-            assert quotient_equal(self.tq, u * self.w, u)
+            assert self.tq.equal(u * self.w, u)
 
     def test_empty_batch(self):
         assert self.tq.are_trivial([]).shape == (0,)
@@ -629,3 +637,133 @@ class TestGeneratorSet:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             GeneratorSet(("a", "a"))
+
+
+# ---------------------------------------------------------------------------
+# stacked forms: a ClassTwoStack goes through each formula in one pass
+# ---------------------------------------------------------------------------
+
+# int64 throughout at q <= 25; object arrays for the q^2 products from
+# 3^12 on, and for every product at q = 2247483659
+STACK_MODULI = [
+    Modulus(3, 1),
+    Modulus(3, 2),
+    Modulus(5, 2),
+    Modulus(3, 12),
+    Modulus(3, 19),
+    Modulus(2247483659, 1),
+]
+
+
+def image_by_products(e: ClassTwoEndo, u: ClassTwoElement) -> ClassTwoElement:
+    """e(u) from its normal form, with products, powers and commutators of
+    the images only: prod_i y_i^(a_i) . prod_(i<j) [y_j, y_i]^(c_ij)."""
+    out = ClassTwoElement.identity(u.gens, u.mod)
+    for i, a in enumerate(u.gen_exp):
+        out = out * e.images[i] ** int(a)
+    for i, j in zip(*np.nonzero(u.comm)):
+        out = out * commutator(e.images[j], e.images[i]) ** int(u.comm[i, j])
+    return out
+
+
+@st.composite
+def stacked_cases(draw):
+    mod = draw(st.sampled_from(STACK_MODULI))
+    d = draw(st.integers(1, 5))
+    gens = GeneratorSet(f"y{i}" for i in range(d))
+
+    def element():
+        ge = draw(st.lists(st.integers(0, mod.q2 - 1), min_size=d, max_size=d))
+        cm = draw(st.lists(st.integers(0, mod.q - 1), min_size=d * d, max_size=d * d))
+        return ClassTwoElement(gens, mod, ge, np.array(cm, dtype=np.int64).reshape(d, d))
+
+    e1 = ClassTwoEndo([element() for _ in range(d)])
+    e2 = ClassTwoEndo([element() for _ in range(d)])
+    rows = [element() for _ in range(draw(st.integers(0, 6)))]
+    return e1, e2, ClassTwoStack.of(gens, mod, rows)
+
+
+class TestStackedForms:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(stacked_cases())
+    def test_stacked_apply_is_the_per_row_apply(self, case):
+        e, _, stack = case
+        mapped = e(stack)
+        assert isinstance(mapped, ClassTwoStack) and len(mapped) == len(stack)
+        for row, image in zip(stack, mapped):
+            assert image == e(row) == image_by_products(e, row)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(stacked_cases())
+    def test_stacked_compose_is_the_per_image_compose(self, case):
+        e1, e2, _ = case
+        assert compose(e1, e2).images == tuple(image_by_products(e1, im) for im in e2.images)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(stacked_cases())
+    def test_stacked_commutators_and_kills(self, case):
+        e, _, stack = case
+        images = e.image_stack()
+        table = commutator(stack, images)
+        assert len(table) == len(stack) * len(images)
+        pairs = [(u, v) for u in stack for v in images]
+        assert list(table) == [commutator(u, v) for u, v in pairs]
+        killed = quotient_kill([0], images) if images.gens.d > 1 else None
+        if killed is not None:
+            assert list(killed) == [quotient_kill([0], im) for im in images]
+
+    def test_stack_round_trip(self):
+        mod = Modulus(3, 1)
+        gens = demushkin_generators(2)
+        els = [random_element(gens, mod) for _ in range(5)]
+        stack = ClassTwoStack.of(gens, mod, [els[0], ClassTwoStack.of(gens, mod, els[1:])])
+        assert list(stack) == els
+        assert stack[2] == els[2] and list(stack[1:3]) == els[1:3]
+        assert list(stack[[4, 0]]) == [els[4], els[0]]
+        assert list(stack.is_central) == [el.is_central for el in els]
+        assert list(ClassTwoStack.generators(gens, mod)) == list(ClassTwoEndo.identity(gens, mod).images)
+        assert ClassTwoStack.of(gens, mod, []).is_identity.shape == (0,)
+        with pytest.raises(ValueError, match="different truncated group"):
+            ClassTwoStack.of(gens, Modulus(5, 1), els)
+
+    def test_stack_is_reduced(self):
+        mod = Modulus(3, 1)
+        gens = GeneratorSet(("a", "b"))
+        stack = ClassTwoStack(gens, mod, [[10, -1]], [[[5, 7], [4, 2]]])
+        assert stack.gen_exp.tolist() == [[1, 8]]
+        assert stack.comm.tolist() == [[[0, 1], [0, 0]]]
+        with pytest.raises(ValueError):
+            ClassTwoStack(gens, mod, [[1, 2, 3]], np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("mod", MODULI, ids=lambda m: f"q{m.q}")
+    def test_defects_are_difference_relators(self, mod):
+        gens = GeneratorSet(("a", "b", "c"))
+        for _ in range(10):
+            e = ClassTwoEndo([random_element(gens, mod) for _ in range(3)])
+            signs = [rng.choice((1, -1)) for _ in range(3)]
+            want = [
+                ClassTwoElement.generator(gens, mod, i) ** -s * e.images[i]
+                for i, s in enumerate(signs)
+            ]
+            assert list(e.defects(signs)) == want
+            assert list(e.defects()) == [
+                ClassTwoElement.generator(gens, mod, i).inverse() * e.images[i] for i in range(3)
+            ]
+
+    def test_central_sqrt_of_a_stack(self):
+        mod = Modulus(5, 2)
+        gens = demushkin_generators(2)
+        central = [random_element(gens, mod) ** mod.q for _ in range(4)]
+        roots = central_sqrt(ClassTwoStack.of(gens, mod, central))
+        assert list(roots) == [central_sqrt(c) for c in central]
+        assert all(r * r == c for r, c in zip(roots, central))
+
+    def test_truncated_quotient_takes_a_stack(self):
+        mod = Modulus(3, 1)
+        gens = demushkin_generators(2)
+        w = parse_word("x0^3 [x0,g] [x1,x2]", gens, mod)
+        tq = TruncatedQuotient(gens, mod, [w])
+        els = [w, w ** 2, random_element(gens, mod), ClassTwoElement.identity(gens, mod)]
+        stack = ClassTwoStack.of(gens, mod, els)
+        assert tq.are_trivial(stack).tolist() == tq.are_trivial(els).tolist()
+        assert tq.are_trivial(stack)[[0, 1, 3]].all()

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from demuskin import cli
 from demuskin.cli import main
 
 
@@ -71,6 +72,51 @@ class TestDeterminism:
         code2, text2 = run_inproc(tmp_path, "preset", "--p", "5")
         assert code1 == code2 == 0
         assert text1 == text2
+
+
+class TestParserReuse:
+    def test_consecutive_calls_give_identical_reports(self, capsys):
+        argv = ["quotient", "--p", "3", "--n", "4", "--signature", "1", "1", "--format", "text"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert cli._parser() is cli._parser()
+
+    def test_unknown_flag_still_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["present", "--no-such-flag"])
+        assert exc.value.code == 2
+        # the shared parser is still usable after the error
+        assert main(["present", "--p", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["all_pass"]
+
+
+class TestModulusBound:
+    @pytest.mark.parametrize("f", [20, 40])
+    def test_q_squared_beyond_int64_is_rejected(self, capsys, f):
+        assert main(["present", "--p", "3", "--f", str(f)]) == 2
+        assert "does not fit in int64" in capsys.readouterr().err
+
+    def test_largest_accepted_exponent(self, capsys):
+        assert main(["present", "--p", "3", "--f", "19"]) == 0
+
+
+class TestLargeModulusVerify:
+    """g -> g, x0 -> x0^-1, x1 -> x2^-1, x2 -> x1^-1 is not diagonal, so
+    its coinvariants go through a basis change inverted mod q^2."""
+
+    @pytest.mark.parametrize("f", [1, 12, 19])
+    def test_swap_involution_passes(self, tmp_path, f):
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps({"p": 3, "f": f, "n": 2}))
+        act = tmp_path / "act.json"
+        act.write_text(json.dumps({"images": {"g": "g", "x0": "x0^-1", "x1": "x2^-1", "x2": "x1^-1"}}))
+        code, text = run_inproc(tmp_path, "verify", "--presentation", str(pres), "--action", str(act))
+        report = json.loads(text)
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == []
+        assert code == 0
+        assert report["results"]["coinvariants"] == {"kind": "free", "rank": 2}
 
 
 class TestPreset:

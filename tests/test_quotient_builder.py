@@ -6,15 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demuskin import demushkin_core, quotient_builder
+from demuskin import class2_words, demushkin_core, quotient_builder
 from demuskin.class2_words import (
+    ClassTwoElement,
     ClassTwoEndo,
+    GeneratorSet,
+    TruncatedQuotient,
+    central_sqrt,
     commutator,
     compose,
     demushkin_generators,
     invert_auto,
+    quotient_kill,
 )
 from demuskin.demushkin_core import (
+    CoinvariantMachine,
     DemushkinPresentation,
     InvolutionAction,
     bockstein_kernel,
@@ -479,6 +485,148 @@ class TestIdentityFrames:
         assert uniqueness_check(pres, act, reframed(cert, inner))
         assert not uniqueness_check(pres, act, reframed(cert, shear))
         assert len(inversions) == 2
+
+
+def uniqueness_reference(pres, act, cert) -> bool:
+    """uniqueness_check as it was before candidates were stacked: every
+    candidate is its own element, mapped and tested one at a time."""
+    machine = CoinvariantMachine(pres, act)
+    coinv_span = TruncatedQuotient(
+        machine.small_gens,
+        pres.mod,
+        list(machine.central_relators)
+        + ([machine.relator_image] if not machine.relator_image.is_identity else []),
+    )
+    tau = cert.basis_change
+    killed = list(cert.killed)
+    tau_inv = invert_auto(tau)
+
+    def kill_image(u):
+        return quotient_kill(killed, tau_inv(u))
+
+    kill_rel = kill_image(pres.relator)
+    kill_span = TruncatedQuotient(
+        GeneratorSet(cert.kept), pres.mod, [kill_rel] if not kill_rel.is_identity else []
+    )
+    gens = [ClassTwoElement.generator(pres.gens, pres.mod, i) for i in range(pres.d)]
+    coinv_generators = [pres.relator]
+    for i, g in enumerate(gens):
+        r = g.inverse() * act.endo.images[i]
+        coinv_generators.append(r)
+        coinv_generators.extend(commutator(r, h) for h in gens)
+    kill_generators = [pres.relator]
+    for lab in killed:
+        ke = tau.images[pres.gens.index(lab)]
+        kill_generators.append(ke)
+        kill_generators.extend(commutator(ke, h) for h in tau.images)
+    return all(coinv_span.is_trivial(machine.project(u)) for u in kill_generators) and all(
+        kill_span.is_trivial(kill_image(u)) for u in coinv_generators
+    )
+
+
+def machine_reference(pres, act):
+    """The substitution images and central relators of CoinvariantMachine
+    on a diagonal action, built one generator at a time."""
+    signs = np.diag(act.endo.linear_matrix) == 1
+    elim = [i for i, s in enumerate(signs) if not s]
+    images, relators = [], []
+    for i, fixed in enumerate(signs):
+        g = ClassTwoElement.generator(pres.gens, pres.mod, i)
+        if fixed:
+            images.append(g)
+            continue
+        b = g * act.endo.images[i]
+        ge, cm = b.gen_exp.copy(), b.comm.copy()
+        ge[elim] = 0
+        cm[elim, :] = 0
+        cm[:, elim] = 0
+        images.append(central_sqrt(ClassTwoElement(pres.gens, pres.mod, ge, cm)))
+    subst = ClassTwoEndo(images)
+    for i in np.flatnonzero(signs):
+        g = ClassTwoElement.generator(pres.gens, pres.mod, int(i))
+        img = quotient_kill(elim, subst(g.inverse() * act.endo.images[i]))
+        if not img.is_identity:
+            relators.append(img)
+    return subst, relators
+
+
+STACKED_CELLS = [(n, Modulus.from_q(q)) for n in (2, 4, 6, 8) for q in (3, 9, 25)]
+
+
+class TestStackedUniqueness:
+    """The stacked uniqueness_check agrees with the per-element one."""
+
+    @pytest.mark.parametrize("n, mod", STACKED_CELLS, ids=lambda c: str(getattr(c, "q", c)))
+    def test_agrees_with_the_per_element_check(self, n, mod):
+        pres, act = standard_setup(n, mod)
+        cert = free_quotient(pres, act, build_V(pres, act, Signature(n // 2, 0)))
+        gens = ClassTwoEndo.identity(pres.gens, mod).images
+        h = pres.element("g x1^2 x2")
+        inner = ClassTwoEndo(y * commutator(y, h) for y in gens)
+        shear = ClassTwoEndo(gens[:1] + (gens[1] * pres.element("[g,x2]"),) + gens[2:])
+        results = []
+        for tau in (cert.basis_change, inner, shear):
+            framed = reframed(cert, tau)
+            results.append(uniqueness_check(pres, act, framed))
+            assert results[-1] == uniqueness_reference(pres, act, framed)
+        assert results == [True, True, False]
+
+    @pytest.mark.parametrize("n, mod", STACKED_CELLS[::3] + [(2, Modulus(5, 1))], ids=str)
+    def test_machine_matches_the_per_generator_build(self, n, mod):
+        pres, _ = standard_setup(n, mod)
+        # a central perturbation of every image, squared away by lift_involution
+        signs = demushkin_core.standard_sign_pattern(n)
+        pert = ClassTwoEndo(
+            ClassTwoElement.generator(pres.gens, mod, i) ** int(s) * pres.element(f"[g,x0]^{i + 1}")
+            for i, s in enumerate(signs)
+        )
+        lin = np.diag(signs) % mod.q
+        for act in (standard_involution(pres), demushkin_core.lift_involution(pres, lin, pert)):
+            machine = CoinvariantMachine(pres, act)
+            subst, relators = machine_reference(pres, act)
+            assert machine.subst == subst
+            assert machine.central_relators == relators
+
+    @pytest.mark.parametrize("n", [2, 6, 12])
+    def test_no_element_per_candidate(self, monkeypatch, n):
+        pres, act = standard_setup(n, Modulus(3, 2))
+        cert = free_quotient(pres, act, build_V(pres, act, Signature(n // 2, 0)))
+        builds = []
+        real = class2_words.ClassTwoElement.__init__
+
+        def counting(self, *args):
+            builds.append(1)
+            real(self, *args)
+
+        monkeypatch.setattr(class2_words.ClassTwoElement, "__init__", counting)
+        assert uniqueness_check(pres, act, cert)
+        d = pres.d
+        candidates = (1 + d + d * d) + (1 + len(cert.killed) * (1 + d))
+        # the d substitution images, the relator's images on both sides and
+        # the standard relator the frame is checked against, whatever the
+        # number of candidates
+        assert len(builds) <= d + 4 < candidates
+
+
+class TestLargeModulusFrame:
+    @pytest.mark.parametrize("f", [1, 12, 19])
+    def test_mixed_V_is_certified(self, f):
+        # g*, a x2* + b x4* and c x1* + e x3* with e = -ac/b, so that
+        # <a x2 + b x4, c x1 + e x3> = 0; the x_i dual sits at index i + 1
+        mod = Modulus(3, f)
+        q = mod.q
+        pres, act = standard_setup(4, mod)
+        a, b, c = 2, 5, 7
+        rows = np.zeros((3, 6), dtype=np.int64)
+        rows[0, 0] = 1
+        rows[1, [3, 5]] = a, b
+        rows[2, [2, 4]] = c, (-a * c * pow(b, -1, q)) % q
+        V = Submodule(rows, 6, q)
+        iso = validate_V(pres, act, V)
+        assert iso.ok
+        cert = free_quotient(pres, act, iso)
+        assert cert.all_green and cert.V_realized == V
+        assert signature_of(cert, act) == Signature(1, 1)
 
 
 class TestFactoringCheck:

@@ -507,3 +507,72 @@ class TestJson:
     def test_matrix_round_trip(self):
         a = random_matrix(2, 3, 9)
         assert ZqMatrix.from_json(a.to_json()) == a
+
+
+# ---------------------------------------------------------------------------
+# exactness at large moduli: int64 while m^2 fits, Python ints beyond
+# ---------------------------------------------------------------------------
+
+LARGE_MODULI = [3**19, 3**20, 3**24, 4294967291]  # the last is a prime near 2^32
+
+
+def int_matmul(a, b, m):
+    """Python-int reference product mod m."""
+    a, b = [[int(x) for x in row] for row in a], [[int(x) for x in row] for row in b]
+    return [[sum(x * y for x, y in zip(row, col)) % m for col in zip(*b)] for row in a]
+
+
+@st.composite
+def invertible_mod(draw):
+    """(I + p R) U over Z/m, with U unit upper triangular: always invertible,
+    with entries spread over all of [0, m)."""
+    m = draw(st.sampled_from(LARGE_MODULI))
+    p = 3 if m % 3 == 0 else m
+    k = draw(st.integers(1, 5))
+    entry = st.integers(0, m - 1)
+    r = [[draw(entry) for _ in range(k)] for _ in range(k)]
+    u = [[1 if i == j else (draw(entry) if j > i else 0) for j in range(k)] for i in range(k)]
+    left = [[(int(i == j) + p * r[i][j]) % m for j in range(k)] for i in range(k)]
+    return int_matmul(left, u, m), m
+
+
+class TestLargeModuli:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(invertible_mod())
+    def test_inverse_is_exact(self, case):
+        a, m = case
+        inv = inv_mod(ZqMatrix(a, m)).array
+        k = len(a)
+        eye = [[int(i == j) for j in range(k)] for i in range(k)]
+        assert int_matmul(a, inv, m) == eye
+        assert int_matmul(inv, a, m) == eye
+
+    @pytest.mark.parametrize("m", LARGE_MODULI)
+    def test_howell_span_and_kernel(self, m):
+        r = random.Random(m)
+        rows = [[r.randrange(m) for _ in range(4)] for _ in range(3)]
+        sub = Submodule(rows, 4, m)
+        for row in rows:
+            assert sub.contains(row)
+        combo = [sum(c * x for c, x in zip((5, m - 7, 11), col)) % m for col in zip(*rows)]
+        assert sub.contains(combo)
+        ker = kernel(ZqMatrix(rows, m))
+        for v in ker.basis:
+            assert int_matmul([v], [list(c) for c in zip(*rows)], m) == [[0, 0, 0]]
+
+    def test_modulus_keeps_q_squared_in_int64(self):
+        assert Modulus(3, 19).q2 < 2**63 and Modulus(2247483659, 1).q2 < 2**63
+        with pytest.raises(ValueError, match="int64"):
+            Modulus(3, 20)
+
+    @pytest.mark.parametrize("m", LARGE_MODULI)
+    def test_pairing_and_rank_are_exact(self, m):
+        r = random.Random(m + 1)
+        gram = [[r.randrange(m) for _ in range(4)] for _ in range(4)]
+        u, v = [r.randrange(m) for _ in range(4)], [r.randrange(m) for _ in range(4)]
+        form = BilinearForm(ZqMatrix(gram, m))
+        assert form.pair(u, v) == int_matmul(int_matmul([u], gram, m), [[x] for x in v], m)[0][0]
+        # the standard symplectic form stays nondegenerate whatever the size
+        # of its entries
+        w = [[0, 1, 0, 0], [m - 1, 0, 0, 0], [0, 0, 0, m - 1], [0, 0, 1, 0]]
+        assert BilinearForm(ZqMatrix(w, m), ANTISYMMETRIC).is_nondegenerate()
