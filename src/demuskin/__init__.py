@@ -63,6 +63,7 @@ from demuskin.quotient_builder import (
 from demuskin.zq_linalg import (
     BilinearForm,
     Modulus,
+    OracleGuardError,
     Submodule,
     ZqMatrix,
     eigen_split,

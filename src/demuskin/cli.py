@@ -38,6 +38,7 @@ from demuskin.quotient_builder import (
 )
 from demuskin.zq_linalg import (
     Modulus,
+    OracleGuardError,
     Submodule,
     isotropic_free_submodules,
     max_isotropic_oracle,
@@ -376,11 +377,10 @@ def cmd_oracle(args) -> dict:
     d = pres.d
     try:
         full_max = max_isotropic_oracle(coh.cup, Submodule.full(d, pres.mod.q))
-        in_kernel = isotropic_free_submodules(coh.cup, kerb)
-    except ValueError as exc:
+        kerb_max = max_isotropic_oracle(coh.cup, kerb)
+    except OracleGuardError as exc:
         raise InputError(str(exc)) from None
-    kerb_max = in_kernel[-1].rank
-    maximal = [sub for sub in in_kernel if sub.rank == kerb_max]
+    maximal = isotropic_free_submodules(coh.cup, kerb, rank=kerb_max)
     line = gamma_line(pres)
     contain = all(sub.contains_submodule(line) for sub in maximal)
     expected = pres.n // 2 + 1

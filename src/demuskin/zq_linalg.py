@@ -21,17 +21,11 @@ NO_SYMMETRY = "none"
 # Exhaustive search guards for the isotropic-submodule oracle.
 ORACLE_MAX_DIM = 6
 ORACLE_MAX_MOD = 9
+_GRID_CELLS = 1 << 18  # bounds the node x vector slice a search level holds at once
 
 
 def _is_odd_prime(n: int) -> bool:
-    if n < 3 or n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 2 and n % 2 == 1 and all(n % k for k in range(3, isqrt(n) + 1, 2))
 
 
 @dataclass(frozen=True)
@@ -535,13 +529,51 @@ def eigen_split(action: ZqMatrix) -> tuple[Submodule, Submodule]:
     return plus, minus
 
 
+class OracleGuardError(ValueError):
+    """An exhaustive search asked for outside ORACLE_MAX_DIM and ORACLE_MAX_MOD."""
+
+
 def _oracle_guard(form: BilinearForm):
     if form.dim > ORACLE_MAX_DIM or form.modulus > ORACLE_MAX_MOD:
-        raise ValueError(
+        raise OracleGuardError(
             "exhaustive search limited to ambient rank <= "
             f"{ORACLE_MAX_DIM} and modulus <= {ORACLE_MAX_MOD}; "
             f"got rank {form.dim}, modulus {form.modulus}"
         )
+
+
+def _isotropic_normal_bases(form: BilinearForm, constraint: Submodule, top: int) -> list[np.ndarray]:
+    """Ranks 0..top of the search tree, each a nonempty (N, r, d) array of normal bases."""
+    _oracle_guard(form)
+    if form.dim != constraint.ambient or form.modulus != constraint.modulus:
+        raise ValueError("form and constraint have mismatched dimensions")
+    m, d, gram = form.modulus, form.dim, form.gram.array
+    bit = (1 << np.arange(d)).astype(np.min_scalar_type(1 << d))
+    vecs = constraint._span_array()
+    units = vecs % _prime_power_base(m)[0] != 0
+    lead = units & (np.cumsum(units, axis=1) == 1)  # one-hot at the first unit
+    left = (vecs @ gram) % m  # <v, b> = left[v] . b
+    keep = ((vecs * lead).sum(axis=1) == 1) & ((left * vecs).sum(axis=1) % m == 0)
+    vecs, lead_bit, left = vecs[keep], (lead @ bit)[keep], left[keep]
+    support = (vecs != 0) @ bit
+    pairs = np.stack([left, (vecs @ gram.T) % m], axis=1)  # and <b, v> = pairs[v, 1] . b
+    levels = [np.zeros((1, 0, d), dtype=np.int64)]
+    piv = used = np.zeros(1, dtype=bit.dtype)  # each node's pivot and nonzero columns
+    step = max(1, _GRID_CELLS // max(1, len(vecs)))  # nodes per slice of the grid
+    while len(levels) <= top:
+        kids = []
+        for at in (slice(lo, lo + step) for lo in range(0, len(piv), step)):
+            grid = (lead_bit > piv[at, None]) & ((piv[at, None] & support) == 0)
+            ni, vj = np.nonzero(grid & ((used[at, None] & lead_bit) == 0))
+            pairing = np.einsum("krd,ksd->krs", levels[-1][at][ni], pairs[vj]) % m
+            orth = ~pairing.any(axis=(1, 2))
+            kids.append((ni[orth] + at.start, vj[orth]))
+        ni, vj = (np.concatenate(x) for x in zip(*kids))
+        if not len(ni):
+            break
+        levels.append(np.concatenate([levels[-1][ni], vecs[vj, None]], axis=1))
+        piv, used = piv[ni] | lead_bit[vj], used[ni] | support[vj]
+    return levels
 
 
 def isotropic_free_submodules(
@@ -549,62 +581,28 @@ def isotropic_free_submodules(
 ) -> list[Submodule]:
     """Every free totally isotropic submodule of `constraint`, rank by rank.
 
-    Exhaustive search, one rank at a time from the zero submodule.  A node S
-    (free and totally isotropic) is extended by the isotropic vectors v of
-    `constraint` with <S, v> = <v, S> = 0 whose reduction mod p lies outside
-    S mod p.  Those are exactly the v for which S + <v> is free of rank
-    rank(S) + 1: a free submodule is a direct summand, so its rank is the
-    dimension of its reduction mod p.  Every free rank-(r+1) isotropic
-    submodule contains a free rank-r one, so nothing is missed.  After a
-    child is built, the node's remaining candidates that it contains are
-    dropped, since they give the same child; children reached from several
-    nodes are merged by their Howell form.
+    The search is a tree in which each submodule T has one parent, spanned
+    by all but the last row of T's normal basis B: B[:, P] = I for the pivot
+    set P of T mod p, with pZ entries before each row's pivot (canonical
+    augmentation, McKay, J. Algorithms 26, 1998).  A node S grows by each
+    isotropic v in `constraint` whose first unit entry is a 1 at
+    lead(v) > max P, with v[P] = 0, S[:, lead(v)] = 0 and <S, v> = <v, S> = 0.
+    Column conditions are bit masks on the node x vector grid; only the pairs
+    that pass them are paired.  Nothing is built twice, and Submodules
+    (Howell forms) are built only for the ranks returned.
 
-    The result starts with the zero submodule, then every rank-1 submodule,
-    then rank 2, and so on; within a rank the order is deterministic.  With
-    `rank` given, only the submodules of that rank are returned.  The search
-    visits every such submodule, so it is guarded to small instances.
+    The result starts with the zero submodule, then rank 1, rank 2, and so
+    on, in a deterministic order within a rank; with `rank` given, only that
+    rank.  The search visits every submodule, so OracleGuardError guards it
+    beyond ORACLE_MAX_DIM and ORACLE_MAX_MOD.
     """
-    _oracle_guard(form)
-    if form.dim != constraint.ambient or form.modulus != constraint.modulus:
-        raise ValueError("form and constraint have mismatched dimensions")
-    m = form.modulus
-    d = form.dim
-    p, _ = _prime_power_base(m)
-    gram = form.gram.array
-    vecs = constraint._span_array()
-    vecs = vecs[((vecs @ gram) * vecs).sum(axis=1) % m == 0]
-    left = (vecs @ gram) % m  # <v, b> = left[v] . b
-    right = (vecs @ gram.T) % m  # <b, v> = right[v] . b
-    levels = [[Submodule.zero(d, m)]]
-    top = d if rank is None else rank
-    while len(levels) <= top and levels[-1]:
-        seen = set()
-        children = []
-        for sub in levels[-1]:
-            cand = vecs
-            if sub.ngens:
-                ortho = ~((left @ sub.basis.T) % m).any(axis=1)
-                ortho &= ~((right @ sub.basis.T) % m).any(axis=1)
-                cand = vecs[ortho]
-            cand = cand[Submodule(sub.basis, d, p)._residues(cand).any(axis=1)]
-            while len(cand):
-                child = Submodule(np.vstack([sub.basis, cand[:1]]), d, m)
-                cand = cand[1:][child._residues(cand[1:]).any(axis=1)]
-                key = child.basis.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    children.append(child)
-        levels.append(children)
+    levels = _isotropic_normal_bases(form, constraint, form.dim if rank is None else rank)
     if rank is not None:
-        return levels[rank] if 0 <= rank < len(levels) else []
-    return [sub for level in levels for sub in level]
+        levels = levels[rank : rank + 1] if rank >= 0 else []
+    return [Submodule(basis, form.dim, form.modulus) for level in levels for basis in level]
 
 
 def max_isotropic_oracle(form: BilinearForm, constraint: Submodule) -> int:
-    """Maximum rank of a free totally isotropic submodule inside `constraint`.
-
-    The rank of the last submodule `isotropic_free_submodules` returns (it
-    lists them rank by rank); raises when the instance exceeds the guard.
-    """
-    return isotropic_free_submodules(form, constraint)[-1].rank
+    """Maximum rank of a free totally isotropic submodule inside `constraint`: the
+    depth of the search tree, with no Submodule built.  Guarded like the search."""
+    return len(_isotropic_normal_bases(form, constraint, form.dim)) - 1

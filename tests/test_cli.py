@@ -276,6 +276,34 @@ class TestSymmetrizeCommand:
         assert report["results"]["relator"] == "x0^3 [x0,g] [x2,x1]^2"
 
 
+class TestOracleCommand:
+    def test_guard_is_two(self):
+        proc = run_cli("oracle", "--p", "3", "--f", "3", "--n", "0")
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: exhaustive search limited to ambient rank <= 6 and modulus <= 9; "
+            "got rank 2, modulus 27\n"
+        )
+
+    def test_fault_in_search_is_not_an_input_error(self, monkeypatch):
+        def broken(form, constraint):
+            raise ValueError("fault inside the search")
+
+        monkeypatch.setattr(cli, "max_isotropic_oracle", broken)
+        with pytest.raises(ValueError, match="fault inside the search"):
+            main(["oracle", "--p", "3", "--n", "0"])
+
+    @pytest.mark.parametrize("p,f,n,count", [(7, 1, 2, 8), (3, 2, 2, 12), (3, 1, 4, 40)])
+    def test_largest_cells(self, tmp_path, p, f, n, count):
+        code, text = run_inproc(tmp_path, "oracle", "--p", str(p), "--f", str(f), "--n", str(n))
+        assert code == 0
+        assert json.loads(text)["results"] == {
+            "max_isotropic_rank": n // 2 + 1,
+            "max_isotropic_rank_in_bockstein_kernel": n // 2 + 1,
+            "maximal_count_in_bockstein_kernel": count,
+        }
+
+
 class TestInvolutionCommand:
     def test_standard_involution_report(self, tmp_path):
         code, text = run_inproc(tmp_path, "involution", "--p", "5", "--n", "4")

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -386,7 +386,7 @@ def standard_cup(p, f, n):
 class TestOracleClosedForms:
     """Counts of the search against closed forms on standard presentations."""
 
-    @pytest.mark.parametrize("p,f,n", [(3, 1, 2), (5, 1, 2), (7, 1, 2)])
+    @pytest.mark.parametrize("p,f,n", [(3, 1, 2), (5, 1, 2), (7, 1, 2), (3, 2, 2), (3, 1, 4)])
     def test_full_module_counts(self, p, f, n):
         pres, cup = standard_cup(p, f, n)
         q, d, g = p**f, pres.d, n // 2 + 1
@@ -489,18 +489,30 @@ def forms_and_constraints(draw):
     return BilinearForm(ZqMatrix(a, m), tag), Submodule(rows, d, m)
 
 
+def assert_matches_reference(form, constraint):
+    got = isotropic_free_submodules(form, constraint)
+    want = reference_isotropic_free_submodules(form, constraint)
+    keys = [s.basis.tobytes() for s in got]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == {s.basis.tobytes() for s in want}
+    ranks = [s.rank for s in got]
+    assert ranks == sorted(ranks)
+
+
 class TestOracleAgainstReference:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(forms_and_constraints())
     def test_same_submodules(self, case):
-        form, constraint = case
-        got = isotropic_free_submodules(form, constraint)
-        want = reference_isotropic_free_submodules(form, constraint)
-        keys = [s.basis.tobytes() for s in got]
-        assert len(set(keys)) == len(keys)
-        assert set(keys) == {s.basis.tobytes() for s in want}
-        ranks = [s.rank for s in got]
-        assert ranks == sorted(ranks)
+        assert_matches_reference(*case)
+
+    @pytest.mark.parametrize("p,f,n", [(3, 1, 0), (5, 1, 0), (7, 1, 0), (3, 2, 0), (3, 1, 2)])
+    @pytest.mark.parametrize("where", ["full", "bockstein_kernel"])
+    def test_standard_cells(self, p, f, n, where):
+        pres, cup = standard_cup(p, f, n)
+        if where == "full":
+            assert_matches_reference(cup, Submodule.full(pres.d, p**f))
+        else:
+            assert_matches_reference(cup, bockstein_kernel(pres))
 
 
 class TestJson:
@@ -559,6 +571,29 @@ class TestLargeModuli:
         ker = kernel(ZqMatrix(rows, m))
         for v in ker.basis:
             assert int_matmul([v], [list(c) for c in zip(*rows)], m) == [[0, 0, 0]]
+
+    @pytest.mark.parametrize("m", LARGE_MODULI)
+    def test_kernel_size_matches_smith_form(self, m):
+        # |ker| over Z/m is prod gcd(d_i, m) over the columns, d_i the Smith
+        # invariants of the integer matrix (0 past its rank)
+        from sympy import ZZ, Matrix
+        from sympy.matrices.normalforms import smith_normal_form
+
+        r = random.Random(m + 2)
+        p = 3 if m % 3 == 0 else m
+        e = 20 if p == 3 else 1  # some invariants fall beyond the modulus
+        for rows, cols in [(3, 4), (4, 3), (4, 4), (5, 5)]:
+            left = [[r.randrange(m) for _ in range(rows)] for _ in range(rows)]
+            right = [[r.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
+            scale = [r.choice([0, 1, p ** r.randrange(e + 6)]) for _ in range(rows)]
+            a = [[sum(left[i][k] * scale[k] * right[k][j] for k in range(rows)) for j in range(cols)]
+                 for i in range(rows)]
+            snf = smith_normal_form(Matrix(a), domain=ZZ)
+            invariants = [int(snf[i, i]) for i in range(min(rows, cols))]
+            invariants += [0] * (cols - len(invariants))
+            ker = kernel(ZqMatrix([[x % m for x in row] for row in a], m))
+            size = prod(m // int(row[np.nonzero(row)[0][0]]) for row in ker.basis)
+            assert size == prod(gcd(d, m) for d in invariants)
 
     def test_modulus_keeps_q_squared_in_int64(self):
         assert Modulus(3, 19).q2 < 2**63 and Modulus(2247483659, 1).q2 < 2**63
