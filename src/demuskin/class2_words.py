@@ -288,22 +288,20 @@ def central_sqrt(c):
 
 
 class ClassTwoEndo:
-    """Endomorphism of F/F^3 given by generator images."""
+    """Endomorphism of F/F^3 given by generator images, kept as one
+    ClassTwoStack whose row i is the image of g_i."""
 
     __slots__ = ("gens", "mod", "images")
 
     def __init__(self, images):
-        images = tuple(images)  # a ClassTwoStack gives its rows
-        if not images:
-            raise ValueError("need at least one image")
-        first = images[0]
-        for im in images:
-            _check_same_group(first, im)
-        if len(images) != first.gens.d:
+        if not isinstance(images, ClassTwoStack):
+            images = list(images)
+            if not images:
+                raise ValueError("need at least one image")
+            images = ClassTwoStack.of(images[0].gens, images[0].mod, images)
+        if len(images) != images.gens.d:
             raise ValueError("need one image per generator")
-        self.gens = first.gens
-        self.mod = first.mod
-        self.images = images
+        self.gens, self.mod, self.images = images.gens, images.mod, images
 
     @classmethod
     def identity(cls, gens: GeneratorSet, mod: Modulus) -> "ClassTwoEndo":
@@ -312,16 +310,7 @@ class ClassTwoEndo:
     @property
     def linear_matrix(self) -> np.ndarray:
         """Row i = gen_exp of the image of g_i, reduced mod q."""
-        return np.array([im.gen_exp % self.mod.q for im in self.images])
-
-    @property
-    def linear_matrix_q2(self) -> np.ndarray:
-        return np.array([im.gen_exp for im in self.images])
-
-    def image_stack(self) -> ClassTwoStack:
-        """The images as one stack, built on each call and not kept."""
-        ge = np.array([im.gen_exp for im in self.images])
-        return ClassTwoStack._normal(self.gens, self.mod, ge, np.array([im.comm for im in self.images]))
+        return self.images.gen_exp % self.mod.q
 
     def __call__(self, u):
         """prod_i y_i^(a_i) . prod_(i<j) [y_j, y_i]^(c_ij) for images y_i = (L_i, M_i).
@@ -336,7 +325,7 @@ class ClassTwoEndo:
         if u.gens != self.gens or u.mod != self.mod:
             raise ValueError("element and endomorphism have different domains")
         q, d = self.mod.q, self.gens.d
-        images = self.image_stack()
+        images = self.images
         a = u.gen_exp.reshape(-1, d)
         c = u.comm.reshape(-1, d, d)
         a1, lin1 = a % q, images.gen_exp % q
@@ -365,7 +354,7 @@ class ClassTwoEndo:
         (L_i - s_i e_i, M_i + triu(L_i (x) (-s_i e_i)))."""
         d = self.gens.d
         s = np.ones(d, dtype=np.int64) if signs is None else np.asarray(signs, dtype=np.int64)
-        images = self.image_stack()
+        images = self.images
         lead = -np.diag(s)
         cross = (images.gen_exp % self.mod.q)[:, :, None] * lead[:, None, :]
         return ClassTwoStack(self.gens, self.mod, images.gen_exp + lead, images.comm + cross)
@@ -375,25 +364,21 @@ class ClassTwoEndo:
             isinstance(other, ClassTwoEndo)
             and self.gens == other.gens
             and self.mod == other.mod
-            and self.images == other.images
+            and np.array_equal(self.images.gen_exp, other.images.gen_exp)
+            and np.array_equal(self.images.comm, other.images.comm)
         )
 
     def __hash__(self):
-        return hash((self.gens, self.mod, self.images))
+        return hash((self.gens, self.mod, self.images.gen_exp.tobytes(), self.images.comm.tobytes()))
 
     def __repr__(self):
-        body = ", ".join(
-            f"{lab} -> {format_word(im)}" for lab, im in zip(self.gens.labels, self.images)
-        )
+        body = ", ".join(f"{lab} -> {word}" for lab, word in self.to_json()["images"].items())
         return f"ClassTwoEndo({body})"
 
     def to_json(self) -> dict:
-        return {
-            "images": {
-                lab: format_word(im)
-                for lab, im in zip(self.gens.labels, self.images)
-            }
-        }
+        labels = self.gens.labels
+        rows = zip(labels, self.images.gen_exp, self.images.comm)
+        return {"images": {lab: _format_exponents(labels, ge, cm) for lab, ge, cm in rows}}
 
     @classmethod
     def from_json(cls, data: dict, gens: GeneratorSet, mod: Modulus) -> "ClassTwoEndo":
@@ -409,7 +394,7 @@ def compose(e1: ClassTwoEndo, e2: ClassTwoEndo) -> ClassTwoEndo:
     """The endomorphism u -> e1(e2(u)): e1 maps e2's image stack in one pass."""
     if e1.gens != e2.gens or e1.mod != e2.mod:
         raise ValueError("endomorphisms have different domains")
-    return ClassTwoEndo(e1(e2.image_stack()))
+    return ClassTwoEndo(e1(e2.images))
 
 
 def endo_power(e: ClassTwoEndo, k: int) -> ClassTwoEndo:
@@ -432,7 +417,7 @@ def invert_auto(e: ClassTwoEndo) -> ClassTwoEndo:
     defect: the composite e . f0 fixes every generator up to an element of
     F^2/F^3, and such a map is undone by dividing the defects back out.
     """
-    m = ZqMatrix(e.linear_matrix_q2, e.mod.q2)
+    m = ZqMatrix(e.images.gen_exp, e.mod.q2)
     try:
         minv = inv_mod(m).array
     except ValueError:
@@ -527,7 +512,7 @@ class TruncatedQuotient:
 # commutator, parentheses group, "1" is the identity
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_]\w*)|(?P<int>-?\d+)|(?P<sym>[\[\],()^]))")
+_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_]\w*)|(?P<int>-?\d+)|(?P<sym>[\[\],()^])|\Z)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -535,24 +520,26 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
+        if not m:
             raise ValueError(f"cannot tokenize word at {text[pos:]!r}")
-        if m.group("name"):
-            tokens.append(("name", m.group("name")))
-        elif m.group("int"):
-            tokens.append(("int", m.group("int")))
-        elif m.group("sym"):
-            tokens.append(("sym", m.group("sym")))
+        if m.lastgroup:  # None for the whitespace that ends the word
+            tokens.append((m.lastgroup, m.group(m.lastgroup)))
         pos = m.end()
     return tokens
 
 
 class _WordParser:
+    """Recursive descent that folds each (sub)word into exponents over
+    Python ints: a dict {i: a_i} mod q^2 and a dict {(i, j): c_ij}, i < j,
+    mod q.  A factor (b, D) joins the word (a, C) by the cocycle
+    (a + b, C + D + triu(b (x) a)), so only the finished word becomes an
+    element, and every modulus is exact without a dtype rule."""
+
     def __init__(self, tokens, gens: GeneratorSet, mod: Modulus):
         self.tokens = tokens
         self.pos = 0
         self.gens = gens
-        self.mod = mod
+        self.q, self.q2 = mod.q, mod.q2
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -569,38 +556,56 @@ class _WordParser:
         if tok != ("sym", sym):
             raise ValueError(f"expected {sym!r}, got {tok}")
 
-    def parse_word(self) -> ClassTwoElement:
-        result = ClassTwoElement.identity(self.gens, self.mod)
+    def cross(self, c: dict, t: int, x: dict, y: dict) -> dict:
+        """c + t triu(x (x) y) mod q, written into c."""
+        for i, xi in x.items():
+            for j, yj in y.items():
+                if i < j:
+                    c[i, j] = (c.get((i, j), 0) + t * xi * yj) % self.q
+        return c
+
+    def parse_word(self):
+        a, c = {}, {}
         while True:
             tok = self.peek()
             if tok is None or tok in (("sym", "]"), ("sym", ")"), ("sym", ",")):
-                return result
-            result = result * self.parse_factor()
+                return a, c
+            b, dc = self.parse_factor()
+            self.cross(c, 1, b, a)
+            for i, bi in b.items():
+                a[i] = (a.get(i, 0) + bi) % self.q2
+            for ij, v in dc.items():
+                c[ij] = (c.get(ij, 0) + v) % self.q
 
-    def parse_factor(self) -> ClassTwoElement:
+    def parse_factor(self):
         atom = self.parse_atom()
-        if self.peek() == ("sym", "^"):
-            self.take()
-            kind, val = self.take()
-            if kind != "int":
-                raise ValueError(f"expected integer exponent, got {val!r}")
-            return atom ** int(val)
-        return atom
+        if self.peek() != ("sym", "^"):
+            return atom
+        self.take()
+        kind, val = self.take()
+        if kind != "int":
+            raise ValueError(f"expected integer exponent, got {val!r}")
+        # (a, C)^k = (k a, k C + C(k, 2) triu(a (x) a))
+        k = int(val)
+        a, c = atom
+        c = self.cross({ij: k * v % self.q for ij, v in c.items()}, k * (k - 1) // 2, a, a)
+        return {i: k * ai % self.q2 for i, ai in a.items()}, c
 
-    def parse_atom(self) -> ClassTwoElement:
+    def parse_atom(self):
         kind, val = self.take()
         if kind == "name":
-            return ClassTwoElement.generator(self.gens, self.mod, val)
+            return {self.gens.index(val): 1}, {}
         if kind == "int":
             if val == "1":
-                return ClassTwoElement.identity(self.gens, self.mod)
+                return {}, {}
             raise ValueError(f"unexpected integer {val!r} in word")
         if val == "[":
-            left = self.parse_word()
+            a, _ = self.parse_word()
             self.expect(",")
-            right = self.parse_word()
+            b, _ = self.parse_word()
             self.expect("]")
-            return commutator(left, right)
+            # [u, v] = (0, triu(b (x) a - a (x) b))
+            return {}, self.cross(self.cross({}, 1, b, a), -1, a, b)
         if val == "(":
             inner = self.parse_word()
             self.expect(")")
@@ -610,21 +615,27 @@ class _WordParser:
 
 def parse_word(text: str, gens: GeneratorSet, mod: Modulus) -> ClassTwoElement:
     parser = _WordParser(_tokenize(text), gens, mod)
-    result = parser.parse_word()
+    a, c = parser.parse_word()
     if parser.peek() is not None:
         raise ValueError(f"trailing input in word: {text!r}")
-    return result
+    comm = np.zeros((gens.d, gens.d), dtype=np.int64)
+    for ij, v in c.items():
+        comm[ij] = v
+    return ClassTwoElement(gens, mod, [a.get(i, 0) for i in range(gens.d)], comm)
 
 
 def format_word(el: ClassTwoElement) -> str:
     """Render the normal form; parse_word round-trips it."""
+    return _format_exponents(el.gens.labels, el.gen_exp, el.comm)
+
+
+def _format_exponents(labels, gen_exp, comm) -> str:
     parts = []
-    labels = el.gens.labels
-    for i, a in enumerate(el.gen_exp):
+    for i, a in enumerate(gen_exp):
         if a:
             parts.append(labels[i] if a == 1 else f"{labels[i]}^{int(a)}")
-    for i, j in zip(*np.nonzero(el.comm)):
-        c = int(el.comm[i, j])
+    for i, j in zip(*np.nonzero(comm)):
+        c = int(comm[i, j])
         base = f"[{labels[j]},{labels[i]}]"
         parts.append(base if c == 1 else f"{base}^{c}")
     return " ".join(parts) if parts else "1"

@@ -247,10 +247,7 @@ def cmd_symmetrize(args) -> dict:
     results = {
         "basis_change": basis.to_json()["images"],
         "relator": format_word(relator),
-        "clean_action": {
-            lab: format_word(im)
-            for lab, im in zip(pres.gens.labels, clean_endo.images)
-        },
+        "clean_action": clean_endo.to_json()["images"],
     }
     checks.append(_check("clean_diagonal_action", True))
     checks.append(

@@ -378,7 +378,7 @@ def is_clean_diagonal(endo: ClassTwoEndo, signs) -> bool:
     """Whether endo maps each g_i to exactly g_i^(signs[i]): its linear part
     is diag(signs) mod q^2 and no image has a commutator part."""
     diag = np.diag(np.asarray(signs, dtype=np.int64)) % endo.mod.q2
-    return np.array_equal(endo.linear_matrix_q2, diag) and not any(im.comm.any() for im in endo.images)
+    return np.array_equal(endo.images.gen_exp, diag) and not endo.images.comm.any()
 
 
 def _diagonal_signs(action: InvolutionAction) -> np.ndarray | None:
@@ -445,7 +445,7 @@ def transform_presentation(
     new_relator = basis_inv(pres.relator)
     # chi is multiplicative and kills F^2, so it transforms through the
     # linear part of the basis change
-    t = basis.linear_matrix_q2
+    t = basis.images.gen_exp
     q2 = pres.mod.q2
     new_vals = []
     for i in range(pres.d):

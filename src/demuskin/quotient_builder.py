@@ -34,7 +34,6 @@ from demuskin.class2_words import (
     ClassTwoStack,
     GeneratorSet,
     TruncatedQuotient,
-    commutator,
     compose,
     invert_auto,
     quotient_kill,
@@ -448,11 +447,9 @@ def free_quotient(
     kept = [labels[i] for i in kept_idx]
     killed = [lab for i, lab in enumerate(labels) if i not in kept_idx]
     flags["relator_contained"] = quotient_kill(killed, relator).is_identity if kept else True
-    flags["delta_invariant_kill"] = not any(
-        (clean.images[s].gen_exp[kept_idx] % pres.mod.q2).any()
-        or clean.images[s].comm[np.ix_(kept_idx, kept_idx)].any()
-        for s in range(pres.d)
-        if s not in kept_idx
+    dropped = clean.images[[pres.gens.index(lab) for lab in killed]]
+    flags["delta_invariant_kill"] = not (
+        dropped.gen_exp[:, kept_idx].any() or dropped.comm[:, kept_idx][:, :, kept_idx].any()
     )
     # kept generators project onto the quotient mod squares by construction
     flags["surjective_mod_F2"] = True
@@ -497,10 +494,9 @@ def uniqueness_check(
     class-2 quotient; equality certifies the trivial-signature quotient is
     the maximal one with trivial action.
 
-    Each kernel is the normal closure of a few generators: the relator, the
-    difference relators g_i^-1 sigma(g_i) and their commutators with every
-    g_h on one side; the relator, the killed tau(g_k) and their commutators
-    with every tau(g_h) on the other.  Each side's candidates are mapped
+    Each kernel is the normal closure of a few generators: the relator and
+    the difference relators g_i^-1 sigma(g_i) on one side; the relator and
+    the killed tau(g_k) on the other.  Each side's candidates are mapped
     into the other quotient as one stack and tested there with one Howell
     reduction."""
     if not cert.all_green:
@@ -539,25 +535,20 @@ def uniqueness_check(
     )
 
     diffs = action.endo.defects()
-    gens = ClassTwoStack.generators(pres.gens, pres.mod)
     # tau(g_i) is the i-th image of tau
-    images = tau.image_stack()
-    kills = images[[pres.gens.index(lab) for lab in killed]]
+    kills = tau.images[[pres.gens.index(lab) for lab in killed]]
     return bool(
-        coinv_span.are_trivial(_closure_images(machine.project, pres.relator, kills, images)).all()
-        and kill_span.are_trivial(_closure_images(kill_image, pres.relator, diffs, gens)).all()
+        coinv_span.are_trivial(_closure_images(machine.project, pres.relator, kills)).all()
+        and kill_span.are_trivial(_closure_images(kill_image, pres.relator, diffs)).all()
     )
 
 
-def _closure_images(hom, relator, bases: ClassTwoStack, partners: ClassTwoStack) -> ClassTwoStack:
-    """The images under the homomorphism `hom` of the relator, of each base
-    b and of every commutator [b, p], b a base and p a partner (b major).
+def _closure_images(hom, relator, bases: ClassTwoStack) -> ClassTwoStack:
+    """The images under the homomorphism `hom` of the relator and of each
+    base, in one stacked pass.
 
-    One stacked pass of `hom` maps the relator, the bases and the partners;
-    the commutators are then formed in the image, as hom [b, p] =
-    [hom b, hom p]."""
-    k = len(bases)
-    image = hom(ClassTwoStack.of(relator.gens, relator.mod, [relator, bases, partners]))
-    return ClassTwoStack.of(
-        image.gens, image.mod, [image[: 1 + k], commutator(image[1 : 1 + k], image[1 + k :])]
-    )
+    They decide whether the normal closure of the relator and the bases
+    dies: both quotients divide by spans of central relators, so a base
+    that dies maps to a central element, and then every conjugate of it
+    and every commutator [b, p] dies as well."""
+    return hom(ClassTwoStack.of(relator.gens, relator.mod, [relator, bases]))

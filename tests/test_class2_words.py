@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -585,6 +586,138 @@ class TestBatchedMembership:
             tq.are_trivial([ClassTwoElement.identity(GeneratorSet(("a", "c")), mod)])
 
 
+# ---------------------------------------------------------------------------
+# the per-factor parser the one-pass fold replaced: every atom, power and
+# product is a normalised element (reference for the fold)
+# ---------------------------------------------------------------------------
+
+_REF_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_]\w*)|(?P<int>-?\d+)|(?P<sym>[\[\],()^]))")
+
+
+def reference_parse(text, gens, mod):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN.match(text, pos)
+        if not m:
+            raise ValueError(f"cannot tokenize word at {text[pos:]!r}")
+        tokens.append((m.lastgroup, m.group(m.lastgroup)))
+        pos = m.end()
+    parser = _ReferenceParser(tokens, gens, mod)
+    result = parser.parse_word()
+    if parser.peek() is not None:
+        raise ValueError(f"trailing input in word: {text!r}")
+    return result
+
+
+class _ReferenceParser:
+    def __init__(self, tokens, gens, mod):
+        self.tokens = tokens
+        self.pos = 0
+        self.gens = gens
+        self.mod = mod
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise ValueError("unexpected end of word")
+        self.pos += 1
+        return tok
+
+    def expect(self, sym):
+        tok = self.take()
+        if tok != ("sym", sym):
+            raise ValueError(f"expected {sym!r}, got {tok}")
+
+    def parse_word(self):
+        result = ClassTwoElement.identity(self.gens, self.mod)
+        while True:
+            tok = self.peek()
+            if tok is None or tok in (("sym", "]"), ("sym", ")"), ("sym", ",")):
+                return result
+            result = result * self.parse_factor()
+
+    def parse_factor(self):
+        atom = self.parse_atom()
+        if self.peek() == ("sym", "^"):
+            self.take()
+            kind, val = self.take()
+            if kind != "int":
+                raise ValueError(f"expected integer exponent, got {val!r}")
+            return atom ** int(val)
+        return atom
+
+    def parse_atom(self):
+        kind, val = self.take()
+        if kind == "name":
+            return ClassTwoElement.generator(self.gens, self.mod, val)
+        if kind == "int":
+            if val == "1":
+                return ClassTwoElement.identity(self.gens, self.mod)
+            raise ValueError(f"unexpected integer {val!r} in word")
+        if val == "[":
+            left = self.parse_word()
+            self.expect(",")
+            right = self.parse_word()
+            self.expect("]")
+            return commutator(left, right)
+        if val == "(":
+            inner = self.parse_word()
+            self.expect(")")
+            return inner
+        raise ValueError(f"unexpected token {val!r}")
+
+
+# int64 and object-array paths of the element arithmetic the reference uses
+WORD_MODULI = [
+    Modulus(3, 1),
+    Modulus(3, 2),
+    Modulus(5, 2),
+    Modulus(3, 12),
+    Modulus(3, 19),
+    Modulus(2247483659, 1),
+]
+
+
+@st.composite
+def nested_words(draw):
+    """A modulus, a generator set and a word over it with nested brackets
+    and parentheses, the identity "1" and exponents up to 10^40."""
+    mod = draw(st.sampled_from(WORD_MODULI))
+    gens = demushkin_generators(draw(st.integers(0, 3)))
+    exponent = st.integers(-(10**40), 10**40)
+
+    def powered(atom):
+        return st.one_of(atom, st.tuples(atom, exponent).map(lambda t: f"{t[0]}^{t[1]}"))
+
+    def word(factor):
+        return st.lists(factor, max_size=4).map(" ".join)
+
+    def extend(factor):
+        group = word(factor).map(lambda w: f"({w})")
+        bracket = st.tuples(word(factor), word(factor)).map(lambda t: f"[{t[0]}, {t[1]}]")
+        return powered(st.one_of(group, bracket))
+
+    leaf = powered(st.sampled_from(gens.labels + ("1",)))
+    text = draw(word(st.recursive(leaf, extend, max_leaves=16)))
+    return mod, gens, text
+
+
+PARSE_ERRORS = [
+    ("x0^", "unexpected end of word"),
+    ("x0^+1", "cannot tokenize word at '+1'"),
+    ("[x0,x1", "unexpected end of word"),
+    ("x0^2^3", "unexpected token '^'"),
+    ("x0 , x1", "trailing input in word: 'x0 , x1'"),
+    ("x9", "unknown generator 'x9'"),
+    ("x0^1.5", "cannot tokenize word at '.5'"),
+    ("01", "unexpected integer '01' in word"),
+]
+
+
 class TestWordGrammar:
     def test_round_trip_random(self):
         for mod in MODULI:
@@ -616,6 +749,41 @@ class TestWordGrammar:
         for bad in ("x9", "[x0", "x0^", "x0)", "2"):
             with pytest.raises(ValueError):
                 parse_word(bad, gens, mod)
+
+    @pytest.mark.parametrize("bad, message", PARSE_ERRORS, ids=[b for b, _ in PARSE_ERRORS])
+    def test_parse_error_messages(self, bad, message):
+        gens = demushkin_generators(2)
+        mod = Modulus(3, 1)
+        for parse in (parse_word, reference_parse):
+            with pytest.raises(ValueError) as err:
+                parse(bad, gens, mod)
+            assert str(err.value) == message
+
+    def test_surrounding_whitespace_is_accepted(self):
+        gens = demushkin_generators(2)
+        mod = Modulus(3, 1)
+        x0 = ClassTwoElement.generator(gens, mod, "x0")
+        for text in ("x0 ", " x0", "x0\n", "\tx0 \n"):
+            assert parse_word(text, gens, mod) == x0
+        for text in ("", "   ", "\n"):
+            assert parse_word(text, gens, mod) == ClassTwoElement.identity(gens, mod)
+        assert parse_word(" [x0, x1 ]^2 \n", gens, mod) == commutator(x0, parse_word("x1", gens, mod)) ** 2
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(nested_words())
+    def test_fold_matches_the_per_factor_parser(self, case):
+        mod, gens, text = case
+        assert parse_word(text, gens, mod) == reference_parse(text, gens, mod)
+
+    @pytest.mark.parametrize("mod", WORD_MODULI, ids=lambda m: f"q{m.q}")
+    def test_round_trip_random_stacks(self, mod):
+        gens = demushkin_generators(3)
+        d = gens.d
+        ge = [[rng.randrange(mod.q2) for _ in range(d)] for _ in range(20)]
+        cm = [[[rng.randrange(mod.q) for _ in range(d)] for _ in range(d)] for _ in range(20)]
+        stack = ClassTwoStack(gens, mod, np.array(ge, dtype=np.int64), np.array(cm, dtype=np.int64))
+        for row in stack:
+            assert parse_word(format_word(row), gens, mod) == row
 
     def test_json_round_trip(self):
         gens = demushkin_generators(2)
@@ -697,13 +865,13 @@ class TestStackedForms:
     @given(stacked_cases())
     def test_stacked_compose_is_the_per_image_compose(self, case):
         e1, e2, _ = case
-        assert compose(e1, e2).images == tuple(image_by_products(e1, im) for im in e2.images)
+        assert tuple(compose(e1, e2).images) == tuple(image_by_products(e1, im) for im in e2.images)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(stacked_cases())
     def test_stacked_commutators_and_kills(self, case):
         e, _, stack = case
-        images = e.image_stack()
+        images = e.images
         table = commutator(stack, images)
         assert len(table) == len(stack) * len(images)
         pairs = [(u, v) for u in stack for v in images]
@@ -725,6 +893,20 @@ class TestStackedForms:
         assert ClassTwoStack.of(gens, mod, []).is_identity.shape == (0,)
         with pytest.raises(ValueError, match="different truncated group"):
             ClassTwoStack.of(gens, Modulus(5, 1), els)
+
+    @pytest.mark.parametrize("mod", MODULI, ids=lambda m: f"q{m.q}")
+    def test_endo_from_a_list_or_a_stack(self, mod):
+        gens = demushkin_generators(2)
+        for _ in range(10):
+            images = [random_element(gens, mod) for _ in range(gens.d)]
+            from_list = ClassTwoEndo(images)
+            from_stack = ClassTwoEndo(ClassTwoStack.of(gens, mod, images))
+            assert from_list == from_stack and hash(from_list) == hash(from_stack)
+            assert list(from_stack.images) == images
+        with pytest.raises(ValueError, match="need at least one image"):
+            ClassTwoEndo([])
+        with pytest.raises(ValueError, match="need one image per generator"):
+            ClassTwoEndo(images[:-1])
 
     def test_stack_is_reduced(self):
         mod = Modulus(3, 1)

@@ -92,6 +92,18 @@ class TestParserReuse:
         assert json.loads(capsys.readouterr().out)["all_pass"]
 
 
+class TestActionWords:
+    def test_surrounding_whitespace_is_accepted(self, tmp_path):
+        images = {"g": "g [x1,x0]^2", "x0": "x0^-1 [x2,x1]", "x1": "x1^-1", "x2": "x2"}
+        act = tmp_path / "act.json"
+        reports = []
+        for pad in ("", " ", "\n", " \t\n"):
+            act.write_text(json.dumps({"images": {lab: pad + w + pad for lab, w in images.items()}}))
+            reports.append(run_inproc(tmp_path, "symmetrize", "--n", "2", "--action", str(act)))
+        assert reports[0][0] == 0
+        assert reports == [reports[0]] * 4
+
+
 class TestModulusBound:
     @pytest.mark.parametrize("f", [20, 40])
     def test_q_squared_beyond_int64_is_rejected(self, capsys, f):

@@ -477,7 +477,7 @@ class TestIdentityFrames:
         # commutator of two kept generators breaks it
         pres, act = standard_setup(n, mod)
         cert = free_quotient(pres, act, build_V(pres, act, Signature(n // 2, 0)))
-        gens = ClassTwoEndo.identity(pres.gens, mod).images
+        gens = tuple(ClassTwoEndo.identity(pres.gens, mod).images)
         h = pres.element("g x1^2 x2")
         inner = ClassTwoEndo(y * commutator(y, h) for y in gens)
         shear = ClassTwoEndo(gens[:1] + (gens[1] * pres.element("[g,x2]"),) + gens[2:])
@@ -560,7 +560,7 @@ class TestStackedUniqueness:
     def test_agrees_with_the_per_element_check(self, n, mod):
         pres, act = standard_setup(n, mod)
         cert = free_quotient(pres, act, build_V(pres, act, Signature(n // 2, 0)))
-        gens = ClassTwoEndo.identity(pres.gens, mod).images
+        gens = tuple(ClassTwoEndo.identity(pres.gens, mod).images)
         h = pres.element("g x1^2 x2")
         inner = ClassTwoEndo(y * commutator(y, h) for y in gens)
         shear = ClassTwoEndo(gens[:1] + (gens[1] * pres.element("[g,x2]"),) + gens[2:])
