@@ -20,10 +20,7 @@ from demuskin.class2_words import (
     endo_power,
     format_word,
     invert_auto,
-    inverse,
-    multiply,
     parse_word,
-    power,
     quotient_kill,
 )
 from demuskin.demushkin_core import (

@@ -246,18 +246,6 @@ class ClassTwoStack:
         return f"ClassTwoStack[{', '.join(format_word(el) for el in self)}]"
 
 
-def multiply(u: ClassTwoElement, v: ClassTwoElement) -> ClassTwoElement:
-    return u * v
-
-
-def inverse(u: ClassTwoElement) -> ClassTwoElement:
-    return u.inverse()
-
-
-def power(u: ClassTwoElement, k: int) -> ClassTwoElement:
-    return u ** k
-
-
 def commutator(u, v):
     """[u, v] = u^-1 v^-1 u v = (0, triu(b (x) a - a (x) b)); lands in F^2/F^3.
 

@@ -132,10 +132,6 @@ class DemushkinPresentation:
     def d(self) -> int:
         return self.gens.d
 
-    @property
-    def is_standard(self) -> bool:
-        return self.relator == standard_relator(self.n, self.mod) and self.chi == CharacterData.default(self.gens, self.mod)
-
     def element(self, text: str) -> ClassTwoElement:
         return parse_word(text, self.gens, self.mod)
 
@@ -298,10 +294,6 @@ class InvolutionAction:
     def f2_eigenspaces(self) -> tuple[Submodule, Submodule]:
         """(plus, minus) eigenspaces on F/F^2, where rows map by a -> a . L."""
         return eigen_split(self.h1_matrix)
-
-    def act_h1(self, row) -> np.ndarray:
-        q = self.h1_matrix.modulus
-        return matmul_mod(np.mod(np.asarray(row, dtype=np.int64), q), self.h1_matrix.array.T, q)
 
     def to_json(self) -> dict:
         return {

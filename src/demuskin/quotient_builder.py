@@ -132,14 +132,15 @@ def validate_V(
         raise ValueError("V does not live in H^1 of the presentation")
     coh = invariants(pres)
     gamma = gamma_line(pres)
-    free = V.is_free and Submodule(np.vstack([V.basis, gamma.basis]), pres.d, pres.mod.q).is_free
+    v_free = V.is_free
+    free = v_free and Submodule(np.vstack([V.basis, gamma.basis]), pres.d, pres.mod.q).is_free
     image = V.image_under(action.h1_matrix.array.T)
     invariant = image == V
     isotropic = is_totally_isotropic(coh.cup, V)
     q = pres.mod.q
     in_ker = not matmul_mod(V.basis, coh.bockstein, q).any() if V.ngens else True
     gamma_contained = None
-    if V.is_free and V.rank == pres.n // 2 + 1:
+    if v_free and V.rank == pres.n // 2 + 1:
         gamma_contained = V.contains_submodule(gamma)
     return IsotropicSubmodule(V, free, invariant, isotropic, in_ker, gamma_contained)
 

@@ -4,6 +4,14 @@ Matrices are small dense numpy int64 arrays with entries canonically reduced
 to [0, modulus).  Submodules are represented by their Howell canonical form,
 which is unique per row span, so submodule equality is array equality.  All
 operations are pure; every value is immutable after construction.
+
+There is one elimination, `_howell_rows`, under the one dtype rule
+`exact_dtype`.  Everything else is read off a Howell form: the kernel of A
+is the part of the form of [A^T | I] that vanishes on the A^T columns, the
+inverse of A is the right half of the form [I | A^-1] of [A | I], the rank
+mod p is the row count of the form of a matrix reduced mod p, and freeness
+compares that rank with the size given by the Howell pivots (Howell, Linear
+and Multilinear Algebra 19, 1986; Storjohann & Mulders, ESA 1998).
 """
 
 from __future__ import annotations
@@ -180,7 +188,7 @@ def _howell_rows(rows_in, ncols: int, m: int) -> np.ndarray:
     p, e = _prime_power_base(m)
     # a row update subtracts (x // p^v) * pivot row, below m^2
     dt = exact_dtype(m * m)
-    work = [np.mod(np.asarray(r, dtype=np.int64).astype(dt, copy=False), m) for r in rows_in]
+    work = list(np.mod(np.asarray(rows_in, dtype=np.int64).astype(dt, copy=False), m))
     done: list[np.ndarray] = []
     for c in range(ncols):
         best = None
@@ -226,7 +234,7 @@ def howell_form(mat: ZqMatrix) -> ZqMatrix:
 class Submodule:
     """Row span of a matrix over Z/m, held in Howell canonical form."""
 
-    __slots__ = ("modulus", "ambient", "basis", "_pivots")
+    __slots__ = ("modulus", "ambient", "basis", "_pivots", "_free")
 
     def __init__(self, rows, ambient: int, modulus: int):
         self.modulus = int(modulus)
@@ -247,6 +255,7 @@ class Submodule:
             (int(np.nonzero(row)[0][0]), int(row[np.nonzero(row)[0][0]]))
             for row in self.basis
         )
+        self._free = None  # (is free, rank mod p), computed on first use
 
     @classmethod
     def zero(cls, ambient: int, modulus: int) -> "Submodule":
@@ -261,28 +270,36 @@ class Submodule:
         """Number of Howell basis rows (can exceed the free rank)."""
         return self.basis.shape[0]
 
+    def _free_rank(self) -> int | None:
+        """Free rank, or None when the submodule is not free.
+
+        A free submodule of (Z/p^e)^d is a direct summand whose size is
+        p^(e r), r its rank mod p; so the test compares log_p of the size
+        (read off the Howell pivots) with e times the row count of the
+        Howell form of the basis mod p.  Unit pivots are sufficient but not
+        necessary: the span of (3,6,0,2) over Z/9 is free on one generator,
+        yet its Howell form pivots on the 3 in the first column.
+        """
+        if self._free is None:
+            p, e = _prime_power_base(self.modulus)
+            r = len(_howell_rows(self.basis % p, self.ambient, p))
+            size_log = sum(e - _valuation(val, p, e) for _, val in self._pivots)
+            self._free = (size_log == e * r, r)
+        free, r = self._free
+        return r if free else None
+
     @property
     def is_free(self) -> bool:
-        """True iff the submodule is a free Z/m-module.
-
-        A free submodule of (Z/m)^d is automatically a direct summand, and
-        its size determines the rank; the test compares log_p of the size
-        (read off the Howell pivots) with e times the mod-p rank of the
-        basis.  Unit pivots are sufficient but not necessary: the span of
-        (3,6,0,2) over Z/9 is free on one generator, yet its Howell form
-        pivots on the 3 in the first column.
-        """
-        p, e = _prime_power_base(self.modulus)
-        size_log = sum(e - _valuation(val, p, e) for _, val in self._pivots)
-        return size_log == e * _rank_mod_p(self.basis, p)
+        """True iff the submodule is a free Z/m-module."""
+        return self._free_rank() is not None
 
     @property
     def rank(self) -> int:
         """Free rank; raises for non-free submodules."""
-        if not self.is_free:
+        r = self._free_rank()
+        if r is None:
             raise ValueError("rank is only defined for free submodules")
-        p, _ = _prime_power_base(self.modulus)
-        return _rank_mod_p(self.basis, p)
+        return r
 
     def reduce(self, vec) -> np.ndarray:
         """Residue of `vec` after clearing every pivot; zero iff contained."""
@@ -307,18 +324,9 @@ class Submodule:
         self._check_compatible(other)
         return all(self.contains(row) for row in other.basis)
 
-    def __le__(self, other: "Submodule") -> bool:
-        return other.contains_submodule(self)
-
     def _check_compatible(self, other: "Submodule"):
         if self.ambient != other.ambient or self.modulus != other.modulus:
             raise ValueError("submodules live in different ambient modules")
-
-    def sum(self, other: "Submodule") -> "Submodule":
-        self._check_compatible(other)
-        return Submodule(
-            np.vstack([self.basis, other.basis]), self.ambient, self.modulus
-        )
 
     def intersect(self, other: "Submodule") -> "Submodule":
         self._check_compatible(other)
@@ -396,30 +404,17 @@ def kernel(mat: ZqMatrix) -> Submodule:
 
 
 def inv_mod(mat: ZqMatrix) -> ZqMatrix:
-    """Inverse over Z/m; exists iff the reduction mod p is invertible."""
+    """Inverse over Z/m, read off the Howell form of [A | I]: that form is
+    [I | A^-1] exactly when A is invertible, i.e. invertible mod p."""
     a = mat.array
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError("only square matrices can be inverted")
-    m = mat.modulus
-    p, _ = _prime_power_base(m)
-    # a row update subtracts x * pivot row, below m^2
-    aug = np.hstack([a, np.eye(n, dtype=np.int64)]).astype(exact_dtype(m * m)) % m
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r, col] % p != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("matrix is not invertible (no unit pivot)")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] = (aug[col] * pow(int(aug[col, col]), -1, m)) % m
-        for r in range(n):
-            if r != col and aug[r, col]:
-                aug[r] = (aug[r] - aug[r, col] * aug[col]) % m
-    return ZqMatrix(aug[:, n:], m)
+    eye = np.eye(n, dtype=np.int64)
+    h = _howell_rows(np.hstack([a, eye]), 2 * n, mat.modulus)
+    if h.shape[0] != n or not np.array_equal(h[:, :n], eye):
+        raise ValueError("matrix is not invertible (no unit pivot)")
+    return ZqMatrix(h[:, n:], mat.modulus)
 
 
 class BilinearForm:
@@ -458,33 +453,10 @@ class BilinearForm:
 
     def is_nondegenerate(self) -> bool:
         p, _ = _prime_power_base(self.modulus)
-        return _rank_mod_p(self.gram.array, p) == self.dim
+        return len(_howell_rows(self.gram.array % p, self.dim, p)) == self.dim
 
     def __repr__(self):
         return f"BilinearForm({self.gram!r}, {self.symmetry})"
-
-
-def _rank_mod_p(a: np.ndarray, p: int) -> int:
-    # a row update subtracts x * pivot row, below p^2
-    m = (a % p).astype(exact_dtype(p * p))
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if m[r, c] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        m[rank] = (m[rank] * pow(int(m[rank, c]), p - 2, p)) % p
-        for r in range(rows):
-            if r != rank and m[r, c]:
-                m[r] = (m[r] - m[r, c] * m[rank]) % p
-        rank += 1
-    return rank
 
 
 def orthogonal_complement(form: BilinearForm, s: Submodule) -> Submodule:

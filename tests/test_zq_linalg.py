@@ -312,9 +312,19 @@ class TestInverse:
                 done += 1
                 assert ((a.array @ inv.array) % m == np.eye(3, dtype=int)).all()
 
-    def test_singular_raises(self):
+    @pytest.mark.parametrize(
+        "entries, m",
+        [
+            ([[3, 0], [0, 1]], 9),
+            ([[3, 1], [0, 3]], 9),
+            ([[1, 2], [2, 4]], 25),
+            ([[1, 0, 0], [0, 1, 0]], 9),
+        ],
+        ids=["non-unit-diagonal", "nilpotent-mod-p", "rank-one", "non-square"],
+    )
+    def test_singular_raises(self, entries, m):
         with pytest.raises(ValueError):
-            inv_mod(ZqMatrix([[3, 0], [0, 1]], 9))
+            inv_mod(ZqMatrix(entries, m))
 
 
 class TestIsotropicOracle:
@@ -548,6 +558,29 @@ def invertible_mod(draw):
     return int_matmul(left, u, m), m
 
 
+def base_prime(m):
+    """p for the moduli tested here: powers of 3 or 5, or primes."""
+    return next((k for k in (3, 5) if m % k == 0), m)
+
+
+def smith_case(r, m, rows, cols, top):
+    """An integer matrix left . diag(scale) . right, with left random mod m,
+    right small and each scale entry 0, 1 or p^k for k < top, together with
+    its Smith invariants from sympy, one per column (0 past its rank)."""
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    p = base_prime(m)
+    left = [[r.randrange(m) for _ in range(rows)] for _ in range(rows)]
+    right = [[r.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
+    scale = [r.choice([0, 1, p ** r.randrange(top)]) for _ in range(rows)]
+    a = [[sum(left[i][k] * scale[k] * right[k][j] for k in range(rows)) for j in range(cols)]
+         for i in range(rows)]
+    snf = smith_normal_form(Matrix(a), domain=ZZ)
+    invariants = [int(snf[i, i]) for i in range(min(rows, cols))]
+    return a, invariants + [0] * (cols - len(invariants))
+
+
 class TestLargeModuli:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(invertible_mod())
@@ -576,21 +609,10 @@ class TestLargeModuli:
     def test_kernel_size_matches_smith_form(self, m):
         # |ker| over Z/m is prod gcd(d_i, m) over the columns, d_i the Smith
         # invariants of the integer matrix (0 past its rank)
-        from sympy import ZZ, Matrix
-        from sympy.matrices.normalforms import smith_normal_form
-
         r = random.Random(m + 2)
-        p = 3 if m % 3 == 0 else m
-        e = 20 if p == 3 else 1  # some invariants fall beyond the modulus
+        top = 26 if m % 3 == 0 else 7  # some invariants fall beyond the modulus
         for rows, cols in [(3, 4), (4, 3), (4, 4), (5, 5)]:
-            left = [[r.randrange(m) for _ in range(rows)] for _ in range(rows)]
-            right = [[r.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
-            scale = [r.choice([0, 1, p ** r.randrange(e + 6)]) for _ in range(rows)]
-            a = [[sum(left[i][k] * scale[k] * right[k][j] for k in range(rows)) for j in range(cols)]
-                 for i in range(rows)]
-            snf = smith_normal_form(Matrix(a), domain=ZZ)
-            invariants = [int(snf[i, i]) for i in range(min(rows, cols))]
-            invariants += [0] * (cols - len(invariants))
+            a, invariants = smith_case(r, m, rows, cols, top)
             ker = kernel(ZqMatrix([[x % m for x in row] for row in a], m))
             size = prod(m // int(row[np.nonzero(row)[0][0]]) for row in ker.basis)
             assert size == prod(gcd(d, m) for d in invariants)
@@ -611,3 +633,51 @@ class TestLargeModuli:
         # of its entries
         w = [[0, 1, 0, 0], [m - 1, 0, 0, 0], [0, 0, 0, m - 1], [0, 0, 1, 0]]
         assert BilinearForm(ZqMatrix(w, m), ANTISYMMETRIC).is_nondegenerate()
+
+
+class TestRanksAgainstSympy:
+    """Freeness, free rank and nondegeneracy against sympy, at small and
+    large moduli."""
+
+    SHAPES = [(3, 4), (4, 3), (4, 4), (5, 5), (2, 5), (5, 2)]
+
+    @pytest.mark.parametrize("m", [9, 25, 27] + LARGE_MODULI)
+    def test_freeness_and_rank_match_smith_form(self, m):
+        # the row span mod m is the sum of the cyclic modules d_i Z/m over the
+        # Smith invariants d_i: free iff every gcd(d_i, m) is 1 or m, of rank
+        # the number of gcds equal to 1
+        r = random.Random(m + 3)
+        e = next(k for k in range(1, 64) if base_prime(m) ** k == m)
+        seen = set()
+        for rows, cols in self.SHAPES * 4:
+            a, invariants = smith_case(r, m, rows, cols, e + 2)
+            gcds = [gcd(d, m) for d in invariants]
+            free = all(g in (1, m) for g in gcds)
+            sub = Submodule([[x % m for x in row] for row in a], cols, m)
+            assert sub.is_free == free
+            if free:
+                assert sub.rank == gcds.count(1)
+            else:
+                with pytest.raises(ValueError):
+                    sub.rank
+            seen.add(free)
+        assert seen == ({True} if e == 1 else {True, False})
+
+    @pytest.mark.parametrize("m", [9, 25, 27] + LARGE_MODULI)
+    def test_nondegeneracy_matches_rank_mod_p(self, m):
+        from sympy import GF
+        from sympy.polys.matrices import DomainMatrix
+
+        r = random.Random(m + 4)
+        p = base_prime(m)
+        field = GF(p)
+        seen = set()
+        for n in [2, 3, 4, 5] * 8:
+            # a Smith-shaped matrix (mostly degenerate mod p) and a uniform one
+            shaped, _ = smith_case(r, m, n, n, 2)
+            for a in (shaped, [[r.randrange(m) for _ in range(n)] for _ in range(n)]):
+                rank = DomainMatrix([[field(x % p) for x in row] for row in a], (n, n), field).rank()
+                form = BilinearForm(ZqMatrix([[x % m for x in row] for row in a], m))
+                assert form.is_nondegenerate() == (rank == n)
+                seen.add(rank == n)
+        assert seen == {True, False}
