@@ -7,13 +7,18 @@ Every element of F/F^3 has a unique normal form
 
 with generator exponents a_i mod q^2 and commutator exponents c_ij mod q.
 The commutator convention is [x, y] = x^-1 y^-1 x y, so collection moves use
-g_j g_i = g_i g_j [g_j, g_i] for i < j; coordinate (i, j) with i < j stores
-the exponent of the basic commutator [g_j, g_i].  On exponent arrays the
-product is the 2-cocycle (a, C)(b, D) = (a + b, C + D + triu(b (x) a)), so
-powers, commutators and endomorphisms are closed formulas in (a, C): the
-class-2 case of Deep Thought collection (Leedham-Green & Soicher, 1998).
-Each formula carries a leading element axis unchanged, so a ClassTwoStack
-of N elements is mapped, commuted, killed and tested in one array pass.
+g_j g_i = g_i g_j [g_j, g_i] for i < j.  An element is its exponent vector
+(a, c) in (Z/q^2)^d + (Z/q)^P, P = d(d-1)/2, that of the consistent
+polycyclic presentation of F/F^3 (Sims, Computation with Finitely Presented
+Groups, 1994, ch. 9): c holds one slot per pair i < j in row-major order,
+the order of np.triu_indices(d, 1), and no other module knows that layout.
+
+With b (x) a the pair part b_i a_j (i < j) of the outer product, the product
+is the 2-cocycle (a, c)(b, e) = (a + b, c + e + b (x) a), so powers,
+commutators and endomorphisms are closed formulas in (a, c): the class-2
+case of Deep Thought collection (Leedham-Green & Soicher, 1998).  Each
+formula carries a leading element axis unchanged, so a ClassTwoStack of N
+elements is mapped, commuted, killed and tested in one array pass.
 
 Elements, stacks, endomorphisms and quotients are immutable values; all
 operations are pure functions.
@@ -26,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from demuskin.zq_linalg import Modulus, Submodule, ZqMatrix, exact_dtype, inv_mod, matmul_mod
+from demuskin.zq_linalg import Modulus, Submodule, ZqMatrix, exact_dtype, integers_mod, inv_mod, matmul_mod
 
 
 class GeneratorSet:
@@ -69,37 +74,76 @@ def demushkin_generators(n: int) -> GeneratorSet:
 
 
 @lru_cache(maxsize=None)
-def _strictly_upper(d: int) -> np.ndarray:
-    """Mask of the coordinates (i, j), i < j, that hold commutator exponents."""
-    mask = np.triu(np.ones((d, d), dtype=bool), 1)
-    mask.setflags(write=False)
-    return mask
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows i and the columns j of the pairs i < j: slot s of c holds
+    the exponent of [g_j[s], g_i[s]]."""
+    return np.triu_indices(d, 1)
+
+
+def _no_comm(d: int, *lead) -> np.ndarray:
+    """Zero commutator exponents with the given leading axes."""
+    return np.zeros(lead + (d * (d - 1) // 2,), dtype=np.int64)
+
+
+def _slot(d: int, i, j):
+    """The slot of the pair (i, j), or of arrays of pairs; a ValueError
+    unless the coordinates are integers with 0 <= i < j < d."""
+    i, j = np.asarray(i), np.asarray(j)
+    if i.dtype.kind not in "iu" or j.dtype.kind not in "iu" or not ((0 <= i) & (i < j) & (j < d)).all():
+        raise ValueError(f"commutator coordinate ({i}, {j}) is not a pair 0 <= i < j < {d}")
+    return i * (2 * d - i - 1) // 2 + j - i - 1
+
+
+def _cross(b, a) -> np.ndarray:
+    """b (x) a along the last axis: b_i a_j over the pairs i < j."""
+    i, j = _pairs(b.shape[-1])
+    return b[..., i] * a[..., j]
+
+
+def _pair_terms(comm, d: int):
+    """(i, j, c_ij) for the nonzero slots of one packed vector, in slot order."""
+    i, j = _pairs(d)
+    nz = np.flatnonzero(comm)
+    return zip(i[nz].tolist(), j[nz].tolist(), comm[nz].tolist())
 
 
 def _normal_form(gens: GeneratorSet, mod: Modulus, gen_exp, comm, lead: tuple):
-    """gen_exp mod q^2 and the strictly upper part of comm mod q, as
-    read-only int64 arrays of shapes lead + (d,) and lead + (d, d)."""
-    d = gens.d
-    ge = np.mod(gen_exp, mod.q2).astype(np.int64, copy=False)
-    cm = np.mod(comm, mod.q)
-    if ge.shape != lead + (d,) or cm.shape != lead + (d, d):
-        raise ValueError(f"need gen_exp of shape {lead + (d,)} and comm of shape {lead + (d, d)}")
-    cm *= _strictly_upper(d)
-    cm = cm.astype(np.int64, copy=False)
+    """gen_exp mod q^2 and comm mod q, as read-only int64 arrays of shapes
+    lead + (d,) and lead + (P,)."""
+    ge, cm = integers_mod(gen_exp, mod.q2), integers_mod(comm, mod.q)
+    shapes = lead + (gens.d,), lead + (gens.d * (gens.d - 1) // 2,)
+    if (ge.shape, cm.shape) != shapes:
+        raise ValueError(f"need gen_exp of shape {shapes[0]} and comm of shape {shapes[1]}")
     ge.setflags(write=False)
     cm.setflags(write=False)
     return ge, cm
 
 
-def _check_same_group(u: "ClassTwoElement", v: "ClassTwoElement"):
+def _check_same_group(u, v):
     if u.gens != v.gens or u.mod != v.mod:
         raise ValueError("elements live in different truncated groups")
 
 
-class ClassTwoElement:
-    """Normal form of an element of F/F^3."""
+class _Exponents:
+    """Shared by elements and stacks (one leading axis); answers per element."""
 
     __slots__ = ("gens", "mod", "gen_exp", "comm")
+
+    @property
+    def is_identity(self):
+        return ~(self.gen_exp.any(axis=-1) | self.comm.any(axis=-1))
+
+    @property
+    def is_central(self):
+        """Whether the element lies in F^2/F^3 (gen_exp divisible by q)."""
+        return ~(self.gen_exp % self.mod.q).any(axis=-1)
+
+
+class ClassTwoElement(_Exponents):
+    """Normal form of an element of F/F^3: gen_exp of shape (d,) and the
+    packed commutator exponents comm of shape (P,)."""
+
+    __slots__ = ()
 
     def __init__(self, gens: GeneratorSet, mod: Modulus, gen_exp, comm):
         self.gens = gens
@@ -108,33 +152,28 @@ class ClassTwoElement:
 
     @classmethod
     def identity(cls, gens: GeneratorSet, mod: Modulus) -> "ClassTwoElement":
-        d = gens.d
-        return cls(gens, mod, np.zeros(d, dtype=np.int64), np.zeros((d, d), dtype=np.int64))
+        return cls(gens, mod, np.zeros(gens.d, dtype=np.int64), _no_comm(gens.d))
 
     @classmethod
     def generator(cls, gens: GeneratorSet, mod: Modulus, which) -> "ClassTwoElement":
         i = which if isinstance(which, int) else gens.index(which)
-        d = gens.d
-        ge = np.zeros(d, dtype=np.int64)
-        ge[i] = 1
-        return cls(gens, mod, ge, np.zeros((d, d), dtype=np.int64))
+        return cls(gens, mod, np.eye(gens.d, dtype=np.int64)[i], _no_comm(gens.d))
 
     @property
-    def is_identity(self) -> bool:
-        return not self.gen_exp.any() and not self.comm.any()
-
-    @property
-    def is_central(self) -> bool:
-        """True iff the element lies in F^2/F^3 (gen_exp divisible by q)."""
-        return not (self.gen_exp % self.mod.q).any()
+    def commutator_form(self) -> np.ndarray:
+        """C - C^T mod q: the antisymmetric d x d matrix whose entry (i, j),
+        i < j, is the exponent of [g_j, g_i]."""
+        i, j = _pairs(self.gens.d)
+        form = np.zeros((self.gens.d, self.gens.d), dtype=np.int64)
+        form[i, j], form[j, i] = self.comm, -self.comm % self.mod.q
+        return form
 
     def __mul__(self, other: "ClassTwoElement") -> "ClassTwoElement":
         _check_same_group(self, other)
         q = self.mod.q
         a = self.gen_exp.astype(exact_dtype(self.mod.q2**2), copy=False)
-        # collecting v's generators through u's picks up [g_j, g_i]^(a_j b_i);
-        # the constructor keeps the part above the diagonal
-        cross = np.outer(other.gen_exp % q, a % q)
+        # collecting v's generators through u's picks up [g_j, g_i]^(a_j b_i)
+        cross = _cross(other.gen_exp % q, a % q)
         return ClassTwoElement(
             self.gens, self.mod, (a + other.gen_exp) % self.mod.q2, (self.comm + other.comm + cross) % q
         )
@@ -143,12 +182,12 @@ class ClassTwoElement:
         return self ** -1
 
     def __pow__(self, k: int) -> "ClassTwoElement":
-        """u^k = (k a, k C + C(k,2) triu(a (x) a)) for every integer k."""
+        """u^k = (k a, k c + C(k,2) a (x) a) for every integer k."""
         k = int(k)
         q, q2 = self.mod.q, self.mod.q2
         a = self.gen_exp.astype(exact_dtype(q2**2), copy=False)
         a1 = a % q
-        cm = (k % q) * self.comm + (k * (k - 1) // 2 % q) * np.outer(a1, a1)
+        cm = (k % q) * self.comm + (k * (k - 1) // 2 % q) * _cross(a1, a1)
         return ClassTwoElement(self.gens, self.mod, (k % q2) * a % q2, cm % q)
 
     def __eq__(self, other):
@@ -167,27 +206,30 @@ class ClassTwoElement:
         return f"<{format_word(self)}>"
 
     def to_json(self) -> dict:
-        sparse = [[int(i), int(j), int(self.comm[i, j])] for i, j in zip(*np.nonzero(self.comm))]
+        """The generator exponents and the nonzero commutator exponents as
+        [i, j, c_ij] triples, i < j, in slot order."""
+        sparse = [list(term) for term in _pair_terms(self.comm, self.gens.d)]
         return {"gen_exp": [int(x) for x in self.gen_exp], "comm_exp": sparse}
 
     @classmethod
     def from_json(cls, data: dict, gens: GeneratorSet, mod: Modulus) -> "ClassTwoElement":
-        d = gens.d
-        cm = np.zeros((d, d), dtype=np.int64)
+        """The inverse of to_json; a coordinate outside 0 <= i < j < d or a
+        non-integer exponent is a ValueError."""
+        cm = [0] * (gens.d * (gens.d - 1) // 2)
         for i, j, c in data.get("comm_exp", []):
-            cm[i, j] = c
-        return cls(gens, mod, np.asarray(data["gen_exp"]), cm)
+            cm[_slot(gens.d, i, j)] = c
+        return cls(gens, mod, data["gen_exp"], cm)
 
 
-class ClassTwoStack:
+class ClassTwoStack(_Exponents):
     """N elements of F/F^3 as one pair of exponent arrays: gen_exp is N x d
-    mod q^2 and comm is N x d x d, strictly upper triangular mod q.
+    mod q^2 and comm is N x P mod q, one packed vector per row.
 
     Indexing with an integer gives a ClassTwoElement, with a slice or an
     index array a substack; iteration yields the rows as elements.
     """
 
-    __slots__ = ("gens", "mod", "gen_exp", "comm")
+    __slots__ = ()
 
     def __init__(self, gens: GeneratorSet, mod: Modulus, gen_exp, comm):
         self.gens = gens
@@ -211,15 +253,9 @@ class ClassTwoStack:
         for it in items:
             if it.gens != gens or it.mod != mod:
                 raise ValueError("elements live in a different truncated group")
-        d = gens.d
-        ge = [it.gen_exp.reshape(-1, d) for it in items] or [np.zeros((0, d), dtype=np.int64)]
-        cm = [it.comm.reshape(-1, d, d) for it in items] or [np.zeros((0, d, d), dtype=np.int64)]
+        ge = [np.atleast_2d(it.gen_exp) for it in items] + [np.zeros((0, gens.d), dtype=np.int64)]
+        cm = [np.atleast_2d(it.comm) for it in items] + [_no_comm(gens.d, 0)]
         return cls._normal(gens, mod, np.concatenate(ge), np.concatenate(cm))
-
-    @classmethod
-    def generators(cls, gens: GeneratorSet, mod: Modulus) -> "ClassTwoStack":
-        d = gens.d
-        return cls._normal(gens, mod, np.eye(d, dtype=np.int64), np.zeros((d, d, d), dtype=np.int64))
 
     def __len__(self):
         return len(self.gen_exp)
@@ -232,40 +268,29 @@ class ClassTwoStack:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
-    @property
-    def is_identity(self) -> np.ndarray:
-        """Per row, whether the element is the identity."""
-        return ~(self.gen_exp.any(axis=1) | self.comm.any(axis=(1, 2)))
-
-    @property
-    def is_central(self) -> np.ndarray:
-        """Per row, whether the element lies in F^2/F^3."""
-        return ~(self.gen_exp % self.mod.q).any(axis=1)
-
     def __repr__(self):
         return f"ClassTwoStack[{', '.join(format_word(el) for el in self)}]"
 
 
 def commutator(u, v):
-    """[u, v] = u^-1 v^-1 u v = (0, triu(b (x) a - a (x) b)); lands in F^2/F^3.
+    """[u, v] = u^-1 v^-1 u v = (0, b (x) a - a (x) b); lands in F^2/F^3.
 
     With a stack on either side, the stack of [u_i, v_j] over every pair,
     i major.
     """
     _check_same_group(u, v)
     q, d = u.mod.q, u.gens.d
-    a = u.gen_exp.reshape(-1, 1, 1, d) % q
-    b = v.gen_exp.reshape(1, -1, d, 1) % q
-    cross = (b * a).reshape(-1, d, d)
-    comm = (cross - cross.swapaxes(1, 2)) % q
-    if isinstance(u, ClassTwoElement) and isinstance(v, ClassTwoElement):
-        return ClassTwoElement(u.gens, u.mod, np.zeros(d, dtype=np.int64), comm[0])
-    return ClassTwoStack(u.gens, u.mod, np.zeros((len(comm), d), dtype=np.int64), comm)
+    a = np.atleast_2d(u.gen_exp)[:, None] % q
+    b = np.atleast_2d(v.gen_exp)[None] % q
+    comm = _cross(b, a) - _cross(a, b)
+    comm = comm.reshape(comm.shape[0] * comm.shape[1], comm.shape[2])
+    table = ClassTwoStack(u.gens, u.mod, np.zeros((len(comm), d), dtype=np.int64), comm)
+    return table[0] if isinstance(u, ClassTwoElement) and isinstance(v, ClassTwoElement) else table
 
 
 def central_sqrt(c):
     """The unique square root inside F^2/F^3, a group of odd exponent q:
-    c^k = (k a, k C) with k = (q+1)/2, as a (x) a vanishes mod q.  Takes an
+    c^k = (k a, k c) with k = (q+1)/2, as a (x) a vanishes mod q.  Takes an
     element or a stack of central elements."""
     mod = c.mod
     if (c.gen_exp % mod.q).any():
@@ -292,8 +317,14 @@ class ClassTwoEndo:
         self.gens, self.mod, self.images = images.gens, images.mod, images
 
     @classmethod
+    def linear(cls, gens: GeneratorSet, mod: Modulus, matrix) -> "ClassTwoEndo":
+        """g_i -> prod_k g_k^(matrix[i, k]), images without a commutator
+        part: a linear change of basis."""
+        return cls(ClassTwoStack(gens, mod, matrix, _no_comm(gens.d, gens.d)))
+
+    @classmethod
     def identity(cls, gens: GeneratorSet, mod: Modulus) -> "ClassTwoEndo":
-        return cls(ClassTwoStack.generators(gens, mod))
+        return cls.linear(gens, mod, np.eye(gens.d, dtype=np.int64))
 
     @property
     def linear_matrix(self) -> np.ndarray:
@@ -304,47 +335,45 @@ class ClassTwoEndo:
         """prod_i y_i^(a_i) . prod_(i<j) [y_j, y_i]^(c_ij) for images y_i = (L_i, M_i).
 
         Collecting the powers and commutators of the images is one quadratic
-        form: (a L, sum_i a_i M_i + triu(L^T K L)) with the form
-        K = diag(C(a_i, 2)) + tril(a (x) a, -1) + C - C^T over Z/q; as q is
-        odd, C(a_i, 2) mod q depends on a_i mod q only.  A stack of N
-        elements goes through the formula in one pass, with K built per row;
-        an element is its one-row case.
+        form: (a L, sum_i a_i M_i + the pairs of L^T K L) with the d x d form
+        K over Z/q that holds c_ij at (i, j) and a_i a_j - c_ij at (j, i) for
+        i < j, and C(a_i, 2) at (i, i); as q is odd, C(a_i, 2) mod q depends
+        on a_i mod q only.  A stack of N elements goes through the formula in
+        one pass, with K built per row; an element is its one-row case.
         """
         if u.gens != self.gens or u.mod != self.mod:
             raise ValueError("element and endomorphism have different domains")
         q, d = self.mod.q, self.gens.d
         images = self.images
-        a = u.gen_exp.reshape(-1, d)
-        c = u.comm.reshape(-1, d, d)
+        a, c = np.atleast_2d(u.gen_exp), np.atleast_2d(u.comm)
         a1, lin1 = a % q, images.gen_exp % q
+        i, j = _pairs(d)
         form = a1[:, :, None] * a1[:, None, :]
-        form *= _strictly_upper(d).T
-        form += c
-        form -= c.swapaxes(1, 2)
+        form[:, i, j] = c
+        form[:, j, i] -= c
         diag = np.arange(d)
         form[:, diag, diag] = a1 * (a1 - 1) // 2
         form %= q
+        # one product at a time: at most two N x d x d arrays are alive
         form = matmul_mod(form, lin1, q)
-        cm = matmul_mod(lin1.T, form, q)
+        form = matmul_mod(lin1.T, form, q)
+        cm = form[:, i, j]
         # only the images with a commutator part enter sum_i a_i M_i
-        nz = images.comm.any(axis=(1, 2))
+        nz = images.comm.any(axis=1)
         if nz.any():
-            cm += matmul_mod(a1[:, nz], images.comm[nz].reshape(-1, d * d), q).reshape(cm.shape)
+            cm += matmul_mod(a1[:, nz], images.comm[nz], q)
         ge = matmul_mod(a, images.gen_exp, self.mod.q2)
-        if isinstance(u, ClassTwoStack):
-            return ClassTwoStack(self.gens, self.mod, ge, cm)
-        return ClassTwoElement(self.gens, self.mod, ge[0], cm[0])
+        return type(u)(self.gens, self.mod, ge.reshape(u.gen_exp.shape), cm.reshape(u.comm.shape))
 
     def defects(self, signs=None) -> ClassTwoStack:
         """Row i is g_i^(-s_i) phi(g_i), with s_i = signs[i] (default +1):
         the difference relators g_i^-1 phi(g_i), or g_i phi(g_i) where phi
         inverts g_i up to F^2.  The cocycle gives every row at once:
-        (L_i - s_i e_i, M_i + triu(L_i (x) (-s_i e_i)))."""
+        (L_i - s_i e_i, M_i + L_i (x) (-s_i e_i))."""
         d = self.gens.d
         s = np.ones(d, dtype=np.int64) if signs is None else np.asarray(signs, dtype=np.int64)
-        images = self.images
-        lead = -np.diag(s)
-        cross = (images.gen_exp % self.mod.q)[:, :, None] * lead[:, None, :]
+        images, lead = self.images, -np.diag(s)
+        cross = _cross(images.gen_exp % self.mod.q, lead)
         return ClassTwoStack(self.gens, self.mod, images.gen_exp + lead, images.comm + cross)
 
     def __eq__(self, other):
@@ -411,12 +440,12 @@ def invert_auto(e: ClassTwoEndo) -> ClassTwoEndo:
     except ValueError:
         raise ValueError("endomorphism is not an automorphism (singular linear part)")
     gens, mod, d = e.gens, e.mod, e.gens.d
-    f0 = ClassTwoEndo(ClassTwoStack(gens, mod, minv, np.zeros((d, d, d), dtype=np.int64)))
+    f0 = ClassTwoEndo.linear(gens, mod, minv)
     z = compose(e, f0).defects()
     if not z.is_central.all():
         raise AssertionError("linear correction left a non-central defect")
-    # g_i z_i^-1 = (e_i - z_i, -Z_i) for central z_i = (z_i, Z_i): both the
-    # power and the cocycle terms vanish mod q
+    # g_i z_i^-1 = (e_i - z_i, -z_i) for central z_i: both the power and
+    # the cocycle terms vanish mod q
     corrected = ClassTwoStack(gens, mod, np.eye(d, dtype=np.int64) - z.gen_exp, -z.comm)
     result = compose(f0, ClassTwoEndo(corrected))
     ident = ClassTwoEndo.identity(gens, mod)
@@ -430,9 +459,10 @@ def quotient_kill(gens_to_kill, u):
     surviving generators.
 
     Substituting the identity for killed generators keeps the normal form:
-    the surviving coordinates are just sliced out.  Killing free generators
-    is compatible with the q-central series, so this is the image in the
-    class-2 truncation of the quotient.
+    the surviving generators and the pairs of surviving generators are
+    just sliced out.  Killing free generators is compatible with the
+    q-central series, so this is the image in the class-2 truncation of the
+    quotient.
     """
     kill = {lab if isinstance(lab, str) else u.gens.labels[lab] for lab in gens_to_kill}
     unknown = kill - set(u.gens.labels)
@@ -440,18 +470,20 @@ def quotient_kill(gens_to_kill, u):
         raise ValueError(f"cannot kill unknown generators {sorted(unknown)}")
     if not kill:
         return u
-    keep = [i for i, lab in enumerate(u.gens.labels) if lab not in kill]
-    if not keep:
+    keep = np.array([i for i, lab in enumerate(u.gens.labels) if lab not in kill], dtype=np.int64)
+    if not len(keep):
         raise ValueError("killing every generator leaves no group")
     small = GeneratorSet(u.gens.labels[i] for i in keep)
-    return type(u)(small, u.mod, u.gen_exp[..., keep], u.comm[..., keep, :][..., keep])
+    rows, cols = _pairs(len(keep))
+    slots = _slot(u.gens.d, keep[rows], keep[cols])
+    return type(u)(small, u.mod, u.gen_exp[..., keep], u.comm[..., slots])
 
 
 class TruncatedQuotient:
     """(F/F^3) / <central relators>, with equality decided by linear algebra.
 
-    The mixed module (Z/q^2)^d + (Z/q)^(d(d-1)/2) embeds into (Z/q^2)^N by
-    scaling the commutator block with q, so one Howell computation answers
+    The mixed module (Z/q^2)^d + (Z/q)^P embeds into (Z/q^2)^(d+P) by
+    scaling the commutator slots with q, so one Howell computation answers
     membership in the relator span.
     """
 
@@ -471,10 +503,8 @@ class TruncatedQuotient:
         self._span = Submodule(lifts, lifts.shape[1], mod.q2)
 
     def _lifts(self, stack: ClassTwoStack) -> np.ndarray:
-        """One row (a, q c_ij for i < j) mod q^2 per element of the stack."""
-        upper = np.triu_indices(self.gens.d, 1)
-        comm = self.mod.q * stack.comm[:, upper[0], upper[1]]
-        return np.concatenate([stack.gen_exp, comm], axis=1) % self.mod.q2
+        """One row (a, q c) mod q^2 per element of the stack."""
+        return np.concatenate([stack.gen_exp, self.mod.q * stack.comm], axis=1) % self.mod.q2
 
     def are_trivial(self, elements) -> np.ndarray:
         """Per element of a stack or an iterable of elements, whether it dies
@@ -519,9 +549,9 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 class _WordParser:
     """Recursive descent that folds each (sub)word into exponents over
     Python ints: a dict {i: a_i} mod q^2 and a dict {(i, j): c_ij}, i < j,
-    mod q.  A factor (b, D) joins the word (a, C) by the cocycle
-    (a + b, C + D + triu(b (x) a)), so only the finished word becomes an
-    element, and every modulus is exact without a dtype rule."""
+    mod q.  A factor (b, e) joins the word (a, c) by the cocycle
+    (a + b, c + e + b (x) a), so only the finished word becomes an element,
+    and every modulus is exact without a dtype rule."""
 
     def __init__(self, tokens, gens: GeneratorSet, mod: Modulus):
         self.tokens = tokens
@@ -545,7 +575,7 @@ class _WordParser:
             raise ValueError(f"expected {sym!r}, got {tok}")
 
     def cross(self, c: dict, t: int, x: dict, y: dict) -> dict:
-        """c + t triu(x (x) y) mod q, written into c."""
+        """c + t x (x) y mod q, written into c."""
         for i, xi in x.items():
             for j, yj in y.items():
                 if i < j:
@@ -573,7 +603,7 @@ class _WordParser:
         kind, val = self.take()
         if kind != "int":
             raise ValueError(f"expected integer exponent, got {val!r}")
-        # (a, C)^k = (k a, k C + C(k, 2) triu(a (x) a))
+        # (a, c)^k = (k a, k c + C(k, 2) a (x) a)
         k = int(val)
         a, c = atom
         c = self.cross({ij: k * v % self.q for ij, v in c.items()}, k * (k - 1) // 2, a, a)
@@ -592,7 +622,7 @@ class _WordParser:
             self.expect(",")
             b, _ = self.parse_word()
             self.expect("]")
-            # [u, v] = (0, triu(b (x) a - a (x) b))
+            # [u, v] = (0, b (x) a - a (x) b)
             return {}, self.cross(self.cross({}, 1, b, a), -1, a, b)
         if val == "(":
             inner = self.parse_word()
@@ -606,9 +636,9 @@ def parse_word(text: str, gens: GeneratorSet, mod: Modulus) -> ClassTwoElement:
     a, c = parser.parse_word()
     if parser.peek() is not None:
         raise ValueError(f"trailing input in word: {text!r}")
-    comm = np.zeros((gens.d, gens.d), dtype=np.int64)
-    for ij, v in c.items():
-        comm[ij] = v
+    pairs = np.array(list(c), dtype=np.int64).reshape(-1, 2)
+    comm = _no_comm(gens.d)
+    comm[_slot(gens.d, pairs[:, 0], pairs[:, 1])] = list(c.values())
     return ClassTwoElement(gens, mod, [a.get(i, 0) for i in range(gens.d)], comm)
 
 
@@ -618,12 +648,8 @@ def format_word(el: ClassTwoElement) -> str:
 
 
 def _format_exponents(labels, gen_exp, comm) -> str:
-    parts = []
-    for i, a in enumerate(gen_exp):
-        if a:
-            parts.append(labels[i] if a == 1 else f"{labels[i]}^{int(a)}")
-    for i, j in zip(*np.nonzero(comm)):
-        c = int(comm[i, j])
+    parts = [labels[i] if a == 1 else f"{labels[i]}^{int(a)}" for i, a in enumerate(gen_exp) if a]
+    for i, j, c in _pair_terms(comm, len(labels)):
         base = f"[{labels[j]},{labels[i]}]"
         parts.append(base if c == 1 else f"{base}^{c}")
     return " ".join(parts) if parts else "1"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from demuskin.zq_linalg import (
     Submodule,
     ZqMatrix,
     eigen_split,
+    integers_mod,
     kernel,
     matmul_mod,
 )
@@ -57,7 +59,7 @@ class CharacterData:
     __slots__ = ("values",)
 
     def __init__(self, values, mod: Modulus):
-        vals = np.mod(np.asarray(values, dtype=np.int64), mod.q2)
+        vals = integers_mod(values, mod.q2, "character values")
         if ((vals % mod.p) == 0).any():
             raise ValueError("character values must be units")
         if ((vals - 1) % mod.q).any():
@@ -81,18 +83,12 @@ class CharacterData:
         return f"CharacterData({self.values.tolist()})"
 
 
+@lru_cache(maxsize=None)
 def standard_relator(n: int, mod: Modulus) -> ClassTwoElement:
-    """x0^q [x0, g] [x1, x2] ... [x_(n-1), x_n] in normal form: x0 (index 1)
-    has exponent q, [x0, g] is the basic commutator [g_1, g_0], and
-    [x_k, x_(k+1)] = [g_(k+2), g_(k+1)]^-1 for odd k."""
-    gens = demushkin_generators(n)
-    gen_exp = np.zeros(gens.d, dtype=np.int64)
-    gen_exp[1] = mod.q
-    comm = np.zeros((gens.d, gens.d), dtype=np.int64)
-    comm[0, 1] = 1
-    odd = np.arange(1, n, 2)
-    comm[odd + 1, odd + 2] = mod.q - 1
-    return ClassTwoElement(gens, mod, gen_exp, comm)
+    """x0^q [x0, g] [x1, x2] ... [x_(n-1), x_n] in normal form, parsed once
+    per (n, modulus)."""
+    word = [f"x0^{mod.q}", "[x0,g]"] + [f"[x{k},x{k + 1}]" for k in range(1, n, 2)]
+    return parse_word(" ".join(word), demushkin_generators(n), mod)
 
 
 class DemushkinPresentation:
@@ -185,11 +181,10 @@ class CohomologyData:
 
 
 def invariants(pres: DemushkinPresentation) -> CohomologyData:
-    """Gram matrix G[i][j] = antisymmetrized comm coordinate, B[i] = a_i / q."""
+    """Gram matrix G = the relator's commutator_form, B[i] = a_i / q."""
     q = pres.mod.q
     w = pres.relator
-    gram = (w.comm - w.comm.T) % q
-    cup = BilinearForm(ZqMatrix(gram, q), ANTISYMMETRIC)
+    cup = BilinearForm(ZqMatrix(w.commutator_form, q), ANTISYMMETRIC)
     bockstein = (w.gen_exp // q) % q
     surjective = bool(((bockstein % pres.mod.p) != 0).any())
     return CohomologyData(
@@ -310,8 +305,7 @@ def standard_sign_pattern(n: int) -> np.ndarray:
     """+1 on g and even x, -1 on x0 and odd x (generator index order)."""
     signs = np.ones(n + 2, dtype=np.int64)
     signs[1] = -1  # x0
-    for j in range(1, n + 1, 2):
-        signs[j + 1] = -1
+    signs[2::2] = -1  # x_j at index j + 1, j odd
     return signs
 
 
@@ -319,10 +313,8 @@ def standard_involution(pres: DemushkinPresentation) -> InvolutionAction:
     """g -> g, x0 -> x0^-1, odd x -> inverse, even x -> fixed."""
     if pres.relator != standard_relator(pres.n, pres.mod):
         raise ValueError("the standard involution needs the standard relator")
-    d = pres.d
-    zero = np.zeros((d, d, d), dtype=np.int64)
-    images = ClassTwoStack(pres.gens, pres.mod, np.diag(standard_sign_pattern(pres.n)), zero)
-    return InvolutionAction.build(pres, ClassTwoEndo(images))
+    endo = ClassTwoEndo.linear(pres.gens, pres.mod, np.diag(standard_sign_pattern(pres.n)))
+    return InvolutionAction.build(pres, endo)
 
 
 def trivial_action(pres: DemushkinPresentation) -> InvolutionAction:
@@ -336,9 +328,10 @@ def lift_involution(
     """Correct a lift of an order-2 linear action to an exact involution.
 
     The square of the perturbation reduces to the identity mod F^2, hence
-    lies in the p-group kernel of Aut(F/F^3) -> Aut(F/F^2); raising the
-    perturbation to that p-power order makes it an exact involution with the
-    same linear part (the power is odd).
+    lies in the kernel of Aut(F/F^3) -> Aut(F/F^2).  That kernel sends
+    g_i -> g_i z_i with z_i central of exponent q and fixes F^2/F^3, so
+    each of its elements k has k^q = 1.  Hence sigma^q squares to the
+    identity, and as q is odd it has sigma's linear part.
     """
     mod = pres.mod
     lin = np.mod(np.asarray(linear, dtype=np.int64), mod.q)
@@ -349,17 +342,8 @@ def lift_involution(
         raise ValueError("prescribed linear part is not an involution mod q")
     if not np.array_equal(perturbation.linear_matrix, lin):
         raise ValueError("perturbation does not reduce to the prescribed linear part")
-    square = compose(perturbation, perturbation)
-    ident = ClassTwoEndo.identity(pres.gens, mod)
-    steps = 0
-    probe = square
-    while probe != ident:
-        probe = endo_power(probe, mod.p)
-        steps += 1
-        if steps > 3 * mod.f + 2:
-            raise AssertionError("kernel element order exceeded its p-power bound")
-    corrected = perturbation if steps == 0 else endo_power(perturbation, mod.p ** steps)
-    if compose(corrected, corrected) != ident:
+    corrected = endo_power(perturbation, mod.q)
+    if compose(corrected, corrected) != ClassTwoEndo.identity(pres.gens, mod):
         raise AssertionError("order correction failed to produce an involution")
     if not np.array_equal(corrected.linear_matrix, lin):
         raise AssertionError("order correction changed the linear part")
@@ -413,15 +397,8 @@ def symmetrize_basis(
     # g . z^(+-1) = (e_i +- z, +-Z) for central z = (z, Z): the cocycle
     # term vanishes mod q
     roots = central_sqrt(defects)
-    d = gens.d
-    basis = ClassTwoEndo(
-        ClassTwoStack(
-            gens,
-            mod,
-            np.eye(d, dtype=np.int64) + signs[:, None] * roots.gen_exp,
-            signs[:, None, None] * roots.comm,
-        )
-    )
+    unipotent = np.eye(gens.d, dtype=np.int64) + signs[:, None] * roots.gen_exp
+    basis = ClassTwoEndo(ClassTwoStack(gens, mod, unipotent, signs[:, None] * roots.comm))
     basis_inv = invert_auto(basis)
     new_action_endo = compose(basis_inv, compose(action.endo, basis))
     if not is_clean_diagonal(new_action_endo, signs):
@@ -436,15 +413,10 @@ def transform_presentation(
     basis_inv = invert_auto(basis)
     new_relator = basis_inv(pres.relator)
     # chi is multiplicative and kills F^2, so it transforms through the
-    # linear part of the basis change
-    t = basis.images.gen_exp
-    q2 = pres.mod.q2
-    new_vals = []
-    for i in range(pres.d):
-        val = 1
-        for k in range(pres.d):
-            val = (val * pow(int(pres.chi.values[k]), int(t[i, k]), q2)) % q2
-        new_vals.append(val)
+    # linear part T of the basis change: with chi(g_k) = 1 + q c_k mod q^2,
+    # chi(h_i) = prod_k (1 + q c_k)^(T_ik) = 1 + q (T c)_i mod q^2
+    q = pres.mod.q
+    new_vals = 1 + q * matmul_mod(basis.linear_matrix, delta_map(pres, 1), q)
     new_pres = DemushkinPresentation(
         pres.n,
         pres.mod,
@@ -489,8 +461,7 @@ class CoinvariantMachine:
             rows = np.vstack([plus.basis, minus.basis])
             if rows.shape[0] != pres.d:
                 raise AssertionError("eigenspace ranks do not fill the module")
-            zero = np.zeros((pres.d, pres.d, pres.d), dtype=np.int64)
-            basis = ClassTwoEndo(ClassTwoStack(pres.gens, pres.mod, rows, zero))
+            basis = ClassTwoEndo.linear(pres.gens, pres.mod, rows)
             pres, action = transform_presentation(pres, action, basis)
             signs = _diagonal_signs(action)
             if signs is None:
@@ -507,19 +478,15 @@ class CoinvariantMachine:
             raise ValueError("no generator survives; the coinvariants are trivial")
 
         # sigma(g) = g^-1 z on an eliminated generator; the difference
-        # relator gives g^2 = g sigma(g) = z, so g is the central square root
-        # of z once every coordinate touching an eliminated generator, which
-        # lies in the kernel of the quotient map, is zeroed
-        z = action.endo.defects(signs)[self.elim]
-        ge, cm = z.gen_exp.copy(), z.comm.copy()
-        ge[:, self.elim] = 0
-        cm[:, self.elim, :] = 0
-        cm[:, :, self.elim] = 0
-        roots = central_sqrt(ClassTwoStack(gens, mod, ge, cm))
-        d = pres.d
-        sub_ge, sub_cm = np.eye(d, dtype=np.int64), np.zeros((d, d, d), dtype=np.int64)
-        sub_ge[self.elim], sub_cm[self.elim] = roots.gen_exp, roots.comm
-        self.subst = ClassTwoEndo(ClassTwoStack(gens, mod, sub_ge, sub_cm))
+        # relator gives g^2 = g sigma(g) = z, so g becomes the central square
+        # root of z.  The coordinates of z that touch eliminated generators
+        # die in quotient_kill, which commutes with central_sqrt, so project
+        # needs no zeroing
+        roots = central_sqrt(action.endo.defects(signs)[self.elim])
+        order = np.arange(pres.d)
+        order[self.elim] = pres.d + np.arange(len(self.elim))
+        ident = ClassTwoEndo.identity(gens, mod).images
+        self.subst = ClassTwoEndo(ClassTwoStack.of(gens, mod, [ident, roots])[order])
         self.small_gens = GeneratorSet(self.kept_labels)
 
         # the difference relators g^-1 sigma(g), projected in one batch

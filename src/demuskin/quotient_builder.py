@@ -169,10 +169,7 @@ def build_V(
     idx += [i + 2 for i in range(1, u + 1, 2)]  # duals of x_(i+1), fixed
     idx += [i for i in range(u + 3, n + 1, 2)]  # duals of x_(i-1), negated
     d = pres.d
-    rows = np.zeros((len(idx), d), dtype=np.int64)
-    for r, i in enumerate(idx):
-        rows[r, i] = 1
-    iso = validate_V(pres, action, Submodule(rows, d, pres.mod.q))
+    iso = validate_V(pres, action, Submodule(np.eye(d, dtype=np.int64)[idx], d, pres.mod.q))
     if not iso.ok or iso.rank != n // 2 + 1 or iso.gamma_contained is not True:
         raise AssertionError(
             "explicitly constructed V failed validation; engine inconsistency"
@@ -336,8 +333,7 @@ def _build_adapted_change(
     if not np.array_equal(matmul_mod(matmul_mod(t_star, gram, q), t_star.T, q), gram):
         raise AssertionError("adapted dual basis does not reproduce the standard pairing")
     t_gen = inv_mod(ZqMatrix(t_star, q)).array.T % q
-    zero = np.zeros((d, d, d), dtype=np.int64)
-    basis = ClassTwoEndo(ClassTwoStack(pres.gens, pres.mod, t_gen, zero))
+    basis = ClassTwoEndo.linear(pres.gens, pres.mod, t_gen)
     # V expressed in the new dual coordinates must be a coordinate span
     new_coords = V.image_under(t_gen.T)
     if _coordinate_dual_indices(new_coords) is None:
@@ -447,11 +443,9 @@ def free_quotient(
     labels = pres.gens.labels
     kept = [labels[i] for i in kept_idx]
     killed = [lab for i, lab in enumerate(labels) if i not in kept_idx]
-    flags["relator_contained"] = quotient_kill(killed, relator).is_identity if kept else True
     dropped = clean.images[[pres.gens.index(lab) for lab in killed]]
-    flags["delta_invariant_kill"] = not (
-        dropped.gen_exp[:, kept_idx].any() or dropped.comm[:, kept_idx][:, :, kept_idx].any()
-    )
+    flags["relator_contained"] = bool(quotient_kill(killed, relator).is_identity) if kept else True
+    flags["delta_invariant_kill"] = bool(quotient_kill(killed, dropped).is_identity.all()) if kept else True
     # kept generators project onto the quotient mod squares by construction
     flags["surjective_mod_F2"] = True
 

@@ -105,6 +105,17 @@ def matmul_mod(a, b, m: int) -> np.ndarray:
     return out.astype(np.int64, copy=False)
 
 
+def integers_mod(values, m: int, what: str = "exponents") -> np.ndarray:
+    """Integer values (any shape, any size) reduced to [0, m) as int64; a
+    ValueError for anything else, so a float is never truncated."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        a = np.asarray(values, dtype=object)
+        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in a.flat):
+            raise ValueError(f"{what} must be integers")
+    return np.mod(a, m).astype(np.int64, copy=False)
+
+
 def _valuation(x: int, p: int, cap: int) -> int:
     if x == 0:
         return cap
@@ -251,10 +262,10 @@ class Submodule:
         basis = _howell_rows(arr, self.ambient, self.modulus)
         basis.setflags(write=False)
         self.basis = basis
-        self._pivots = tuple(
-            (int(np.nonzero(row)[0][0]), int(row[np.nonzero(row)[0][0]]))
-            for row in self.basis
-        )
+        # every Howell row is nonzero: its pivot column is its count of
+        # leading zeros
+        cols = np.logical_and.accumulate(basis == 0, axis=1).sum(axis=1)
+        self._pivots = tuple(zip(cols.tolist(), basis[np.arange(len(basis)), cols].tolist()))
         self._free = None  # (is free, rank mod p), computed on first use
 
     @classmethod

@@ -62,10 +62,8 @@ def verdict(number, name, ok):
 def random_element(rng, gens, mod):
     d = gens.d
     ge = [rng.randrange(mod.q2) for _ in range(d)]
-    cm = np.zeros((d, d), dtype=np.int64)
-    for i in range(d):
-        for j in range(i + 1, d):
-            cm[i, j] = rng.randrange(mod.q)
+    # one commutator exponent per pair i < j, in row-major order
+    cm = [rng.randrange(mod.q) for _ in range(d * (d - 1) // 2)]
     return ClassTwoElement(gens, mod, ge, cm)
 
 
@@ -73,10 +71,7 @@ def random_central(rng, pres):
     d = pres.d
     mod = pres.mod
     ge = np.array([mod.q * rng.randrange(mod.q) for _ in range(d)], dtype=np.int64)
-    cm = np.zeros((d, d), dtype=np.int64)
-    for i in range(d):
-        for j in range(i + 1, d):
-            cm[i, j] = rng.randrange(mod.q)
+    cm = [rng.randrange(mod.q) for _ in range(d * (d - 1) // 2)]
     return ClassTwoElement(pres.gens, mod, ge, cm)
 
 
@@ -123,20 +118,21 @@ def test_criterion_1_collection_engine():
             for idx, s in letters:
                 via_product = via_product * ClassTwoElement.generator(gens, mod, idx) ** s
             seq = list(letters)
-            comm_acc = np.zeros((3, 3), dtype=np.int64)
+            comm_acc = {}  # (i, j) -> exponent of [g_j, g_i], i < j
             changed = True
             while changed:
                 changed = False
                 for k in range(len(seq) - 1):
                     (x, sx), (y, sy) = seq[k], seq[k + 1]
                     if x > y:
-                        comm_acc[y, x] += sx * sy
+                        comm_acc[y, x] = comm_acc.get((y, x), 0) + sx * sy
                         seq[k], seq[k + 1] = seq[k + 1], seq[k]
                         changed = True
             ge = np.zeros(3, dtype=np.int64)
             for idx, s in seq:
                 ge[idx] += s
-            ok &= via_product == ClassTwoElement(gens, mod, ge, comm_acc)
+            triples = [[i, j, c] for (i, j), c in comm_acc.items()]
+            ok &= via_product == ClassTwoElement.from_json({"gen_exp": ge.tolist(), "comm_exp": triples}, gens, mod)
             cases += 1
         assert cases >= 10000
     verdict(1, "collection engine soundness", ok)

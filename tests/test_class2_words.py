@@ -32,11 +32,24 @@ MODULI = [Modulus(3, 1), Modulus(3, 2), Modulus(5, 1), Modulus(5, 2)]
 def random_element(gens, mod):
     d = gens.d
     ge = [rng.randrange(mod.q2) for _ in range(d)]
-    cm = np.zeros((d, d), dtype=np.int64)
-    for i in range(d):
-        for j in range(i + 1, d):
-            cm[i, j] = rng.randrange(mod.q)
+    # one commutator exponent per pair i < j, in row-major order
+    cm = [rng.randrange(mod.q) for _ in range(d * (d - 1) // 2)]
     return ClassTwoElement(gens, mod, ge, cm)
+
+
+def from_pairs(gens, mod, gen_exp, comm):
+    """The element with generator exponents gen_exp and commutator exponents
+    comm = {(i, j): c_ij}, i < j, built through its JSON form."""
+    triples = [[i, j, int(c)] for (i, j), c in comm.items()]
+    return ClassTwoElement.from_json({"gen_exp": [int(x) for x in gen_exp], "comm_exp": triples}, gens, mod)
+
+
+def comm_of(u):
+    """{(i, j): c_ij} over every pair i < j, read off the JSON form."""
+    d = u.gens.d
+    out = {(i, j): 0 for i in range(d) for j in range(i + 1, d)}
+    out.update({(i, j): c for i, j, c in u.to_json()["comm_exp"]})
+    return out
 
 
 def is_automorphism(e: ClassTwoEndo) -> bool:
@@ -57,20 +70,20 @@ def naive_collect(letters, gens, mod):
     """
     d = gens.d
     seq = list(letters)
-    comm = np.zeros((d, d), dtype=np.int64)
+    comm = {}
     changed = True
     while changed:
         changed = False
         for k in range(len(seq) - 1):
             (a, s), (b, t) = seq[k], seq[k + 1]
             if a > b:
-                comm[b, a] += s * t
+                comm[b, a] = comm.get((b, a), 0) + s * t
                 seq[k], seq[k + 1] = seq[k + 1], seq[k]
                 changed = True
     ge = np.zeros(d, dtype=np.int64)
     for idx, s in seq:
         ge[idx] += s
-    return ClassTwoElement(gens, mod, ge, comm)
+    return from_pairs(gens, mod, ge, comm)
 
 
 def random_letters(d, length):
@@ -92,9 +105,9 @@ class TestCollection:
         g2 = ClassTwoElement.generator(gens, mod, 1)
         prod = g2 * g1
         assert list(prod.gen_exp) == [1, 1]
-        assert prod.comm[0, 1] == 1
+        assert comm_of(prod)[0, 1] == 1
         # and the other order has no commutator part
-        assert (g1 * g2).comm[0, 1] == 0
+        assert comm_of(g1 * g2)[0, 1] == 0
 
     @pytest.mark.parametrize("mod", MODULI, ids=lambda m: f"q{m.q}")
     def test_matches_letter_collection(self, mod):
@@ -170,7 +183,7 @@ class TestCommutator:
         )
         expanded = letters_to_element(letters, gens, mod)
         assert commutator(g1 ** 2, g2 ** 3) == expanded
-        assert expanded.comm[0, 1] % mod.q == (-6) % mod.q
+        assert comm_of(expanded)[0, 1] % mod.q == (-6) % mod.q
 
     @pytest.mark.parametrize("mod", MODULI, ids=lambda m: f"q{m.q}")
     def test_commutator_is_central_and_bilinear(self, mod):
@@ -348,11 +361,7 @@ class TestEndomorphisms:
 
 
 def ref_of(u):
-    d = u.gens.d
-    return (
-        [int(x) for x in u.gen_exp],
-        {(i, j): int(u.comm[i, j]) for i in range(d) for j in range(i + 1, d)},
-    )
+    return [int(x) for x in u.gen_exp], comm_of(u)
 
 
 def ref_mul(u, v, q):
@@ -414,10 +423,7 @@ def exact_cases(draw, mod, count):
     elements = []
     for _ in range(count):
         ge = draw(st.lists(st.integers(0, mod.q2 - 1), min_size=d, max_size=d))
-        cm = np.zeros((d, d), dtype=np.int64)
-        for i in range(d):
-            for j in range(i + 1, d):
-                cm[i, j] = draw(st.integers(0, mod.q - 1))
+        cm = [draw(st.integers(0, mod.q - 1)) for _ in range(d * (d - 1) // 2)]
         elements.append(ClassTwoElement(gens, mod, ge, cm))
     return gens, elements
 
@@ -537,13 +543,12 @@ def membership_cases(draw):
     mod = draw(st.sampled_from([Modulus(3, 1), Modulus(3, 2), Modulus(5, 2)]))
     d = draw(st.integers(1, 5))
     gens = GeneratorSet(f"y{i}" for i in range(d))
-    upper = np.triu_indices(d, 1)
+    npairs = d * (d - 1) // 2
 
     def element(central):
         scale, top = (mod.q, mod.q) if central else (1, mod.q2)
         ge = [scale * draw(st.integers(0, top - 1)) for _ in range(d)]
-        cm = np.zeros((d, d), dtype=np.int64)
-        cm[upper] = draw(st.lists(st.integers(0, mod.q - 1), min_size=len(upper[0]), max_size=len(upper[0])))
+        cm = draw(st.lists(st.integers(0, mod.q - 1), min_size=npairs, max_size=npairs))
         return ClassTwoElement(gens, mod, ge, cm)
 
     relators = [element(True) for _ in range(draw(st.integers(0, 3)))]
@@ -567,9 +572,9 @@ class TestBatchedMembership:
     @given(membership_cases())
     def test_matches_per_element_reference(self, case):
         tq, elements = case
-        q, q2, upper = tq.mod.q, tq.mod.q2, np.triu_indices(tq.gens.d, 1)
+        q, q2 = tq.mod.q, tq.mod.q2
         want = [
-            u.is_central and tq._span.contains(np.concatenate([u.gen_exp, q * u.comm[upper]]) % q2)
+            u.is_central and tq._span.contains(np.concatenate([u.gen_exp, q * u.comm]) % q2)
             for u in elements
         ]
         got = tq.are_trivial(elements)
@@ -778,17 +783,26 @@ class TestWordGrammar:
         d = gens.d
         ge = [[rng.randrange(mod.q2) for _ in range(d)] for _ in range(20)]
         cm = [[[rng.randrange(mod.q) for _ in range(d)] for _ in range(d)] for _ in range(20)]
-        stack = ClassTwoStack(gens, mod, np.array(ge, dtype=np.int64), np.array(cm, dtype=np.int64))
+        upper = np.triu_indices(d, 1)
+        stack = ClassTwoStack(gens, mod, np.array(ge, dtype=np.int64), np.array(cm, dtype=np.int64)[:, upper[0], upper[1]])
         for row in stack:
             assert parse_word(format_word(row), gens, mod) == row
 
     def test_json_round_trip(self):
-        gens = demushkin_generators(2)
         mod = Modulus(3, 2)
-        u = random_element(gens, mod)
-        assert ClassTwoElement.from_json(u.to_json(), gens, mod) == u
-        e = ClassTwoEndo([random_element(gens, mod) for _ in range(gens.d)])
-        assert ClassTwoEndo.from_json(e.to_json(), gens, mod) == e
+        # d = 4, and d = 1, which has no commutator slot
+        for gens in (demushkin_generators(2), GeneratorSet(("a",))):
+            u = random_element(gens, mod)
+            assert ClassTwoElement.from_json(u.to_json(), gens, mod) == u
+            e = ClassTwoEndo([random_element(gens, mod) for _ in range(gens.d)])
+            assert ClassTwoEndo.from_json(e.to_json(), gens, mod) == e
+            # a stack with no rows maps, kills and round-trips to no rows
+            empty = ClassTwoStack.of(gens, mod, [])
+            image = e(empty)
+            assert image.gen_exp.shape == (0, gens.d) and image.comm.shape == (0, gens.d * (gens.d - 1) // 2)
+            again = ClassTwoStack.of(gens, mod, [ClassTwoElement.from_json(r.to_json(), gens, mod) for r in image])
+            assert again.comm.shape == image.comm.shape and list(again) == list(empty) == []
+            assert len(commutator(empty, u)) == 0 and quotient_kill([], empty) is empty
 
 
 class TestGeneratorSet:
@@ -826,8 +840,8 @@ def image_by_products(e: ClassTwoEndo, u: ClassTwoElement) -> ClassTwoElement:
     out = ClassTwoElement.identity(u.gens, u.mod)
     for i, a in enumerate(u.gen_exp):
         out = out * e.images[i] ** int(a)
-    for i, j in zip(*np.nonzero(u.comm)):
-        out = out * commutator(e.images[j], e.images[i]) ** int(u.comm[i, j])
+    for i, j, c in u.to_json()["comm_exp"]:
+        out = out * commutator(e.images[j], e.images[i]) ** c
     return out
 
 
@@ -840,7 +854,8 @@ def stacked_cases(draw):
     def element():
         ge = draw(st.lists(st.integers(0, mod.q2 - 1), min_size=d, max_size=d))
         cm = draw(st.lists(st.integers(0, mod.q - 1), min_size=d * d, max_size=d * d))
-        return ClassTwoElement(gens, mod, ge, np.array(cm, dtype=np.int64).reshape(d, d))
+        # the draws above the diagonal, in row-major order, are the pairs
+        return ClassTwoElement(gens, mod, ge, np.array(cm, dtype=np.int64).reshape(d, d)[np.triu_indices(d, 1)])
 
     e1 = ClassTwoEndo([element() for _ in range(d)])
     e2 = ClassTwoEndo([element() for _ in range(d)])
@@ -886,7 +901,8 @@ class TestStackedForms:
         assert stack[2] == els[2] and list(stack[1:3]) == els[1:3]
         assert list(stack[[4, 0]]) == [els[4], els[0]]
         assert list(stack.is_central) == [el.is_central for el in els]
-        assert list(ClassTwoStack.generators(gens, mod)) == list(ClassTwoEndo.identity(gens, mod).images)
+        generators = [ClassTwoElement.generator(gens, mod, i) for i in range(gens.d)]
+        assert list(ClassTwoEndo.identity(gens, mod).images) == generators
         assert ClassTwoStack.of(gens, mod, []).is_identity.shape == (0,)
         with pytest.raises(ValueError, match="different truncated group"):
             ClassTwoStack.of(gens, Modulus(5, 1), els)
@@ -908,11 +924,13 @@ class TestStackedForms:
     def test_stack_is_reduced(self):
         mod = Modulus(3, 1)
         gens = GeneratorSet(("a", "b"))
-        stack = ClassTwoStack(gens, mod, [[10, -1]], [[[5, 7], [4, 2]]])
+        stack = ClassTwoStack(gens, mod, [[10, -1]], [[7]])
         assert stack.gen_exp.tolist() == [[1, 8]]
-        assert stack.comm.tolist() == [[[0, 1], [0, 0]]]
+        assert stack.comm.tolist() == [[1]]
         with pytest.raises(ValueError):
-            ClassTwoStack(gens, mod, [[1, 2, 3]], np.zeros((1, 2, 2)))
+            ClassTwoStack(gens, mod, [[1, 2, 3]], [[0]])
+        with pytest.raises(ValueError, match="comm of shape"):
+            ClassTwoStack(gens, mod, [[1, 2]], [[[5, 7], [4, 2]]])
 
     @pytest.mark.parametrize("mod", MODULI, ids=lambda m: f"q{m.q}")
     def test_defects_are_difference_relators(self, mod):

@@ -60,6 +60,31 @@ class TestExitCodes:
         assert "cup_nondegenerate" in failed
 
 
+# a valid relator at p = 3, n = 2 (d = 4), spoiled one way per case
+GOOD_RELATOR = {"gen_exp": [0, 3, 0, 0], "comm_exp": [[0, 1, 1], [2, 3, 2]]}
+MALFORMED = {
+    "lower-triangle-pair": {"relator": {**GOOD_RELATOR, "comm_exp": [[3, 2, 5]]}},
+    "negative-coordinate": {"relator": {**GOOD_RELATOR, "comm_exp": [[0, -1, 1]]}},
+    "coordinate-out-of-range": {"relator": {**GOOD_RELATOR, "comm_exp": [[0, 7, 1]]}},
+    "float-generator-exponent": {"relator": {**GOOD_RELATOR, "gen_exp": [0, 3.7, 0, 0]}},
+    "float-character-value": {"relator": GOOD_RELATOR, "chi": [4.9, 1, 1, 1]},
+}
+
+
+class TestMalformedJson:
+    def test_the_unspoiled_file_passes(self, tmp_path, capsys):
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps({"p": 3, "f": 1, "n": 2, "relator": GOOD_RELATOR, "chi": [4, 1, 1, 1]}))
+        assert main(["invariants", "--presentation", str(pres)]) == 0
+
+    @pytest.mark.parametrize("case", MALFORMED, ids=list(MALFORMED))
+    def test_exits_two(self, tmp_path, capsys, case):
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps({"p": 3, "f": 1, "n": 2, **MALFORMED[case]}))
+        assert main(["invariants", "--presentation", str(pres)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad presentation file")
+
+
 class TestDeterminism:
     def test_sweep_reports_are_byte_identical(self, tmp_path):
         code1, text1 = run_inproc(tmp_path, "sweep", "--sweep-n", "2,4", "--sweep-q", "3,5")

@@ -51,10 +51,8 @@ def random_central(pres):
     d = pres.d
     mod = pres.mod
     ge = np.array([mod.q * rng.randrange(mod.q) for _ in range(d)], dtype=np.int64)
-    cm = np.zeros((d, d), dtype=np.int64)
-    for i in range(d):
-        for j in range(i + 1, d):
-            cm[i, j] = rng.randrange(mod.q)
+    # one commutator exponent per pair i < j, in row-major order
+    cm = [rng.randrange(mod.q) for _ in range(d * (d - 1) // 2)]
     return ClassTwoElement(pres.gens, mod, ge, cm)
 
 
@@ -63,9 +61,9 @@ class TestStandardPresentation:
         pres = DemushkinPresentation.standard(2, Modulus(3, 1))
         w = pres.relator
         assert list(w.gen_exp) == [0, 3, 0, 0]
-        assert w.comm[0, 1] == 1  # [x0, g]
-        assert w.comm[2, 3] == 2  # [x1, x2] enters inverted by the convention
-        assert int(np.count_nonzero(w.comm)) == 2
+        # [x0, g] at (0, 1), and [x1, x2] at (2, 3), inverted by the
+        # convention; no other commutator
+        assert w.to_json()["comm_exp"] == [[0, 1, 1], [2, 3, 2]]
 
     def test_small_rank_and_prime_power_cases(self):
         w0 = DemushkinPresentation.standard(0, Modulus(5, 1)).relator

@@ -526,28 +526,31 @@ def uniqueness_reference(pres, act, cert) -> bool:
 
 def machine_reference(pres, act):
     """The substitution images and central relators of CoinvariantMachine
-    on a diagonal action, built one generator at a time."""
+    on a diagonal action, built one generator at a time; and the
+    substitution whose roots first zero every coordinate touching an
+    eliminated generator."""
     signs = np.diag(act.endo.linear_matrix) == 1
     elim = [i for i, s in enumerate(signs) if not s]
-    images, relators = [], []
+    images, zeroed, relators = [], [], []
     for i, fixed in enumerate(signs):
         g = ClassTwoElement.generator(pres.gens, pres.mod, i)
         if fixed:
             images.append(g)
+            zeroed.append(g)
             continue
         b = g * act.endo.images[i]
-        ge, cm = b.gen_exp.copy(), b.comm.copy()
-        ge[elim] = 0
-        cm[elim, :] = 0
-        cm[:, elim] = 0
-        images.append(central_sqrt(ClassTwoElement(pres.gens, pres.mod, ge, cm)))
+        images.append(central_sqrt(b))
+        data = b.to_json()
+        ge = [0 if k in elim else a for k, a in enumerate(data["gen_exp"])]
+        cm = [t for t in data["comm_exp"] if t[0] not in elim and t[1] not in elim]
+        zeroed.append(central_sqrt(ClassTwoElement.from_json({"gen_exp": ge, "comm_exp": cm}, pres.gens, pres.mod)))
     subst = ClassTwoEndo(images)
     for i in np.flatnonzero(signs):
         g = ClassTwoElement.generator(pres.gens, pres.mod, int(i))
         img = quotient_kill(elim, subst(g.inverse() * act.endo.images[i]))
         if not img.is_identity:
             relators.append(img)
-    return subst, relators
+    return subst, ClassTwoEndo(zeroed), relators
 
 
 STACKED_CELLS = [(n, Modulus.from_q(q)) for n in (2, 4, 6, 8) for q in (3, 9, 25)]
@@ -583,9 +586,12 @@ class TestStackedUniqueness:
         lin = np.diag(signs) % mod.q
         for act in (standard_involution(pres), demushkin_core.lift_involution(pres, lin, pert)):
             machine = CoinvariantMachine(pres, act)
-            subst, relators = machine_reference(pres, act)
+            subst, zeroed, relators = machine_reference(pres, act)
             assert machine.subst == subst
             assert machine.central_relators == relators
+            # the zeroing changes nothing once the kill has been applied
+            gens = ClassTwoEndo.identity(pres.gens, mod).images
+            assert list(machine.project(gens)) == list(quotient_kill(machine.elim_labels, zeroed(gens)))
 
     @pytest.mark.parametrize("n", [2, 6, 12])
     def test_no_element_per_candidate(self, monkeypatch, n):
