@@ -42,6 +42,7 @@ from demuskin.zq_linalg import (
     Modulus,
     Submodule,
     ZqMatrix,
+    as_integer,
     eigen_split,
     integers_mod,
     kernel,
@@ -94,7 +95,7 @@ def standard_relator(n: int, mod: Modulus) -> ClassTwoElement:
 class DemushkinPresentation:
     """Rank n+2 one-relator data at the class-2 truncation."""
 
-    __slots__ = ("n", "mod", "gens", "relator", "chi")
+    __slots__ = ("n", "mod", "gens", "relator", "chi", "_cohomology")
 
     def __init__(
         self,
@@ -119,6 +120,7 @@ class DemushkinPresentation:
         self.chi = chi if chi is not None else CharacterData.default(self.gens, mod)
         if len(self.chi.values) != self.gens.d:
             raise ValueError("character needs one value per generator")
+        self._cohomology = None  # filled by invariants() on first use
 
     @classmethod
     def standard(cls, n: int, mod: Modulus) -> "DemushkinPresentation":
@@ -143,8 +145,8 @@ class DemushkinPresentation:
 
     @classmethod
     def from_json(cls, data: dict) -> "DemushkinPresentation":
-        mod = Modulus(int(data["p"]), int(data["f"]))
-        n = int(data["n"])
+        mod = Modulus(as_integer(data["p"], "p"), as_integer(data["f"], "f"))
+        n = as_integer(data["n"], "n")
         gens = (
             GeneratorSet(data["labels"]) if "labels" in data else demushkin_generators(n)
         )
@@ -181,19 +183,24 @@ class CohomologyData:
 
 
 def invariants(pres: DemushkinPresentation) -> CohomologyData:
-    """Gram matrix G = the relator's commutator_form, B[i] = a_i / q."""
+    """Gram matrix G = the relator's commutator_form, B[i] = a_i / q, as read-only
+    arrays, computed once per presentation (its attributes are never reassigned)."""
+    if pres._cohomology is not None:
+        return pres._cohomology
     q = pres.mod.q
     w = pres.relator
     cup = BilinearForm(ZqMatrix(w.commutator_form, q), ANTISYMMETRIC)
     bockstein = (w.gen_exp // q) % q
+    bockstein.setflags(write=False)
     surjective = bool(((bockstein % pres.mod.p) != 0).any())
-    return CohomologyData(
+    pres._cohomology = CohomologyData(
         h1_rank=pres.d,
         cup=cup,
         bockstein=bockstein,
         cup_nondegenerate=cup.is_nondegenerate(),
         bockstein_surjective=surjective,
     )
+    return pres._cohomology
 
 
 def delta_map(pres: DemushkinPresentation, i: int) -> np.ndarray:
@@ -231,23 +238,33 @@ class InvolutionAction:
     images mod q) and the H^2 scalar, i.e. the sign t with w -> w^t.  The
     identity (h1_matrix)^T . gram . h1_matrix = t . gram is verified on
     construction; at this truncation it is a consequence of the relator
-    condition, so a failure is reported loudly.
+    condition, so a failure is reported loudly.  `signs` is the read-only
+    vector s with endo(g_i) = g_i^(s_i) exactly, s_i = +-1, or None when some
+    image is not of that form.
     """
 
-    __slots__ = ("endo", "h1_matrix", "h2_scalar", "coherence_ok")
+    __slots__ = ("endo", "h1_matrix", "h2_scalar", "coherence_ok", "_signs")
 
     def __init__(self, endo, h1_matrix, h2_scalar, coherence_ok=True):
         self.endo = endo
         self.h1_matrix = h1_matrix
         self.h2_scalar = h2_scalar
         self.coherence_ok = coherence_ok
+        self._signs = _clean_signs(endo)
+
+    @property
+    def signs(self) -> np.ndarray | None:
+        return self._signs
 
     @classmethod
     def build(cls, pres: DemushkinPresentation, endo: ClassTwoEndo) -> "InvolutionAction":
         if endo.gens != pres.gens or endo.mod != pres.mod:
             raise ValueError("endomorphism does not act on the presentation's group")
         mod = pres.mod
-        if not is_clean_diagonal(compose(endo, endo), np.ones(pres.d, dtype=np.int64)):
+        # g -> g^(+-1) squares to 1 by the power formula: no d^4 composition
+        if _clean_signs(endo) is None and not is_clean_diagonal(
+            compose(endo, endo), np.ones(pres.d, dtype=np.int64)
+        ):
             raise NotAnInvolutionError("endomorphism does not square to the identity on F/F^3")
         # an involution carrying w to a power w^t has t^2 = 1 modulo the
         # order of w, a power of the odd p, so w^t is w or w^-1
@@ -276,7 +293,7 @@ class InvolutionAction:
 
     @property
     def is_trivial(self) -> bool:
-        return is_clean_diagonal(self.endo, np.ones(self.endo.gens.d, dtype=np.int64))
+        return self._signs is not None and bool((self._signs == 1).all())
 
     def h1_eigenspaces(self) -> tuple[Submodule, Submodule]:
         """(plus, minus) eigenspaces of the action on H^1 coordinate rows.
@@ -357,13 +374,18 @@ def is_clean_diagonal(endo: ClassTwoEndo, signs) -> bool:
     return np.array_equal(endo.images.gen_exp, diag) and not endo.images.comm.any()
 
 
+def _clean_signs(endo: ClassTwoEndo) -> np.ndarray | None:
+    """The read-only s with is_clean_diagonal(endo, s), s_i = +-1, else None."""
+    signs = np.where(endo.images.gen_exp.diagonal() == 1, 1, -1)
+    signs.setflags(write=False)
+    return signs if is_clean_diagonal(endo, signs) else None
+
+
 def _diagonal_signs(action: InvolutionAction) -> np.ndarray | None:
     """Signs when every image is g^(+-1) times a central element, else None."""
     lin = action.endo.linear_matrix
-    diag = lin.diagonal()
-    if (lin - np.diag(diag)).any() or not np.isin(diag, (1, action.endo.mod.q - 1)).all():
-        return None
-    return np.where(diag == 1, 1, -1)
+    signs = np.where(lin.diagonal() == 1, 1, -1)
+    return signs if np.array_equal(lin, np.diag(signs) % action.endo.mod.q) else None
 
 
 def symmetrize_basis(
@@ -378,15 +400,15 @@ def symmetrize_basis(
     checked to be exactly diagonal (+-1 on each generator).  An action that
     is already clean keeps the identity basis.
     """
+    gens, mod = pres.gens, pres.mod
+    if action.signs is not None:
+        return ClassTwoEndo.identity(gens, mod), pres.relator, action.endo
     signs = _diagonal_signs(action)
     if signs is None:
         raise ValueError(
             "action is not of product shape: each generator must map to "
             "itself or its inverse times a central element"
         )
-    gens, mod = pres.gens, pres.mod
-    if is_clean_diagonal(action.endo, signs):
-        return ClassTwoEndo.identity(gens, mod), pres.relator, action.endo
     # row i: g^-1 sigma(g) = a on a fixed generator, g sigma(g) = b on a
     # negated one
     defects = action.endo.defects(signs)
@@ -455,7 +477,7 @@ class CoinvariantMachine:
     """
 
     def __init__(self, pres: DemushkinPresentation, action: InvolutionAction):
-        signs = _diagonal_signs(action)
+        signs = _diagonal_signs(action) if action.signs is None else action.signs
         if signs is None:
             plus, minus = action.f2_eigenspaces()
             rows = np.vstack([plus.basis, minus.basis])
@@ -519,21 +541,15 @@ def coinvariants(pres: DemushkinPresentation, action: InvolutionAction) -> Coinv
             "the coinvariant truncation carries central relations beyond the "
             "relator image"
         )
-    if machine.span.is_trivial(wbar):
-        return CoinvariantsResult(
-            rank=rank,
-            kind="free",
-            m=None,
-            kept_labels=machine.kept_labels,
-            eliminated_labels=machine.elim_labels,
-            induced=None,
-            induced_relator=None,
-            extra_central_relators=extra,
-            warnings=tuple(warns),
-        )
-    m = rank - 2
+    free = machine.span.is_trivial(wbar)
+    m = None if free else rank - 2
     induced = None
-    if m >= 0 and m % 2 == 0:
+    if not free and (m < 0 or m % 2):
+        warns.append(
+            f"coinvariant rank {rank} is not of the form m + 2 with m even "
+            ">= 0; reporting raw truncation data"
+        )
+    elif not free:
         chi_vals = [int(machine.pres.chi.values[i]) for i in machine.kept]
         induced_pres = DemushkinPresentation(
             m,
@@ -545,19 +561,14 @@ def coinvariants(pres: DemushkinPresentation, action: InvolutionAction) -> Coinv
         induced = invariants(induced_pres)
         if not induced.cup_nondegenerate:
             warns.append("induced pairing on the coinvariants is degenerate")
-    else:
-        warns.append(
-            f"coinvariant rank {rank} is not of the form m + 2 with m even "
-            ">= 0; reporting raw truncation data"
-        )
     return CoinvariantsResult(
         rank=rank,
-        kind="demushkin",
+        kind="free" if free else "demushkin",
         m=m,
         kept_labels=machine.kept_labels,
         eliminated_labels=machine.elim_labels,
         induced=induced,
-        induced_relator=wbar,
+        induced_relator=None if free else wbar,
         extra_central_relators=extra,
         warnings=tuple(warns),
     )

@@ -39,7 +39,6 @@ from demuskin.class2_words import (
     quotient_kill,
 )
 from demuskin.demushkin_core import (
-    CohomologyData,
     CoinvariantMachine,
     DemushkinPresentation,
     InvolutionAction,
@@ -181,7 +180,7 @@ def _require_clean_standard(pres: DemushkinPresentation, action: InvolutionActio
     """The builder entry points work in the symmetrized standard frame."""
     if pres.relator != standard_relator(pres.n, pres.mod):
         raise ValueError("expected the standard relator; symmetrize the basis first")
-    if not (action.is_trivial or is_clean_diagonal(action.endo, standard_sign_pattern(pres.n))):
+    if not (action.is_trivial or np.array_equal(action.signs, standard_sign_pattern(pres.n))):
         raise ValueError(
             "expected the clean diagonal involution; symmetrize the action first"
         )
@@ -212,12 +211,13 @@ def _cyclotomic_partner(rows: np.ndarray, w: np.ndarray, bvec: np.ndarray, mod) 
     return _unit_partner(cands[matmul_mod(cands, w, mod.q) % mod.p != 0], bvec, mod)
 
 
-def _symplectic_frame(pres: DemushkinPresentation, coh: CohomologyData, hplus: Submodule, hminus: Submodule, queue) -> np.ndarray:
+def _symplectic_frame(pres: DemushkinPresentation, hplus: Submodule, hminus: Submodule, queue) -> np.ndarray:
     """Rows of the adapted dual basis, in generator order, by the
-    symplectic completion of the module docstring; `coh` holds the
-    invariants of `pres`, and `queue` lists V's basis vectors with the
-    eigenspace ("plus" or "minus") of each."""
+    symplectic completion of the module docstring, checked to reproduce the
+    pairing; `queue` lists V's basis vectors with the eigenspace ("plus" or
+    "minus") of each."""
     mod, d, q = pres.mod, pres.d, pres.mod.q
+    coh = invariants(pres)
     gram, bvec = coh.cup.gram.array, coh.bockstein
     kerb = kernel(ZqMatrix(bvec.reshape(1, -1), q))
     plus_k, minus_k = hplus.intersect(kerb), hminus.intersect(kerb)
@@ -271,18 +271,18 @@ def _symplectic_frame(pres: DemushkinPresentation, coh: CohomologyData, hplus: S
         if not len(free):
             raise AssertionError("no free direction left for a generic slot")
         pair_minus(free[0])
-    return np.array([slots[0][0], slots[0][1]] + [x for a, b in slots[1:] for x in (b, a)])
+    t_star = np.array([slots[0][0], slots[0][1]] + [x for a, b in slots[1:] for x in (b, a)])
+    if not np.array_equal(matmul_mod(matmul_mod(t_star, gram, q), t_star.T, q), gram):
+        raise AssertionError("adapted dual basis does not reproduce the standard pairing")
+    return t_star
 
 
 def _coordinate_dual_indices(V: Submodule) -> list[int] | None:
     """Indices J when V is exactly the span of coordinate duals e_J."""
-    idx = []
-    for row in V.basis:
-        nz = np.nonzero(row)[0]
-        if len(nz) != 1 or row[nz[0]] != 1:
-            return None
-        idx.append(int(nz[0]))
-    return idx
+    nz = V.basis != 0
+    if (nz.sum(axis=1) != 1).any() or (V.basis[nz] != 1).any():
+        return None
+    return nz.argmax(axis=1).tolist()
 
 
 def _extend_to_free_basis(rows, start: list, d: int, q: int) -> list:
@@ -327,11 +327,7 @@ def _build_adapted_change(
         raise AssertionError("failed to pick free bases of the eigenparts of V")
 
     queue = [(row, "plus") for row in plus_rows] + [(row, "minus") for row in minus_rows]
-    coh = invariants(pres)
-    t_star = _symplectic_frame(pres, coh, hplus, hminus, queue)
-    gram = coh.cup.gram.array
-    if not np.array_equal(matmul_mod(matmul_mod(t_star, gram, q), t_star.T, q), gram):
-        raise AssertionError("adapted dual basis does not reproduce the standard pairing")
+    t_star = _symplectic_frame(pres, hplus, hminus, queue)
     t_gen = inv_mod(ZqMatrix(t_star, q)).array.T % q
     basis = ClassTwoEndo.linear(pres.gens, pres.mod, t_gen)
     # V expressed in the new dual coordinates must be a coordinate span

@@ -116,6 +116,14 @@ def integers_mod(values, m: int, what: str = "exponents") -> np.ndarray:
     return np.mod(a, m).astype(np.int64, copy=False)
 
 
+def as_integer(value, what: str) -> int:
+    """An integer value as an int; a ValueError for a float, a bool or any
+    other type, so nothing is truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _valuation(x: int, p: int, cap: int) -> int:
     if x == 0:
         return cap
@@ -183,9 +191,9 @@ class ZqMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "ZqMatrix":
-        rows, cols = int(data["rows"]), int(data["cols"])
-        entries = np.array(data["entries"], dtype=np.int64).reshape(rows, cols)
-        return cls(entries, int(data["modulus"]))
+        rows, cols, m = (as_integer(data[k], k) for k in ("rows", "cols", "modulus"))
+        _prime_power_base(m)  # a ValueError before anything is reduced by m
+        return cls(integers_mod(data["entries"], m, "matrix entries").reshape(rows, cols), m)
 
 
 def _howell_rows(rows_in, ncols: int, m: int) -> np.ndarray:

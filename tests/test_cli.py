@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -68,6 +69,8 @@ MALFORMED = {
     "coordinate-out-of-range": {"relator": {**GOOD_RELATOR, "comm_exp": [[0, 7, 1]]}},
     "float-generator-exponent": {"relator": {**GOOD_RELATOR, "gen_exp": [0, 3.7, 0, 0]}},
     "float-character-value": {"relator": GOOD_RELATOR, "chi": [4.9, 1, 1, 1]},
+    "float-parameters": {"p": 3.9, "f": 1.5, "n": 2.2},
+    "bool-parameter": {"f": True},
 }
 
 
@@ -213,6 +216,15 @@ class TestQuotientCommand:
         assert cert["killed"] == ["x0", "x1"]
         assert cert["signature"] == [1, 0]
         assert all(cert["flags"].values())
+
+    def test_large_rank_report_is_pinned(self, tmp_path):
+        # the report at n = 160 (d = 162) is fixed byte for byte; building the
+        # standard involution there composes nothing, so this stays well
+        # under a second, and a return of the d^4 check shows in its time
+        code, text = run_inproc(tmp_path, "quotient", "--p", "3", "--n", "160", "--signature", "40", "40")
+        assert code == 0
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "d2ae66ba502f5ae170d48334351c74f9217572ea916b8186f5d08c413eafe1d2"
 
     def test_missing_signature_is_two(self):
         proc = run_cli("quotient", "--p", "3", "--n", "2")

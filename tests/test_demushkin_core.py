@@ -3,14 +3,18 @@ from itertools import product as cartesian
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demuskin import demushkin_core
 from demuskin.class2_words import (
     ClassTwoElement,
     ClassTwoEndo,
+    ClassTwoStack,
     commutator,
     compose,
     demushkin_generators,
+    endo_power,
     invert_auto,
     parse_word,
 )
@@ -110,6 +114,12 @@ class TestStandardPresentation:
         assert again.relator == pres.relator
         assert again.chi == pres.chi
 
+    @pytest.mark.parametrize("field,value", [("p", 3.9), ("f", 1.5), ("n", 2.2), ("p", True), ("n", "2")])
+    def test_json_rejects_non_integral_parameters(self, field, value):
+        data = {"p": 3, "f": 1, "n": 2, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            DemushkinPresentation.from_json(data)
+
     def test_json_accepts_coordinate_relator(self):
         pres = DemushkinPresentation.standard(2, Modulus(3, 1))
         data = pres.to_json()
@@ -157,6 +167,17 @@ class TestInvariants:
     def test_grid_q25(self):
         coh = invariants(DemushkinPresentation.standard(4, Modulus(5, 2)))
         assert coh.is_demushkin
+
+    def test_computed_once_and_read_only(self):
+        pres = DemushkinPresentation.standard(4, Modulus(3, 1))
+        coh = invariants(pres)
+        assert invariants(pres) is coh
+        with pytest.raises(ValueError):
+            coh.bockstein[0] = 1
+        with pytest.raises(ValueError):
+            coh.cup.gram.array[0, 1] = 0
+        # a new presentation with the same data computes its own
+        assert invariants(DemushkinPresentation.standard(4, Modulus(3, 1))) is not coh
 
 
 class TestGammaLine:
@@ -285,6 +306,95 @@ class TestStandardInvolution:
         act = InvolutionAction.build(pres, endo)
         assert act.h2_scalar == -1
         assert act.coherence_ok
+
+
+class TestInvolutionSigns:
+    def test_standard_involution_needs_no_composition(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(demushkin_core, "compose", lambda e1, e2: calls.append(e1) or compose(e1, e2))
+        pres = DemushkinPresentation.standard(40, Modulus(3, 1))
+        act = standard_involution(pres)
+        assert calls == []
+        assert np.array_equal(act.signs, standard_sign_pattern(40))
+        assert trivial_action(pres).is_trivial and not act.is_trivial
+        assert calls == []
+
+    def test_signs_are_read_only(self):
+        act = standard_involution(DemushkinPresentation.standard(2, Modulus(3, 1)))
+        with pytest.raises(ValueError):
+            act.signs[0] = 1
+        with pytest.raises(AttributeError):
+            act.signs = None
+
+    def test_perturbed_action_has_no_signs(self):
+        pres = DemushkinPresentation.standard(2, Modulus(3, 1))
+        base = standard_involution(pres)
+        images = list(base.endo.images)
+        images[0] = images[0] * pres.element("[x2,x1]")
+        act = lift_involution(pres, base.endo.linear_matrix, ClassTwoEndo(images))
+        assert act.signs is None and not act.is_trivial
+        assert np.array_equal(_diagonal_signs(act), standard_sign_pattern(2))
+
+
+@st.composite
+def candidate_endos(draw):
+    """A presentation and an endomorphism of its group: signed diagonals with
+    and without central or commutator perturbations, diagonals with entries
+    other than +-1 mod q^2, off-diagonal linear parts, and the q-th powers of
+    all of these, which turn perturbed lifts into exact involutions."""
+    mod = draw(st.sampled_from([Modulus(3, 1), Modulus(3, 2), Modulus(5, 1)]))
+    n = draw(st.sampled_from([0, 2, 4]))
+    pres = DemushkinPresentation.standard(n, mod)
+    d, q, q2 = pres.d, mod.q, mod.q2
+    signs = draw(st.one_of(
+        st.just(standard_sign_pattern(n)),
+        st.just(np.ones(d, dtype=np.int64)),
+        st.lists(st.sampled_from([1, -1]), min_size=d, max_size=d).map(np.array),
+    ))
+    linear = np.diag(signs) % q2
+    kind = draw(st.sampled_from(["clean", "central", "commutator", "unit", "off_diagonal"]))
+    exps = st.integers(0, q2 - 1)
+    gen_exp = np.zeros((d, d), dtype=np.int64)
+    comm = np.zeros((d, d * (d - 1) // 2), dtype=np.int64)
+    if kind == "central":
+        gen_exp = q * np.array(draw(st.lists(st.integers(0, q - 1), min_size=d * d, max_size=d * d))).reshape(d, d)
+    if kind in ("central", "commutator"):
+        comm = np.array(draw(st.lists(st.integers(0, q - 1), min_size=comm.size, max_size=comm.size)))
+        comm = comm.reshape(d, -1)
+    if kind == "unit":
+        i = draw(st.integers(0, d - 1))
+        linear[i, i] = draw(st.sampled_from([1 + q, q2 - 1 - q, 2, q2 - 2]))
+    if kind == "off_diagonal":
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        linear[i, j] = draw(exps.filter(lambda x: i != j or x % q2 not in (1, q2 - 1)))
+    endo = ClassTwoEndo(ClassTwoStack(pres.gens, mod, linear + gen_exp, comm))
+    if draw(st.booleans()):
+        endo = endo_power(endo, q)
+    return pres, endo
+
+
+class TestInvolutionBuildProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(candidate_endos())
+    def test_accepts_exactly_the_involutions(self, case):
+        pres, endo = case
+        ones = np.ones(pres.d, dtype=np.int64)
+        involution = is_clean_diagonal(compose(endo, endo), ones)
+        try:
+            act = InvolutionAction.build(pres, endo)
+        except NotAnInvolutionError:
+            assert not involution
+            return
+        except RelatorNotPreservedError:
+            assert involution
+            act = InvolutionAction(endo, ZqMatrix(endo.linear_matrix, pres.mod.q), 1)
+        assert involution
+        diagonal_signs = np.where(endo.images.gen_exp.diagonal() == 1, 1, -1)
+        assert (act.signs is not None) == is_clean_diagonal(endo, diagonal_signs)
+        if act.signs is not None:
+            assert is_clean_diagonal(endo, act.signs)
+            assert np.array_equal(act.signs, _diagonal_signs(act))
+            assert act.is_trivial == bool((act.signs == 1).all())
 
 
 class TestLiftInvolution:

@@ -530,6 +530,18 @@ class TestJson:
         a = random_matrix(2, 3, 9)
         assert ZqMatrix.from_json(a.to_json()) == a
 
+    @pytest.mark.parametrize("field,value", [
+        ("rows", 1.9), ("cols", 1.0), ("modulus", 9.0), ("entries", [2.7]), ("rows", True), ("entries", [False]),
+    ])
+    def test_matrix_rejects_non_integral_values(self, field, value):
+        data = {"modulus": 9, "rows": 1, "cols": 1, "entries": [2], field: value}
+        with pytest.raises(ValueError, match="must be (an )?integer"):
+            ZqMatrix.from_json(data)
+
+    def test_matrix_entries_beyond_int64_are_reduced(self):
+        data = {"modulus": 9, "rows": 1, "cols": 2, "entries": [2**70 + 1, -1]}
+        assert ZqMatrix.from_json(data).array.tolist() == [[(2**70 + 1) % 9, 8]]
+
 
 # ---------------------------------------------------------------------------
 # exactness at large moduli: int64 while m^2 fits, Python ints beyond
