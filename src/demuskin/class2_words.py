@@ -18,7 +18,9 @@ is the 2-cocycle (a, c)(b, e) = (a + b, c + e + b (x) a), so powers,
 commutators and endomorphisms are closed formulas in (a, c): the class-2
 case of Deep Thought collection (Leedham-Green & Soicher, 1998).  Each
 formula carries a leading element axis unchanged, so a ClassTwoStack of N
-elements is mapped, commuted, killed and tested in one array pass.
+elements is multiplied, raised to powers, mapped, commuted, killed and
+tested in one array pass, by the same product and power routines as an
+element.
 
 Elements, stacks, endomorphisms and quotients are immutable values; all
 operations are pure functions.
@@ -138,6 +140,30 @@ class _Exponents:
         """Whether the element lies in F^2/F^3 (gen_exp divisible by q)."""
         return ~(self.gen_exp % self.mod.q).any(axis=-1)
 
+    def __mul__(self, other):
+        """(a, c)(b, e) = (a + b, c + e + b (x) a), row by row for stacks."""
+        _check_same_group(self, other)
+        q, q2 = self.mod.q, self.mod.q2
+        a = self.gen_exp.astype(exact_dtype(q2**2), copy=False)
+        # collecting other's generators through self's picks up [g_j, g_i]^(a_j b_i)
+        cross = _cross(other.gen_exp % q, a % q)
+        return type(self)(self.gens, self.mod, (a + other.gen_exp) % q2, (self.comm + other.comm + cross) % q)
+
+    def __pow__(self, k):
+        """u^k = (k a, k c + C(k,2) a (x) a) for every integer k; a stack
+        takes one k or one k per row.  As q is odd, C(k,2) mod q depends on
+        k mod q only."""
+        q, q2 = self.mod.q, self.mod.q2
+        dt = exact_dtype(q2**2)
+        k = np.asarray(integers_mod(k, q2), dtype=dt)[..., None]
+        a = self.gen_exp.astype(dt, copy=False)
+        a1, k1 = a % q, k % q
+        cm = k1 * self.comm + (k1 * (k1 - 1) // 2 % q) * _cross(a1, a1)
+        return type(self)(self.gens, self.mod, k * a % q2, cm % q)
+
+    def inverse(self):
+        return self ** -1
+
 
 class ClassTwoElement(_Exponents):
     """Normal form of an element of F/F^3: gen_exp of shape (d,) and the
@@ -168,27 +194,10 @@ class ClassTwoElement(_Exponents):
         form[i, j], form[j, i] = self.comm, -self.comm % self.mod.q
         return form
 
-    def __mul__(self, other: "ClassTwoElement") -> "ClassTwoElement":
-        _check_same_group(self, other)
-        q = self.mod.q
-        a = self.gen_exp.astype(exact_dtype(self.mod.q2**2), copy=False)
-        # collecting v's generators through u's picks up [g_j, g_i]^(a_j b_i)
-        cross = _cross(other.gen_exp % q, a % q)
-        return ClassTwoElement(
-            self.gens, self.mod, (a + other.gen_exp) % self.mod.q2, (self.comm + other.comm + cross) % q
-        )
-
-    def inverse(self) -> "ClassTwoElement":
-        return self ** -1
-
-    def __pow__(self, k: int) -> "ClassTwoElement":
-        """u^k = (k a, k c + C(k,2) a (x) a) for every integer k."""
-        k = int(k)
-        q, q2 = self.mod.q, self.mod.q2
-        a = self.gen_exp.astype(exact_dtype(q2**2), copy=False)
-        a1 = a % q
-        cm = (k % q) * self.comm + (k * (k - 1) // 2 % q) * _cross(a1, a1)
-        return ClassTwoElement(self.gens, self.mod, (k % q2) * a % q2, cm % q)
+    # bound in the element's own class too: perfbench's tracer wraps the members
+    # of a class's own dict, and counts element products and powers there
+    __mul__ = _Exponents.__mul__
+    __pow__ = _Exponents.__pow__
 
     def __eq__(self, other):
         return (
@@ -226,7 +235,9 @@ class ClassTwoStack(_Exponents):
     mod q^2 and comm is N x P mod q, one packed vector per row.
 
     Indexing with an integer gives a ClassTwoElement, with a slice or an
-    index array a substack; iteration yields the rows as elements.
+    index array a substack; iteration yields the rows as elements.  Two
+    stacks multiply row by row, and a power takes one exponent or one per
+    row.
     """
 
     __slots__ = ()
@@ -290,14 +301,10 @@ def commutator(u, v):
 
 def central_sqrt(c):
     """The unique square root inside F^2/F^3, a group of odd exponent q:
-    c^k = (k a, k c) with k = (q+1)/2, as a (x) a vanishes mod q.  Takes an
-    element or a stack of central elements."""
-    mod = c.mod
-    if (c.gen_exp % mod.q).any():
+    c^((q+1)/2).  Takes an element or a stack of central elements."""
+    if not c.is_central.all():
         raise ValueError("central_sqrt needs an element of F^2/F^3")
-    k = (mod.q + 1) // 2
-    dt = exact_dtype(k * mod.q2)
-    return type(c)(c.gens, mod, k * c.gen_exp.astype(dt) % mod.q2, k * c.comm.astype(dt) % mod.q)
+    return c ** ((c.mod.q + 1) // 2)
 
 
 class ClassTwoEndo:
@@ -368,13 +375,9 @@ class ClassTwoEndo:
     def defects(self, signs=None) -> ClassTwoStack:
         """Row i is g_i^(-s_i) phi(g_i), with s_i = signs[i] (default +1):
         the difference relators g_i^-1 phi(g_i), or g_i phi(g_i) where phi
-        inverts g_i up to F^2.  The cocycle gives every row at once:
-        (L_i - s_i e_i, M_i + L_i (x) (-s_i e_i))."""
-        d = self.gens.d
-        s = np.ones(d, dtype=np.int64) if signs is None else np.asarray(signs, dtype=np.int64)
-        images, lead = self.images, -np.diag(s)
-        cross = _cross(images.gen_exp % self.mod.q, lead)
-        return ClassTwoStack(self.gens, self.mod, images.gen_exp + lead, images.comm + cross)
+        inverts g_i up to F^2."""
+        s = 1 if signs is None else np.asarray(signs, dtype=np.int64)
+        return ClassTwoEndo.identity(self.gens, self.mod).images ** -s * self.images
 
     def __eq__(self, other):
         return (
@@ -439,16 +442,13 @@ def invert_auto(e: ClassTwoEndo) -> ClassTwoEndo:
         minv = inv_mod(m).array
     except ValueError:
         raise ValueError("endomorphism is not an automorphism (singular linear part)")
-    gens, mod, d = e.gens, e.mod, e.gens.d
+    gens, mod = e.gens, e.mod
     f0 = ClassTwoEndo.linear(gens, mod, minv)
     z = compose(e, f0).defects()
     if not z.is_central.all():
         raise AssertionError("linear correction left a non-central defect")
-    # g_i z_i^-1 = (e_i - z_i, -z_i) for central z_i: both the power and
-    # the cocycle terms vanish mod q
-    corrected = ClassTwoStack(gens, mod, np.eye(d, dtype=np.int64) - z.gen_exp, -z.comm)
-    result = compose(f0, ClassTwoEndo(corrected))
     ident = ClassTwoEndo.identity(gens, mod)
+    result = compose(f0, ClassTwoEndo(ident.images * z**-1))
     if compose(e, result) != ident or compose(result, e) != ident:
         raise AssertionError("automorphism inversion failed to verify")
     return result
@@ -515,7 +515,7 @@ class TruncatedQuotient:
             elements = ClassTwoStack.of(self.gens, self.mod, elements)
         if elements.gens != self.gens or elements.mod != self.mod:
             raise ValueError("elements live in a different truncated group")
-        return ~self._span._residues(self._lifts(elements)).any(axis=1)
+        return ~self._span.residues(self._lifts(elements)).any(axis=1)
 
     def is_trivial(self, u: ClassTwoElement) -> bool:
         return bool(self.are_trivial([u])[0])

@@ -76,6 +76,11 @@ def _report(config: dict, results: dict, checks: list[dict]) -> dict:
     }
 
 
+def _config(args, **extra) -> dict:
+    """The config of a command run on the standard presentation at --p, --f, --n."""
+    return {"command": args.command, "p": args.p, "f": args.f, "n": args.n, **extra}
+
+
 def _modulus(p: int, f: int) -> Modulus:
     try:
         return Modulus(p, f)
@@ -119,7 +124,7 @@ def _load_action_endo(path: str, pres: DemushkinPresentation) -> ClassTwoEndo:
 
 def cmd_present(args) -> dict:
     pres = _standard_presentation(args.p, args.f, args.n)
-    config = {"command": "present", "p": args.p, "f": args.f, "n": args.n}
+    config = _config(args)
     results = {
         "presentation": pres.to_json(),
         "relator_coordinates": pres.relator.to_json(),
@@ -187,13 +192,7 @@ def _action_checks(pres: DemushkinPresentation, endo: ClassTwoEndo):
 
 def cmd_involution(args) -> dict:
     pres = _standard_presentation(args.p, args.f, args.n)
-    config = {
-        "command": "involution",
-        "p": args.p,
-        "f": args.f,
-        "n": args.n,
-        "action_file": args.action,
-    }
+    config = _config(args, action_file=args.action)
     if args.action:
         endo = _load_action_endo(args.action, pres)
     else:
@@ -224,13 +223,7 @@ def cmd_symmetrize(args) -> dict:
     if not args.action:
         raise InputError("symmetrize needs --action FILE")
     endo = _load_action_endo(args.action, pres)
-    config = {
-        "command": "symmetrize",
-        "p": args.p,
-        "f": args.f,
-        "n": args.n,
-        "action_file": args.action,
-    }
+    config = _config(args, action_file=args.action)
     checks = []
     results = {}
     try:
@@ -264,13 +257,7 @@ def cmd_quotient(args) -> dict:
     if args.signature is None:
         raise InputError("quotient needs --signature U+ U-")
     sig = Signature(*args.signature)
-    config = {
-        "command": "quotient",
-        "p": args.p,
-        "f": args.f,
-        "n": args.n,
-        "signature": list(sig),
-    }
+    config = _config(args, signature=list(sig))
     checks = []
     try:
         action = standard_involution(pres)
@@ -368,7 +355,7 @@ def cmd_sweep(args) -> dict:
 
 def cmd_oracle(args) -> dict:
     pres = _standard_presentation(args.p, args.f, args.n)
-    config = {"command": "oracle", "p": args.p, "f": args.f, "n": args.n}
+    config = _config(args)
     coh = invariants(pres)
     kerb = bockstein_kernel(pres)
     d = pres.d
@@ -508,16 +495,32 @@ def render(report: dict, fmt: str) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
+_OPTIONS = {
+    "--p": dict(type=int, default=3, help="odd prime p"),
+    "--f": dict(type=int, default=1, help="exponent f with q = p^f"),
+    "--n": dict(type=int, default=2, help="even rank parameter"),
+    "--signature": dict(type=int, nargs=2, metavar=("U+", "U-")),
+    "--presentation": dict(help="presentation JSON file"),
+    "--action": dict(help="action JSON file"),
+    "--sweep-n": dict(default=SWEEP_N_DEFAULT),
+    "--sweep-q": dict(default=SWEEP_Q_DEFAULT),
+    "--format": dict(choices=("json", "text"), default="json"),
+    "--output": dict(help="write the report here instead of stdout"),
+}
+
+# each subcommand, its function and the options it reads; every subcommand
+# also takes --format and --output
+_PFN = ("--p", "--f", "--n")
 _COMMANDS = {
-    "present": cmd_present,
-    "invariants": cmd_invariants,
-    "involution": cmd_involution,
-    "symmetrize": cmd_symmetrize,
-    "quotient": cmd_quotient,
-    "sweep": cmd_sweep,
-    "oracle": cmd_oracle,
-    "preset": cmd_preset_local_field,
-    "verify": cmd_verify,
+    "present": (cmd_present, _PFN),
+    "invariants": (cmd_invariants, _PFN + ("--presentation",)),
+    "involution": (cmd_involution, _PFN + ("--action",)),
+    "symmetrize": (cmd_symmetrize, _PFN + ("--action",)),
+    "quotient": (cmd_quotient, _PFN + ("--signature",)),
+    "sweep": (cmd_sweep, ("--sweep-n", "--sweep-q")),
+    "oracle": (cmd_oracle, _PFN),
+    "preset": (cmd_preset_local_field, ("--p",)),
+    "verify": (cmd_verify, ("--presentation", "--action")),
 }
 
 
@@ -531,19 +534,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--p", type=int, default=3, help="odd prime p")
-        cmd.add_argument("--f", type=int, default=1, help="exponent f with q = p^f")
-        cmd.add_argument("--n", type=int, default=2, help="even rank parameter")
-        cmd.add_argument("--signature", type=int, nargs=2, metavar=("U+", "U-"))
-        cmd.add_argument("--presentation", help="presentation JSON file")
-        cmd.add_argument("--action", help="action JSON file")
-        cmd.add_argument("--format", choices=("json", "text"), default="json")
-        cmd.add_argument("--output", help="write the report here instead of stdout")
-        if name == "sweep":
-            cmd.add_argument("--sweep-n", default=SWEEP_N_DEFAULT)
-            cmd.add_argument("--sweep-q", default=SWEEP_Q_DEFAULT)
+    for name, (_, options) in _COMMANDS.items():
+        # no prefixes: --f must not stand for --format where --f is not taken
+        cmd = sub.add_parser(name, allow_abbrev=False)
+        for option in options + ("--format", "--output"):
+            cmd.add_argument(option, **_OPTIONS[option])
     return parser
 
 
@@ -556,7 +551,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        report = _COMMANDS[args.command](args)
+        report = _COMMANDS[args.command][0](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

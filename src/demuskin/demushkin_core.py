@@ -24,13 +24,11 @@ import numpy as np
 from demuskin.class2_words import (
     ClassTwoElement,
     ClassTwoEndo,
-    ClassTwoStack,
     GeneratorSet,
     TruncatedQuotient,
     central_sqrt,
     compose,
     demushkin_generators,
-    endo_power,
     format_word,
     invert_auto,
     parse_word,
@@ -344,11 +342,13 @@ def lift_involution(
 ) -> InvolutionAction:
     """Correct a lift of an order-2 linear action to an exact involution.
 
-    The square of the perturbation reduces to the identity mod F^2, hence
-    lies in the kernel of Aut(F/F^3) -> Aut(F/F^2).  That kernel sends
-    g_i -> g_i z_i with z_i central of exponent q and fixes F^2/F^3, so
-    each of its elements k has k^q = 1.  Hence sigma^q squares to the
-    identity, and as q is odd it has sigma's linear part.
+    The square of the perturbation sigma reduces to the identity mod F^2, so
+    it lies in the kernel of Aut(F/F^3) -> Aut(F/F^2).  That kernel is
+    abelian of exponent q: it sends g_i -> g_i z_i with z_i central and fixes
+    F^2/F^3, so its m-th power sends g_i -> g_i z_i^m.  Hence sigma^q =
+    sigma . (sigma^2)^((q-1)/2) is one closed form in the defects z_i of
+    sigma^2; it squares to the identity, which InvolutionAction.build checks,
+    and as q is odd it has sigma's linear part.
     """
     mod = pres.mod
     lin = np.mod(np.asarray(linear, dtype=np.int64), mod.q)
@@ -359,9 +359,9 @@ def lift_involution(
         raise ValueError("prescribed linear part is not an involution mod q")
     if not np.array_equal(perturbation.linear_matrix, lin):
         raise ValueError("perturbation does not reduce to the prescribed linear part")
-    corrected = endo_power(perturbation, mod.q)
-    if compose(corrected, corrected) != ClassTwoEndo.identity(pres.gens, mod):
-        raise AssertionError("order correction failed to produce an involution")
+    ident = ClassTwoEndo.identity(pres.gens, mod).images
+    square_power = ident * compose(perturbation, perturbation).defects() ** ((mod.q - 1) // 2)
+    corrected = compose(perturbation, ClassTwoEndo(square_power))
     if not np.array_equal(corrected.linear_matrix, lin):
         raise AssertionError("order correction changed the linear part")
     return InvolutionAction.build(pres, corrected)
@@ -416,12 +416,12 @@ def symmetrize_basis(
     if off.any():
         kind = "fixed" if signs[off.argmax()] == 1 else "negated"
         raise ValueError(f"perturbation of a {kind} generator is not central")
-    # g . z^(+-1) = (e_i +- z, +-Z) for central z = (z, Z): the cocycle
-    # term vanishes mod q
+    # the basis g_i -> g_i r_i^(s_i) is the identity mod F^2, so it fixes
+    # the central roots r_i and g_i -> g_i r_i^(-s_i) inverts it
     roots = central_sqrt(defects)
-    unipotent = np.eye(gens.d, dtype=np.int64) + signs[:, None] * roots.gen_exp
-    basis = ClassTwoEndo(ClassTwoStack(gens, mod, unipotent, signs[:, None] * roots.comm))
-    basis_inv = invert_auto(basis)
+    ident = ClassTwoEndo.identity(gens, mod).images
+    basis = ClassTwoEndo(ident * roots**signs)
+    basis_inv = ClassTwoEndo(ident * roots**-signs)
     new_action_endo = compose(basis_inv, compose(action.endo, basis))
     if not is_clean_diagonal(new_action_endo, signs):
         raise AssertionError("symmetrization did not produce a clean action")
@@ -501,14 +501,12 @@ class CoinvariantMachine:
 
         # sigma(g) = g^-1 z on an eliminated generator; the difference
         # relator gives g^2 = g sigma(g) = z, so g becomes the central square
-        # root of z.  The coordinates of z that touch eliminated generators
-        # die in quotient_kill, which commutes with central_sqrt, so project
-        # needs no zeroing
-        roots = central_sqrt(action.endo.defects(signs)[self.elim])
-        order = np.arange(pres.d)
-        order[self.elim] = pres.d + np.arange(len(self.elim))
-        ident = ClassTwoEndo.identity(gens, mod).images
-        self.subst = ClassTwoEndo(ClassTwoStack.of(gens, mod, [ident, roots])[order])
+        # root of z, and a kept generator stays.  The coordinates of z that
+        # touch eliminated generators die in quotient_kill, which commutes
+        # with central_sqrt, so project needs no zeroing
+        keep = (signs == 1).astype(np.int64)
+        roots = central_sqrt(action.endo.defects(signs))
+        self.subst = ClassTwoEndo(ClassTwoEndo.identity(gens, mod).images ** keep * roots ** (1 - keep))
         self.small_gens = GeneratorSet(self.kept_labels)
 
         # the difference relators g^-1 sigma(g), projected in one batch

@@ -113,7 +113,7 @@ def integers_mod(values, m: int, what: str = "exponents") -> np.ndarray:
         a = np.asarray(values, dtype=object)
         if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in a.flat):
             raise ValueError(f"{what} must be integers")
-    return np.mod(a, m).astype(np.int64, copy=False)
+    return np.asarray(np.mod(a, m)).astype(np.int64, copy=False)
 
 
 def as_integer(value, what: str) -> int:
@@ -192,6 +192,8 @@ class ZqMatrix:
     @classmethod
     def from_json(cls, data: dict) -> "ZqMatrix":
         rows, cols, m = (as_integer(data[k], k) for k in ("rows", "cols", "modulus"))
+        if rows < 0 or cols < 0:
+            raise ValueError(f"matrix shape must be nonnegative, got {rows} x {cols}")
         _prime_power_base(m)  # a ValueError before anything is reduced by m
         return cls(integers_mod(data["entries"], m, "matrix entries").reshape(rows, cols), m)
 
@@ -325,13 +327,13 @@ class Submodule:
         v = np.asarray(vec, dtype=np.int64)
         if v.shape != (self.ambient,):
             raise ValueError("vector has wrong length")
-        return self._residues(v[None])[0]
+        return self.residues(v[None])[0]
 
-    def _residues(self, vecs: np.ndarray) -> np.ndarray:
+    def residues(self, rows) -> np.ndarray:
         """`reduce` applied to every row of a (k x ambient) array at once."""
         m = self.modulus
         dt = exact_dtype(m * m)
-        v = np.mod(vecs, m).astype(dt, copy=False)
+        v = np.mod(rows, m).astype(dt, copy=False)
         for row, (c, pk) in zip(self.basis.astype(dt, copy=False), self._pivots):
             v = (v - (v[:, c : c + 1] // pk) * row) % m
         return v.astype(np.int64, copy=False)
@@ -341,7 +343,7 @@ class Submodule:
 
     def contains_submodule(self, other: "Submodule") -> bool:
         self._check_compatible(other)
-        return all(self.contains(row) for row in other.basis)
+        return not self.residues(other.basis).any()
 
     def _check_compatible(self, other: "Submodule"):
         if self.ambient != other.ambient or self.modulus != other.modulus:

@@ -463,6 +463,42 @@ class TestExactAgainstPythonInts:
         assert ref_of(compose(ClassTwoEndo(first), ClassTwoEndo(second))(u)) == want
 
 
+# q = 3 and 25 run on int64, 3^12 and 3^19 on Python ints
+STACK_ARITHMETIC_MODULI = [Modulus(3, 1), Modulus(5, 2), Modulus(3, 12), Modulus(3, 19)]
+
+
+@pytest.mark.parametrize("mod", STACK_ARITHMETIC_MODULI, ids=lambda m: f"q{m.p}^{m.f}")
+class TestStackArithmetic:
+    """A stack multiplies and takes powers row by row, by the formulas of
+    its elements, checked against the Python-int reference."""
+
+    def test_products_and_powers_are_per_row(self, mod):
+        gens = demushkin_generators(2)
+        q = mod.q
+        for size in (0, 1, 2, 5):
+            us = [random_element(gens, mod) for _ in range(size)]
+            vs = [random_element(gens, mod) for _ in range(size)]
+            u, v = ClassTwoStack.of(gens, mod, us), ClassTwoStack.of(gens, mod, vs)
+            product = u * v
+            assert isinstance(product, ClassTwoStack) and len(product) == size
+            assert [ref_of(w) for w in product] == [ref_mul(ref_of(x), ref_of(y), q) for x, y in zip(us, vs)]
+            k = rng.randrange(-(10**30), 10**30)
+            assert [ref_of(w) for w in u**k] == [ref_pow(ref_of(x), k, q) for x in us]
+            assert list(u.inverse()) == [x.inverse() for x in us]
+            per_row = [rng.randrange(-3 * mod.q2, 3 * mod.q2) for _ in range(size)]
+            for ks in (per_row, np.array(per_row, dtype=np.int64), [-k for k in per_row]):
+                assert [ref_of(w) for w in u ** ks] == [ref_pow(ref_of(x), int(k), q) for x, k in zip(us, ks)]
+
+    def test_mixed_groups_and_non_integer_exponents_are_rejected(self, mod):
+        gens = demushkin_generators(2)
+        u = ClassTwoStack.of(gens, mod, [random_element(gens, mod)])
+        other = ClassTwoStack.of(gens, Modulus(7, 1), [random_element(gens, Modulus(7, 1))])
+        with pytest.raises(ValueError, match="different truncated groups"):
+            u * other
+        with pytest.raises(ValueError, match="integers"):
+            u ** [1.5]
+
+
 class TestQuotientKill:
     def setup_method(self):
         self.mod = Modulus(3, 1)

@@ -120,6 +120,45 @@ class TestParserReuse:
         assert json.loads(capsys.readouterr().out)["all_pass"]
 
 
+class TestSubcommandOptions:
+    """Each subcommand takes only the options it reads, plus --format and
+    --output; an option it ignores, or a prefix of another, exits 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["preset", "--p", "5", "--f", "2", "--n", "8"],
+            ["preset", "--p", "5", "--f", "json"],
+            ["oracle", "--action", "nothing.json"],
+            ["sweep", "--p", "3"],
+            ["verify", "--n", "2"],
+            ["present", "--signature", "1", "1"],
+        ],
+    )
+    def test_unread_option_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_every_subcommand_takes_format_and_output(self):
+        reads = {
+            "present": {"p", "f", "n"},
+            "invariants": {"p", "f", "n", "presentation"},
+            "involution": {"p", "f", "n", "action"},
+            "symmetrize": {"p", "f", "n", "action"},
+            "quotient": {"p", "f", "n", "signature"},
+            "sweep": {"sweep_n", "sweep_q"},
+            "oracle": {"p", "f", "n"},
+            "preset": {"p"},
+            "verify": {"presentation", "action"},
+        }
+        for name, options in reads.items():
+            args = cli._parser().parse_args([name, "--format", "text", "--output", "out.txt"])
+            assert (args.format, args.output) == ("text", "out.txt"), name
+            assert set(vars(args)) == {"command", "format", "output"} | options, name
+
+
 class TestActionWords:
     def test_surrounding_whitespace_is_accepted(self, tmp_path):
         images = {"g": "g [x1,x0]^2", "x0": "x0^-1 [x2,x1]", "x1": "x1^-1", "x2": "x2"}

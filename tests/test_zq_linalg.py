@@ -168,6 +168,20 @@ class TestSubmodule:
         assert s.contains([2, 0, 4])
         assert not s.contains([1, 1, 2])
 
+    def test_residues_and_submodule_containment(self):
+        for m in (9, 25, 27):
+            for _ in range(10):
+                s = Submodule([[rng.randrange(m) for _ in range(4)] for _ in range(2)], 4, m)
+                rows = np.array([[rng.randrange(m) for _ in range(4)] for _ in range(5)])
+                res = s.residues(rows)
+                assert res.tolist() == [s.reduce(row).tolist() for row in rows]
+                span = brute_span(s.basis, m) if s.ngens else {(0,) * 4}
+                assert [not r.any() for r in res] == [tuple(row % m) in span for row in rows]
+                other = Submodule(rows[:2], 4, m)
+                assert s.contains_submodule(other) == all(s.contains(row) for row in other.basis)
+                assert s.contains_submodule(Submodule.zero(4, m))
+                assert s.contains_submodule(s.intersect(other))
+
     def test_intersect_against_enumeration(self):
         for _ in range(20):
             m = 9
@@ -536,6 +550,12 @@ class TestJson:
     def test_matrix_rejects_non_integral_values(self, field, value):
         data = {"modulus": 9, "rows": 1, "cols": 1, "entries": [2], field: value}
         with pytest.raises(ValueError, match="must be (an )?integer"):
+            ZqMatrix.from_json(data)
+
+    @pytest.mark.parametrize("rows,cols", [(-1, 1), (2, -1)])
+    def test_matrix_rejects_a_negative_shape(self, rows, cols):
+        data = {"modulus": 9, "rows": rows, "cols": cols, "entries": [2]}
+        with pytest.raises(ValueError, match="nonnegative"):
             ZqMatrix.from_json(data)
 
     def test_matrix_entries_beyond_int64_are_reduced(self):
