@@ -21,6 +21,14 @@ vectors still pending), take the first Howell row r with r . w a unit and
 scale it so that r . w = 1.  Only the cyclotomic direction pairs with
 nothing in ker B; it takes slot 0, with a partner of unit B-value found
 outside ker B.
+
+Each working space is a restriction, not an intersection of ambient
+submodules: with S the Howell basis of the eigenspace (or of its part in
+ker B) and W the rows placed and pending, it is the part of S's span that
+gram . W^T annihilates, read off one Howell form of the small matrix
+[S . gram . W^T | I] (`Submodule.annihilated_by`).  The part in ker B and
+the eigenparts of V are restrictions of the same kind, by the column B and
+by the coordinates of the other sign.
 """
 
 from __future__ import annotations
@@ -56,9 +64,7 @@ from demuskin.zq_linalg import (
     ZqMatrix,
     inv_mod,
     is_totally_isotropic,
-    kernel,
     matmul_mod,
-    orthogonal_complement,
 )
 
 LIFTING_NOTE = (
@@ -216,19 +222,17 @@ def _symplectic_frame(pres: DemushkinPresentation, hplus: Submodule, hminus: Sub
     symplectic completion of the module docstring, checked to reproduce the
     pairing; `queue` lists V's basis vectors with the eigenspace ("plus" or
     "minus") of each."""
-    mod, d, q = pres.mod, pres.d, pres.mod.q
+    mod, q = pres.mod, pres.mod.q
     coh = invariants(pres)
     gram, bvec = coh.cup.gram.array, coh.bockstein
-    kerb = kernel(ZqMatrix(bvec.reshape(1, -1), q))
-    plus_k, minus_k = hplus.intersect(kerb), hminus.intersect(kerb)
+    plus_k, minus_k = (h.annihilated_by(bvec.reshape(-1, 1)) for h in (hplus, hminus))
     slots = [None] * (pres.n // 2 + 1)  # (a, b) per hyperbolic pair
     placed: list[np.ndarray] = []
 
     def working_rows(space: Submodule, pending=()) -> np.ndarray:
         others = placed + list(pending)
         if others:
-            span = Submodule(np.array(others), d, q)
-            space = space.intersect(orthogonal_complement(coh.cup, span))
+            space = space.annihilated_by(matmul_mod(gram, np.array(others).T, q))
         return space.basis
 
     def fill(a, b, slot=None):
@@ -314,7 +318,8 @@ def _build_adapted_change(
         eye = np.eye(d, dtype=np.int64)
         hplus = Submodule(eye[signs == 1], d, q)
         hminus = Submodule(eye[signs == -1], d, q)
-        vplus, vminus = V.intersect(hplus), V.intersect(hminus)
+        # an eigenpart is the part of V with no coordinate of the other sign
+        vplus, vminus = V.annihilated_by(eye[:, signs == -1]), V.annihilated_by(eye[:, signs == 1])
         if not (vplus.is_free and vminus.is_free):
             raise AssertionError("eigenparts of a validated V must be free")
         if vplus.rank + vminus.rank != V.rank:

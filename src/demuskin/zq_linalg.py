@@ -8,10 +8,12 @@ operations are pure; every value is immutable after construction.
 There is one elimination, `_howell_rows`, under the one dtype rule
 `exact_dtype`.  Everything else is read off a Howell form: the kernel of A
 is the part of the form of [A^T | I] that vanishes on the A^T columns, the
-inverse of A is the right half of the form [I | A^-1] of [A | I], the rank
-mod p is the row count of the form of a matrix reduced mod p, and freeness
-compares that rank with the size given by the Howell pivots (Howell, Linear
-and Multilinear Algebra 19, 1986; Storjohann & Mulders, ESA 1998).
+part of a submodule with basis S that A annihilates is C . S for the kernel
+rows C of the small matrix S . A, the inverse of A is the right half of the
+form [I | A^-1] of [A | I], the rank mod p is the row count of the form of a
+matrix reduced mod p, and freeness compares that rank with the size given by
+the Howell pivots (Howell, Linear and Multilinear Algebra 19, 1986;
+Storjohann & Mulders, ESA 1998).
 """
 
 from __future__ import annotations
@@ -116,6 +118,16 @@ def integers_mod(values, m: int, what: str = "exponents") -> np.ndarray:
     return np.asarray(np.mod(a, m)).astype(np.int64, copy=False)
 
 
+def _rows_mod(values, m: int, what: str) -> np.ndarray:
+    """`integers_mod` as a 2-D array, a vector read as one row."""
+    arr = integers_mod(values, m, what)
+    if arr.ndim == 1:
+        arr = arr.reshape(1, -1)
+    if arr.ndim != 2:
+        raise ValueError(f"{what} must form a 2-dimensional array")
+    return arr
+
+
 def as_integer(value, what: str) -> int:
     """An integer value as an int; a ValueError for a float, a bool or any
     other type, so nothing is truncated."""
@@ -140,14 +152,9 @@ class ZqMatrix:
     __slots__ = ("modulus", "array")
 
     def __init__(self, entries, modulus: int):
-        a = np.asarray(entries, dtype=np.int64)
-        if a.ndim == 1:
-            a = a.reshape(1, -1)
-        if a.ndim != 2:
-            raise ValueError("matrix entries must form a 2-dimensional array")
         self.modulus = int(modulus)
         _prime_power_base(self.modulus)
-        arr = np.mod(a, self.modulus)
+        arr = _rows_mod(entries, self.modulus, "matrix entries")
         arr.setflags(write=False)
         self.array = arr
 
@@ -194,12 +201,12 @@ class ZqMatrix:
         rows, cols, m = (as_integer(data[k], k) for k in ("rows", "cols", "modulus"))
         if rows < 0 or cols < 0:
             raise ValueError(f"matrix shape must be nonnegative, got {rows} x {cols}")
-        _prime_power_base(m)  # a ValueError before anything is reduced by m
-        return cls(integers_mod(data["entries"], m, "matrix entries").reshape(rows, cols), m)
+        return cls(np.asarray(data["entries"]).reshape(rows, cols), m)
 
 
 def _howell_rows(rows_in, ncols: int, m: int) -> np.ndarray:
-    """Howell canonical form of the given rows, as a (k x ncols) array.
+    """Howell canonical form of the given rows, entries in [0, m), as a
+    (k x ncols) array.
 
     Pivot columns increase left to right, each pivot is normalized to a power
     of p, entries above a pivot are reduced below it, and annihilator rows are
@@ -209,7 +216,7 @@ def _howell_rows(rows_in, ncols: int, m: int) -> np.ndarray:
     p, e = _prime_power_base(m)
     # a row update subtracts (x // p^v) * pivot row, below m^2
     dt = exact_dtype(m * m)
-    work = list(np.mod(np.asarray(rows_in, dtype=np.int64).astype(dt, copy=False), m))
+    work = list(np.asarray(rows_in, dtype=np.int64).astype(dt, copy=False))
     done: list[np.ndarray] = []
     for c in range(ncols):
         best = None
@@ -260,11 +267,10 @@ class Submodule:
     def __init__(self, rows, ambient: int, modulus: int):
         self.modulus = int(modulus)
         self.ambient = int(ambient)
-        arr = np.asarray(rows, dtype=np.int64)
+        _prime_power_base(self.modulus)
+        arr = _rows_mod(rows, self.modulus, "submodule entries")
         if arr.size == 0:
             arr = np.zeros((0, self.ambient), dtype=np.int64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
         if arr.shape[1] != self.ambient:
             raise ValueError(
                 f"rows have length {arr.shape[1]}, ambient rank is {self.ambient}"
@@ -353,17 +359,39 @@ class Submodule:
         self._check_compatible(other)
         if self.ngens == 0 or other.ngens == 0:
             return Submodule.zero(self.ambient, self.modulus)
-        stacked = np.vstack([self.basis, other.basis])
-        rel = kernel(ZqMatrix(stacked.T, self.modulus))
-        rows = matmul_mod(rel.basis[:, : self.ngens], self.basis, self.modulus)
+        # relations c . S + c' . S' = 0 between the two bases
+        rel = _kernel_rows(np.vstack([self.basis, other.basis]), self.modulus)
+        rows = matmul_mod(rel[:, : self.ngens], self.basis, self.modulus)
         return Submodule(rows, self.ambient, self.modulus)
+
+    def _right_operand(self, matrix) -> np.ndarray:
+        """The array of a ZqMatrix over this modulus, or of integer entries
+        read mod it, with one row per ambient coordinate."""
+        if not isinstance(matrix, ZqMatrix):
+            matrix = ZqMatrix(matrix, self.modulus)
+        elif matrix.modulus != self.modulus:
+            raise ValueError(f"matrix is over Z/{matrix.modulus}, submodule over Z/{self.modulus}")
+        if matrix.rows != self.ambient:
+            raise ValueError(f"matrix has {matrix.rows} rows, ambient rank is {self.ambient}")
+        return matrix.array
 
     def image_under(self, matrix) -> "Submodule":
         """Span of basis @ matrix, for a right action on row vectors."""
-        mat = matrix.array if isinstance(matrix, ZqMatrix) else np.asarray(matrix)
+        mat = self._right_operand(matrix)
         if self.ngens == 0:
             return Submodule.zero(mat.shape[1], self.modulus)
         return Submodule(matmul_mod(self.basis, mat, self.modulus), mat.shape[1], self.modulus)
+
+    def annihilated_by(self, matrix) -> "Submodule":
+        """{v in self : v @ matrix = 0}: every v in self is c . S for the
+        Howell basis S, so this is the span of C . S for the kernel rows C of
+        c -> c . (S @ matrix), one Howell form of [S @ matrix | I]."""
+        mat = self._right_operand(matrix)
+        if self.ngens == 0:
+            return self
+        m = self.modulus
+        rows = matmul_mod(_kernel_rows(matmul_mod(self.basis, mat, m), m), self.basis, m)
+        return Submodule(rows, self.ambient, m)
 
     def vectors(self) -> list[np.ndarray]:
         """All elements of the span, each once."""
@@ -412,16 +440,19 @@ class Submodule:
         return cls(mat.array, mat.cols, mat.modulus)
 
 
+def _kernel_rows(a: np.ndarray, m: int) -> np.ndarray:
+    """Rows spanning {c : c . a = 0} for a (k x r) array `a` over Z/m: the
+    right halves of the rows of the Howell form of [a | I_k] that vanish on
+    the columns of `a` (by the span property of that form, they span every
+    (0, c) in its row span)."""
+    k, r = a.shape
+    h = _howell_rows(np.hstack([a, np.eye(k, dtype=np.int64)]), r + k, m)
+    return h[~h[:, :r].any(axis=1), r:]
+
+
 def kernel(mat: ZqMatrix) -> Submodule:
     """The row-vector kernel {v : v . mat^T = 0} over Z/m."""
-    a = mat.array
-    r, c = a.shape
-    aug = np.hstack([a.T, np.eye(c, dtype=np.int64)])
-    h = _howell_rows(aug, r + c, mat.modulus)
-    rows = [row[r:] for row in h if not row[:r].any()]
-    if not rows:
-        return Submodule.zero(c, mat.modulus)
-    return Submodule(np.array(rows), c, mat.modulus)
+    return Submodule(_kernel_rows(mat.array.T, mat.modulus), mat.cols, mat.modulus)
 
 
 def inv_mod(mat: ZqMatrix) -> ZqMatrix:

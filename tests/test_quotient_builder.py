@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import product
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demuskin import class2_words, demushkin_core, quotient_builder
+from demuskin import class2_words, demushkin_core, quotient_builder, zq_linalg
 from demuskin.class2_words import (
     ClassTwoElement,
     ClassTwoEndo,
@@ -633,6 +635,37 @@ class TestLargeModulusFrame:
         cert = free_quotient(pres, act, iso)
         assert cert.all_green and cert.V_realized == V
         assert signature_of(cert, act) == Signature(1, 1)
+
+
+class TestRestrictedWorkingSpaces:
+    def test_mixed_V_at_n12_needs_no_intersection(self, monkeypatch):
+        # g*, then a x2* + b x4* and c x1* + e x3* with e = -ac/b in each
+        # block of four x's: every working space of the frame is a
+        # restriction of an eigenspace, and the certificate is the one the
+        # intersection route gave (digest recorded from it)
+        mod = Modulus(3, 2)
+        q = mod.q
+        pres, act = standard_setup(12, mod)
+        rows = [np.eye(14, dtype=np.int64)[0]]
+        for first, (a, b, c) in zip((1, 5, 9), [(2, 5, 7), (4, 1, 8), (5, 7, 2)]):
+            plus, minus = np.zeros((2, 14), dtype=np.int64)
+            plus[[first + 2, first + 4]] = a, b
+            minus[[first + 1, first + 3]] = c, (-a * c * pow(b, -1, q)) % q
+            rows += [plus, minus]
+        iso = validate_V(pres, act, Submodule(np.array(rows), 14, q))
+        calls = []
+        intersect, complement = Submodule.intersect, zq_linalg.orthogonal_complement
+        monkeypatch.setattr(Submodule, "intersect", lambda *args: calls.append(args) or intersect(*args))
+        for module in (zq_linalg, quotient_builder):
+            monkeypatch.setattr(module, "orthogonal_complement",
+                                lambda *args: calls.append(args) or complement(*args), raising=False)
+        cert = free_quotient(pres, act, iso)
+        assert calls == []
+        assert cert.all_green and cert.signature == Signature(3, 3)
+        text = json.dumps(cert.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a579cb2c2f804e0b727bfa6a35187baf9717c08cc598af92ab5a6c45a19784a9"
+        )
 
 
 class TestFactoringCheck:

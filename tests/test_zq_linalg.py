@@ -208,6 +208,87 @@ class TestSubmodule:
         assert Submodule.from_json(s.to_json()) == s
 
 
+class TestEntries:
+    """Matrix and submodule entries are read like the JSON entries: integers
+    of any size, reduced exactly, and nothing else."""
+
+    @pytest.mark.parametrize("build", [
+        lambda rows: ZqMatrix(rows, 9), lambda rows: Submodule(rows, 2, 9),
+    ], ids=["matrix", "submodule"])
+    @pytest.mark.parametrize("rows", [[[1.7, 2]], [[1.9, 2.5]], np.array([[1.0, 2.0]]), [[True, False]]])
+    def test_rejects_floats_and_bools(self, build, rows):
+        with pytest.raises(ValueError, match="must be integers"):
+            build(rows)
+
+    def test_reduces_entries_beyond_int64(self):
+        big = [[2**70 + 1, -(2**66)]]
+        want = [[(2**70 + 1) % 9, -(2**66) % 9]]
+        assert ZqMatrix(big, 9).array.tolist() == want
+        assert Submodule(big, 2, 9) == Submodule(want, 2, 9)
+
+    def test_rejects_three_dimensional_rows(self):
+        cube = np.ones((2, 2, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="2-dimensional"):
+            ZqMatrix(cube, 9)
+        with pytest.raises(ValueError, match="2-dimensional"):
+            Submodule(cube, 2, 9)
+
+
+@st.composite
+def annihilation_cases(draw):
+    """A span V with non-unit pivots among its generators, and a d x r
+    matrix A, over Z/3, 9, 25 or 27."""
+    m = draw(st.sampled_from([3, 9, 25, 27]))
+    p = base_prime(m)
+    d = draw(st.integers(1, 4 if m <= 9 else 3))  # the whole span is enumerated
+    r = draw(st.integers(0, 3))
+    entry = st.integers(0, m - 1)
+    rows = [[draw(entry) * p ** draw(st.integers(0, 2)) % m for _ in range(d)]
+            for _ in range(draw(st.integers(0, 3)))]
+    a = [[draw(entry) for _ in range(r)] for _ in range(d)]
+    return Submodule(rows, d, m), np.array(a, dtype=np.int64).reshape(d, r), m
+
+
+class TestAnnihilatedBy:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(annihilation_cases())
+    def test_matches_enumeration_and_intersection(self, case):
+        sub, a, m = case
+        got = sub.annihilated_by(a)
+        span = np.array(sub.vectors())
+        truth = {tuple(v) for v in span[~(span @ a % m).any(axis=1)].tolist()}
+        assert {tuple(v) for v in np.array(got.vectors()).tolist()} == truth
+        assert got == sub.intersect(kernel(ZqMatrix(a.T, m)))
+
+    def test_object_path_at_3_to_the_19(self):
+        m = 3**19
+        r = random.Random(m)
+        rows = [[r.randrange(m) for _ in range(4)] for _ in range(3)]
+        a = [[r.randrange(m) for _ in range(2)] for _ in range(4)]
+        sub = Submodule(rows, 4, m)
+        got = sub.annihilated_by(a)
+        assert got.ngens > 0 and sub.contains_submodule(got)
+        for v in got.basis:
+            assert int_matmul([v], a, m) == [[0, 0]]
+        assert got == sub.intersect(kernel(ZqMatrix(np.array(a).T, m)))
+
+    def test_empty_cases(self):
+        assert Submodule.zero(3, 9).annihilated_by(np.ones((3, 2), dtype=np.int64)) == Submodule.zero(3, 9)
+        assert Submodule.full(3, 9).annihilated_by(ZqMatrix.identity(3, 9)) == Submodule.zero(3, 9)
+        sub = Submodule([[3, 1, 0]], 3, 9)
+        assert sub.annihilated_by(np.zeros((3, 0), dtype=np.int64)) == sub
+
+    @pytest.mark.parametrize("method", ["image_under", "annihilated_by"])
+    def test_operand_must_match_the_submodule(self, method):
+        sub = Submodule([[1, 3]], 2, 9)
+        with pytest.raises(ValueError, match="over Z/3"):
+            getattr(sub, method)(ZqMatrix.identity(2, 3))
+        with pytest.raises(ValueError, match="3 rows, ambient rank is 2"):
+            getattr(sub, method)(np.ones((3, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="must be integers"):
+            getattr(sub, method)([[1.5, 0], [0, 1]])
+
+
 class TestOrthogonalComplement:
     def test_complement_of_zero_is_full(self):
         form = standard_gram_4()
