@@ -70,6 +70,7 @@ from demuskin.zq_linalg import (
     isotropic_free_submodules,
     kernel,
     max_isotropic_oracle,
+    maximal_isotropic_free_submodules,
     orthogonal_complement,
 )
 

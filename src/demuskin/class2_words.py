@@ -402,12 +402,15 @@ class ClassTwoEndo:
 
     @classmethod
     def from_json(cls, data: dict, gens: GeneratorSet, mod: Modulus) -> "ClassTwoEndo":
-        images = []
+        """Every image word folded to exponents, and the rows made one stack."""
+        images = data["images"]
+        for lab in images:
+            if lab not in gens._index:
+                raise ValueError(f"image for unknown generator {lab!r}")
         for lab in gens.labels:
-            if lab not in data["images"]:
+            if lab not in images:
                 raise ValueError(f"missing image for generator {lab!r}")
-            images.append(parse_word(data["images"][lab], gens, mod))
-        return cls(images)
+        return cls(_parse_words([images[lab] for lab in gens.labels], gens, mod))
 
 
 def compose(e1: ClassTwoEndo, e2: ClassTwoEndo) -> ClassTwoEndo:
@@ -530,34 +533,64 @@ class TruncatedQuotient:
 # commutator, parentheses group, "1" is the identity
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_]\w*)|(?P<int>-?\d+)|(?P<sym>[\[\],()^])|\Z)")
+_NAME = r"[A-Za-z_]\w*"
+_POWER = r"(?:\s*\^\s*(-?\d+))?"
+# one alternative per token kind; the last takes the rest of a word that has
+# no token at its position, so it is the last match when there is one
+_TOKEN = re.compile(
+    rf"\s*(?:({_NAME}){_POWER}|\[\s*({_NAME})\s*,\s*({_NAME})\s*\]{_POWER}|(-?\d+)|([\[\],()^]))"
+    r"|(\s*\S[\s\S]*)"
+)
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
+def _tokenize(text: str) -> list[tuple]:
+    """The tokens of a word in one regex pass, each (kind, text, k, pair):
+    a flat factor x^k or [x,y]^k is one "name" or "comm" token with its
+    exponent k (None when absent) and, for a commutator, pair = (x, y);
+    "int" and "sym" tokens carry their text only.  `text` is the factor's
+    first lexeme, the one an error message quotes."""
+    found = _TOKEN.findall(text)
+    if found and found[-1][-1]:
+        raise ValueError(f"cannot tokenize word at {found[-1][-1]!r}")
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"cannot tokenize word at {text[pos:]!r}")
-        if m.lastgroup:  # None for the whitespace that ends the word
-            tokens.append((m.lastgroup, m.group(m.lastgroup)))
-        pos = m.end()
+    for name, k, left, right, kc, num, sym, _ in found:
+        if name:
+            tokens.append(("name", name, int(k) if k else None, None))
+        elif left:
+            tokens.append(("comm", "[", int(kc) if kc else None, (left, right)))
+        else:
+            tokens.append(("int", num, None, None) if num else ("sym", sym, None, None))
     return tokens
 
 
 class _WordParser:
-    """Recursive descent that folds each (sub)word into exponents over
-    Python ints: a dict {i: a_i} mod q^2 and a dict {(i, j): c_ij}, i < j,
-    mod q.  A factor (b, e) joins the word (a, c) by the cocycle
-    (a + b, c + e + b (x) a), so only the finished word becomes an element,
-    and every modulus is exact without a dtype rule."""
+    """Recursive descent that folds each (sub)word into dense exponent lists
+    over Python ints: a of length d and c of length P, reduced mod q^2 and
+    mod q only after a power of a subword and at the end, so every modulus
+    is exact without a dtype rule.
 
-    def __init__(self, tokens, gens: GeneratorSet, mod: Modulus):
-        self.tokens = tokens
-        self.pos = 0
+    A factor is ("gen", i, k) for g_i^k, ("comm", s, k) for the k-th power
+    of the commutator in slot s, or ("word", b, e) for a subword (b, e).  It
+    joins the word (a, c) by the cocycle (a + b, c + e + b (x) a): g_i^k adds
+    k a_j to c_ij for each j > i, then k to a_i; a commutator adds k to one
+    slot; a subword, being g_1^(b_1) ... g_d^(b_d) times central e, folds as
+    those generator powers and then adds e.
+    """
+
+    def __init__(self, gens: GeneratorSet, mod: Modulus):
         self.gens = gens
+        d = self.d = gens.d
+        # slot(i, j) = offsets[i] + j for i < j
+        self.offsets = [i * (2 * d - i - 1) // 2 - i - 1 for i in range(d)]
         self.q, self.q2 = mod.q, mod.q2
+
+    def fold(self, text: str) -> tuple[list[int], list[int]]:
+        """The exponents (a mod q^2, c mod q) of one whole word."""
+        self.tokens, self.pos = _tokenize(text), 0
+        a, c = self.parse_word()
+        if self.pos < len(self.tokens):
+            raise ValueError(f"trailing input in word: {text!r}")
+        return [x % self.q2 for x in a], [x % self.q for x in c]
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -570,76 +603,97 @@ class _WordParser:
         return tok
 
     def expect(self, sym: str):
-        tok = self.take()
-        if tok != ("sym", sym):
-            raise ValueError(f"expected {sym!r}, got {tok}")
+        kind, text, _, _ = self.take()
+        if (kind, text) != ("sym", sym):
+            raise ValueError(f"expected {sym!r}, got {(kind, text)}")
 
-    def cross(self, c: dict, t: int, x: dict, y: dict) -> dict:
-        """c + t x (x) y mod q, written into c."""
-        for i, xi in x.items():
-            for j, yj in y.items():
-                if i < j:
-                    c[i, j] = (c.get((i, j), 0) + t * xi * yj) % self.q
-        return c
+    def fold_gen(self, a: list, c: list, i: int, k: int):
+        """(a, c) times g_i^k, written into a and c."""
+        o = self.offsets[i]
+        for j in range(i + 1, self.d):
+            c[o + j] += k * a[j]
+        a[i] += k
+
+    def cross(self, x: list, y: list) -> list:
+        """x (x) y: x_i y_j over the pairs i < j, in slot order."""
+        d = self.d
+        return [xi * y[j] for i, xi in enumerate(x) for j in range(i + 1, d)]
 
     def parse_word(self):
-        a, c = {}, {}
+        a, c = [0] * self.d, [0] * (self.d * (self.d - 1) // 2)
         while True:
             tok = self.peek()
-            if tok is None or tok in (("sym", "]"), ("sym", ")"), ("sym", ",")):
+            if tok is None or (tok[0] == "sym" and tok[1] in "]),"):
                 return a, c
-            b, dc = self.parse_factor()
-            self.cross(c, 1, b, a)
-            for i, bi in b.items():
-                a[i] = (a.get(i, 0) + bi) % self.q2
-            for ij, v in dc.items():
-                c[ij] = (c.get(ij, 0) + v) % self.q
+            kind, x, k = self.parse_factor()
+            if kind == "gen":
+                self.fold_gen(a, c, x, k)
+            elif kind == "comm":
+                c[x] += k
+            else:
+                for i, bi in enumerate(x):
+                    if bi:
+                        self.fold_gen(a, c, i, bi)
+                c = [ci + ei for ci, ei in zip(c, k)]
 
     def parse_factor(self):
-        atom = self.parse_atom()
-        if self.peek() != ("sym", "^"):
-            return atom
+        tok = self.take()
+        kind, x, k = self.parse_atom(tok)
+        if tok[2] is not None:  # a flat factor that brought its exponent
+            return kind, x, k * tok[2]
+        if self.peek() != ("sym", "^", None, None):
+            return kind, x, k
         self.take()
-        kind, val = self.take()
-        if kind != "int":
-            raise ValueError(f"expected integer exponent, got {val!r}")
-        # (a, c)^k = (k a, k c + C(k, 2) a (x) a)
-        k = int(val)
-        a, c = atom
-        c = self.cross({ij: k * v % self.q for ij, v in c.items()}, k * (k - 1) // 2, a, a)
-        return {i: k * ai % self.q2 for i, ai in a.items()}, c
+        kind_k, text, _, _ = self.take()
+        if kind_k != "int":
+            raise ValueError(f"expected integer exponent, got {text!r}")
+        n = int(text)
+        if kind != "word":
+            return kind, x, k * n
+        # (a, c)^n = (n a, n c + C(n, 2) a (x) a)
+        half = n * (n - 1) // 2
+        aa = self.cross(x, x)
+        return kind, [n * ai % self.q2 for ai in x], [(n * ci + half * t) % self.q for ci, t in zip(k, aa)]
 
-    def parse_atom(self):
-        kind, val = self.take()
+    def parse_atom(self, tok):
+        kind, text, _, pair = tok
         if kind == "name":
-            return {self.gens.index(val): 1}, {}
+            return "gen", self.gens.index(text), 1
+        if kind == "comm":
+            i, j = self.gens.index(pair[0]), self.gens.index(pair[1])
+            if i == j:
+                return "gen", i, 0  # [g_i, g_i] = 1 = g_i^0
+            # [g_i, g_j] = [g_j, g_i]^-1 sits in slot (i, j) for i < j
+            return ("comm", self.offsets[i] + j, -1) if i < j else ("comm", self.offsets[j] + i, 1)
         if kind == "int":
-            if val == "1":
-                return {}, {}
-            raise ValueError(f"unexpected integer {val!r} in word")
-        if val == "[":
+            if text == "1":
+                return "gen", 0, 0
+            raise ValueError(f"unexpected integer {text!r} in word")
+        if text == "[":
             a, _ = self.parse_word()
             self.expect(",")
             b, _ = self.parse_word()
             self.expect("]")
             # [u, v] = (0, b (x) a - a (x) b)
-            return {}, self.cross(self.cross({}, 1, b, a), -1, a, b)
-        if val == "(":
+            return "word", [0] * self.d, [s - t for s, t in zip(self.cross(b, a), self.cross(a, b))]
+        if text == "(":
             inner = self.parse_word()
             self.expect(")")
-            return inner
-        raise ValueError(f"unexpected token {val!r}")
+            return ("word",) + inner
+        raise ValueError(f"unexpected token {text!r}")
+
+
+def _parse_words(texts, gens: GeneratorSet, mod: Modulus) -> ClassTwoStack:
+    """One stack whose row r is the element the word texts[r] spells."""
+    parser = _WordParser(gens, mod)
+    rows = [parser.fold(text) for text in texts]
+    gen_exp = np.array([a for a, _ in rows], dtype=np.int64).reshape(len(rows), gens.d)
+    comm = np.array([c for _, c in rows], dtype=np.int64).reshape(len(rows), gens.d * (gens.d - 1) // 2)
+    return ClassTwoStack._normal(gens, mod, gen_exp, comm)
 
 
 def parse_word(text: str, gens: GeneratorSet, mod: Modulus) -> ClassTwoElement:
-    parser = _WordParser(_tokenize(text), gens, mod)
-    a, c = parser.parse_word()
-    if parser.peek() is not None:
-        raise ValueError(f"trailing input in word: {text!r}")
-    pairs = np.array(list(c), dtype=np.int64).reshape(-1, 2)
-    comm = _no_comm(gens.d)
-    comm[_slot(gens.d, pairs[:, 0], pairs[:, 1])] = list(c.values())
-    return ClassTwoElement(gens, mod, [a.get(i, 0) for i in range(gens.d)], comm)
+    return _parse_words([text], gens, mod)[0]
 
 
 def format_word(el: ClassTwoElement) -> str:

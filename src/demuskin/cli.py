@@ -40,8 +40,8 @@ from demuskin.zq_linalg import (
     Modulus,
     OracleGuardError,
     Submodule,
-    isotropic_free_submodules,
     max_isotropic_oracle,
+    maximal_isotropic_free_submodules,
     orthogonal_complement,
 )
 
@@ -361,10 +361,9 @@ def cmd_oracle(args) -> dict:
     d = pres.d
     try:
         full_max = max_isotropic_oracle(coh.cup, Submodule.full(d, pres.mod.q))
-        kerb_max = max_isotropic_oracle(coh.cup, kerb)
+        kerb_max, maximal = maximal_isotropic_free_submodules(coh.cup, kerb)
     except OracleGuardError as exc:
         raise InputError(str(exc)) from None
-    maximal = isotropic_free_submodules(coh.cup, kerb, rank=kerb_max)
     line = gamma_line(pres)
     contain = all(sub.contains_submodule(line) for sub in maximal)
     expected = pres.n // 2 + 1

@@ -111,10 +111,14 @@ def integers_mod(values, m: int, what: str = "exponents") -> np.ndarray:
     """Integer values (any shape, any size) reduced to [0, m) as int64; a
     ValueError for anything else, so a float is never truncated."""
     a = np.asarray(values)
-    if a.dtype.kind not in "iu":
-        a = np.asarray(values, dtype=object)
-        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in a.flat):
+    if a is not values or a.dtype.kind not in "iu":
+        # numpy reads [True, 2] as int64, so only the entries show a bool;
+        # an integer ndarray is taken as it is
+        entries = np.asarray(values, dtype=object)
+        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in entries.flat):
             raise ValueError(f"{what} must be integers")
+        if a.dtype.kind not in "iu":
+            a = entries
     return np.asarray(np.mod(a, m)).astype(np.int64, copy=False)
 
 
@@ -624,6 +628,15 @@ def isotropic_free_submodules(
     if rank is not None:
         levels = levels[rank : rank + 1] if rank >= 0 else []
     return [Submodule(basis, form.dim, form.modulus) for level in levels for basis in level]
+
+
+def maximal_isotropic_free_submodules(form: BilinearForm, constraint: Submodule) -> tuple[int, list[Submodule]]:
+    """The maximum rank r of a free totally isotropic submodule inside
+    `constraint` and every such submodule of rank r, in the order of
+    `isotropic_free_submodules(form, constraint, rank=r)`, from one search.
+    Guarded like the search."""
+    levels = _isotropic_normal_bases(form, constraint, form.dim)
+    return len(levels) - 1, [Submodule(basis, form.dim, form.modulus) for basis in levels[-1]]
 
 
 def max_isotropic_oracle(form: BilinearForm, constraint: Submodule) -> int:

@@ -720,16 +720,15 @@ WORD_MODULI = [
 ]
 
 
-@st.composite
-def nested_words(draw):
-    """A modulus, a generator set and a word over it with nested brackets
-    and parentheses, the identity "1" and exponents up to 10^40."""
-    mod = draw(st.sampled_from(WORD_MODULI))
-    gens = demushkin_generators(draw(st.integers(0, 3)))
-    exponent = st.integers(-(10**40), 10**40)
+EXPONENTS = st.integers(-(10**40), 10**40)
+
+
+def nested_factors(gens):
+    """Factors over gens with nested brackets and parentheses, the identity
+    "1" and exponents up to 10^40."""
 
     def powered(atom):
-        return st.one_of(atom, st.tuples(atom, exponent).map(lambda t: f"{t[0]}^{t[1]}"))
+        return st.one_of(atom, st.tuples(atom, EXPONENTS).map(lambda t: f"{t[0]}^{t[1]}"))
 
     def word(factor):
         return st.lists(factor, max_size=4).map(" ".join)
@@ -740,8 +739,41 @@ def nested_words(draw):
         return powered(st.one_of(group, bracket))
 
     leaf = powered(st.sampled_from(gens.labels + ("1",)))
-    text = draw(word(st.recursive(leaf, extend, max_leaves=16)))
+    return st.recursive(leaf, extend, max_leaves=16)
+
+
+@st.composite
+def nested_words(draw):
+    """A modulus, a generator set and a word of nested factors over it."""
+    mod = draw(st.sampled_from(WORD_MODULI))
+    gens = demushkin_generators(draw(st.integers(0, 3)))
+    text = draw(st.lists(nested_factors(gens), max_size=4).map(" ".join))
     return mod, gens, text
+
+
+@st.composite
+def flat_words(draw):
+    """A modulus, a generator set and a word that mixes flat factors x, x^k,
+    [x,y] and [x,y]^k, with and without whitespace inside and exponents up
+    to 10^40, with nested factors."""
+    mod = draw(st.sampled_from(WORD_MODULI))
+    gens = demushkin_generators(draw(st.integers(0, 3)))
+    name = st.sampled_from(gens.labels)
+    space = st.sampled_from(["", " ", "  ", "\t"])
+    power = st.one_of(st.just(""), st.tuples(space, space, EXPONENTS).map(lambda t: f"{t[0]}^{t[1]}{t[2]}"))
+    gen = st.tuples(name, power).map("".join)
+    comm = st.tuples(space, name, space, space, name, space, power).map(
+        lambda t: "[{}{}{},{}{}{}]{}".format(*t)
+    )
+    factor = st.one_of(gen, comm, nested_factors(gens))
+    return mod, gens, draw(st.lists(factor, max_size=12).map(" ".join))
+
+
+# pieces of words, faulty ones among them, for comparing errors
+WORD_PIECES = (
+    "x0", "x1", "g", "x9", "[", "]", "(", ")", ",", "^", " ", "2", "-3", "1", "01",
+    "+1", ".5", "-", "[x0,x1]", "[ x1 , g ]", "[x0,x0]", "^-1", " ^ 2", "^100000000000000000000",
+)
 
 
 PARSE_ERRORS = [
@@ -753,6 +785,15 @@ PARSE_ERRORS = [
     ("x9", "unknown generator 'x9'"),
     ("x0^1.5", "cannot tokenize word at '.5'"),
     ("01", "unexpected integer '01' in word"),
+    # a flat factor quotes its first lexeme, as the per-factor tokens did
+    ("x0 ^", "unexpected end of word"),
+    ("[x0,x1]^x2", "expected integer exponent, got 'x2'"),
+    ("x0^x1^2", "expected integer exponent, got 'x1'"),
+    ("x0^[x1,x2]^2", "expected integer exponent, got '['"),
+    ("[x0,x1]^2^3", "unexpected token '^'"),
+    # the whole word is tokenized before any of it is parsed
+    ("x9 +1", "cannot tokenize word at ' +1'"),
+    ("x0) [x1,x2]^2 .5", "cannot tokenize word at ' .5'"),
 ]
 
 
@@ -812,6 +853,50 @@ class TestWordGrammar:
     def test_fold_matches_the_per_factor_parser(self, case):
         mod, gens, text = case
         assert parse_word(text, gens, mod) == reference_parse(text, gens, mod)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(flat_words())
+    def test_flat_factors_match_the_per_factor_parser(self, case):
+        mod, gens, text = case
+        assert parse_word(text, gens, mod) == reference_parse(text, gens, mod)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(WORD_PIECES), max_size=10).map(lambda parts: "".join(parts).rstrip()))
+    def test_faults_match_the_per_factor_parser(self, text):
+        # the reference reads no trailing whitespace, hence the rstrip
+        gens, mod = demushkin_generators(2), Modulus(3, 2)
+
+        def outcome(parse):
+            try:
+                return parse(text, gens, mod)
+            except ValueError as err:
+                return str(err)
+
+        assert outcome(parse_word) == outcome(reference_parse)
+
+    @pytest.mark.parametrize("mod", WORD_MODULI, ids=lambda m: f"q{m.q}")
+    def test_action_file_loads_as_its_words(self, mod, monkeypatch):
+        gens = demushkin_generators(3)
+        labels = gens.labels
+        q = mod.q
+        images = {}
+        for i, lab in enumerate(labels):
+            u = format_word(random_element(gens, mod))
+            other = labels[(i + 1) % gens.d]
+            images[lab] = f"{lab}^{q + 1} {u} ({other} [{lab} , {other}]^-2)^{q * q - 3} [[{lab},g], x0 x1]^{10**30}"
+        want = ClassTwoEndo([parse_word(images[lab], gens, mod) for lab in labels])
+        built = []
+        monkeypatch.setattr(ClassTwoElement, "__init__", lambda *a: built.append(a))
+        monkeypatch.setattr(ClassTwoStack, "of", lambda *a: built.append(a))
+        assert ClassTwoEndo.from_json({"images": images}, gens, mod) == want
+        assert built == []  # one stack, no element per image
+
+    def test_action_file_names_only_generators(self):
+        gens, mod = demushkin_generators(0), Modulus(3, 1)
+        with pytest.raises(ValueError, match="image for unknown generator 'x9'"):
+            ClassTwoEndo.from_json({"images": {"g": "g", "x0": "x0", "x9": "g"}}, gens, mod)
+        with pytest.raises(ValueError, match="missing image for generator 'x0'"):
+            ClassTwoEndo.from_json({"images": {"g": "g"}}, gens, mod)
 
     @pytest.mark.parametrize("mod", WORD_MODULI, ids=lambda m: f"q{m.q}")
     def test_round_trip_random_stacks(self, mod):

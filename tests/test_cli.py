@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from demuskin import cli
+from demuskin import cli, zq_linalg
 from demuskin.cli import main
 
 
@@ -71,6 +71,8 @@ MALFORMED = {
     "float-character-value": {"relator": GOOD_RELATOR, "chi": [4.9, 1, 1, 1]},
     "float-parameters": {"p": 3.9, "f": 1.5, "n": 2.2},
     "bool-parameter": {"f": True},
+    # an action file whose images name a generator outside g, x0, x1, x2
+    "unknown-image-label": {"images": {"g": "g", "x0": "x0^-1", "x1": "x1^-1", "x2": "x2", "x9": "g"}},
 }
 
 
@@ -83,9 +85,21 @@ class TestMalformedJson:
     @pytest.mark.parametrize("case", MALFORMED, ids=list(MALFORMED))
     def test_exits_two(self, tmp_path, capsys, case):
         pres = tmp_path / "pres.json"
-        pres.write_text(json.dumps({"p": 3, "f": 1, "n": 2, **MALFORMED[case]}))
-        assert main(["invariants", "--presentation", str(pres)]) == 2
-        assert capsys.readouterr().err.startswith("error: bad presentation file")
+        if "images" not in MALFORMED[case]:
+            pres.write_text(json.dumps({"p": 3, "f": 1, "n": 2, **MALFORMED[case]}))
+            assert main(["invariants", "--presentation", str(pres)]) == 2
+            assert capsys.readouterr().err.startswith("error: bad presentation file")
+            return
+        pres.write_text(json.dumps({"p": 3, "f": 1, "n": 2, "relator": GOOD_RELATOR}))
+        images = MALFORMED[case]["images"]
+        act, kept = tmp_path / "act.json", tmp_path / "kept.json"
+        act.write_text(json.dumps({"images": images}))
+        kept.write_text(json.dumps({"images": {lab: w for lab, w in images.items() if lab != "x9"}}))
+        for argv in (["verify", "--presentation", str(pres)], ["symmetrize", "--p", "3", "--n", "2"]):
+            assert main([*argv, "--action", str(act)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: bad action file") and "'x9'" in err
+            assert main([*argv, "--action", str(kept), "--output", str(tmp_path / "out.json")]) == 0
 
 
 class TestDeterminism:
@@ -372,6 +386,15 @@ class TestOracleCommand:
             "error: exhaustive search limited to ambient rank <= 6 and modulus <= 9; "
             "got rank 2, modulus 27\n"
         )
+
+    def test_searches_each_space_once(self, tmp_path, monkeypatch):
+        # one search of the whole space and one of ker B, which gives both the
+        # maximal rank and the maximal submodules there
+        real = zq_linalg._isotropic_normal_bases
+        spaces = []
+        monkeypatch.setattr(zq_linalg, "_isotropic_normal_bases", lambda *a: spaces.append(a[1]) or real(*a))
+        code, _ = run_inproc(tmp_path, "oracle", "--p", "3", "--n", "2")
+        assert code == 0 and len(spaces) == 2 and spaces[0] != spaces[1]
 
     def test_fault_in_search_is_not_an_input_error(self, monkeypatch):
         def broken(form, constraint):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demuskin import zq_linalg
 from demuskin.demushkin_core import (
     DemushkinPresentation,
     bockstein_kernel,
@@ -20,15 +21,18 @@ from demuskin.zq_linalg import (
     SYMMETRIC,
     BilinearForm,
     Modulus,
+    OracleGuardError,
     Submodule,
     ZqMatrix,
     eigen_split,
     howell_form,
+    integers_mod,
     inv_mod,
     is_totally_isotropic,
     isotropic_free_submodules,
     kernel,
     max_isotropic_oracle,
+    maximal_isotropic_free_submodules,
     orthogonal_complement,
 )
 
@@ -215,10 +219,30 @@ class TestEntries:
     @pytest.mark.parametrize("build", [
         lambda rows: ZqMatrix(rows, 9), lambda rows: Submodule(rows, 2, 9),
     ], ids=["matrix", "submodule"])
-    @pytest.mark.parametrize("rows", [[[1.7, 2]], [[1.9, 2.5]], np.array([[1.0, 2.0]]), [[True, False]]])
+    @pytest.mark.parametrize("rows", [
+        [[1.7, 2]], [[1.9, 2.5]], np.array([[1.0, 2.0]]), [[True, False]],
+        [[True, 2]], [[2, 3], [np.True_, 4]], [np.array([1, 2]), [False, 1]],
+    ])
     def test_rejects_floats_and_bools(self, build, rows):
         with pytest.raises(ValueError, match="must be integers"):
             build(rows)
+
+    def test_bool_mixed_into_a_list_is_rejected(self):
+        for values in ([[True, 2]], [2, True], True, [[1, 2], [3, False]]):
+            with pytest.raises(ValueError, match="must be integers"):
+                integers_mod(values, 9)
+        assert integers_mod([[1, 2], [3, 13]], 9).tolist() == [[1, 2], [3, 4]]
+        assert integers_mod(np.array([[1, 11]]), 9).tolist() == [[1, 2]]
+
+    def test_integer_arrays_are_taken_without_a_look_at_each_entry(self, monkeypatch):
+        # the entry scan turns its input into an object array first
+        real = np.asarray
+        seen = []
+        monkeypatch.setattr(np, "asarray", lambda a, dtype=None, **kw: seen.append(dtype) or real(a, dtype, **kw))
+        integers_mod(np.arange(6).reshape(2, 3), 9)
+        assert object not in seen
+        integers_mod([[1, 2]], 9)
+        assert object in seen
 
     def test_reduces_entries_beyond_int64(self):
         big = [[2**70 + 1, -(2**66)]]
@@ -460,6 +484,23 @@ class TestIsotropicOracle:
         subs = isotropic_free_submodules(form, Submodule([[3, 0], [0, 1]], 2, 9))
         assert all(s.is_free for s in subs)
         assert [s.rank for s in subs] == [0, 1, 1, 1]  # (3a, 1) for a in 0, 1, 2
+
+    @pytest.mark.parametrize("p,f,n", [(3, 1, 0), (3, 2, 0), (3, 1, 2), (5, 1, 2)])
+    def test_maximal_submodules_from_one_search(self, monkeypatch, p, f, n):
+        pres, cup = standard_cup(p, f, n)
+        for constraint in (Submodule.full(pres.d, p**f), bockstein_kernel(pres)):
+            top = max_isotropic_oracle(cup, constraint)
+            want = isotropic_free_submodules(cup, constraint, rank=top)
+            searches = []
+            real = zq_linalg._isotropic_normal_bases
+            monkeypatch.setattr(zq_linalg, "_isotropic_normal_bases", lambda *a: searches.append(a) or real(*a))
+            assert maximal_isotropic_free_submodules(cup, constraint) == (top, want)
+            assert len(searches) == 1
+            monkeypatch.undo()
+
+    def test_maximal_submodules_guarded(self):
+        with pytest.raises(OracleGuardError):
+            maximal_isotropic_free_submodules(BilinearForm(ZqMatrix.zeros(7, 7, 3), NO_SYMMETRY), Submodule.full(7, 3))
 
     def test_rank_by_rank_order(self):
         form = standard_gram_4()
