@@ -42,6 +42,7 @@ from demuskin.demushkin_core import (
     standard_involution,
     standard_relator,
     symmetrize_basis,
+    symmetrized_change,
     transform_presentation,
     trivial_action,
 )

@@ -388,6 +388,36 @@ def _diagonal_signs(action: InvolutionAction) -> np.ndarray | None:
     return signs if np.array_equal(lin, np.diag(signs) % action.endo.mod.q) else None
 
 
+def symmetrized_change(endo: ClassTwoEndo, signs, change: ClassTwoEndo | None = None) -> ClassTwoEndo:
+    """The change tau . rho after which `endo` acts as diag(signs), where
+    tau = `change` (the identity when None) has its rows in the eigenspaces.
+
+    With y_i = tau(g_i), the defects D_i = y_i^(-s_i) endo(y_i) are tau of
+    those of the conjugate tau^-1 . endo . tau, which its symmetrizing
+    change rho takes central square roots of; such roots are unique (q is
+    odd), so the total sends g_i to y_i sqrt(D_i)^(s_i), with no conjugate,
+    inverse or composite built.  One application checks it: endo(total(g_i))
+    = total(g_i)^(s_i) for all i iff total^-1 . endo . total = diag(signs).
+    A non-central D_i is a ValueError, a failed check an AssertionError.
+    """
+    s = np.asarray(signs, dtype=np.int64)
+    if change is None:
+        y, endo_y = ClassTwoEndo.identity(endo.gens, endo.mod).images, endo.images
+    else:
+        y, endo_y = change.images, endo(change.images)
+    # row i: y^-1 endo(y) = a for a fixed generator, y endo(y) = b for a
+    # negated one
+    defects = y**-s * endo_y
+    off = ~defects.is_central
+    if off.any():
+        kind = "fixed" if s[off.argmax()] == 1 else "negated"
+        raise ValueError(f"perturbation of a {kind} generator is not central")
+    total = ClassTwoEndo(y * central_sqrt(defects) ** s)
+    if ClassTwoEndo(endo(total.images)) != ClassTwoEndo(total.images**s):
+        raise AssertionError("symmetrization did not produce a clean action")
+    return total
+
+
 def symmetrize_basis(
     pres: DemushkinPresentation, action: InvolutionAction
 ) -> tuple[ClassTwoEndo, ClassTwoElement, ClassTwoEndo]:
@@ -395,10 +425,11 @@ def symmetrize_basis(
 
     For sigma(g) = g . a the new generator is g . a^(1/2); for
     sigma(g) = g^-1 . b it is b^(-1/2) . g.  Returns (basis, relator,
-    clean_endo): the basis change, which is unipotent; the relator rewritten
-    in the new basis, which keeps its shape; and the conjugated action,
-    checked to be exactly diagonal (+-1 on each generator).  An action that
-    is already clean keeps the identity basis.
+    clean_endo): the basis change, which is unipotent (`symmetrized_change`
+    with no change to start from); the relator rewritten in the new basis,
+    which keeps its shape; and the clean action diag(+-1), which the basis
+    change is checked to conjugate the action to.  An action that is already
+    clean keeps the identity basis.
     """
     gens, mod = pres.gens, pres.mod
     if action.signs is not None:
@@ -409,23 +440,11 @@ def symmetrize_basis(
             "action is not of product shape: each generator must map to "
             "itself or its inverse times a central element"
         )
-    # row i: g^-1 sigma(g) = a on a fixed generator, g sigma(g) = b on a
-    # negated one
-    defects = action.endo.defects(signs)
-    off = ~defects.is_central
-    if off.any():
-        kind = "fixed" if signs[off.argmax()] == 1 else "negated"
-        raise ValueError(f"perturbation of a {kind} generator is not central")
+    basis = symmetrized_change(action.endo, signs)
     # the basis g_i -> g_i r_i^(s_i) is the identity mod F^2, so it fixes
-    # the central roots r_i and g_i -> g_i r_i^(-s_i) inverts it
-    roots = central_sqrt(defects)
-    ident = ClassTwoEndo.identity(gens, mod).images
-    basis = ClassTwoEndo(ident * roots**signs)
-    basis_inv = ClassTwoEndo(ident * roots**-signs)
-    new_action_endo = compose(basis_inv, compose(action.endo, basis))
-    if not is_clean_diagonal(new_action_endo, signs):
-        raise AssertionError("symmetrization did not produce a clean action")
-    return basis, basis_inv(pres.relator), new_action_endo
+    # its central defects r_i^(s_i), and dividing them back out inverts it
+    basis_inv = ClassTwoEndo(ClassTwoEndo.identity(gens, mod).images * basis.defects() ** -1)
+    return basis, basis_inv(pres.relator), ClassTwoEndo.linear(gens, mod, np.diag(signs))
 
 
 def transform_presentation(

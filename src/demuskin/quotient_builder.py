@@ -29,6 +29,17 @@ gram . W^T annihilates, read off one Howell form of the small matrix
 [S . gram . W^T | I] (`Submodule.annihilated_by`).  The part in ker B and
 the eigenparts of V are restrictions of the same kind, by the column B and
 by the coordinates of the other sign.
+
+The change tau this gives is linear with rows in the eigenspaces, so it
+commutes with the clean involution sigma = diag(s) up to central terms,
+and one correction absorbs them: with y = tau's images, the defects
+D = y^(-s) sigma(y) are central, and the certificate's basis change sends
+g_i to y_i sqrt(D_i)^(s_i) (`symmetrized_change`).  It is the change that
+conjugating sigma by tau, symmetrizing the conjugate and composing would
+give, as square roots in F^2/F^3 are unique, and it is checked without
+building the conjugate: sigma(total(g_i)) = total(g_i)^(s_i) holds iff
+sigma is clean in the new frame, and total(w) = w iff the relator keeps
+its standard shape there.
 """
 
 from __future__ import annotations
@@ -42,7 +53,6 @@ from demuskin.class2_words import (
     ClassTwoStack,
     GeneratorSet,
     TruncatedQuotient,
-    compose,
     invert_auto,
     quotient_kill,
 )
@@ -56,8 +66,7 @@ from demuskin.demushkin_core import (
     is_clean_diagonal,
     standard_relator,
     standard_sign_pattern,
-    symmetrize_basis,
-    transform_presentation,
+    symmetrized_change,
 )
 from demuskin.zq_linalg import (
     Submodule,
@@ -355,7 +364,8 @@ def adapted_basis(
     basis = _build_adapted_change(pres, action, iso)
     if basis is None:
         return ClassTwoEndo.identity(pres.gens, pres.mod)
-    if invert_auto(basis)(pres.relator) != standard_relator(pres.n, pres.mod):
+    # w is standard, so basis^-1(w) is the standard relator iff basis fixes w
+    if basis(pres.relator) != pres.relator:
         raise AssertionError("adapted basis did not preserve the relator shape")
     return basis
 
@@ -427,14 +437,17 @@ def free_quotient(
         )
     _require_clean_standard(pres, action)
     change = _build_adapted_change(pres, action, iso)
-    frame = (pres, action) if change is None else transform_presentation(pres, action, change)
-    # symmetrize_basis rewrites the relator and checks the conjugated action
-    # is the clean diagonal one, so the final frame needs no second transform;
-    # on the clean standard frame it returns the identity at no cost
-    basis, relator, clean = symmetrize_basis(*frame)
-    total = basis if change is None else compose(change, basis)
-    if relator != standard_relator(pres.n, pres.mod):
-        raise AssertionError("final frame lost the standard relator shape")
+    total = ClassTwoEndo.identity(pres.gens, pres.mod)
+    if change is not None:
+        # the rows of the change lie in the eigenspaces, so it commutes with
+        # the involution up to central terms, and one correction absorbs them
+        try:
+            total = symmetrized_change(action.endo, action.signs, change)
+        except ValueError as exc:
+            raise AssertionError(f"adapted change mixes the eigenspaces of the involution: {exc}") from None
+        # as in adapted_basis, fixing w keeps the standard relator
+        if total(pres.relator) != pres.relator:
+            raise AssertionError("final frame lost the standard relator shape")
 
     new_coords = iso.V.image_under(total.linear_matrix.T)
     kept_idx = _coordinate_dual_indices(new_coords)
@@ -444,14 +457,14 @@ def free_quotient(
     labels = pres.gens.labels
     kept = [labels[i] for i in kept_idx]
     killed = [lab for i, lab in enumerate(labels) if i not in kept_idx]
-    dropped = clean.images[[pres.gens.index(lab) for lab in killed]]
-    flags["relator_contained"] = bool(quotient_kill(killed, relator).is_identity) if kept else True
+    dropped = action.endo.images[[pres.gens.index(lab) for lab in killed]]
+    flags["relator_contained"] = bool(quotient_kill(killed, pres.relator).is_identity) if kept else True
     flags["delta_invariant_kill"] = bool(quotient_kill(killed, dropped).is_identity.all()) if kept else True
     # kept generators project onto the quotient mod squares by construction
     flags["surjective_mod_F2"] = True
 
     # the clean action is diagonal, +1 or -1 on each generator
-    diagonal = clean.linear_matrix.diagonal()[kept_idx]
+    diagonal = action.endo.linear_matrix.diagonal()[kept_idx]
     sig = Signature(int((diagonal == 1).sum()) - 1, int((diagonal == pres.mod.q - 1).sum()))
     return FreeQuotientCertificate(
         basis_change=total,

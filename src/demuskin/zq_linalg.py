@@ -11,9 +11,9 @@ is the part of the form of [A^T | I] that vanishes on the A^T columns, the
 part of a submodule with basis S that A annihilates is C . S for the kernel
 rows C of the small matrix S . A, the inverse of A is the right half of the
 form [I | A^-1] of [A | I], the rank mod p is the row count of the form of a
-matrix reduced mod p, and freeness compares that rank with the size given by
-the Howell pivots (Howell, Linear and Multilinear Algebra 19, 1986;
-Storjohann & Mulders, ESA 1998).
+matrix reduced mod p, and freeness holds when every Howell pivot is 1 and
+otherwise compares that rank with the size given by the pivots (Howell,
+Linear and Multilinear Algebra 19, 1986; Storjohann & Mulders, ESA 1998).
 """
 
 from __future__ import annotations
@@ -307,11 +307,15 @@ class Submodule:
         A free submodule of (Z/p^e)^d is a direct summand whose size is
         p^(e r), r its rank mod p; so the test compares log_p of the size
         (read off the Howell pivots) with e times the row count of the
-        Howell form of the basis mod p.  Unit pivots are sufficient but not
-        necessary: the span of (3,6,0,2) over Z/9 is free on one generator,
-        yet its Howell form pivots on the 3 in the first column.
+        Howell form of the basis mod p.  Unit pivots are sufficient, and then
+        the rows, echelon with pivots 1, are a free basis with no reduction
+        mod p; they are not necessary: the span of (3,6,0,2) over Z/9 is free
+        on one generator, yet its Howell form pivots on the 3 in the first
+        column.
         """
-        if self._free is None:
+        if self._free is None and all(val == 1 for _, val in self._pivots):
+            self._free = (True, self.ngens)
+        elif self._free is None:
             p, e = _prime_power_base(self.modulus)
             r = len(_howell_rows(self.basis % p, self.ambient, p))
             size_log = sum(e - _valuation(val, p, e) for _, val in self._pivots)

@@ -354,6 +354,24 @@ class TestVerify:
 
 
 class TestSymmetrizeCommand:
+    def test_non_central_perturbation_fails_with_exit_1(self, tmp_path):
+        # g -> g x1 is not g times a central element; the lift rejects it
+        # before symmetrization (a product-shape action has central defects)
+        act = tmp_path / "act.json"
+        act.write_text(json.dumps({"images": {"g": "g x1", "x0": "x0^-1", "x1": "x1^-1", "x2": "x2"}}))
+        code, text = run_inproc(tmp_path, "symmetrize", "--p", "3", "--n", "2", "--action", str(act))
+        assert code == 1
+        report = json.loads(text)
+        assert report["all_pass"] is False and report["results"] == {}
+        assert report["checks"] == [
+            {
+                "name": "lift_to_exact_involution",
+                "pass": False,
+                "detail": "relator is not carried to a power of itself; "
+                "the action does not descend to the one-relator quotient",
+            }
+        ]
+
     def test_perturbed_action_is_cleaned(self, tmp_path):
         act = tmp_path / "act.json"
         act.write_text(

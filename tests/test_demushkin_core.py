@@ -11,6 +11,7 @@ from demuskin.class2_words import (
     ClassTwoElement,
     ClassTwoEndo,
     ClassTwoStack,
+    central_sqrt,
     commutator,
     compose,
     demushkin_generators,
@@ -36,6 +37,7 @@ from demuskin.demushkin_core import (
     standard_relator,
     standard_sign_pattern,
     symmetrize_basis,
+    symmetrized_change,
     transform_presentation,
     trivial_action,
 )
@@ -489,11 +491,14 @@ class TestSymmetrizeBasis:
         assert calls == []
 
     def test_perturbed_action_takes_the_full_path(self, monkeypatch):
+        # one correction and one application check: no inverse, no composite
         calls = []
         monkeypatch.setattr(demushkin_core, "invert_auto", lambda e: calls.append(e) or invert_auto(e))
+        monkeypatch.setattr(demushkin_core, "compose", lambda *e: calls.append(e) or compose(*e))
         images = list(self.standard.endo.images)
         images[0] = images[0] * self.pres.element("[x2,x1]")
         act = lift_involution(self.pres, self.standard.endo.linear_matrix, ClassTwoEndo(images))
+        calls.clear()
         basis, relator, clean = symmetrize_basis(self.pres, act)
         assert calls == []
         assert basis.images[0] == self.pres.element("g [x2,x1]^2")
@@ -563,6 +568,65 @@ class TestSymmetrizeBasis:
         pres2, act2 = transform_presentation(pres, self.standard, basis)
         with pytest.raises(ValueError, match="product shape"):
             symmetrize_basis(pres2, act2)
+
+
+class TestSymmetrizedChange:
+    """The closed-form correction and its one-application check."""
+
+    def setup_method(self):
+        self.mod = Modulus(3, 2)
+        self.pres = DemushkinPresentation.standard(4, self.mod)
+        self.standard = standard_involution(self.pres)
+        self.signs = standard_sign_pattern(4)
+
+    def perturbed(self, label, word):
+        images = list(self.standard.endo.images)
+        i = self.pres.gens.index(label)
+        images[i] = images[i] * self.pres.element(word)
+        return ClassTwoEndo(images)
+
+    @pytest.mark.parametrize("label, kind", [("g", "fixed"), ("x0", "negated")])
+    def test_non_central_defect_is_named(self, label, kind):
+        # x1 is negated and x2 fixed, so x1 mixes into g and x2 into x0
+        endo = self.perturbed(label, "x1" if kind == "fixed" else "x2")
+        with pytest.raises(ValueError, match=f"perturbation of a {kind} generator is not central"):
+            symmetrized_change(endo, self.signs)
+
+    def test_check_rejects_an_endo_that_is_not_an_involution(self):
+        # g -> g [g, x2] fixes [g, x2], so it squares to g [g, x2]^2; the
+        # defect is central, and only the application check sees the fault,
+        # with or without a change to start from
+        endo = self.perturbed("g", "[g,x2]")
+        assert compose(endo, endo) != ClassTwoEndo.identity(self.pres.gens, self.mod)
+        lin = np.eye(6, dtype=np.int64)
+        lin[3, 5] = 1  # x2 -> x2 x4, both fixed
+        shear = ClassTwoEndo.linear(self.pres.gens, self.mod, lin)
+        for change in (None, shear):
+            with pytest.raises(AssertionError, match="did not produce a clean action"):
+                symmetrized_change(endo, self.signs, change)
+        act = InvolutionAction(endo, ZqMatrix(endo.linear_matrix, self.mod.q), -1)
+        with pytest.raises(AssertionError, match="did not produce a clean action"):
+            symmetrize_basis(self.pres, act)
+
+    @pytest.mark.parametrize("mod", [Modulus(3, 1), Modulus(5, 1), Modulus(3, 2)], ids=lambda m: f"q{m.q}")
+    def test_matches_conjugating_then_symmetrizing(self, mod):
+        # tau . rho, rho the symmetrizing change of tau^-1 . sigma . tau,
+        # for a lifted perturbed sigma and an equivariant linear tau
+        pres = DemushkinPresentation.standard(4, mod)
+        base = standard_involution(pres)
+        signs = standard_sign_pattern(4)
+        lin = np.eye(6, dtype=np.int64)
+        lin[3, 5] = lin[2, 4] = 1  # x2 -> x2 x4 and x1 -> x1 x3 keep the eigenspaces
+        tau = ClassTwoEndo.linear(pres.gens, mod, lin)
+        for _ in range(5):
+            pert = ClassTwoEndo([im * random_central(pres) for im in base.endo.images])
+            sigma = lift_involution(pres, base.endo.linear_matrix, pert).endo
+            total = symmetrized_change(sigma, signs, tau)
+            conj = compose(invert_auto(tau), compose(sigma, tau))
+            roots = central_sqrt(conj.defects(signs))
+            rho = ClassTwoEndo(ClassTwoEndo.identity(pres.gens, mod).images * roots**signs)
+            assert total == compose(tau, rho)
+            assert compose(invert_auto(total), compose(sigma, total)) == base.endo
 
 
 class TestCleanDiagonal:

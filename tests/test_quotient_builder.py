@@ -273,8 +273,8 @@ class TestFreeQuotient:
         assert (colors.count(True), colors.count(False)) == (green, red)
 
     def test_invariants_once_per_presentation(self, monkeypatch):
-        # the mixed V of test_maximal_mixed_V_at_n4: one call for the
-        # presentation, one for the presentation in the adapted frame
+        # the mixed V of test_maximal_mixed_V_at_n4: one call, for the
+        # presentation; no presentation is built in the adapted frame
         pres, act = standard_setup(4, Modulus(3, 1))
         V = Submodule([[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 1], [0, 0, 1, 0, 2, 0]], 6, 3)
         iso = validate_V(pres, act, V)
@@ -287,7 +287,7 @@ class TestFreeQuotient:
         monkeypatch.setattr(quotient_builder, "invariants", counting)
         monkeypatch.setattr(demushkin_core, "invariants", counting)
         assert free_quotient(pres, act, iso).all_green
-        assert len(seen) == 2 and seen[0] is pres and seen[1] is not pres
+        assert len(seen) == 1 and seen[0] is pres
 
     def test_signature_one_zero(self):
         pres, act = standard_setup(2, Modulus(3, 1))
@@ -422,8 +422,9 @@ class TestSignatureSweep:
 
 
 def count_calls(monkeypatch, name):
-    """Calls of the demushkin_core function `name`, counted through both
-    module namespaces that call it."""
+    """Calls of the function `name` of demushkin_core, counted through every
+    module namespace that holds it (class2_words, demushkin_core,
+    quotient_builder)."""
     calls = []
     real = getattr(demushkin_core, name)
 
@@ -431,8 +432,22 @@ def count_calls(monkeypatch, name):
         calls.append(args)
         return real(*args)
 
-    for module in (demushkin_core, quotient_builder):
-        monkeypatch.setattr(module, name, counting)
+    for module in (class2_words, demushkin_core, quotient_builder):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def count_builds(monkeypatch):
+    """Calls of InvolutionAction.build."""
+    calls = []
+    real = InvolutionAction.build.__func__
+
+    def counting(cls, *args):
+        calls.append(args)
+        return real(cls, *args)
+
+    monkeypatch.setattr(InvolutionAction, "build", classmethod(counting))
     return calls
 
 
@@ -461,14 +476,16 @@ class TestIdentityFrames:
         assert inversions == []
 
     def test_non_coordinate_V_takes_the_full_path(self, monkeypatch):
-        # the mixed V of test_maximal_mixed_V_at_n4
+        # the mixed V of test_maximal_mixed_V_at_n4: the adapted change is
+        # corrected in closed form, with no conjugated action, no inverse and
+        # no composite
         pres, act = standard_setup(4, Modulus(3, 1))
         V = Submodule([[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 1], [0, 0, 1, 0, 2, 0]], 6, 3)
         iso = validate_V(pres, act, V)
-        transforms = count_calls(monkeypatch, "transform_presentation")
-        inversions = count_calls(monkeypatch, "invert_auto")
+        calls = [count_calls(monkeypatch, name) for name in ("transform_presentation", "invert_auto", "compose")]
+        builds = count_builds(monkeypatch)
         cert = free_quotient(pres, act, iso)
-        assert len(transforms) == 1 and inversions
+        assert calls == [[], [], []] and builds == []
         assert cert.all_green and cert.V_realized == V and len(cert.kept) == 3
         assert cert.basis_change != ClassTwoEndo.identity(pres.gens, pres.mod)
 
@@ -787,3 +804,215 @@ class TestCyclotomicPartner:
         assert (got is None) == (want is None)
         if want is not None:
             assert np.array_equal(got, want)
+
+
+def symmetrize_reference(pres, act):
+    """symmetrize_basis as it was before the closed-form correction: the
+    basis change of central square roots, checked by conjugating the action
+    with two compositions."""
+    if act.signs is not None:
+        return ClassTwoEndo.identity(pres.gens, pres.mod), pres.relator, act.endo
+    signs = demushkin_core._diagonal_signs(act)
+    assert signs is not None
+    roots = central_sqrt(act.endo.defects(signs))
+    ident = ClassTwoEndo.identity(pres.gens, pres.mod).images
+    basis = ClassTwoEndo(ident * roots**signs)
+    basis_inv = ClassTwoEndo(ident * roots**-signs)
+    clean = compose(basis_inv, compose(act.endo, basis))
+    assert demushkin_core.is_clean_diagonal(clean, signs)
+    return basis, basis_inv(pres.relator), clean
+
+
+def free_quotient_reference(pres, act, iso) -> FreeQuotientCertificate:
+    """free_quotient as it was before the closed-form correction: conjugate
+    the action through the adapted change, symmetrize the conjugate and
+    compose the two changes."""
+    change = quotient_builder._build_adapted_change(pres, act, iso)
+    frame = (pres, act) if change is None else transform_presentation(pres, act, change)
+    basis, relator, clean = symmetrize_reference(*frame)
+    total = basis if change is None else compose(change, basis)
+    assert relator == standard_relator(pres.n, pres.mod)
+    kept_idx = sorted(quotient_builder._coordinate_dual_indices(iso.V.image_under(total.linear_matrix.T)))
+    labels = pres.gens.labels
+    kept = [labels[i] for i in kept_idx]
+    killed = [lab for i, lab in enumerate(labels) if i not in kept_idx]
+    dropped = clean.images[[pres.gens.index(lab) for lab in killed]]
+    flags = iso.flag_dict()
+    flags["relator_contained"] = bool(quotient_kill(killed, relator).is_identity)
+    flags["delta_invariant_kill"] = bool(quotient_kill(killed, dropped).is_identity.all())
+    flags["surjective_mod_F2"] = True
+    diagonal = clean.linear_matrix.diagonal()[kept_idx]
+    sig = Signature(int((diagonal == 1).sum()) - 1, int((diagonal == pres.mod.q - 1).sum()))
+    return FreeQuotientCertificate(total, killed, kept, sig, flags, iso.V, quotient_builder.LIFTING_NOTE)
+
+
+def pool_mixed_V(pres, rng_units):
+    """The benchmark pool's shape: g*, a x2* + b x4* and c x1* + e x3* with
+    e = -ac/b in each block of four x's (n divisible by 4)."""
+    q, d = pres.mod.q, pres.d
+    rows = [np.eye(d, dtype=np.int64)[0]]
+    for first in range(1, pres.n, 4):
+        a, b, c = (rng_units() for _ in range(3))
+        plus, minus = np.zeros((2, d), dtype=np.int64)
+        plus[[first + 2, first + 4]] = a, b
+        minus[[first + 1, first + 3]] = c, (-a * c * pow(b, -1, q)) % q
+        rows += [plus, minus]
+    return Submodule(np.array(rows), d, q)
+
+
+def equivariant_frame(N, mod, n):
+    """The isometry of TestRandomEquivariantFrame: the a-duals by N, the
+    b-duals by N^-T."""
+    k, d = n // 2, n + 2
+    a_idx = [2 * j + 1 for j in range(1, k + 1)]
+    b_idx = [2 * j for j in range(1, k + 1)]
+    T = np.eye(d, dtype=np.int64)
+    T[np.ix_(a_idx, a_idx)] = N
+    T[np.ix_(b_idx, b_idx)] = inv_mod(ZqMatrix(N, mod.q)).array.T
+    return T
+
+
+def symplectic_shear(draw, pres):
+    """A product of transvections u -> u + l <u, v> v with v supported on
+    the x duals: an isometry of the cup form that fixes g*, x0* and ker B,
+    so it keeps every condition for the trivial action."""
+    q, d = pres.mod.q, pres.d
+    gram = invariants(pres).cup.gram.array
+    T = np.eye(d, dtype=np.int64)
+    for _ in range(draw(st.integers(1, 3))):
+        v = np.array([0, 0] + [draw(st.integers(0, q - 1)) for _ in range(d - 2)], dtype=np.int64)
+        lam = draw(st.integers(1, q - 1))
+        # row u maps to u + lam (u . gram . v) v
+        T = T @ (np.eye(d, dtype=np.int64) + lam * np.outer(gram @ v, v)) % q
+    return T % q
+
+
+EQUIVALENCE_MODULI = [Modulus(3, 1), Modulus(5, 1), Modulus(7, 1), Modulus(3, 2), Modulus(5, 2)]
+
+
+@st.composite
+def mixed_targets(draw, mod, kind):
+    """(pres, action, V) with V valid over Z/q, q = mod.q, and in general not
+    a coordinate span: by `kind`, the pool's mixed shape or an equivariant
+    image of a build_V target under the standard involution, or a sheared
+    build_V target under the trivial action."""
+    if kind == "pool":
+        n = draw(st.sampled_from([4, 8, 12]))
+    else:
+        n = draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
+    pres, act = standard_setup(n, mod)
+    units = st.integers(1, mod.q - 1).filter(lambda x: x % mod.p)
+    k = n // 2
+    u_plus = draw(st.integers(0, k))
+    if kind == "pool":
+        V = pool_mixed_V(pres, lambda: draw(units))
+    elif kind == "equivariant":
+        N = draw(unimodular_matrices(k, mod))
+        V = build_V(pres, act, Signature(u_plus, k - u_plus)).V.image_under(equivariant_frame(N, mod, n))
+    else:
+        V = build_V(pres, act, Signature(u_plus, k - u_plus)).V.image_under(symplectic_shear(draw, pres))
+        act = trivial_action(pres)
+    return pres, act, V
+
+
+class TestClosedFormSymmetrization:
+    """free_quotient corrects the adapted change in closed form; its
+    certificate is the one that conjugating the action, symmetrizing the
+    conjugate and composing gave."""
+
+    @pytest.mark.parametrize("kind", ["pool", "equivariant", "trivial"])
+    @pytest.mark.parametrize("mod", EQUIVALENCE_MODULI, ids=lambda m: f"q{m.q}")
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_conjugate_and_symmetrize_path(self, mod, kind, data):
+        pres, act, V = data.draw(mixed_targets(mod, kind))
+        iso = validate_V(pres, act, V)
+        assert iso.ok
+        cert = free_quotient(pres, act, iso)
+        ref = free_quotient_reference(pres, act, iso)
+        assert cert.basis_change == ref.basis_change
+        assert (cert.kept, cert.killed) == (ref.kept, ref.killed)
+        assert cert.flags == ref.flags and cert.all_green
+        assert cert.signature == ref.signature
+        if act.h2_scalar == -1 and cert.signature == Signature(pres.n // 2, 0):
+            assert uniqueness_check(pres, act, cert)
+
+    @pytest.mark.parametrize("n, mod", [(4, Modulus(3, 1)), (4, Modulus(3, 2)), (4, Modulus(5, 2)),
+                                        (8, Modulus(3, 2)), (12, Modulus(3, 1)), (12, Modulus(5, 2))],
+                             ids=lambda x: f"q{x.q}" if isinstance(x, Modulus) else f"n{x}")
+    def test_pool_shapes_in_every_signature(self, n, mod):
+        # the mixed V of the pool, and the equivariant images of every
+        # build_V target; the (n/2, 0) certificates pass the uniqueness check
+        pres, act = standard_setup(n, mod)
+        r = random.Random(f"pool n={n} q={mod.q}")
+        units = [u for u in range(1, mod.q) if u % mod.p]
+        targets = [pool_mixed_V(pres, lambda: r.choice(units))]
+        N = np.eye(n // 2, dtype=np.int64) + np.triu(np.ones((n // 2, n // 2), dtype=np.int64), 1)
+        T = equivariant_frame(N, mod, n)
+        targets += [build_V(pres, act, Signature(u, n // 2 - u)).V.image_under(T) for u in range(n // 2 + 1)]
+        for V in targets:
+            iso = validate_V(pres, act, V)
+            cert, ref = free_quotient(pres, act, iso), free_quotient_reference(pres, act, iso)
+            assert (cert.basis_change, cert.kept, cert.killed, cert.flags, cert.signature) == (
+                ref.basis_change, ref.kept, ref.killed, ref.flags, ref.signature
+            )
+            if cert.signature == Signature(n // 2, 0):
+                assert uniqueness_check(pres, act, cert)
+
+
+class TestCorrectionChecks:
+    """A faulty adapted change raises a named AssertionError instead of
+    giving a green certificate; a central commutator part of the change is
+    absorbed by the correction, and the frame it gives is still checked."""
+
+    def setup_method(self):
+        # the mixed V of test_maximal_mixed_V_at_n4
+        self.pres, self.act = standard_setup(4, Modulus(3, 2))
+        V = Submodule([[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 1], [0, 0, 1, 0, 8, 0]], 6, 9)
+        self.iso = validate_V(self.pres, self.act, V)
+        assert self.iso.ok
+
+    def with_change(self, monkeypatch, edit):
+        """Run free_quotient with the adapted change's images edited."""
+        real = quotient_builder._build_adapted_change
+
+        def edited(pres, act, iso):
+            images = list(real(pres, act, iso).images)
+            edit(images)
+            return ClassTwoEndo(images)
+
+        monkeypatch.setattr(quotient_builder, "_build_adapted_change", edited)
+        return free_quotient(self.pres, self.act, self.iso)
+
+    def test_change_mixing_a_fixed_and_a_negated_coordinate(self, monkeypatch):
+        def mix(images):
+            images[0] = images[0] * self.pres.element("x0")  # g is fixed, x0 negated
+
+        with pytest.raises(AssertionError, match="mixes the eigenspaces of the involution"):
+            self.with_change(monkeypatch, mix)
+
+    def test_equivariant_change_that_moves_the_relator(self, monkeypatch):
+        def square(images):
+            images[3] = images[3] ** 2  # keeps the eigenspaces, not the pairing
+
+        with pytest.raises(AssertionError, match="lost the standard relator shape"):
+            self.with_change(monkeypatch, square)
+
+    def test_commutator_part_of_the_change_is_absorbed(self, monkeypatch):
+        # tau g_i = y_i c_i with c_i central breaks sigma . tau = tau . sigma
+        # exactly; the correction still gives a frame in which sigma is clean
+        # and the relator standard, checked here by conjugation
+        pres, act = self.pres, self.act
+        plain = free_quotient(pres, act, self.iso)
+        c = pres.element("[x2,x1]^4 [g,x0]^2 [x4,g]")
+
+        def shear(images):
+            images[:] = [y * c for y in images]
+
+        cert = self.with_change(monkeypatch, shear)
+        total = cert.basis_change
+        inverse = invert_auto(total)
+        assert compose(inverse, compose(act.endo, total)) == act.endo
+        assert inverse(pres.relator) == pres.relator
+        assert cert.all_green and cert.basis_change != plain.basis_change
+        assert (cert.kept, cert.signature) == (plain.kept, plain.signature)

@@ -5,7 +5,7 @@ from math import gcd, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demuskin import zq_linalg
@@ -835,3 +835,55 @@ class TestRanksAgainstSympy:
                 assert form.is_nondegenerate() == (rank == n)
                 seen.add(rank == n)
         assert seen == {True, False}
+
+
+def free_rank_mod_p(sub):
+    """Freeness by the mod-p rank: free iff log_p of the span's size (read
+    off the Howell pivots) is e times the rank of the basis mod p; the free
+    rank, or None."""
+    m = sub.modulus
+    p = base_prime(m)
+    e = next(k for k in range(1, 64) if p**k == m)
+    r = len(howell_form(ZqMatrix(sub.basis % p, p)).array)
+    size_log = 0
+    for row in sub.basis:
+        pivot = int(row[np.flatnonzero(row)[0]])
+        size_log += e - next(v for v in range(e) if pivot % p ** (v + 1))
+    return r if size_log == e * r else None
+
+
+@st.composite
+def spans(draw):
+    """Rows over Z/3, 9, 25, 27 or 125 whose entries carry random powers of
+    p, so that unit and non-unit Howell pivots both occur."""
+    m = draw(st.sampled_from([3, 9, 25, 27, 125]))
+    p = base_prime(m)
+    d = draw(st.integers(1, 5))
+    entry = st.integers(0, m - 1)
+    rows = [[draw(entry) * p ** draw(st.integers(0, 2)) % m for _ in range(d)]
+            for _ in range(draw(st.integers(0, 4)))]
+    return Submodule(rows, d, m)
+
+
+class TestUnitPivotFreeness:
+    """A span whose Howell pivots are all 1 is free of rank ngens, read off
+    without the mod-p Howell form; other spans take the mod-p comparison."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(spans())
+    @example(Submodule([[3, 6, 0, 2]], 4, 9))
+    def test_matches_the_mod_p_reference(self, sub):
+        want = free_rank_mod_p(sub)
+        assert sub.is_free == (want is not None)
+        if want is not None:
+            assert sub.rank == want
+
+    def test_unit_pivots_need_no_reduction_mod_p(self, monkeypatch):
+        unit = Submodule([[1, 3, 0, 2], [0, 0, 1, 4]], 4, 9)
+        late = Submodule([[3, 6, 0, 2]], 4, 9)
+        calls = []
+        real = zq_linalg._howell_rows
+        monkeypatch.setattr(zq_linalg, "_howell_rows", lambda *args: calls.append(args[2]) or real(*args))
+        assert unit.is_free and unit.rank == 2 and calls == []
+        # a non-unit pivot: free on one generator, decided mod p
+        assert late.is_free and late.rank == 1 and calls == [3]
