@@ -17,7 +17,6 @@ from demuskin.class2_words import (
     commutator,
     compose,
     demushkin_generators,
-    endo_power,
     format_word,
     invert_auto,
     parse_word,
@@ -37,22 +36,18 @@ from demuskin.demushkin_core import (
     delta_map,
     gamma_line,
     invariants,
-    is_clean_diagonal,
     lift_involution,
     standard_involution,
     standard_relator,
     symmetrize_basis,
     symmetrized_change,
     transform_presentation,
-    trivial_action,
 )
 from demuskin.quotient_builder import (
     FreeQuotientCertificate,
     IsotropicSubmodule,
     Signature,
-    adapted_basis,
     build_V,
-    factoring_check,
     free_quotient,
     signature_of,
     uniqueness_check,
@@ -65,7 +60,6 @@ from demuskin.zq_linalg import (
     Submodule,
     ZqMatrix,
     eigen_split,
-    howell_form,
     inv_mod,
     is_totally_isotropic,
     isotropic_free_submodules,

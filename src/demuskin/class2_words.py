@@ -36,15 +36,26 @@ import numpy as np
 from demuskin.zq_linalg import Modulus, Submodule, ZqMatrix, exact_dtype, integers_mod, inv_mod, matmul_mod
 
 
+# a generator label, and a name in the word grammar below
+_NAME = r"[A-Za-z_]\w*"
+_LABEL = re.compile(_NAME)
+
+
 class GeneratorSet:
-    """Ordered generator labels; the normal form depends on the order."""
+    """Ordered generator labels, each a name of the word grammar; the
+    normal form depends on the order."""
 
     __slots__ = ("labels", "_index")
 
     def __init__(self, labels):
+        if isinstance(labels, str):
+            raise ValueError(f"generator labels must be a list of names, not the string {labels!r}")
         labels = tuple(labels)
         if not labels:
             raise ValueError("need at least one generator")
+        for lab in labels:
+            if not (isinstance(lab, str) and _LABEL.fullmatch(lab)):
+                raise ValueError(f"generator label {lab!r} is not a name of the word grammar")
         if len(set(labels)) != len(labels):
             raise ValueError(f"generator labels must be unique, got {labels}")
         self.labels = labels
@@ -420,19 +431,6 @@ def compose(e1: ClassTwoEndo, e2: ClassTwoEndo) -> ClassTwoEndo:
     return ClassTwoEndo(e1(e2.images))
 
 
-def endo_power(e: ClassTwoEndo, k: int) -> ClassTwoEndo:
-    if k < 0:
-        raise ValueError("endo_power only takes nonnegative exponents")
-    result = ClassTwoEndo.identity(e.gens, e.mod)
-    base = e
-    while k:
-        if k & 1:
-            result = compose(result, base)
-        base = compose(base, base)
-        k >>= 1
-    return result
-
-
 def invert_auto(e: ClassTwoEndo) -> ClassTwoEndo:
     """Inverse of an automorphism of F/F^3.
 
@@ -523,17 +521,12 @@ class TruncatedQuotient:
     def is_trivial(self, u: ClassTwoElement) -> bool:
         return bool(self.are_trivial([u])[0])
 
-    def equal(self, u: ClassTwoElement, v: ClassTwoElement) -> bool:
-        _check_same_group(u, v)
-        return self.is_trivial(u * v.inverse())
-
 
 # ---------------------------------------------------------------------------
 # word grammar: juxtaposition = product, ^k = integer power, [a,b] =
 # commutator, parentheses group, "1" is the identity
 # ---------------------------------------------------------------------------
 
-_NAME = r"[A-Za-z_]\w*"
 _POWER = r"(?:\s*\^\s*(-?\d+))?"
 # one alternative per token kind; the last takes the rest of a word that has
 # no token at its position, so it is the last match when there is one

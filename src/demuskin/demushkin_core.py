@@ -248,7 +248,10 @@ class InvolutionAction:
         self.h1_matrix = h1_matrix
         self.h2_scalar = h2_scalar
         self.coherence_ok = coherence_ok
-        self._signs = _clean_signs(endo)
+        # clean: linear part diag(s) mod q^2, and no image has a commutator part
+        signs = _linear_signs(endo)
+        clean = signs is not None and np.array_equal(endo.images.gen_exp, np.diag(signs) % endo.mod.q2)
+        self._signs = signs if clean and not endo.images.comm.any() else None
 
     @property
     def signs(self) -> np.ndarray | None:
@@ -259,10 +262,10 @@ class InvolutionAction:
         if endo.gens != pres.gens or endo.mod != pres.mod:
             raise ValueError("endomorphism does not act on the presentation's group")
         mod = pres.mod
+        L = endo.linear_matrix
+        action = cls(endo, ZqMatrix(L, mod.q), None)
         # g -> g^(+-1) squares to 1 by the power formula: no d^4 composition
-        if _clean_signs(endo) is None and not is_clean_diagonal(
-            compose(endo, endo), np.ones(pres.d, dtype=np.int64)
-        ):
+        if action.signs is None and compose(endo, endo) != ClassTwoEndo.identity(pres.gens, mod):
             raise NotAnInvolutionError("endomorphism does not square to the identity on F/F^3")
         # an involution carrying w to a power w^t has t^2 = 1 modulo the
         # order of w, a power of the odd p, so w^t is w or w^-1
@@ -277,7 +280,6 @@ class InvolutionAction:
                 "relator is not carried to a power of itself; "
                 "the action does not descend to the one-relator quotient"
             )
-        L = endo.linear_matrix
         gram = invariants(pres).cup.gram.array
         twisted = matmul_mod(matmul_mod(L.T, gram, mod.q), L, mod.q)
         coherent = not ((twisted - t * gram) % mod.q).any()
@@ -287,7 +289,8 @@ class InvolutionAction:
                 "impossible at the class-2 truncation",
                 stacklevel=2,
             )
-        return cls(endo, ZqMatrix(L, mod.q), t, coherent)
+        action.h2_scalar, action.coherence_ok = t, coherent
+        return action
 
     @property
     def is_trivial(self) -> bool:
@@ -332,11 +335,6 @@ def standard_involution(pres: DemushkinPresentation) -> InvolutionAction:
     return InvolutionAction.build(pres, endo)
 
 
-def trivial_action(pres: DemushkinPresentation) -> InvolutionAction:
-    """The identity, for running the pipeline with no group acting."""
-    return InvolutionAction.build(pres, ClassTwoEndo.identity(pres.gens, pres.mod))
-
-
 def lift_involution(
     pres: DemushkinPresentation, linear, perturbation: ClassTwoEndo
 ) -> InvolutionAction:
@@ -367,25 +365,13 @@ def lift_involution(
     return InvolutionAction.build(pres, corrected)
 
 
-def is_clean_diagonal(endo: ClassTwoEndo, signs) -> bool:
-    """Whether endo maps each g_i to exactly g_i^(signs[i]): its linear part
-    is diag(signs) mod q^2 and no image has a commutator part."""
-    diag = np.diag(np.asarray(signs, dtype=np.int64)) % endo.mod.q2
-    return np.array_equal(endo.images.gen_exp, diag) and not endo.images.comm.any()
-
-
-def _clean_signs(endo: ClassTwoEndo) -> np.ndarray | None:
-    """The read-only s with is_clean_diagonal(endo, s), s_i = +-1, else None."""
-    signs = np.where(endo.images.gen_exp.diagonal() == 1, 1, -1)
-    signs.setflags(write=False)
-    return signs if is_clean_diagonal(endo, signs) else None
-
-
-def _diagonal_signs(action: InvolutionAction) -> np.ndarray | None:
-    """Signs when every image is g^(+-1) times a central element, else None."""
-    lin = action.endo.linear_matrix
+def _linear_signs(endo: ClassTwoEndo) -> np.ndarray | None:
+    """The read-only s, s_i = +-1, with linear part diag(s) mod q: every
+    image is g_i^(s_i) times a central element.  None when there is none."""
+    lin = endo.linear_matrix
     signs = np.where(lin.diagonal() == 1, 1, -1)
-    return signs if np.array_equal(lin, np.diag(signs) % action.endo.mod.q) else None
+    signs.setflags(write=False)
+    return signs if np.array_equal(lin, np.diag(signs) % endo.mod.q) else None
 
 
 def symmetrized_change(endo: ClassTwoEndo, signs, change: ClassTwoEndo | None = None) -> ClassTwoEndo:
@@ -434,7 +420,7 @@ def symmetrize_basis(
     gens, mod = pres.gens, pres.mod
     if action.signs is not None:
         return ClassTwoEndo.identity(gens, mod), pres.relator, action.endo
-    signs = _diagonal_signs(action)
+    signs = _linear_signs(action.endo)
     if signs is None:
         raise ValueError(
             "action is not of product shape: each generator must map to "
@@ -496,7 +482,7 @@ class CoinvariantMachine:
     """
 
     def __init__(self, pres: DemushkinPresentation, action: InvolutionAction):
-        signs = _diagonal_signs(action) if action.signs is None else action.signs
+        signs = _linear_signs(action.endo)
         if signs is None:
             plus, minus = action.f2_eigenspaces()
             rows = np.vstack([plus.basis, minus.basis])
@@ -504,7 +490,7 @@ class CoinvariantMachine:
                 raise AssertionError("eigenspace ranks do not fill the module")
             basis = ClassTwoEndo.linear(pres.gens, pres.mod, rows)
             pres, action = transform_presentation(pres, action, basis)
-            signs = _diagonal_signs(action)
+            signs = _linear_signs(action.endo)
             if signs is None:
                 raise AssertionError("diagonalized action is not of product shape")
         self.pres = pres

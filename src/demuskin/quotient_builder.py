@@ -63,7 +63,6 @@ from demuskin.demushkin_core import (
     delta_map,
     gamma_line,
     invariants,
-    is_clean_diagonal,
     standard_relator,
     standard_sign_pattern,
     symmetrized_change,
@@ -351,25 +350,6 @@ def _build_adapted_change(
     return basis
 
 
-def adapted_basis(
-    pres: DemushkinPresentation, action: InvolutionAction, V
-) -> ClassTwoEndo:
-    """Equivariant change of basis after which V is spanned by generator
-    duals, the relator keeps its standard shape, and the pairing-partner
-    condition holds (one dual per hyperbolic pair)."""
-    iso = V if isinstance(V, IsotropicSubmodule) else validate_V(pres, action, V)
-    if not iso.ok:
-        raise ValueError(f"V fails validation: {iso.flag_dict()}")
-    _require_clean_standard(pres, action)
-    basis = _build_adapted_change(pres, action, iso)
-    if basis is None:
-        return ClassTwoEndo.identity(pres.gens, pres.mod)
-    # w is standard, so basis^-1(w) is the standard relator iff basis fixes w
-    if basis(pres.relator) != pres.relator:
-        raise AssertionError("adapted basis did not preserve the relator shape")
-    return basis
-
-
 class FreeQuotientCertificate:
     """Outcome of the kill construction, green or red."""
 
@@ -445,7 +425,7 @@ def free_quotient(
             total = symmetrized_change(action.endo, action.signs, change)
         except ValueError as exc:
             raise AssertionError(f"adapted change mixes the eigenspaces of the involution: {exc}") from None
-        # as in adapted_basis, fixing w keeps the standard relator
+        # w is standard, so total^-1(w) is the standard relator iff total fixes w
         if total(pres.relator) != pres.relator:
             raise AssertionError("final frame lost the standard relator shape")
 
@@ -486,14 +466,6 @@ def signature_of(cert: FreeQuotientCertificate, action: InvolutionAction) -> Sig
     return cert.signature
 
 
-def factoring_check(pres: DemushkinPresentation, V) -> bool:
-    """Whether the cyclotomic dual line lies inside a maximal-rank V."""
-    sub = V.V if isinstance(V, IsotropicSubmodule) else V
-    if not sub.is_free or sub.rank != pres.n // 2 + 1:
-        raise ValueError("factoring check applies to maximal-rank free V only")
-    return sub.contains_submodule(gamma_line(pres))
-
-
 def uniqueness_check(
     pres: DemushkinPresentation,
     action: InvolutionAction,
@@ -531,7 +503,7 @@ def uniqueness_check(
     tau = cert.basis_change
     killed = list(cert.killed)
     # a certificate in the standard frame needs no change of coordinates
-    tau_inv = None if is_clean_diagonal(tau, np.ones(pres.d)) else invert_auto(tau)
+    tau_inv = None if tau == ClassTwoEndo.identity(pres.gens, pres.mod) else invert_auto(tau)
 
     def kill_image(u):
         return quotient_kill(killed, u if tau_inv is None else tau_inv(u))

@@ -25,7 +25,6 @@ from math import isqrt, prod
 import numpy as np
 
 ANTISYMMETRIC = "antisymmetric"
-SYMMETRIC = "symmetric"
 NO_SYMMETRY = "none"
 
 # Exhaustive search guards for the isotropic-submodule oracle.
@@ -67,9 +66,6 @@ class Modulus:
     @property
     def q2(self) -> int:
         return self.p ** (2 * self.f)
-
-    def __repr__(self):
-        return f"Modulus(p={self.p}, f={self.f})"
 
 
 @lru_cache(maxsize=None)
@@ -166,10 +162,6 @@ class ZqMatrix:
     def identity(cls, n: int, modulus: int) -> "ZqMatrix":
         return cls(np.eye(n, dtype=np.int64), modulus)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int, modulus: int) -> "ZqMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), modulus)
-
     @property
     def rows(self) -> int:
         return self.array.shape[0]
@@ -256,11 +248,6 @@ def _howell_rows(rows_in, ncols: int, m: int) -> np.ndarray:
     if not done:
         return np.zeros((0, ncols), dtype=np.int64)
     return np.array(done, dtype=np.int64)
-
-
-def howell_form(mat: ZqMatrix) -> ZqMatrix:
-    """Canonical row form: equal row spans give identical results."""
-    return ZqMatrix(_howell_rows(mat.array, mat.cols, mat.modulus), mat.modulus)
 
 
 class Submodule:
@@ -356,21 +343,9 @@ class Submodule:
         return not self.reduce(vec).any()
 
     def contains_submodule(self, other: "Submodule") -> bool:
-        self._check_compatible(other)
-        return not self.residues(other.basis).any()
-
-    def _check_compatible(self, other: "Submodule"):
         if self.ambient != other.ambient or self.modulus != other.modulus:
             raise ValueError("submodules live in different ambient modules")
-
-    def intersect(self, other: "Submodule") -> "Submodule":
-        self._check_compatible(other)
-        if self.ngens == 0 or other.ngens == 0:
-            return Submodule.zero(self.ambient, self.modulus)
-        # relations c . S + c' . S' = 0 between the two bases
-        rel = _kernel_rows(np.vstack([self.basis, other.basis]), self.modulus)
-        rows = matmul_mod(rel[:, : self.ngens], self.basis, self.modulus)
-        return Submodule(rows, self.ambient, self.modulus)
+        return not self.residues(other.basis).any()
 
     def _right_operand(self, matrix) -> np.ndarray:
         """The array of a ZqMatrix over this modulus, or of integer entries
@@ -400,10 +375,6 @@ class Submodule:
         m = self.modulus
         rows = matmul_mod(_kernel_rows(matmul_mod(self.basis, mat, m), m), self.basis, m)
         return Submodule(rows, self.ambient, m)
-
-    def vectors(self) -> list[np.ndarray]:
-        """All elements of the span, each once."""
-        return list(self._span_array())
 
     def _span_array(self) -> np.ndarray:
         """All elements of the span, each once, as the rows of one array.
@@ -485,15 +456,13 @@ class BilinearForm:
     def __init__(self, gram: ZqMatrix, symmetry: str = NO_SYMMETRY):
         if gram.rows != gram.cols:
             raise ValueError("gram matrix must be square")
-        if symmetry not in (ANTISYMMETRIC, SYMMETRIC, NO_SYMMETRY):
+        if symmetry not in (ANTISYMMETRIC, NO_SYMMETRY):
             raise ValueError(f"unknown symmetry tag {symmetry!r}")
         a = gram.array
         m = gram.modulus
         if symmetry == ANTISYMMETRIC:
             if not np.array_equal(a.T % m, (-a) % m) or a.diagonal().any():
                 raise ValueError("form is not antisymmetric with zero diagonal")
-        if symmetry == SYMMETRIC and not np.array_equal(a.T, a):
-            raise ValueError("form is not symmetric")
         self.gram = gram
         self.symmetry = symmetry
 
@@ -504,12 +473,6 @@ class BilinearForm:
     @property
     def modulus(self) -> int:
         return self.gram.modulus
-
-    def pair(self, u, v) -> int:
-        m = self.modulus
-        u = np.mod(np.asarray(u, dtype=np.int64), m)
-        v = np.mod(np.asarray(v, dtype=np.int64), m)
-        return int(matmul_mod(matmul_mod(u, self.gram.array, m), v, m))
 
     def is_nondegenerate(self) -> bool:
         p, _ = _prime_power_base(self.modulus)

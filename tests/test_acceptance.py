@@ -159,13 +159,15 @@ def test_criterion_3_cyclotomic_line_identity():
     coh = invariants(pres)
     from itertools import product
 
+    gram = coh.cup.gram.array
     kerb = [np.array(v) for v in product(range(3), repeat=4) if (np.array(v) @ coh.bockstein) % 3 == 0]
     perp = {
         tuple(int(x) for x in v)
         for v in (np.array(u) for u in product(range(3), repeat=4))
-        if all(coh.cup.pair(v, w) == 0 for w in kerb)
+        if all(v @ gram @ w % 3 == 0 for w in kerb)
     }
-    line = {tuple(int(x) for x in v) for v in gamma_line(pres).vectors()}
+    basis = gamma_line(pres).basis
+    line = {tuple(int(x) for x in np.array(c) @ basis % 3) for c in product(range(3), repeat=len(basis))}
     ok &= perp == line
     verdict(3, "cyclotomic line equals orthocomplement of Bockstein kernel", ok)
 

@@ -71,6 +71,9 @@ MALFORMED = {
     "float-character-value": {"relator": GOOD_RELATOR, "chi": [4.9, 1, 1, 1]},
     "float-parameters": {"p": 3.9, "f": 1.5, "n": 2.2},
     "bool-parameter": {"f": True},
+    # labels must be a list of names of the word grammar
+    "labels-as-one-string": {"labels": "gabc", "relator": "a^3 [a,g] [b,c]"},
+    "integer-labels": {"labels": [1, 2, 3, 4], "relator": GOOD_RELATOR},
     # an action file whose images name a generator outside g, x0, x1, x2
     "unknown-image-label": {"images": {"g": "g", "x0": "x0^-1", "x1": "x1^-1", "x2": "x2", "x9": "g"}},
 }
@@ -80,6 +83,11 @@ class TestMalformedJson:
     def test_the_unspoiled_file_passes(self, tmp_path, capsys):
         pres = tmp_path / "pres.json"
         pres.write_text(json.dumps({"p": 3, "f": 1, "n": 2, "relator": GOOD_RELATOR, "chi": [4, 1, 1, 1]}))
+        assert main(["invariants", "--presentation", str(pres)]) == 0
+
+    def test_a_list_of_labels_passes(self, tmp_path, capsys):
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps({"p": 3, "f": 1, "n": 2, "labels": ["g", "a", "b", "c"], "relator": "a^3 [a,g] [b,c]"}))
         assert main(["invariants", "--presentation", str(pres)]) == 0
 
     @pytest.mark.parametrize("case", MALFORMED, ids=list(MALFORMED))

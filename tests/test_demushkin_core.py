@@ -15,7 +15,6 @@ from demuskin.class2_words import (
     commutator,
     compose,
     demushkin_generators,
-    endo_power,
     invert_auto,
     parse_word,
 )
@@ -25,13 +24,12 @@ from demuskin.demushkin_core import (
     InvolutionAction,
     NotAnInvolutionError,
     RelatorNotPreservedError,
-    _diagonal_signs,
+    _linear_signs,
     bockstein_kernel,
     coinvariants,
     delta_map,
     gamma_line,
     invariants,
-    is_clean_diagonal,
     lift_involution,
     standard_involution,
     standard_relator,
@@ -39,7 +37,6 @@ from demuskin.demushkin_core import (
     symmetrize_basis,
     symmetrized_change,
     transform_presentation,
-    trivial_action,
 )
 from demuskin.zq_linalg import (
     Modulus,
@@ -51,6 +48,21 @@ from demuskin.zq_linalg import (
 rng = random.Random(99173)
 
 GRID = [(n, mod) for n in (0, 2, 4, 6) for mod in (Modulus(3, 1), Modulus(3, 2), Modulus(5, 1))]
+
+
+def trivial_action(pres):
+    """The identity as an action, for running the pipeline with no group acting."""
+    return InvolutionAction.build(pres, ClassTwoEndo.identity(pres.gens, pres.mod))
+
+
+def compose_power(e, k):
+    """e^k for k >= 0, by square-and-multiply with compose."""
+    result, base = ClassTwoEndo.identity(e.gens, e.mod), e
+    while k:
+        if k & 1:
+            result = compose(result, base)
+        base, k = compose(base, base), k >> 1
+    return result
 
 
 def random_central(pres):
@@ -198,6 +210,7 @@ class TestGammaLine:
     def test_exhaustive_cross_check_n2_q3(self):
         pres = DemushkinPresentation.standard(2, Modulus(3, 1))
         coh = invariants(pres)
+        gram = coh.cup.gram.array
         kerb_vectors = [
             np.array(v)
             for v in cartesian(range(3), repeat=4)
@@ -206,12 +219,11 @@ class TestGammaLine:
         perp = [
             v
             for v in (np.array(u) for u in cartesian(range(3), repeat=4))
-            if all(coh.cup.pair(v, w) == 0 for w in kerb_vectors)
+            if all(v @ gram @ w % 3 == 0 for w in kerb_vectors)
         ]
-        expected = gamma_line(pres)
-        assert {tuple(int(x) for x in v) for v in perp} == {
-            tuple(int(x) for x in v) for v in expected.vectors()
-        }
+        line = gamma_line(pres).basis
+        expected = {tuple(int(x) for x in np.array(c) @ line % 3) for c in cartesian(range(3), repeat=len(line))}
+        assert {tuple(int(x) for x in v) for v in perp} == expected
 
     def test_character_validation(self):
         mod = Modulus(3, 1)
@@ -335,7 +347,7 @@ class TestInvolutionSigns:
         images[0] = images[0] * pres.element("[x2,x1]")
         act = lift_involution(pres, base.endo.linear_matrix, ClassTwoEndo(images))
         assert act.signs is None and not act.is_trivial
-        assert np.array_equal(_diagonal_signs(act), standard_sign_pattern(2))
+        assert np.array_equal(_linear_signs(act.endo), standard_sign_pattern(2))
 
 
 @st.composite
@@ -371,7 +383,7 @@ def candidate_endos(draw):
         linear[i, j] = draw(exps.filter(lambda x: i != j or x % q2 not in (1, q2 - 1)))
     endo = ClassTwoEndo(ClassTwoStack(pres.gens, mod, linear + gen_exp, comm))
     if draw(st.booleans()):
-        endo = endo_power(endo, q)
+        endo = compose_power(endo, q)
     return pres, endo
 
 
@@ -380,8 +392,8 @@ class TestInvolutionBuildProperty:
     @given(candidate_endos())
     def test_accepts_exactly_the_involutions(self, case):
         pres, endo = case
-        ones = np.ones(pres.d, dtype=np.int64)
-        involution = is_clean_diagonal(compose(endo, endo), ones)
+        gens, mod = pres.gens, pres.mod
+        involution = compose(endo, endo) == ClassTwoEndo.identity(gens, mod)
         try:
             act = InvolutionAction.build(pres, endo)
         except NotAnInvolutionError:
@@ -391,11 +403,16 @@ class TestInvolutionBuildProperty:
             assert involution
             act = InvolutionAction(endo, ZqMatrix(endo.linear_matrix, pres.mod.q), 1)
         assert involution
-        diagonal_signs = np.where(endo.images.gen_exp.diagonal() == 1, 1, -1)
-        assert (act.signs is not None) == is_clean_diagonal(endo, diagonal_signs)
+        # clean: endo is diag(s) exactly; product shape: diag(s) mod q
+        signs = np.where(endo.linear_matrix.diagonal() == 1, 1, -1)
+        diagonal = ClassTwoEndo.linear(gens, mod, np.diag(signs))
+        assert (act.signs is not None) == (endo == diagonal)
+        product = np.array_equal(endo.linear_matrix, diagonal.linear_matrix)
+        assert (_linear_signs(endo) is not None) == product
+        if product:
+            assert np.array_equal(_linear_signs(endo), signs)
         if act.signs is not None:
-            assert is_clean_diagonal(endo, act.signs)
-            assert np.array_equal(act.signs, _diagonal_signs(act))
+            assert np.array_equal(act.signs, signs)
             assert act.is_trivial == bool((act.signs == 1).all())
 
 
@@ -462,7 +479,7 @@ class TestClosedFormsAtLargeModuli:
         for _ in range(3):
             pert = ClassTwoEndo([im * random_central(pres) for im in base.endo.images])
             act = lift_involution(pres, linear, pert)
-            assert act.endo == endo_power(pert, mod.q)
+            assert act.endo == compose_power(pert, mod.q)
             basis, relator, clean = symmetrize_basis(pres, act)
             inverse = invert_auto(basis)
             # a basis change that is the identity mod F^2 fixes F^2/F^3, so
@@ -629,25 +646,34 @@ class TestSymmetrizedChange:
             assert compose(invert_auto(total), compose(sigma, total)) == base.endo
 
 
-class TestCleanDiagonal:
+class TestCleanSigns:
     def setup_method(self):
         self.mod = Modulus(3, 2)
         self.pres = DemushkinPresentation.standard(4, self.mod)
         self.signs = standard_sign_pattern(4)
 
     def test_standard_and_trivial_actions(self):
-        endo = standard_involution(self.pres).endo
-        ones = np.ones(self.pres.d, dtype=np.int64)
-        assert is_clean_diagonal(endo, self.signs)
-        assert not is_clean_diagonal(endo, ones)
-        assert is_clean_diagonal(trivial_action(self.pres).endo, ones)
+        gens = self.pres.gens
+        act = standard_involution(self.pres)
+        assert act.endo == ClassTwoEndo.linear(gens, self.mod, np.diag(self.signs))
+        assert act.endo != ClassTwoEndo.identity(gens, self.mod)
+        assert np.array_equal(act.signs, self.signs) and not act.is_trivial
+        trivial = trivial_action(self.pres)
+        assert trivial.endo == ClassTwoEndo.identity(gens, self.mod)
+        assert np.array_equal(trivial.signs, np.ones(self.pres.d)) and trivial.is_trivial
 
     def test_central_perturbations_are_not_clean(self):
         images = list(standard_involution(self.pres).endo.images)
-        # each image of x0 agrees with x0^-1 mod q on its linear part
+        clean = ClassTwoEndo.linear(self.pres.gens, self.mod, np.diag(self.signs))
+        # over q = 9, only [x2,x1] is central: it keeps the product shape
         for extra in ("x0^3", "g^3", "[x2,x1]"):
-            perturbed = images[:1] + [images[1] * self.pres.element(extra)] + images[2:]
-            assert not is_clean_diagonal(ClassTwoEndo(perturbed), self.signs)
+            u = self.pres.element(extra)
+            endo = ClassTwoEndo(images[:1] + [images[1] * u] + images[2:])
+            assert endo != clean
+            act = InvolutionAction(endo, ZqMatrix(endo.linear_matrix, self.mod.q), -1)
+            assert act.signs is None
+            signs = _linear_signs(endo)
+            assert np.array_equal(signs, self.signs) if u.is_central else signs is None
 
 
 class TestCoinvariants:
@@ -710,7 +736,6 @@ class TestCoinvariants:
             ]
         )
         pres2, act2 = transform_presentation(pres, act, basis)
-        assert _diagonal_signs(act2) is None or True  # may or may not be diagonal
         res = coinvariants(pres2, act2)
         assert res.kind == "free"
         assert res.rank == 2

@@ -32,16 +32,13 @@ from demuskin.demushkin_core import (
     standard_involution,
     standard_relator,
     transform_presentation,
-    trivial_action,
 )
 from demuskin.quotient_builder import (
     FreeQuotientCertificate,
     IsotropicSubmodule,
     Signature,
     _cyclotomic_partner,
-    adapted_basis,
     build_V,
-    factoring_check,
     free_quotient,
     signature_of,
     uniqueness_check,
@@ -70,6 +67,19 @@ def coordinate_span(indices, d, q):
 def standard_setup(n, mod):
     pres = DemushkinPresentation.standard(n, mod)
     return pres, standard_involution(pres)
+
+
+def trivial_action(pres):
+    """The identity as an action, for running the pipeline with no group acting."""
+    return InvolutionAction.build(pres, ClassTwoEndo.identity(pres.gens, pres.mod))
+
+
+def assert_adapted(pres, V, change):
+    """After the change of basis V is spanned by generator duals, and the
+    relator keeps its standard shape."""
+    rows = V.image_under(change.linear_matrix.T).basis
+    assert all(np.count_nonzero(r) == 1 and r.max() == 1 for r in rows)
+    assert invert_auto(change)(pres.relator) == standard_relator(pres.n, pres.mod)
 
 
 class TestValidateV:
@@ -155,17 +165,20 @@ class TestBuildV:
             build_V(pres, plus_act, Signature(1, 0))
 
 
-class TestAdaptedBasis:
+class TestAdaptedFrame:
+    """The certificate's basis change realises V on generator duals and
+    keeps the standard relator."""
+
     def test_identity_for_built_V(self):
         pres, act = standard_setup(4, Modulus(3, 1))
         iso = build_V(pres, act, Signature(1, 1))
-        basis = adapted_basis(pres, act, iso)
+        basis = free_quotient(pres, act, iso).basis_change
         assert basis == ClassTwoEndo.identity(pres.gens, pres.mod)
 
     def test_gamma_line_alone_is_identity(self):
         pres = DemushkinPresentation.standard(0, Modulus(3, 1))
         act = trivial_action(pres)
-        basis = adapted_basis(pres, act, gamma_line(pres))
+        basis = free_quotient(pres, act, gamma_line(pres)).basis_change
         assert basis == ClassTwoEndo.identity(pres.gens, pres.mod)
 
     def test_mixing_example_with_trivial_action(self):
@@ -176,18 +189,15 @@ class TestAdaptedBasis:
         V = Submodule([[1, 0, 0, 0], [0, 0, 1, 1]], 4, 3)
         iso = validate_V(pres, act, V)
         assert iso.ok
-        basis = adapted_basis(pres, act, iso)
+        basis = free_quotient(pres, act, iso).basis_change
         assert basis != ClassTwoEndo.identity(pres.gens, pres.mod)
-        t = basis.linear_matrix
-        new_coords = V.image_under(t.T)
-        rows = new_coords.basis
-        assert all(np.count_nonzero(r) == 1 and r.max() == 1 for r in rows)
-        assert invert_auto(basis)(pres.relator) == standard_relator(2, pres.mod)
+        assert_adapted(pres, V, basis)
 
-    def test_rejects_invalid_V(self):
+    def test_invalid_V_gets_no_frame(self):
         pres, act = standard_setup(2, Modulus(3, 1))
-        with pytest.raises(ValueError, match="validation"):
-            adapted_basis(pres, act, coordinate_span([1], 4, 3))
+        cert = free_quotient(pres, act, coordinate_span([1], 4, 3))
+        assert not cert.all_green and cert.flags["in_bockstein_kernel"] is False
+        assert cert.basis_change == ClassTwoEndo.identity(pres.gens, pres.mod) and cert.kept == ()
 
     def test_every_valid_V_at_n2_q3(self):
         # run the completion over every free isotropic invariant submodule
@@ -201,12 +211,7 @@ class TestAdaptedBasis:
             if not iso.ok or sub.ngens == 0:
                 continue
             count += 1
-            basis = adapted_basis(pres, act, iso)
-            t = basis.linear_matrix
-            new_coords = sub.image_under(t.T)
-            rows = new_coords.basis
-            assert all(np.count_nonzero(r) == 1 and r.max() == 1 for r in rows)
-            assert invert_auto(basis)(pres.relator) == standard_relator(2, pres.mod)
+            assert_adapted(pres, sub, free_quotient(pres, act, iso).basis_change)
         assert count >= 5
 
     def test_maximal_mixed_V_at_n4(self):
@@ -227,9 +232,8 @@ class TestAdaptedBasis:
             )
             iso = validate_V(pres, act, V)
             assert iso.ok and iso.gamma_contained is True
-            basis = adapted_basis(pres, act, iso)
-            assert invert_auto(basis)(pres.relator) == standard_relator(4, mod)
             cert = free_quotient(pres, act, iso)
+            assert_adapted(pres, V, cert.basis_change)
             assert cert.all_green
             assert cert.V_realized == V
             assert len(cert.kept) == 3
@@ -245,8 +249,7 @@ class TestAdaptedBasis:
             if not iso.ok or sub.ngens == 0:
                 continue
             count += 1
-            basis = adapted_basis(pres, act, iso)
-            assert invert_auto(basis)(pres.relator) == standard_relator(2, pres.mod)
+            assert_adapted(pres, sub, free_quotient(pres, act, iso).basis_change)
         assert count >= 10
 
 
@@ -337,8 +340,6 @@ class TestFreeQuotient:
         assert iso.ok
         with pytest.raises(ValueError, match="clean diagonal"):
             free_quotient(pres2, act2, iso)
-        with pytest.raises(ValueError, match="clean diagonal"):
-            adapted_basis(pres2, act2, iso)
 
     def test_mixed_V_trivial_action_pipeline(self):
         pres = DemushkinPresentation.standard(2, Modulus(3, 1))
@@ -379,7 +380,7 @@ class TestSignatureSweep:
             assert len(cert.kept) == n // 2 + 1
             assert signature_of(cert, act) == sig
             assert cert.V_realized == iso.V
-            assert factoring_check(pres, iso)
+            assert iso.gamma_contained is True
 
     @pytest.mark.parametrize("mod", SWEEP_MODULI, ids=lambda m: f"q{m.q}")
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -671,8 +672,7 @@ class TestRestrictedWorkingSpaces:
             rows += [plus, minus]
         iso = validate_V(pres, act, Submodule(np.array(rows), 14, q))
         calls = []
-        intersect, complement = Submodule.intersect, zq_linalg.orthogonal_complement
-        monkeypatch.setattr(Submodule, "intersect", lambda *args: calls.append(args) or intersect(*args))
+        complement = zq_linalg.orthogonal_complement
         for module in (zq_linalg, quotient_builder):
             monkeypatch.setattr(module, "orthogonal_complement",
                                 lambda *args: calls.append(args) or complement(*args), raising=False)
@@ -685,13 +685,13 @@ class TestRestrictedWorkingSpaces:
         )
 
 
-class TestFactoringCheck:
+class TestGammaContained:
     def test_built_V_always_contains_gamma(self):
         for mod in SWEEP_MODULI:
             pres, act = standard_setup(4, mod)
             for u_plus in range(3):
                 iso = build_V(pres, act, Signature(u_plus, 2 - u_plus))
-                assert factoring_check(pres, iso)
+                assert validate_V(pres, act, iso.V).gamma_contained is True
 
     def test_exhaustive_converse_at_n2_q3(self):
         # every maximal free isotropic submodule of the Bockstein kernel
@@ -704,16 +704,15 @@ class TestFactoringCheck:
         assert maximal
         for sub in maximal:
             assert sub.contains_submodule(line)
-            assert factoring_check(pres, sub)
+            assert validate_V(pres, act, sub).gamma_contained is True
 
     def test_rank_zero_gamma_line_trivial_case(self):
-        pres = DemushkinPresentation.standard(0, Modulus(3, 1))
-        assert factoring_check(pres, gamma_line(pres))
+        pres, act = standard_setup(0, Modulus(3, 1))
+        assert validate_V(pres, act, gamma_line(pres)).gamma_contained is True
 
-    def test_wrong_rank_rejected(self):
-        pres, _ = standard_setup(2, Modulus(3, 1))
-        with pytest.raises(ValueError):
-            factoring_check(pres, gamma_line(pres))
+    def test_not_recorded_below_maximal_rank(self):
+        pres, act = standard_setup(2, Modulus(3, 1))
+        assert validate_V(pres, act, gamma_line(pres)).gamma_contained is None
 
 
 @st.composite
@@ -812,14 +811,15 @@ def symmetrize_reference(pres, act):
     with two compositions."""
     if act.signs is not None:
         return ClassTwoEndo.identity(pres.gens, pres.mod), pres.relator, act.endo
-    signs = demushkin_core._diagonal_signs(act)
-    assert signs is not None
+    lin = act.endo.linear_matrix
+    signs = np.where(lin.diagonal() == 1, 1, -1)
+    assert np.array_equal(lin, np.diag(signs) % pres.mod.q)
     roots = central_sqrt(act.endo.defects(signs))
     ident = ClassTwoEndo.identity(pres.gens, pres.mod).images
     basis = ClassTwoEndo(ident * roots**signs)
     basis_inv = ClassTwoEndo(ident * roots**-signs)
     clean = compose(basis_inv, compose(act.endo, basis))
-    assert demushkin_core.is_clean_diagonal(clean, signs)
+    assert clean == ClassTwoEndo.linear(pres.gens, pres.mod, np.diag(signs))
     return basis, basis_inv(pres.relator), clean
 
 
