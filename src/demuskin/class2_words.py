@@ -20,7 +20,17 @@ case of Deep Thought collection (Leedham-Green & Soicher, 1998).  Each
 formula carries a leading element axis unchanged, so a ClassTwoStack of N
 elements is multiplied, raised to powers, mapped, commuted, killed and
 tested in one array pass, by the same product and power routines as an
-element.
+element.  A diagonal endomorphism g_i -> g_i^(e_i), such as the identity,
+a clean involution g_i -> g_i^(+-1) or the coinvariant kill of the
+negated generators, needs no quadratic form: it sends (a, c) to
+(e_i a_i mod q^2, e_i e_j c_ij mod q) elementwise.
+
+Validation happens where exponents enter: the public constructors of
+elements and stacks, JSON input and the word parser reduce and
+shape-check what they are given.  Every arithmetic result (products,
+powers, commutators, endomorphism images, kills, rows of a stack) is
+reduced by its formula already and is taken without a copy or a second
+check.
 
 Elements, stacks, endomorphisms and quotients are immutable values; all
 operations are pure functions.
@@ -65,11 +75,25 @@ class GeneratorSet:
     def d(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValueError(f"unknown generator {label!r}") from None
+    def index(self, which) -> int:
+        """The position of a generator given by its label or by an int
+        index 0 <= i < d; a ValueError for anything else, a bool included."""
+        if isinstance(which, str):
+            try:
+                return self._index[which]
+            except KeyError:
+                raise ValueError(f"unknown generator {which!r}") from None
+        if isinstance(which, (int, np.integer)) and not isinstance(which, bool) and 0 <= which < len(self.labels):
+            return int(which)
+        raise ValueError(f"generator index {which!r} is not an int 0 <= i < {len(self.labels)}")
+
+    def _select(self, indices) -> "GeneratorSet":
+        """The labels at the given distinct positions, in that order, taken
+        without a second validation: they are distinct names already."""
+        out = GeneratorSet.__new__(GeneratorSet)
+        out.labels = tuple(self.labels[i] for i in indices)
+        out._index = {lab: i for i, lab in enumerate(out.labels)}
+        return out
 
     def __eq__(self, other):
         return isinstance(other, GeneratorSet) and self.labels == other.labels
@@ -142,6 +166,24 @@ class _Exponents:
 
     __slots__ = ("gens", "mod", "gen_exp", "comm")
 
+    @classmethod
+    def _normal(cls, gens: GeneratorSet, mod: Modulus, gen_exp, comm):
+        """An element or a stack of int64 arrays already in normal form (of
+        the shapes `_normal_form` checks), taken without a copy."""
+        out = cls.__new__(cls)
+        out.gens, out.mod = gens, mod
+        gen_exp.setflags(write=False)
+        comm.setflags(write=False)
+        out.gen_exp, out.comm = gen_exp, comm
+        return out
+
+    def _result(self, gen_exp, comm):
+        """`_normal` of exponents reduced by an arithmetic formula, cast to
+        int64 from the formula's exact dtype; an element stays one element."""
+        if gen_exp.ndim != self.gen_exp.ndim:
+            raise ValueError(f"an operation on a {type(self).__name__} gave exponents of shape {gen_exp.shape}")
+        return self._normal(self.gens, self.mod, gen_exp.astype(np.int64, copy=False), comm.astype(np.int64, copy=False))
+
     @property
     def is_identity(self):
         return ~(self.gen_exp.any(axis=-1) | self.comm.any(axis=-1))
@@ -158,7 +200,7 @@ class _Exponents:
         a = self.gen_exp.astype(exact_dtype(q2**2), copy=False)
         # collecting other's generators through self's picks up [g_j, g_i]^(a_j b_i)
         cross = _cross(other.gen_exp % q, a % q)
-        return type(self)(self.gens, self.mod, (a + other.gen_exp) % q2, (self.comm + other.comm + cross) % q)
+        return self._result((a + other.gen_exp) % q2, (self.comm + other.comm + cross) % q)
 
     def __pow__(self, k):
         """u^k = (k a, k c + C(k,2) a (x) a) for every integer k; a stack
@@ -170,7 +212,7 @@ class _Exponents:
         a = self.gen_exp.astype(dt, copy=False)
         a1, k1 = a % q, k % q
         cm = k1 * self.comm + (k1 * (k1 - 1) // 2 % q) * _cross(a1, a1)
-        return type(self)(self.gens, self.mod, k * a % q2, cm % q)
+        return self._result(k * a % q2, cm % q)
 
     def inverse(self):
         return self ** -1
@@ -193,8 +235,10 @@ class ClassTwoElement(_Exponents):
 
     @classmethod
     def generator(cls, gens: GeneratorSet, mod: Modulus, which) -> "ClassTwoElement":
-        i = which if isinstance(which, int) else gens.index(which)
-        return cls(gens, mod, np.eye(gens.d, dtype=np.int64)[i], _no_comm(gens.d))
+        """g_i for a label or an int index i, as `GeneratorSet.index` reads it."""
+        gen_exp = np.zeros(gens.d, dtype=np.int64)
+        gen_exp[gens.index(which)] = 1
+        return cls._normal(gens, mod, gen_exp, _no_comm(gens.d))
 
     @property
     def commutator_form(self) -> np.ndarray:
@@ -259,16 +303,6 @@ class ClassTwoStack(_Exponents):
         self.gen_exp, self.comm = _normal_form(gens, mod, gen_exp, comm, np.shape(gen_exp)[:1])
 
     @classmethod
-    def _normal(cls, gens: GeneratorSet, mod: Modulus, gen_exp, comm) -> "ClassTwoStack":
-        """A stack of arrays already in normal form, taken without a copy."""
-        stack = cls.__new__(cls)
-        stack.gens, stack.mod = gens, mod
-        gen_exp.setflags(write=False)
-        comm.setflags(write=False)
-        stack.gen_exp, stack.comm = gen_exp, comm
-        return stack
-
-    @classmethod
     def of(cls, gens: GeneratorSet, mod: Modulus, items) -> "ClassTwoStack":
         """The rows of the given elements and stacks, in order."""
         items = list(items)
@@ -284,7 +318,7 @@ class ClassTwoStack(_Exponents):
 
     def __getitem__(self, idx):
         if isinstance(idx, (int, np.integer)):
-            return ClassTwoElement(self.gens, self.mod, self.gen_exp[idx], self.comm[idx])
+            return ClassTwoElement._normal(self.gens, self.mod, self.gen_exp[idx], self.comm[idx])
         return ClassTwoStack._normal(self.gens, self.mod, self.gen_exp[idx], self.comm[idx])
 
     def __iter__(self):
@@ -306,7 +340,7 @@ def commutator(u, v):
     b = np.atleast_2d(v.gen_exp)[None] % q
     comm = _cross(b, a) - _cross(a, b)
     comm = comm.reshape(comm.shape[0] * comm.shape[1], comm.shape[2])
-    table = ClassTwoStack(u.gens, u.mod, np.zeros((len(comm), d), dtype=np.int64), comm)
+    table = ClassTwoStack._normal(u.gens, u.mod, np.zeros((len(comm), d), dtype=np.int64), comm % q)
     return table[0] if isinstance(u, ClassTwoElement) and isinstance(v, ClassTwoElement) else table
 
 
@@ -322,7 +356,7 @@ class ClassTwoEndo:
     """Endomorphism of F/F^3 given by generator images, kept as one
     ClassTwoStack whose row i is the image of g_i."""
 
-    __slots__ = ("gens", "mod", "images")
+    __slots__ = ("gens", "mod", "images", "_diagonal")
 
     def __init__(self, images):
         if not isinstance(images, ClassTwoStack):
@@ -333,12 +367,18 @@ class ClassTwoEndo:
         if len(images) != images.gens.d:
             raise ValueError("need one image per generator")
         self.gens, self.mod, self.images = images.gens, images.mod, images
+        self._diagonal = False  # not yet worked out
 
     @classmethod
     def linear(cls, gens: GeneratorSet, mod: Modulus, matrix) -> "ClassTwoEndo":
         """g_i -> prod_k g_k^(matrix[i, k]), images without a commutator
-        part: a linear change of basis."""
-        return cls(ClassTwoStack(gens, mod, matrix, _no_comm(gens.d, gens.d)))
+        part: a linear change of basis.  Only the d x d matrix is read and
+        checked; the zero commutator part is normal as built."""
+        d = gens.d
+        gen_exp = integers_mod(matrix, mod.q2)
+        if gen_exp.shape != (d, d):
+            raise ValueError(f"need a linear part of shape {(d, d)}, got {gen_exp.shape}")
+        return cls(ClassTwoStack._normal(gens, mod, gen_exp, _no_comm(d, d)))
 
     @classmethod
     def identity(cls, gens: GeneratorSet, mod: Modulus) -> "ClassTwoEndo":
@@ -349,19 +389,42 @@ class ClassTwoEndo:
         """Row i = gen_exp of the image of g_i, reduced mod q."""
         return self.images.gen_exp % self.mod.q
 
+    @property
+    def diagonal(self) -> np.ndarray | None:
+        """The read-only e with g_i -> g_i^(e_i) for every i and no
+        commutator part in any image, or None when the map is not of that
+        form; worked out once per endomorphism."""
+        if self._diagonal is False:
+            ge = self.images.gen_exp
+            e = ge.diagonal().copy()
+            diagonal = np.count_nonzero(ge) == np.count_nonzero(e) and not self.images.comm.any()
+            e.setflags(write=False)
+            self._diagonal = e if diagonal else None
+        return self._diagonal
+
     def __call__(self, u):
         """prod_i y_i^(a_i) . prod_(i<j) [y_j, y_i]^(c_ij) for images y_i = (L_i, M_i).
 
-        Collecting the powers and commutators of the images is one quadratic
-        form: (a L, sum_i a_i M_i + the pairs of L^T K L) with the d x d form
-        K over Z/q that holds c_ij at (i, j) and a_i a_j - c_ij at (j, i) for
-        i < j, and C(a_i, 2) at (i, i); as q is odd, C(a_i, 2) mod q depends
-        on a_i mod q only.  A stack of N elements goes through the formula in
-        one pass, with K built per row; an element is its one-row case.
+        A diagonal map g_i -> g_i^(e_i) sends (a, c) to (e_i a_i, e_i e_j c_ij)
+        elementwise.  Otherwise collecting the powers and commutators of the
+        images is one quadratic form: (a L, sum_i a_i M_i + the pairs of
+        L^T K L) with the d x d form K over Z/q that holds c_ij at (i, j) and
+        a_i a_j - c_ij at (j, i) for i < j, and C(a_i, 2) at (i, i); as q is
+        odd, C(a_i, 2) mod q depends on a_i mod q only.  A stack of N elements
+        goes through either formula in one pass, with K built per row; an
+        element is its one-row case.
         """
         if u.gens != self.gens or u.mod != self.mod:
             raise ValueError("element and endomorphism have different domains")
         q, d = self.mod.q, self.gens.d
+        e = self.diagonal
+        if e is not None:
+            q2 = self.mod.q2
+            i, j = _pairs(d)
+            e1 = e % q
+            # e_i e_j mod q times c_ij stays below q^2 = q2, inside int64
+            cm = (e1[i] * e1[j] % q) * u.comm % q
+            return u._result(u.gen_exp.astype(exact_dtype(q2**2), copy=False) * e % q2, cm)
         images = self.images
         a, c = np.atleast_2d(u.gen_exp), np.atleast_2d(u.comm)
         a1, lin1 = a % q, images.gen_exp % q
@@ -379,9 +442,9 @@ class ClassTwoEndo:
         # only the images with a commutator part enter sum_i a_i M_i
         nz = images.comm.any(axis=1)
         if nz.any():
-            cm += matmul_mod(a1[:, nz], images.comm[nz], q)
+            cm = (cm + matmul_mod(a1[:, nz], images.comm[nz], q)) % q
         ge = matmul_mod(a, images.gen_exp, self.mod.q2)
-        return type(u)(self.gens, self.mod, ge.reshape(u.gen_exp.shape), cm.reshape(u.comm.shape))
+        return u._result(ge.reshape(u.gen_exp.shape), cm.reshape(u.comm.shape))
 
     def defects(self, signs=None) -> ClassTwoStack:
         """Row i is g_i^(-s_i) phi(g_i), with s_i = signs[i] (default +1):
@@ -463,21 +526,28 @@ def quotient_kill(gens_to_kill, u):
     the surviving generators and the pairs of surviving generators are
     just sliced out.  Killing free generators is compatible with the
     q-central series, so this is the image in the class-2 truncation of the
-    quotient.
+    quotient.  Each killed generator is a label or an int index, as
+    `GeneratorSet.index` reads it.
     """
-    kill = {lab if isinstance(lab, str) else u.gens.labels[lab] for lab in gens_to_kill}
-    unknown = kill - set(u.gens.labels)
-    if unknown:
-        raise ValueError(f"cannot kill unknown generators {sorted(unknown)}")
+    kill = frozenset(u.gens.index(which) for which in gens_to_kill)
     if not kill:
         return u
-    keep = np.array([i for i, lab in enumerate(u.gens.labels) if lab not in kill], dtype=np.int64)
+    keep, slots, small = _kill_plan(u.gens, kill)
+    return type(u)._normal(small, u.mod, u.gen_exp[..., keep], u.comm[..., slots])
+
+
+@lru_cache(maxsize=256)
+def _kill_plan(gens: GeneratorSet, kill: frozenset) -> tuple[np.ndarray, np.ndarray, GeneratorSet]:
+    """The surviving generators, the slots of their pairs and their labels,
+    worked out once per generator set and set of killed indices."""
+    keep = np.array([i for i in range(gens.d) if i not in kill], dtype=np.int64)
     if not len(keep):
         raise ValueError("killing every generator leaves no group")
-    small = GeneratorSet(u.gens.labels[i] for i in keep)
     rows, cols = _pairs(len(keep))
-    slots = _slot(u.gens.d, keep[rows], keep[cols])
-    return type(u)(small, u.mod, u.gen_exp[..., keep], u.comm[..., slots])
+    slots = _slot(gens.d, keep[rows], keep[cols])
+    keep.setflags(write=False)
+    slots.setflags(write=False)
+    return keep, slots, gens._select(keep)
 
 
 class TruncatedQuotient:

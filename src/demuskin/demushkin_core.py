@@ -248,10 +248,12 @@ class InvolutionAction:
         self.h1_matrix = h1_matrix
         self.h2_scalar = h2_scalar
         self.coherence_ok = coherence_ok
-        # clean: linear part diag(s) mod q^2, and no image has a commutator part
-        signs = _linear_signs(endo)
-        clean = signs is not None and np.array_equal(endo.images.gen_exp, np.diag(signs) % endo.mod.q2)
-        self._signs = signs if clean and not endo.images.comm.any() else None
+        # clean: a diagonal map g_i -> g_i^(e_i) with every e_i = +-1 mod q^2
+        e = endo.diagonal
+        self._signs = None
+        if e is not None and ((e == 1) | (e == endo.mod.q2 - 1)).all():
+            self._signs = np.where(e == 1, 1, -1)
+            self._signs.setflags(write=False)
 
     @property
     def signs(self) -> np.ndarray | None:
@@ -478,7 +480,10 @@ class CoinvariantMachine:
     word in the surviving generators; commutators and q-th powers touching it
     die.  `project` applies this substitution and lands in the truncated
     free group on the kept generators, `span` holds the surviving central
-    relations.
+    relations.  For a clean action (`InvolutionAction.signs` set) that word
+    is the identity, so the substitution is read off the signs as the
+    diagonal kill g_i -> g_i^(keep_i), with no defects or square roots; the
+    difference relators are projected and checked on either path.
     """
 
     def __init__(self, pres: DemushkinPresentation, action: InvolutionAction):
@@ -508,11 +513,14 @@ class CoinvariantMachine:
         # relator gives g^2 = g sigma(g) = z, so g becomes the central square
         # root of z, and a kept generator stays.  The coordinates of z that
         # touch eliminated generators die in quotient_kill, which commutes
-        # with central_sqrt, so project needs no zeroing
+        # with central_sqrt, so project needs no zeroing.  A clean action has
+        # z = 1, and the substitution is the diagonal kill diag(keep)
         keep = (signs == 1).astype(np.int64)
-        roots = central_sqrt(action.endo.defects(signs))
-        self.subst = ClassTwoEndo(ClassTwoEndo.identity(gens, mod).images ** keep * roots ** (1 - keep))
-        self.small_gens = GeneratorSet(self.kept_labels)
+        if action.signs is not None:
+            self.subst = ClassTwoEndo.linear(gens, mod, np.diag(keep))
+        else:
+            roots = central_sqrt(action.endo.defects(signs))
+            self.subst = ClassTwoEndo(ClassTwoEndo.identity(gens, mod).images ** keep * roots ** (1 - keep))
 
         # the difference relators g^-1 sigma(g), projected in one batch
         diffs = action.endo.defects()
@@ -521,6 +529,7 @@ class CoinvariantMachine:
         images = self.project(diffs)
         if not images.is_identity[self.elim].all():
             raise AssertionError("eliminated generator relation did not project away")
+        self.small_gens = images.gens
         self.central_relators = [images[i] for i in self.kept if not images.is_identity[i]]
         self.span = TruncatedQuotient(self.small_gens, mod, self.central_relators)
         self.relator_image = self.project(pres.relator)

@@ -429,7 +429,8 @@ def free_quotient(
         if total(pres.relator) != pres.relator:
             raise AssertionError("final frame lost the standard relator shape")
 
-    new_coords = iso.V.image_under(total.linear_matrix.T)
+    # an adapted standard frame is its own new coordinates
+    new_coords = iso.V if change is None else iso.V.image_under(total.linear_matrix.T)
     kept_idx = _coordinate_dual_indices(new_coords)
     if kept_idx is None:
         raise AssertionError("final frame does not realize V on generator duals")

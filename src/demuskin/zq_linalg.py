@@ -158,10 +158,6 @@ class ZqMatrix:
         arr.setflags(write=False)
         self.array = arr
 
-    @classmethod
-    def identity(cls, n: int, modulus: int) -> "ZqMatrix":
-        return cls(np.eye(n, dtype=np.int64), modulus)
-
     @property
     def rows(self) -> int:
         return self.array.shape[0]

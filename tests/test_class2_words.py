@@ -437,6 +437,24 @@ def exact_cases(draw, mod, count):
     return gens, elements
 
 
+@st.composite
+def diagonal_images(draw, gens, mod):
+    """The images g_i^(e_i) of a diagonal endomorphism, each e_i one of 0,
+    1, q^2 - 1, a non-unit p k or a random exponent."""
+    d = gens.d
+    images = []
+    for i in range(d):
+        e = draw(
+            st.one_of(
+                st.sampled_from([0, 1, mod.q2 - 1]),
+                st.integers(1, mod.q2 // mod.p - 1).map(lambda k: mod.p * k),
+                st.integers(0, mod.q2 - 1),
+            )
+        )
+        images.append(ClassTwoElement(gens, mod, [e if k == i else 0 for k in range(d)], [0] * (d * (d - 1) // 2)))
+    return images
+
+
 @pytest.mark.parametrize("mod", EXACT_MODULI, ids=lambda m: f"q{m.p}^{m.f}")
 class TestExactAgainstPythonInts:
     @settings(max_examples=15, deadline=None, derandomize=True)
@@ -460,6 +478,11 @@ class TestExactAgainstPythonInts:
         images, u = elements[: gens.d], elements[-1]
         e = ClassTwoEndo(images)
         assert ref_of(e(u)) == ref_apply([ref_of(y) for y in images], ref_of(u), mod.q)
+        # a diagonal map takes the elementwise closed form
+        diag = data.draw(diagonal_images(gens, mod))
+        e = ClassTwoEndo(diag)
+        assert e.diagonal is not None
+        assert ref_of(e(u)) == ref_apply([ref_of(y) for y in diag], ref_of(u), mod.q)
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -470,6 +493,12 @@ class TestExactAgainstPythonInts:
         inner = ref_apply([ref_of(y) for y in second], ref_of(u), mod.q)
         want = ref_apply([ref_of(y) for y in first], inner, mod.q)
         assert ref_of(compose(ClassTwoEndo(first), ClassTwoEndo(second))(u)) == want
+        # diagonal maps on either side, or both
+        diag_first, diag_second = data.draw(diagonal_images(gens, mod)), data.draw(diagonal_images(gens, mod))
+        for outer, inner_images in ((diag_first, second), (first, diag_second), (diag_first, diag_second)):
+            inner = ref_apply([ref_of(y) for y in inner_images], ref_of(u), mod.q)
+            want = ref_apply([ref_of(y) for y in outer], inner, mod.q)
+            assert ref_of(compose(ClassTwoEndo(outer), ClassTwoEndo(inner_images))(u)) == want
 
 
 # q = 3 and 25 run on int64, 3^12 and 3^19 on Python ints
@@ -539,6 +568,16 @@ class TestQuotientKill:
     def test_unknown_generator_rejected(self):
         with pytest.raises(ValueError):
             quotient_kill(["nope"], self.w)
+
+    def test_int_indices_are_killed(self):
+        assert quotient_kill([1, 2], self.w) == quotient_kill(["x0", "x1"], self.w)
+        assert quotient_kill([np.int64(3)], self.w) == quotient_kill(["x2"], self.w)
+
+    @pytest.mark.parametrize("which", [-1, 4, 99, True, False, 1.0, "3"])
+    def test_index_out_of_range_or_not_an_int_is_rejected(self, which):
+        # a negative index would kill x_n, a bool g or x0
+        with pytest.raises(ValueError, match="generator"):
+            quotient_kill([which], self.w)
 
 
 class TestTruncatedQuotient:
@@ -936,6 +975,20 @@ class TestWordGrammar:
 
 
 class TestGeneratorSet:
+    def test_generator_by_label_or_index(self):
+        mod = Modulus(3, 1)
+        gens = demushkin_generators(2)
+        for i, lab in enumerate(gens.labels):
+            g = ClassTwoElement.generator(gens, mod, i)
+            assert g == ClassTwoElement.generator(gens, mod, lab) == ClassTwoElement.generator(gens, mod, np.int64(i))
+            assert g.gen_exp.tolist() == [int(k == i) for k in range(gens.d)] and not g.comm.any()
+
+    @pytest.mark.parametrize("which", [-1, 4, True, 2.0, "x9"])
+    def test_generator_index_must_be_in_range(self, which):
+        # -1 would be the last generator and a bool a first or second one
+        with pytest.raises(ValueError, match="generator"):
+            ClassTwoElement.generator(demushkin_generators(2), Modulus(3, 1), which)
+
     def test_mismatch_rejected(self):
         mod = Modulus(3, 1)
         a = ClassTwoElement.generator(GeneratorSet(("a", "b")), mod, 0)

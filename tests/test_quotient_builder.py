@@ -633,6 +633,40 @@ class TestStackedUniqueness:
         # number of candidates
         assert len(builds) <= d + 4 < candidates
 
+    @pytest.mark.parametrize("n", [2, 6, 12])
+    def test_standard_frame_takes_the_closed_forms(self, monkeypatch, n):
+        pres, act = standard_setup(n, Modulus(3, 2))
+        cert = free_quotient(pres, act, build_V(pres, act, Signature(n // 2, 0)))
+        calls = {"central_sqrt": 0, "matmul_mod": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(demushkin_core, "central_sqrt")
+        counting(class2_words, "central_sqrt")
+        counting(class2_words, "matmul_mod")
+        # the clean involution is diagonal, so the coinvariant substitution
+        # needs no square roots and its images no quadratic form
+        assert uniqueness_check(pres, act, cert)
+        assert calls["central_sqrt"] == 0
+        calls["matmul_mod"] = 0
+        assert act.endo.diagonal.tolist() == (demushkin_core.standard_sign_pattern(n) % pres.mod.q2).tolist()
+        stack = act.endo.images * pres.element("x1^2 [g,x0]")
+        assert list(act.endo(stack)) == [act.endo(row) for row in stack]
+        assert act.endo(pres.relator) == pres.relator.inverse()
+        assert calls["matmul_mod"] == 0
+        # a map with a commutator part goes through the quadratic form
+        shear = ClassTwoEndo(act.endo.images * pres.element("[g,x0]"))
+        assert shear.diagonal is None
+        shear(pres.relator)
+        assert calls["matmul_mod"] > 0
+
 
 class TestLargeModulusFrame:
     @pytest.mark.parametrize("f", [1, 12, 19])

@@ -96,7 +96,7 @@ class TestModulus:
 
 class TestHowell:
     def test_identity_is_fixed(self):
-        eye = ZqMatrix.identity(3, 9)
+        eye = ZqMatrix(np.eye(3, dtype=np.int64), 9)
         assert np.array_equal(howell(eye), eye.array)
 
     def test_zero_matrix(self):
@@ -136,7 +136,7 @@ class TestHowell:
 
 class TestKernel:
     def test_kernel_of_identity_is_zero(self):
-        assert kernel(ZqMatrix.identity(3, 9)).rank == 0
+        assert kernel(ZqMatrix(np.eye(3, dtype=np.int64), 9)).rank == 0
 
     def test_kernel_of_zero_is_full(self):
         k = kernel(zeros(4, 4, 3))
@@ -307,7 +307,7 @@ class TestAnnihilatedBy:
 
     def test_empty_cases(self):
         assert Submodule.zero(3, 9).annihilated_by(np.ones((3, 2), dtype=np.int64)) == Submodule.zero(3, 9)
-        assert Submodule.full(3, 9).annihilated_by(ZqMatrix.identity(3, 9)) == Submodule.zero(3, 9)
+        assert Submodule.full(3, 9).annihilated_by(ZqMatrix(np.eye(3, dtype=np.int64), 9)) == Submodule.zero(3, 9)
         sub = Submodule([[3, 1, 0]], 3, 9)
         assert sub.annihilated_by(np.zeros((3, 0), dtype=np.int64)) == sub
 
@@ -315,7 +315,7 @@ class TestAnnihilatedBy:
     def test_operand_must_match_the_submodule(self, method):
         sub = Submodule([[1, 3]], 2, 9)
         with pytest.raises(ValueError, match="over Z/3"):
-            getattr(sub, method)(ZqMatrix.identity(2, 3))
+            getattr(sub, method)(ZqMatrix(np.eye(2, dtype=np.int64), 3))
         with pytest.raises(ValueError, match="3 rows, ambient rank is 2"):
             getattr(sub, method)(np.ones((3, 2), dtype=np.int64))
         with pytest.raises(ValueError, match="must be integers"):
@@ -380,7 +380,7 @@ class TestIsotropy:
 
 class TestEigenSplit:
     def test_identity_action(self):
-        plus, minus = eigen_split(ZqMatrix.identity(3, 9))
+        plus, minus = eigen_split(ZqMatrix(np.eye(3, dtype=np.int64), 9))
         assert plus == Submodule.full(3, 9)
         assert minus.rank == 0
 
