@@ -32,6 +32,7 @@ from demuskin.demushkin_core import (
     NotAnInvolutionError,
     RelatorNotPreservedError,
     bockstein_kernel,
+    clean_frame,
     coinvariants,
     delta_map,
     gamma_line,
@@ -41,7 +42,6 @@ from demuskin.demushkin_core import (
     standard_relator,
     symmetrize_basis,
     symmetrized_change,
-    transform_presentation,
 )
 from demuskin.quotient_builder import (
     FreeQuotientCertificate,

@@ -24,8 +24,8 @@ import numpy as np
 from demuskin.class2_words import (
     ClassTwoElement,
     ClassTwoEndo,
+    ClassTwoStack,
     GeneratorSet,
-    TruncatedQuotient,
     central_sqrt,
     compose,
     demushkin_generators,
@@ -406,6 +406,34 @@ def symmetrized_change(endo: ClassTwoEndo, signs, change: ClassTwoEndo | None = 
     return total
 
 
+def clean_frame(action: InvolutionAction) -> tuple[ClassTwoEndo | None, ClassTwoEndo | None, np.ndarray]:
+    """(tau, tau^-1, s) with tau^-1 . sigma . tau = diag(s), sigma the action.
+
+    A clean action is its own frame: (None, None, its signs).  A product-shape
+    one is symmetrized by central square roots (`symmetrized_change` with no
+    change to start from); that tau is the identity mod F^2, so it fixes its
+    central defects, and dividing them back out inverts it.  Any other
+    action starts from free bases of its eigenspaces on F/F^2, the plus part
+    first: their rows are a linear change that commutes with sigma up to
+    central terms, `symmetrized_change` absorbs them, and `invert_auto`
+    inverts the total.
+    """
+    if action.signs is not None:
+        return None, None, action.signs
+    endo = action.endo
+    signs = _linear_signs(endo)
+    if signs is not None:
+        tau = symmetrized_change(endo, signs)
+        ident = ClassTwoEndo.identity(endo.gens, endo.mod).images
+        return tau, ClassTwoEndo(ident * tau.defects() ** -1), signs
+    plus, minus = (space.free_basis() for space in action.f2_eigenspaces())
+    if len(plus) + len(minus) != endo.gens.d:
+        raise AssertionError("eigenspace ranks do not fill the module")
+    signs = np.repeat([1, -1], [len(plus), len(minus)])
+    tau = symmetrized_change(endo, signs, ClassTwoEndo.linear(endo.gens, endo.mod, np.array(plus + minus)))
+    return tau, invert_auto(tau), signs
+
+
 def symmetrize_basis(
     pres: DemushkinPresentation, action: InvolutionAction
 ) -> tuple[ClassTwoEndo, ClassTwoElement, ClassTwoEndo]:
@@ -413,48 +441,22 @@ def symmetrize_basis(
 
     For sigma(g) = g . a the new generator is g . a^(1/2); for
     sigma(g) = g^-1 . b it is b^(-1/2) . g.  Returns (basis, relator,
-    clean_endo): the basis change, which is unipotent (`symmetrized_change`
-    with no change to start from); the relator rewritten in the new basis,
-    which keeps its shape; and the clean action diag(+-1), which the basis
-    change is checked to conjugate the action to.  An action that is already
-    clean keeps the identity basis.
+    clean_endo): the basis change, which is unipotent (`clean_frame` of a
+    product-shape action); the relator rewritten in the new basis, which
+    keeps its shape; and the clean action diag(+-1), which the basis change
+    is checked to conjugate the action to.  An action that is already clean
+    keeps the identity basis.
     """
-    gens, mod = pres.gens, pres.mod
-    if action.signs is not None:
-        return ClassTwoEndo.identity(gens, mod), pres.relator, action.endo
-    signs = _linear_signs(action.endo)
-    if signs is None:
+    if action.signs is None and _linear_signs(action.endo) is None:
         raise ValueError(
             "action is not of product shape: each generator must map to "
             "itself or its inverse times a central element"
         )
-    basis = symmetrized_change(action.endo, signs)
-    # the basis g_i -> g_i r_i^(s_i) is the identity mod F^2, so it fixes
-    # its central defects r_i^(s_i), and dividing them back out inverts it
-    basis_inv = ClassTwoEndo(ClassTwoEndo.identity(gens, mod).images * basis.defects() ** -1)
+    gens, mod = pres.gens, pres.mod
+    basis, basis_inv, signs = clean_frame(action)
+    if basis is None:
+        return ClassTwoEndo.identity(gens, mod), pres.relator, action.endo
     return basis, basis_inv(pres.relator), ClassTwoEndo.linear(gens, mod, np.diag(signs))
-
-
-def transform_presentation(
-    pres: DemushkinPresentation, action: InvolutionAction, basis: ClassTwoEndo
-) -> tuple[DemushkinPresentation, InvolutionAction]:
-    """Rewrite everything in the basis h_i = basis(g_i)."""
-    basis_inv = invert_auto(basis)
-    new_relator = basis_inv(pres.relator)
-    # chi is multiplicative and kills F^2, so it transforms through the
-    # linear part T of the basis change: with chi(g_k) = 1 + q c_k mod q^2,
-    # chi(h_i) = prod_k (1 + q c_k)^(T_ik) = 1 + q (T c)_i mod q^2
-    q = pres.mod.q
-    new_vals = 1 + q * matmul_mod(basis.linear_matrix, delta_map(pres, 1), q)
-    new_pres = DemushkinPresentation(
-        pres.n,
-        pres.mod,
-        relator=new_relator,
-        chi=CharacterData(new_vals, pres.mod),
-        gens=pres.gens,
-    )
-    new_endo = compose(basis_inv, compose(action.endo, basis))
-    return new_pres, InvolutionAction.build(new_pres, new_endo)
 
 
 @dataclass(frozen=True)
@@ -468,76 +470,58 @@ class CoinvariantsResult:
     eliminated_labels: tuple
     induced: CohomologyData | None
     induced_relator: ClassTwoElement | None
-    extra_central_relators: tuple
     warnings: tuple
 
 
 class CoinvariantMachine:
-    """Shared mechanics: the quotient map onto the coinvariant truncation.
+    """The quotient map onto the coinvariant truncation, read in the
+    action's clean frame.
 
-    After diagonalizing the linear part, a generator with sign -1 satisfies
-    g^2 = central in the quotient, so with 2 invertible it equals a central
-    word in the surviving generators; commutators and q-th powers touching it
-    die.  `project` applies this substitution and lands in the truncated
-    free group on the kept generators, `span` holds the surviving central
-    relations.  For a clean action (`InvolutionAction.signs` set) that word
-    is the identity, so the substitution is read off the signs as the
-    diagonal kill g_i -> g_i^(keep_i), with no defects or square roots; the
-    difference relators are projected and checked on either path.
+    `clean_frame` gives tau with tau^-1 . sigma . tau = diag(s).  In the
+    basis h_i = tau(g_i) an h_i with s_i = -1 satisfies h_i = h_i^-1 in the
+    coinvariants, so with 2 invertible it dies: `project(u)` kills those
+    generators in tau^-1(u) and lands in the truncated free group on the
+    kept ones, where `kept_chi` is the character moved through tau's linear
+    part.  A clean action is its own frame, and `project` is the kill.
+
+    The relator image is the only relation left.  For a kept g of a
+    product-shape action, sigma(g) = g D with D central and, as sigma^2 = 1,
+    sigma(D) = D^-1.  sigma acts on F^2/F^3 by s_j on the q-power slot of
+    g_j and by s_i s_j on the commutator slot of (g_i, g_j), so it fixes
+    every coordinate that touches only kept generators; D has none, and it
+    projects to 1.  In general the kill k satisfies k . diag(s) = k, so
+    u^-1 sigma(u) projects to k(v)^-1 k(v) = 1 with v = tau^-1(u).  The
+    difference relators g_i^-1 sigma(g_i), which `uniqueness_check` reads
+    too, are checked to project to 1.
     """
 
     def __init__(self, pres: DemushkinPresentation, action: InvolutionAction):
-        signs = _linear_signs(action.endo)
-        if signs is None:
-            plus, minus = action.f2_eigenspaces()
-            rows = np.vstack([plus.basis, minus.basis])
-            if rows.shape[0] != pres.d:
-                raise AssertionError("eigenspace ranks do not fill the module")
-            basis = ClassTwoEndo.linear(pres.gens, pres.mod, rows)
-            pres, action = transform_presentation(pres, action, basis)
-            signs = _linear_signs(action.endo)
-            if signs is None:
-                raise AssertionError("diagonalized action is not of product shape")
-        self.pres = pres
-        self.action = action
-        self.signs = signs
-        gens, mod = pres.gens, pres.mod
+        tau, self.tau_inv, signs = clean_frame(action)
+        mod = pres.mod
         self.kept = [i for i, s in enumerate(signs) if s == 1]
-        self.elim = [i for i, s in enumerate(signs) if s == -1]
-        self.kept_labels = tuple(gens.labels[i] for i in self.kept)
-        self.elim_labels = tuple(gens.labels[i] for i in self.elim)
+        self.kept_labels = tuple(pres.gens.labels[i] for i in self.kept)
+        self.elim_labels = tuple(lab for lab, s in zip(pres.gens.labels, signs) if s == -1)
         if not self.kept:
             raise ValueError("no generator survives; the coinvariants are trivial")
-
-        # sigma(g) = g^-1 z on an eliminated generator; the difference
-        # relator gives g^2 = g sigma(g) = z, so g becomes the central square
-        # root of z, and a kept generator stays.  The coordinates of z that
-        # touch eliminated generators die in quotient_kill, which commutes
-        # with central_sqrt, so project needs no zeroing.  A clean action has
-        # z = 1, and the substitution is the diagonal kill diag(keep)
-        keep = (signs == 1).astype(np.int64)
-        if action.signs is not None:
-            self.subst = ClassTwoEndo.linear(gens, mod, np.diag(keep))
-        else:
-            roots = central_sqrt(action.endo.defects(signs))
-            self.subst = ClassTwoEndo(ClassTwoEndo.identity(gens, mod).images ** keep * roots ** (1 - keep))
-
-        # the difference relators g^-1 sigma(g), projected in one batch
-        diffs = action.endo.defects()
-        if not diffs.is_central[self.kept].all():
-            raise AssertionError("difference relator of a fixed generator is not central")
-        images = self.project(diffs)
-        if not images.is_identity[self.elim].all():
-            raise AssertionError("eliminated generator relation did not project away")
+        # chi is multiplicative and kills F^2, so it transforms through the
+        # linear part T of tau: with chi(g_k) = 1 + q c_k mod q^2,
+        # chi(h_i) = prod_k (1 + q c_k)^(T_ik) = 1 + q (T c)_i mod q^2
+        chi = pres.chi.values
+        if tau is not None:
+            chi = 1 + mod.q * matmul_mod(tau.linear_matrix, delta_map(pres, 1), mod.q)
+        self.kept_chi = [int(chi[i]) for i in self.kept]
+        # the difference relators and the relator, projected in one batch
+        self.difference_relators = action.endo.defects()
+        images = self.project(ClassTwoStack.of(pres.gens, mod, [self.difference_relators, pres.relator]))
+        if not images.is_identity[:-1].all():
+            raise AssertionError("a difference relator did not project to the identity")
         self.small_gens = images.gens
-        self.central_relators = [images[i] for i in self.kept if not images.is_identity[i]]
-        self.span = TruncatedQuotient(self.small_gens, mod, self.central_relators)
-        self.relator_image = self.project(pres.relator)
+        self.relator_image = images[-1]
 
     def project(self, u):
         """Image of an element or a stack in the truncated free group on the
         kept generators."""
-        return quotient_kill(self.elim_labels, self.subst(u))
+        return quotient_kill(self.elim_labels, u if self.tau_inv is None else self.tau_inv(u))
 
 
 def coinvariants(pres: DemushkinPresentation, action: InvolutionAction) -> CoinvariantsResult:
@@ -547,13 +531,7 @@ def coinvariants(pres: DemushkinPresentation, action: InvolutionAction) -> Coinv
     rank = len(machine.kept)
     wbar = machine.relator_image
     warns = []
-    extra = tuple(machine.central_relators)
-    if extra:
-        warns.append(
-            "the coinvariant truncation carries central relations beyond the "
-            "relator image"
-        )
-    free = machine.span.is_trivial(wbar)
+    free = bool(wbar.is_identity)
     m = None if free else rank - 2
     induced = None
     if not free and (m < 0 or m % 2):
@@ -562,12 +540,11 @@ def coinvariants(pres: DemushkinPresentation, action: InvolutionAction) -> Coinv
             ">= 0; reporting raw truncation data"
         )
     elif not free:
-        chi_vals = [int(machine.pres.chi.values[i]) for i in machine.kept]
         induced_pres = DemushkinPresentation(
             m,
             mod,
             relator=wbar,
-            chi=CharacterData(chi_vals, mod),
+            chi=CharacterData(machine.kept_chi, mod),
             gens=machine.small_gens,
         )
         induced = invariants(induced_pres)
@@ -581,6 +558,5 @@ def coinvariants(pres: DemushkinPresentation, action: InvolutionAction) -> Coinv
         eliminated_labels=machine.elim_labels,
         induced=induced,
         induced_relator=None if free else wbar,
-        extra_central_relators=extra,
         warnings=tuple(warns),
     )

@@ -297,16 +297,6 @@ def _coordinate_dual_indices(V: Submodule) -> list[int] | None:
     return nz.argmax(axis=1).tolist()
 
 
-def _extend_to_free_basis(rows, start: list, d: int, q: int) -> list:
-    """`start` greedily extended by those of `rows` that keep it a free basis."""
-    out = list(start)
-    for row in rows:
-        trial = Submodule(np.array(out + [row]), d, q)
-        if trial.is_free and trial.rank == len(out) + 1:
-            out.append(row)
-    return out
-
-
 def _build_adapted_change(
     pres: DemushkinPresentation, action: InvolutionAction, iso: IsotropicSubmodule
 ) -> ClassTwoEndo | None:
@@ -334,8 +324,8 @@ def _build_adapted_change(
             raise AssertionError("V does not split along the eigenspaces")
     # the plus list starts with the cyclotomic direction when V holds it
     gvec = delta_map(pres, 1)
-    plus_rows = _extend_to_free_basis(vplus.basis, [gvec % q] if V.contains(gvec) else [], d, q)
-    minus_rows = _extend_to_free_basis(vminus.basis, [], d, q)
+    plus_rows = vplus.free_basis([gvec % q] if V.contains(gvec) else [])
+    minus_rows = vminus.free_basis()
     if len(plus_rows) != vplus.rank or len(minus_rows) != vminus.rank:
         raise AssertionError("failed to pick free bases of the eigenparts of V")
 
@@ -494,12 +484,8 @@ def uniqueness_check(
     _require_clean_standard(pres, action)
 
     machine = CoinvariantMachine(pres, action)
-    coinv_span = TruncatedQuotient(
-        machine.small_gens,
-        pres.mod,
-        list(machine.central_relators)
-        + ([machine.relator_image] if not machine.relator_image.is_identity else []),
-    )
+    wbar = machine.relator_image
+    coinv_span = TruncatedQuotient(machine.small_gens, pres.mod, [] if wbar.is_identity else [wbar])
 
     tau = cert.basis_change
     killed = list(cert.killed)
@@ -516,12 +502,11 @@ def uniqueness_check(
         [kill_rel] if not kill_rel.is_identity else [],
     )
 
-    diffs = action.endo.defects()
     # tau(g_i) is the i-th image of tau
     kills = tau.images[[pres.gens.index(lab) for lab in killed]]
     return bool(
         coinv_span.are_trivial(_closure_images(machine.project, pres.relator, kills)).all()
-        and kill_span.are_trivial(_closure_images(kill_image, pres.relator, diffs)).all()
+        and kill_span.are_trivial(_closure_images(kill_image, pres.relator, machine.difference_relators)).all()
     )
 
 

@@ -319,6 +319,17 @@ class Submodule:
             raise ValueError("rank is only defined for free submodules")
         return r
 
+    def free_basis(self, start=()) -> list:
+        """`start` greedily extended by those Howell rows that keep it a
+        free basis.  A free submodule can have more Howell rows than its
+        rank; the result spans it exactly when its length is the rank."""
+        out = list(start)
+        for row in self.basis:
+            trial = Submodule(np.array(out + [row]), self.ambient, self.modulus)
+            if trial.is_free and trial.rank == len(out) + 1:
+                out.append(row)
+        return out
+
     def reduce(self, vec) -> np.ndarray:
         """Residue of `vec` after clearing every pivot; zero iff contained."""
         v = np.asarray(vec, dtype=np.int64)

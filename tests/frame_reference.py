@@ -1,0 +1,123 @@
+"""References for the coinvariant machine's clean frame: the conjugation of
+a presentation and its action by a basis change, and the coinvariant
+machine that diagonalized an action by its eigen-split, conjugated by it
+and substituted central square roots for the eliminated generators."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from demuskin.class2_words import (
+    ClassTwoEndo,
+    TruncatedQuotient,
+    central_sqrt,
+    compose,
+    invert_auto,
+    quotient_kill,
+)
+from demuskin.demushkin_core import (
+    CharacterData,
+    DemushkinPresentation,
+    InvolutionAction,
+    _linear_signs,
+    delta_map,
+    invariants,
+)
+from demuskin.zq_linalg import matmul_mod
+
+
+def transform_presentation(pres, action, basis):
+    """Rewrite everything in the basis h_i = basis(g_i): the relator by the
+    inverse, the character through the linear part, and the action
+    conjugated by two compositions and built again."""
+    basis_inv = invert_auto(basis)
+    new_relator = basis_inv(pres.relator)
+    # chi is multiplicative and kills F^2, so it transforms through the
+    # linear part T of the basis change: with chi(g_k) = 1 + q c_k mod q^2,
+    # chi(h_i) = prod_k (1 + q c_k)^(T_ik) = 1 + q (T c)_i mod q^2
+    q = pres.mod.q
+    new_vals = 1 + q * matmul_mod(basis.linear_matrix, delta_map(pres, 1), q)
+    new_pres = DemushkinPresentation(
+        pres.n,
+        pres.mod,
+        relator=new_relator,
+        chi=CharacterData(new_vals, pres.mod),
+        gens=pres.gens,
+    )
+    new_endo = compose(basis_inv, compose(action.endo, basis))
+    return new_pres, InvolutionAction.build(new_pres, new_endo)
+
+
+class ReferenceMachine:
+    """The coinvariant machine before the clean frame: an action that is not
+    of product shape is conjugated by the stacked Howell rows of its F/F^2
+    eigenspaces (so a free eigenspace with more Howell rows than its rank is
+    an AssertionError), and an eliminated generator g is substituted by the
+    central square root of g sigma(g).  `central_relators` holds the kept
+    difference relators that survive the substitution."""
+
+    def __init__(self, pres, action):
+        signs = _linear_signs(action.endo)
+        if signs is None:
+            plus, minus = action.f2_eigenspaces()
+            rows = np.vstack([plus.basis, minus.basis])
+            if rows.shape[0] != pres.d:
+                raise AssertionError("eigenspace ranks do not fill the module")
+            basis = ClassTwoEndo.linear(pres.gens, pres.mod, rows)
+            pres, action = transform_presentation(pres, action, basis)
+            signs = _linear_signs(action.endo)
+            assert signs is not None, "diagonalized action is not of product shape"
+        self.pres = pres
+        gens, mod = pres.gens, pres.mod
+        self.kept = [i for i, s in enumerate(signs) if s == 1]
+        self.elim_labels = tuple(gens.labels[i] for i, s in enumerate(signs) if s == -1)
+        keep = (signs == 1).astype(np.int64)
+        roots = central_sqrt(action.endo.defects(signs))
+        self.subst = ClassTwoEndo(ClassTwoEndo.identity(gens, mod).images ** keep * roots ** (1 - keep))
+        images = self.project(action.endo.defects())
+        self.small_gens = images.gens
+        self.central_relators = [images[i] for i in self.kept if not images.is_identity[i]]
+        self.relator_image = self.project(pres.relator)
+
+    def project(self, u):
+        return quotient_kill(self.elim_labels, self.subst(u))
+
+
+def reference_coinvariants(pres, action) -> dict:
+    """The fields of `coinvariants` as the reference machine gives them,
+    with the induced cohomology as plain lists."""
+    machine = ReferenceMachine(pres, action)
+    rank = len(machine.kept)
+    wbar = machine.relator_image
+    free = TruncatedQuotient(machine.small_gens, pres.mod, machine.central_relators).is_trivial(wbar)
+    out = {
+        "rank": rank,
+        "kind": "free" if free else "demushkin",
+        "m": None if free else rank - 2,
+        "kept_labels": tuple(machine.pres.gens.labels[i] for i in machine.kept),
+        "eliminated_labels": machine.elim_labels,
+        "induced_relator": None if free else wbar,
+        "induced": None,
+        "kept_chi": [int(machine.pres.chi.values[i]) for i in machine.kept],
+        "central_relators": machine.central_relators,
+    }
+    m = out["m"]
+    if not free and m >= 0 and m % 2 == 0:
+        induced_pres = DemushkinPresentation(
+            m, pres.mod, relator=wbar, chi=CharacterData(out["kept_chi"], pres.mod), gens=machine.small_gens
+        )
+        out["induced"] = cohomology_fields(invariants(induced_pres))
+    return out
+
+
+def cohomology_fields(coh) -> tuple | None:
+    """CohomologyData as comparable plain values."""
+    if coh is None:
+        return None
+    return (
+        coh.h1_rank,
+        coh.cup.gram.array.tolist(),
+        coh.bockstein.tolist(),
+        coh.cup_nondegenerate,
+        coh.bockstein_surjective,
+    )

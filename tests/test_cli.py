@@ -220,6 +220,26 @@ class TestLargeModulusVerify:
         assert report["results"]["coinvariants"] == {"kind": "free", "rank": 2}
 
 
+class TestFreeEigenspaceVerify:
+    """The standard involution over Z/9 conjugated by x1 -> x1 g^3: its -1
+    eigenspace on F/F^2 is free of rank 2, yet its Howell form has the three
+    rows (3,0,2,0), (0,1,0,0) and (0,0,3,0), so the clean frame starts from
+    a free basis of it rather than from the Howell rows."""
+
+    def test_conjugated_standard_involution_passes(self, tmp_path):
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps(
+            {"p": 3, "f": 2, "n": 2, "relator": "x0^9 [x0,g] [x2,g]^3 [x2,x1]^8", "chi": [10, 1, 28, 1]}
+        ))
+        act = tmp_path / "act.json"
+        act.write_text(json.dumps({"images": {"g": "g", "x0": "x0^-1", "x1": "g^6 x1^-1 [x1,g]^6", "x2": "x2"}}))
+        code, text = run_inproc(tmp_path, "verify", "--presentation", str(pres), "--action", str(act))
+        report = json.loads(text)
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == []
+        assert code == 0
+        assert report["results"]["coinvariants"] == {"kind": "free", "rank": 2}
+
+
 class TestPreset:
     @pytest.mark.parametrize(
         "p,rank,eigen",

@@ -3,7 +3,7 @@ from itertools import product as cartesian
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from demuskin import demushkin_core
@@ -20,12 +20,14 @@ from demuskin.class2_words import (
 )
 from demuskin.demushkin_core import (
     CharacterData,
+    CoinvariantMachine,
     DemushkinPresentation,
     InvolutionAction,
     NotAnInvolutionError,
     RelatorNotPreservedError,
     _linear_signs,
     bockstein_kernel,
+    clean_frame,
     coinvariants,
     delta_map,
     gamma_line,
@@ -36,7 +38,6 @@ from demuskin.demushkin_core import (
     standard_sign_pattern,
     symmetrize_basis,
     symmetrized_change,
-    transform_presentation,
 )
 from demuskin.zq_linalg import (
     Modulus,
@@ -44,6 +45,7 @@ from demuskin.zq_linalg import (
     ZqMatrix,
     orthogonal_complement,
 )
+from frame_reference import cohomology_fields, reference_coinvariants, transform_presentation
 
 rng = random.Random(99173)
 
@@ -750,6 +752,101 @@ class TestCoinvariants:
             res = coinvariants(pres, act)
             assert res.kind == "free"
             assert res.rank == 2
+
+
+def random_automorphism(pres, rng):
+    """An automorphism of F/F^3 with a random linear part mod q^2 (a
+    permutation times unit lower and upper triangular factors, so it is
+    invertible mod p) and random commutator parts."""
+    mod, d = pres.mod, pres.d
+    lower = np.tril(rng.integers(0, mod.q2, (d, d)), -1) + np.eye(d, dtype=np.int64)
+    upper = np.triu(rng.integers(0, mod.q2, (d, d)), 1)
+    upper += np.diag(rng.integers(1, mod.p, d) + mod.p * rng.integers(0, mod.q2 // mod.p, d))
+    lin = (np.eye(d, dtype=np.int64)[rng.permutation(d)] @ lower @ upper) % mod.q2
+    comm = rng.integers(0, mod.q, (d, d * (d - 1) // 2))
+    return ClassTwoEndo(ClassTwoElement(pres.gens, mod, lin[i], comm[i]) for i in range(d))
+
+
+@st.composite
+def exact_involutions(draw):
+    """(pres, action, h2): a clean involution with h2 = +-1 on the standard
+    presentation, lifted from a random central perturbation of every image,
+    and half the time conjugated by a random automorphism of F/F^3.
+
+    g is fixed, x0 has the sign h2, and a pair (x_(2k-1), x_(2k)) has the
+    signs (s, h2 s), so the relator goes to w^h2."""
+    p, f = draw(st.sampled_from([(3, 1), (5, 1), (3, 2), (7, 1)]))
+    mod = Modulus(p, f)
+    n = draw(st.sampled_from([0, 2, 4, 6]))
+    h2 = draw(st.sampled_from([1, -1]))
+    signs = [1, h2]
+    for s in draw(st.lists(st.sampled_from([1, -1]), min_size=n // 2, max_size=n // 2)):
+        signs += [s, h2 * s]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pres = DemushkinPresentation.standard(n, mod)
+    d = pres.d
+    central = [
+        ClassTwoElement(pres.gens, mod, mod.q * rng.integers(0, mod.q, d), rng.integers(0, mod.q, d * (d - 1) // 2))
+        for _ in range(d)
+    ]
+    pert = ClassTwoEndo(ClassTwoElement.generator(pres.gens, mod, i) ** s * c for i, (s, c) in enumerate(zip(signs, central)))
+    act = lift_involution(pres, np.diag(signs) % mod.q, pert)
+    if draw(st.booleans()):
+        pres, act = transform_presentation(pres, act, random_automorphism(pres, rng))
+    return pres, act, h2
+
+
+class TestCleanFrame:
+    def test_the_three_cases(self):
+        mod = Modulus(3, 2)
+        pres = DemushkinPresentation.standard(4, mod)
+        standard = standard_involution(pres)
+        tau, tau_inv, signs = clean_frame(standard)
+        assert tau is None and tau_inv is None and signs is standard.signs
+        images = [im * random_central(pres) for im in standard.endo.images]
+        lifted = lift_involution(pres, standard.endo.linear_matrix, ClassTwoEndo(images))
+        # x1 -> x1 x2 mixes the eigenspaces, so the conjugate is not of
+        # product shape
+        shear = ClassTwoEndo(pres.element(w) for w in ("g", "x0", "x1 x2", "x2", "x3", "x4"))
+        _, mixed = transform_presentation(pres, standard, shear)
+        assert _linear_signs(lifted.endo) is not None and _linear_signs(mixed.endo) is None
+        ident = ClassTwoEndo.identity(pres.gens, mod)
+        for act in (lifted, mixed):
+            tau, tau_inv, signs = clean_frame(act)
+            assert compose(tau_inv, tau) == ident
+            clean = ClassTwoEndo.linear(pres.gens, mod, np.diag(signs))
+            assert compose(tau_inv, compose(act.endo, tau)) == clean
+        # the eigen-split puts the plus part first
+        assert signs.tolist() == [1, 1, 1, -1, -1, -1]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(exact_involutions())
+    def test_coinvariants_match_the_reference(self, case):
+        pres, act, h2 = case
+        res = coinvariants(pres, act)
+        assert res.kind == ("free" if h2 == -1 else "demushkin")
+        machine = CoinvariantMachine(pres, act)
+        assert machine.project(act.endo.defects()).is_identity.all()
+        try:
+            ref = reference_coinvariants(pres, act)
+        except AssertionError as exc:
+            # a free eigenspace with more Howell rows than its rank
+            assert "eigenspace ranks do not fill the module" in str(exc)
+            event("the reference does not finish")
+            return
+        assert ref.pop("central_relators") == []
+        event(f"kind {res.kind}")
+        got = {
+            "rank": res.rank,
+            "kind": res.kind,
+            "m": res.m,
+            "kept_labels": res.kept_labels,
+            "eliminated_labels": res.eliminated_labels,
+            "induced_relator": res.induced_relator,
+            "induced": cohomology_fields(res.induced),
+            "kept_chi": machine.kept_chi,
+        }
+        assert got == ref
 
 
 class TestSignPattern:

@@ -31,7 +31,6 @@ from demuskin.demushkin_core import (
     invariants,
     standard_involution,
     standard_relator,
-    transform_presentation,
 )
 from demuskin.quotient_builder import (
     FreeQuotientCertificate,
@@ -51,6 +50,7 @@ from demuskin.zq_linalg import (
     inv_mod,
     isotropic_free_submodules,
 )
+from frame_reference import ReferenceMachine, transform_presentation
 
 rng = random.Random(420817)
 
@@ -466,10 +466,10 @@ class TestIdentityFrames:
     def test_build_V_targets_skip_the_transform(self, monkeypatch, n, mod):
         pres, act = standard_setup(n, mod)
         targets = [build_V(pres, act, Signature(u, n // 2 - u)) for u in range(n // 2 + 1)]
-        transforms = count_calls(monkeypatch, "transform_presentation")
+        frames = count_calls(monkeypatch, "clean_frame")
         inversions = count_calls(monkeypatch, "invert_auto")
         certs = [free_quotient(pres, act, iso) for iso in targets]
-        assert transforms == [] and inversions == []
+        assert frames == [] and inversions == []
         for cert in certs:
             assert cert.all_green
             assert cert.basis_change == ClassTwoEndo.identity(pres.gens, mod)
@@ -483,7 +483,7 @@ class TestIdentityFrames:
         pres, act = standard_setup(4, Modulus(3, 1))
         V = Submodule([[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 1], [0, 0, 1, 0, 2, 0]], 6, 3)
         iso = validate_V(pres, act, V)
-        calls = [count_calls(monkeypatch, name) for name in ("transform_presentation", "invert_auto", "compose")]
+        calls = [count_calls(monkeypatch, name) for name in ("clean_frame", "invert_auto", "compose")]
         builds = count_builds(monkeypatch)
         cert = free_quotient(pres, act, iso)
         assert calls == [[], [], []] and builds == []
@@ -509,8 +509,9 @@ class TestIdentityFrames:
 
 def uniqueness_reference(pres, act, cert) -> bool:
     """uniqueness_check as it was before candidates were stacked: every
-    candidate is its own element, mapped and tested one at a time."""
-    machine = CoinvariantMachine(pres, act)
+    candidate is its own element, mapped and tested one at a time, with the
+    coinvariant machine of the reference."""
+    machine = ReferenceMachine(pres, act)
     coinv_span = TruncatedQuotient(
         machine.small_gens,
         pres.mod,
@@ -607,11 +608,13 @@ class TestStackedUniqueness:
         for act in (standard_involution(pres), demushkin_core.lift_involution(pres, lin, pert)):
             machine = CoinvariantMachine(pres, act)
             subst, zeroed, relators = machine_reference(pres, act)
-            assert machine.subst == subst
-            assert machine.central_relators == relators
-            # the zeroing changes nothing once the kill has been applied
+            assert relators == []
+            # the clean frame's kill of tau^-1 is the kill of the substitution,
+            # and the zeroing changes nothing once the kill has been applied
             gens = ClassTwoEndo.identity(pres.gens, mod).images
-            assert list(machine.project(gens)) == list(quotient_kill(machine.elim_labels, zeroed(gens)))
+            projected = list(machine.project(gens))
+            assert projected == list(quotient_kill(machine.elim_labels, subst(gens)))
+            assert projected == list(quotient_kill(machine.elim_labels, zeroed(gens)))
 
     @pytest.mark.parametrize("n", [2, 6, 12])
     def test_no_element_per_candidate(self, monkeypatch, n):
@@ -651,10 +654,15 @@ class TestStackedUniqueness:
         counting(demushkin_core, "central_sqrt")
         counting(class2_words, "central_sqrt")
         counting(class2_words, "matmul_mod")
-        # the clean involution is diagonal, so the coinvariant substitution
-        # needs no square roots and its images no quadratic form
+        defects = []
+        real_defects = ClassTwoEndo.defects
+        monkeypatch.setattr(ClassTwoEndo, "defects", lambda self, *a: defects.append(a) or real_defects(self, *a))
+        # the clean involution is its own frame, so the coinvariant map
+        # needs no square roots and its images no quadratic form; the
+        # difference relators are formed once, by the machine
         assert uniqueness_check(pres, act, cert)
         assert calls["central_sqrt"] == 0
+        assert len(defects) == 1
         calls["matmul_mod"] = 0
         assert act.endo.diagonal.tolist() == (demushkin_core.standard_sign_pattern(n) % pres.mod.q2).tolist()
         stack = act.endo.images * pres.element("x1^2 [g,x0]")

@@ -1,0 +1,72 @@
+"""Source hygiene of the package, read with the stdlib `ast`: no module
+imports a name it never uses, and no module defines a private name (at
+module level or as a method) that the package never references."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "demuskin"
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def loaded_names(tree: ast.AST) -> set:
+    """Every name read in the tree: bare names, attributes and the names
+    that `from ... import` brings in."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def private_definitions(tree: ast.Module):
+    """(name, line) of each private module-level function, class or
+    assigned name, and of each private method of a module-level class."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defs.extend((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            defs.extend(
+                (item.name, item.lineno)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+    return [(name, line) for name, line in defs if is_private(name)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unused_import(path):
+    tree = parse(path)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(alias.asname or alias.name, node.lineno) for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [(name, line) for name, line in imported if name not in used] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unreferenced_private_name(path):
+    referenced = set().union(*(loaded_names(parse(p)) for p in PACKAGE.glob("*.py")))
+    defined = private_definitions(parse(path))
+    assert [(name, line) for name, line in defined if name not in referenced] == []
