@@ -450,8 +450,8 @@ class ClassTwoEndo:
         """Row i is g_i^(-s_i) phi(g_i), with s_i = signs[i] (default +1):
         the difference relators g_i^-1 phi(g_i), or g_i phi(g_i) where phi
         inverts g_i up to F^2."""
-        s = 1 if signs is None else np.asarray(signs, dtype=np.int64)
-        return ClassTwoEndo.identity(self.gens, self.mod).images ** -s * self.images
+        s = np.ones(self.gens.d, dtype=np.int64) if signs is None else signs
+        return ClassTwoEndo.linear(self.gens, self.mod, -np.diag(s)).images * self.images
 
     def __eq__(self, other):
         return (

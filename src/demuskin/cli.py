@@ -290,9 +290,13 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     if not text.strip():
         return []
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise InputError(f"bad {what} list: {text!r}") from None
+    for k, value in enumerate(values):
+        if value in values[:k]:
+            raise InputError(f"{what}={value} is repeated in the {what} list {text!r}")
+    return values
 
 
 def _modulus_for_q(q: int) -> Modulus:

@@ -259,13 +259,17 @@ class InvolutionAction:
     def signs(self) -> np.ndarray | None:
         return self._signs
 
+    def require_acts_on(self, pres: DemushkinPresentation):
+        """A ValueError unless the endomorphism is one of the presentation's group."""
+        if self.endo.gens != pres.gens or self.endo.mod != pres.mod:
+            raise ValueError("endomorphism does not act on the presentation's group")
+
     @classmethod
     def build(cls, pres: DemushkinPresentation, endo: ClassTwoEndo) -> "InvolutionAction":
-        if endo.gens != pres.gens or endo.mod != pres.mod:
-            raise ValueError("endomorphism does not act on the presentation's group")
         mod = pres.mod
         L = endo.linear_matrix
         action = cls(endo, ZqMatrix(L, mod.q), None)
+        action.require_acts_on(pres)
         # g -> g^(+-1) squares to 1 by the power formula: no d^4 composition
         if action.signs is None and compose(endo, endo) != ClassTwoEndo.identity(pres.gens, mod):
             raise NotAnInvolutionError("endomorphism does not square to the identity on F/F^3")

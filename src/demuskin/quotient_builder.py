@@ -140,21 +140,43 @@ def validate_V(
 
     `free` means V and V + <gamma> are free: inside ker B = gamma^perp the
     sum is isotropic, and an adapted frame extends a free basis of it.
+
+    A span of coordinate duals e_J is read off arrays, with J^c the other
+    indices, gamma = delta_map(pres, 1), M the H^1 matrix, G the gram
+    matrix and B the Bockstein vector.  V + <gamma> is e_J plus the line of
+    gamma on J^c, so `free` iff gamma on J^c is zero or has a unit entry;
+    `delta_invariant` iff the rows J of M^T vanish on J^c and their J x J
+    block is invertible mod p (unit diagonal entries when it is diagonal,
+    one mod-p rank otherwise); `totally_isotropic` iff G[J, J] = 0;
+    `in_bockstein_kernel` iff B[J] = 0; `gamma_contained` iff gamma on J^c
+    is zero.  Any other V takes Howell forms.
     """
     if V.ambient != pres.d or V.modulus != pres.mod.q:
         raise ValueError("V does not live in H^1 of the presentation")
+    action.require_acts_on(pres)
     coh = invariants(pres)
-    gamma = gamma_line(pres)
-    v_free = V.is_free
-    free = v_free and Submodule(np.vstack([V.basis, gamma.basis]), pres.d, pres.mod.q).is_free
-    image = V.image_under(action.h1_matrix.array.T)
-    invariant = image == V
-    isotropic = is_totally_isotropic(coh.cup, V)
-    q = pres.mod.q
-    in_ker = not matmul_mod(V.basis, coh.bockstein, q).any() if V.ngens else True
-    gamma_contained = None
-    if v_free and V.rank == pres.n // 2 + 1:
-        gamma_contained = V.contains_submodule(gamma)
+    p, q, maximal = pres.mod.p, pres.mod.q, pres.n // 2 + 1
+    J = _coordinate_dual_indices(V)
+    if J is not None:
+        rest = np.ones(pres.d, dtype=bool)
+        rest[J] = False
+        gamma_rest, mt = delta_map(pres, 1)[rest], action.h1_matrix.array.T
+        block = mt[np.ix_(J, J)]
+        diagonal = np.count_nonzero(block) == np.count_nonzero(block.diagonal())
+        unimodular = bool((block.diagonal() % p).all()) if diagonal else Submodule(block % p, len(J), p).ngens == len(J)
+        free = not gamma_rest.any() or bool((gamma_rest % p).any())
+        invariant = unimodular and not mt[np.ix_(J, rest)].any()
+        isotropic = not coh.cup.gram.array[np.ix_(J, J)].any()
+        in_ker = not coh.bockstein[J].any()
+        gamma_contained = not gamma_rest.any() if len(J) == maximal else None
+    else:
+        gamma = gamma_line(pres)
+        v_free = V.is_free
+        free = v_free and Submodule(np.vstack([V.basis, gamma.basis]), pres.d, q).is_free
+        invariant = V.image_under(action.h1_matrix.array.T) == V
+        isotropic = is_totally_isotropic(coh.cup, V)
+        in_ker = not matmul_mod(V.basis, coh.bockstein, q).any() if V.ngens else True
+        gamma_contained = V.contains_submodule(gamma) if v_free and V.rank == maximal else None
     return IsotropicSubmodule(V, free, invariant, isotropic, in_ker, gamma_contained)
 
 
@@ -168,6 +190,7 @@ def build_V(
     x_(i-1) for i = u+3, u+5, ..., n (negated generators); for u+ = 0 the
     middle family is empty and the last one runs over i = 2, 4, ..., n.
     """
+    action.require_acts_on(pres)
     sig = Signature(*sig)
     n = pres.n
     if sig.u_plus < 0 or sig.u_minus < 0 or sig.u_plus + sig.u_minus != n // 2:
@@ -181,8 +204,7 @@ def build_V(
     idx = [0]
     idx += [i + 2 for i in range(1, u + 1, 2)]  # duals of x_(i+1), fixed
     idx += [i for i in range(u + 3, n + 1, 2)]  # duals of x_(i-1), negated
-    d = pres.d
-    iso = validate_V(pres, action, Submodule(np.eye(d, dtype=np.int64)[idx], d, pres.mod.q))
+    iso = validate_V(pres, action, Submodule.coordinate(idx, pres.d, pres.mod.q))
     if not iso.ok or iso.rank != n // 2 + 1 or iso.gamma_contained is not True:
         raise AssertionError(
             "explicitly constructed V failed validation; engine inconsistency"
@@ -392,6 +414,7 @@ def free_quotient(
     pres: DemushkinPresentation, action: InvolutionAction, V
 ) -> FreeQuotientCertificate:
     """Run the full construction; failures surface as red flags, not errors."""
+    action.require_acts_on(pres)
     iso = V if isinstance(V, IsotropicSubmodule) else validate_V(pres, action, V)
     flags = iso.flag_dict()
     if not iso.ok:
@@ -471,6 +494,7 @@ def uniqueness_check(
     the killed tau(g_k) on the other.  Each side's candidates are mapped
     into the other quotient as one stack and tested there with one Howell
     reduction."""
+    action.require_acts_on(pres)
     if not cert.all_green:
         raise ValueError("uniqueness check needs a green certificate")
     if cert.signature != Signature(pres.n // 2, 0):
@@ -489,8 +513,8 @@ def uniqueness_check(
 
     tau = cert.basis_change
     killed = list(cert.killed)
-    # a certificate in the standard frame needs no change of coordinates
-    tau_inv = None if tau == ClassTwoEndo.identity(pres.gens, pres.mod) else invert_auto(tau)
+    # a certificate in the standard frame (its change is diagonal, all ones) needs no change of coordinates
+    tau_inv = None if np.array_equal(tau.diagonal, np.ones(pres.d)) else invert_auto(tau)
 
     def kill_image(u):
         return quotient_kill(killed, u if tau_inv is None else tau_inv(u))

@@ -272,12 +272,29 @@ class Submodule:
         self._free = None  # (is free, rank mod p), computed on first use
 
     @classmethod
+    def coordinate(cls, idx, ambient: int, modulus: int) -> "Submodule":
+        """The span of the coordinate vectors e_j, j in `idx`, with its Howell
+        form written down, not eliminated: the unit rows in column order,
+        pivots (j, 1), free of rank |idx|.  Repeats count once."""
+        self = cls.__new__(cls)
+        self.modulus, self.ambient = int(modulus), int(ambient)
+        _prime_power_base(self.modulus)
+        cols = sorted({as_integer(j, "coordinate index") for j in idx})
+        if cols and (cols[0] < 0 or cols[-1] >= self.ambient):
+            raise ValueError(f"coordinate indices must lie in [0, {self.ambient}), got {cols}")
+        self.basis = np.zeros((len(cols), self.ambient), dtype=np.int64)
+        self.basis[np.arange(len(cols)), cols] = 1
+        self.basis.setflags(write=False)
+        self._pivots, self._free = tuple((j, 1) for j in cols), (True, len(cols))
+        return self
+
+    @classmethod
     def zero(cls, ambient: int, modulus: int) -> "Submodule":
-        return cls(np.zeros((0, ambient), dtype=np.int64), ambient, modulus)
+        return cls.coordinate((), ambient, modulus)
 
     @classmethod
     def full(cls, ambient: int, modulus: int) -> "Submodule":
-        return cls(np.eye(ambient, dtype=np.int64), ambient, modulus)
+        return cls.coordinate(range(ambient), ambient, modulus)
 
     @property
     def ngens(self) -> int:

@@ -1,7 +1,8 @@
 """References for the coinvariant machine's clean frame: the conjugation of
 a presentation and its action by a basis change, and the coinvariant
 machine that diagonalized an action by its eigen-split, conjugated by it
-and substituted central square roots for the eliminated generators."""
+and substituted central square roots for the eliminated generators.  Also
+the validation of a target V by Howell forms alone, for every V."""
 
 from __future__ import annotations
 
@@ -21,9 +22,11 @@ from demuskin.demushkin_core import (
     InvolutionAction,
     _linear_signs,
     delta_map,
+    gamma_line,
     invariants,
 )
-from demuskin.zq_linalg import matmul_mod
+from demuskin.quotient_builder import IsotropicSubmodule
+from demuskin.zq_linalg import Submodule, is_totally_isotropic, matmul_mod
 
 
 def transform_presentation(pres, action, basis):
@@ -121,3 +124,25 @@ def cohomology_fields(coh) -> tuple | None:
         coh.cup_nondegenerate,
         coh.bockstein_surjective,
     )
+
+
+def validate_V_reference(pres, action, V) -> IsotropicSubmodule:
+    """`validate_V` with Howell forms for every V, coordinate spans
+    included: freeness of V and of V + <gamma>, V's image under the
+    transposed H^1 matrix, the cup form on V's basis, the Bockstein values
+    of the basis, and the containment of gamma at the maximal rank."""
+    if V.ambient != pres.d or V.modulus != pres.mod.q:
+        raise ValueError("V does not live in H^1 of the presentation")
+    coh = invariants(pres)
+    gamma = gamma_line(pres)
+    v_free = V.is_free
+    free = v_free and Submodule(np.vstack([V.basis, gamma.basis]), pres.d, pres.mod.q).is_free
+    image = V.image_under(action.h1_matrix.array.T)
+    invariant = image == V
+    isotropic = is_totally_isotropic(coh.cup, V)
+    q = pres.mod.q
+    in_ker = not matmul_mod(V.basis, coh.bockstein, q).any() if V.ngens else True
+    gamma_contained = None
+    if v_free and V.rank == pres.n // 2 + 1:
+        gamma_contained = V.contains_submodule(gamma)
+    return IsotropicSubmodule(V, free, invariant, isotropic, in_ker, gamma_contained)

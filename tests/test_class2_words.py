@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demuskin import class2_words
 from demuskin.class2_words import (
     ClassTwoElement,
     ClassTwoEndo,
@@ -1142,6 +1143,19 @@ class TestStackedForms:
             assert list(e.defects()) == [
                 ClassTwoElement.generator(gens, mod, i).inverse() * e.images[i] for i in range(3)
             ]
+
+    def test_defects_build_no_identity_and_take_no_power(self, monkeypatch):
+        # g_i^(-s_i) is one linear stack diag(-s), multiplied into the images
+        mod = Modulus(3, 2)
+        gens = GeneratorSet(("a", "b", "c"))
+        e = ClassTwoEndo([random_element(gens, mod) for _ in range(3)])
+        calls = []
+        real_pow = class2_words._Exponents.__pow__
+        monkeypatch.setattr(class2_words._Exponents, "__pow__", lambda self, k: calls.append(k) or real_pow(self, k))
+        monkeypatch.setattr(ClassTwoEndo, "identity", classmethod(lambda cls, *a: calls.append(a)))
+        e.defects([1, -1, 1])
+        e.defects()
+        assert calls == []
 
     def test_central_sqrt_of_a_stack(self):
         mod = Modulus(5, 2)

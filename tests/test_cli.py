@@ -274,6 +274,12 @@ class TestSweep:
         assert report["results"]["count"] == 0
         assert report["checks"] == []
 
+    @pytest.mark.parametrize("n, q, what", [("2,2", "3", "n=2"), ("2", "3,5,3", "q=3"), ("4,2,04", "5", "n=4")])
+    def test_repeated_value_rejected(self, capsys, n, q, what):
+        # a repeated n or q would run its cells twice and list each check twice
+        assert main(["sweep", "--sweep-n", n, "--sweep-q", q]) == 2
+        assert f"{what} is repeated" in capsys.readouterr().err
+
     def test_guard(self):
         proc = run_cli("sweep", "--sweep-n", "14", "--sweep-q", "3")
         assert proc.returncode == 2

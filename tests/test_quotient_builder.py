@@ -22,6 +22,7 @@ from demuskin.class2_words import (
     quotient_kill,
 )
 from demuskin.demushkin_core import (
+    CharacterData,
     CoinvariantMachine,
     DemushkinPresentation,
     InvolutionAction,
@@ -50,7 +51,7 @@ from demuskin.zq_linalg import (
     inv_mod,
     isotropic_free_submodules,
 )
-from frame_reference import ReferenceMachine, transform_presentation
+from frame_reference import ReferenceMachine, transform_presentation, validate_V_reference
 
 rng = random.Random(420817)
 
@@ -163,6 +164,142 @@ class TestBuildV:
         plus_act = InvolutionAction.build(pres, ClassTwoEndo(images))
         with pytest.raises(ValueError):
             build_V(pres, plus_act, Signature(1, 0))
+
+
+FLAG_MODULI = [Modulus(3, 1), Modulus(5, 1), Modulus(3, 2), Modulus(7, 1)]
+FLAGS = ("free", "delta_invariant", "totally_isotropic", "in_bockstein_kernel", "gamma_contained")
+
+
+def block_change(draw, mod, J, d):
+    """A unimodular linear change that keeps span(e_J) and span(e_J^c),
+    with a unit off-block entry in a row of J^c half of the time, which
+    in general breaks the invariance of e_J."""
+    rest = [j for j in range(d) if j not in J]
+    T = np.zeros((d, d), dtype=np.int64)
+    for part in (J, rest):
+        if part:
+            T[np.ix_(part, part)] = draw(unimodular_matrices(len(part), mod))
+    if J and rest and draw(st.booleans()):
+        T[draw(st.sampled_from(rest)), draw(st.sampled_from(J))] = 1
+    return T
+
+
+@st.composite
+def coordinate_cases(draw, mod, kind):
+    """(pres, action, J) with J any subset of the generator indices, the
+    empty one included; by `kind` the standard involution or the trivial
+    action on the standard presentation, the standard involution with a
+    random character (so gamma is in general not e_0, nor unimodular over
+    Z/p^2), or the standard involution conjugated by a change that keeps
+    e_J and mixes inside it, so the J x J block of the action is not
+    diagonal (and, with the off-block entry, e_J is not invariant)."""
+    q = mod.q
+    n = draw(st.sampled_from(range(0, 13, 2)))
+    d = n + 2
+    J = sorted(draw(st.permutations(range(d)))[: draw(st.integers(0, d))])
+    pres = DemushkinPresentation.standard(n, mod)
+    if kind == "character":
+        # a sparse gamma, all of it in pZ/q half of the time
+        scale = draw(st.sampled_from([1, mod.p]))
+        c = draw(st.lists(st.one_of(st.just(0), st.integers(1, q - 1)), min_size=d, max_size=d))
+        pres = DemushkinPresentation(n, mod, chi=CharacterData([1 + q * (scale * x % q) for x in c], mod))
+    act = trivial_action(pres) if kind == "trivial" else standard_involution(pres)
+    if kind == "block":
+        change = ClassTwoEndo.linear(pres.gens, mod, block_change(draw, mod, J, d))
+        pres, act = transform_presentation(pres, act, change)
+    return pres, act, J
+
+
+class TestCoordinateSpanFlags:
+    """validate_V reads a coordinate span's flags off the presentation's
+    arrays; they are the flags of the all-Howell reference."""
+
+    @pytest.mark.parametrize("kind", ["standard", "trivial", "character", "block"])
+    @pytest.mark.parametrize("mod", FLAG_MODULI, ids=lambda m: f"q{m.q}")
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_flags_match_the_howell_reference(self, mod, kind, data):
+        pres, act, J = data.draw(coordinate_cases(mod, kind))
+        V = Submodule.coordinate(J, pres.d, mod.q)
+        iso, ref = validate_V(pres, act, V), validate_V_reference(pres, act, V)
+        assert [getattr(iso, f) for f in FLAGS] == [getattr(ref, f) for f in FLAGS]
+        assert all(type(getattr(iso, f)) is bool for f in FLAGS[:4])
+
+    def test_every_branch_is_met(self):
+        # a non-diagonal invariant block, a gamma that is not free on J^c,
+        # and one of each flag false, against the reference
+        mod = Modulus(3, 2)
+        pres = DemushkinPresentation(2, mod, chi=CharacterData([1, 1, 1 + 9 * 3, 1], mod))
+        act = standard_involution(pres)
+        # gamma = 3 x1*: zero on J^c when x1* is in J, else not free there
+        cases = [([0, 1], {"free", "totally_isotropic", "in_bockstein_kernel"}, False), ([0, 3], {"free"}, False),
+                 ([0, 2], set(), True), ([3], {"free"}, None)]
+        for J, false, contained in cases:
+            V = Submodule.coordinate(J, 4, 9)
+            iso, ref = validate_V(pres, act, V), validate_V_reference(pres, act, V)
+            assert [getattr(iso, f) for f in FLAGS] == [getattr(ref, f) for f in FLAGS]
+            assert {f for f in FLAGS[:4] if not getattr(iso, f)} == false
+            assert iso.gamma_contained is contained
+        T = np.eye(4, dtype=np.int64)
+        T[2, 3] = 1  # x1 -> x1 x2 mixes a negated and a fixed generator
+        pres2, act2 = transform_presentation(*standard_setup(2, mod), ClassTwoEndo.linear(pres.gens, mod, T))
+        assert np.count_nonzero(act2.h1_matrix.array[np.ix_([2, 3], [2, 3])]) == 3
+        for J in ([2, 3], [2], [3], [0, 1, 2, 3]):
+            V = Submodule.coordinate(J, 4, 9)
+            iso, ref = validate_V(pres2, act2, V), validate_V_reference(pres2, act2, V)
+            assert [getattr(iso, f) for f in FLAGS] == [getattr(ref, f) for f in FLAGS]
+            assert iso.delta_invariant == (J != [3])
+
+
+def count_howell(monkeypatch):
+    """Calls of the one elimination, zq_linalg._howell_rows."""
+    calls = []
+    real = zq_linalg._howell_rows
+    monkeypatch.setattr(zq_linalg, "_howell_rows", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+class TestCoordinateSpanCost:
+    @pytest.mark.parametrize("n", [2, 12, 40])
+    def test_build_V_eliminates_nothing(self, monkeypatch, n):
+        pres, act = standard_setup(n, Modulus(3, 1))
+        invariants(pres)
+        calls = count_howell(monkeypatch)
+        for u_plus in range(n // 2 + 1):
+            iso = build_V(pres, act, Signature(u_plus, n // 2 - u_plus))
+            assert iso.ok and iso.gamma_contained is True
+        assert calls == []
+
+    def test_other_V_take_the_howell_path(self, monkeypatch):
+        pres, act = standard_setup(4, Modulus(3, 1))
+        invariants(pres)
+        V = Submodule([[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 1], [0, 0, 1, 0, 2, 0]], 6, 3)
+        calls = count_howell(monkeypatch)
+        iso = validate_V(pres, act, V)
+        assert iso.ok and len(calls) >= 3
+
+
+class TestActionOnTheGroup:
+    """An action on another group is a ValueError at every entry point."""
+
+    @pytest.mark.parametrize("other", [(2, Modulus(3, 2)), (4, Modulus(3, 1))], ids=["modulus", "rank"])
+    def test_rejected(self, other):
+        pres, act = standard_setup(2, Modulus(3, 1))
+        foreign = standard_setup(*other)[1]
+        iso = build_V(pres, act, Signature(1, 0))
+        cert = free_quotient(pres, act, iso)
+        assert cert.all_green
+        calls = [
+            lambda: InvolutionAction.build(pres, foreign.endo),
+            lambda: validate_V(pres, foreign, iso.V),
+            lambda: build_V(pres, foreign, Signature(1, 0)),
+            lambda: free_quotient(pres, foreign, iso.V),
+            lambda: free_quotient(pres, foreign, iso),
+            lambda: uniqueness_check(pres, foreign, cert),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="does not act on the presentation's group"):
+                call()
 
 
 class TestAdaptedFrame:
@@ -657,12 +794,16 @@ class TestStackedUniqueness:
         defects = []
         real_defects = ClassTwoEndo.defects
         monkeypatch.setattr(ClassTwoEndo, "defects", lambda self, *a: defects.append(a) or real_defects(self, *a))
+        identities = []
+        real_identity = ClassTwoEndo.identity.__func__
+        monkeypatch.setattr(ClassTwoEndo, "identity", classmethod(lambda cls, *a: identities.append(a) or real_identity(cls, *a)))
         # the clean involution is its own frame, so the coinvariant map
         # needs no square roots and its images no quadratic form; the
-        # difference relators are formed once, by the machine
+        # difference relators are formed once, by the machine, and the
+        # identity frame is read off the diagonal, with no identity built
         assert uniqueness_check(pres, act, cert)
         assert calls["central_sqrt"] == 0
-        assert len(defects) == 1
+        assert len(defects) == 1 and identities == []
         calls["matmul_mod"] = 0
         assert act.endo.diagonal.tolist() == (demushkin_core.standard_sign_pattern(n) % pres.mod.q2).tolist()
         stack = act.endo.images * pres.element("x1^2 [g,x0]")

@@ -216,6 +216,23 @@ class TestSubmodule:
                 assert len(got) == len(set(got))
                 assert set(got) == brute_span(rows, m, 3)
 
+    @pytest.mark.parametrize("m", [3, 9, 25, 3**19])
+    def test_coordinate_span_is_its_howell_form(self, m):
+        d = 6
+        eye = np.eye(d, dtype=np.int64)
+        for idx in ([], [0], [4, 1, 4], [5, 3, 3, 0, 1], [2, 2, 2], list(range(d))[::-1]):
+            sub, ref = Submodule.coordinate(idx, d, m), Submodule(eye[idx], d, m)
+            assert sub == ref and sub._pivots == ref._pivots
+            assert sub.is_free and sub.rank == ref.rank == len(set(idx))
+            assert not sub.basis.flags.writeable
+        assert Submodule.full(d, m) == Submodule(eye, d, m)
+        assert Submodule.zero(d, m) == Submodule(eye[:0], d, m)
+
+    @pytest.mark.parametrize("idx", [[-1], [0, -3], [6], [2, 7], [True], [1.0]])
+    def test_coordinate_span_rejects_bad_indices(self, idx):
+        with pytest.raises(ValueError):
+            Submodule.coordinate(idx, 6, 9)
+
     def test_json_round_trip(self):
         s = Submodule([[1, 2, 3], [0, 3, 6]], 3, 9)
         assert Submodule.from_json(s.to_json()) == s
