@@ -156,6 +156,13 @@ def _normal_form(gens: GeneratorSet, mod: Modulus, gen_exp, comm, lead: tuple):
     return ge, cm
 
 
+def _json_object(value, what: str) -> dict:
+    """The value when it is a JSON object; a ValueError naming its type otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _check_same_group(u, v):
     if u.gens != v.gens or u.mod != v.mod:
         raise ValueError("elements live in different truncated groups")
@@ -278,9 +285,10 @@ class ClassTwoElement(_Exponents):
     @classmethod
     def from_json(cls, data: dict, gens: GeneratorSet, mod: Modulus) -> "ClassTwoElement":
         """The inverse of to_json; a coordinate outside 0 <= i < j < d or a
-        non-integer exponent is a ValueError."""
+        non-integer exponent is a ValueError, and so is a value that is not
+        a JSON object."""
         cm = [0] * (gens.d * (gens.d - 1) // 2)
-        for i, j, c in data.get("comm_exp", []):
+        for i, j, c in _json_object(data, "a class-2 element").get("comm_exp", []):
             cm[_slot(gens.d, i, j)] = c
         return cls(gens, mod, data["gen_exp"], cm)
 
@@ -384,6 +392,18 @@ class ClassTwoEndo:
     def identity(cls, gens: GeneratorSet, mod: Modulus) -> "ClassTwoEndo":
         return cls.linear(gens, mod, np.eye(gens.d, dtype=np.int64))
 
+    @classmethod
+    def times_central(cls, z: ClassTwoStack) -> "ClassTwoEndo":
+        """g_i -> g_i z_i for a stack z of d central elements, the kernel of
+        Aut(F/F^3) -> Aut(F/F^2).  z_i's generator part is divisible by q,
+        so it collects past g_i with no commutator: the image of g_i is
+        (e_i + a(z_i), c(z_i)), and e_i + a(z_i) stays below q^2."""
+        if not isinstance(z, ClassTwoStack) or len(z) != z.gens.d:
+            raise ValueError("times_central needs a stack of one central element per generator")
+        if not z.is_central.all():
+            raise ValueError("times_central needs elements of F^2/F^3")
+        return cls(ClassTwoStack._normal(z.gens, z.mod, z.gen_exp + np.eye(z.gens.d, dtype=np.int64), z.comm))
+
     @property
     def linear_matrix(self) -> np.ndarray:
         """Row i = gen_exp of the image of g_i, reduced mod q."""
@@ -476,8 +496,10 @@ class ClassTwoEndo:
 
     @classmethod
     def from_json(cls, data: dict, gens: GeneratorSet, mod: Modulus) -> "ClassTwoEndo":
-        """Every image word folded to exponents, and the rows made one stack."""
-        images = data["images"]
+        """Every image word folded to exponents, and the rows made one stack;
+        an action or an `images` value that is not a JSON object is a
+        ValueError."""
+        images = _json_object(_json_object(data, "an action")["images"], "images")
         for lab in images:
             if lab not in gens._index:
                 raise ValueError(f"image for unknown generator {lab!r}")
@@ -511,8 +533,8 @@ def invert_auto(e: ClassTwoEndo) -> ClassTwoEndo:
     z = compose(e, f0).defects()
     if not z.is_central.all():
         raise AssertionError("linear correction left a non-central defect")
+    result = compose(f0, ClassTwoEndo.times_central(z**-1))
     ident = ClassTwoEndo.identity(gens, mod)
-    result = compose(f0, ClassTwoEndo(ident.images * z**-1))
     if compose(e, result) != ident or compose(result, e) != ident:
         raise AssertionError("automorphism inversion failed to verify")
     return result

@@ -81,17 +81,9 @@ def _config(args, **extra) -> dict:
     return {"command": args.command, "p": args.p, "f": args.f, "n": args.n, **extra}
 
 
-def _modulus(p: int, f: int) -> Modulus:
-    try:
-        return Modulus(p, f)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-
-
 def _standard_presentation(p: int, f: int, n: int) -> DemushkinPresentation:
-    mod = _modulus(p, f)
     try:
-        return DemushkinPresentation.standard(n, mod)
+        return DemushkinPresentation.standard(n, Modulus(p, f))
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
@@ -159,11 +151,23 @@ def cmd_invariants(args) -> dict:
         "gamma_line": gamma_line(pres).to_json(),
         "is_demushkin": coh.is_demushkin,
     }
-    checks = [
+    return _report(config, results, _demushkin_checks(coh))
+
+
+def _demushkin_checks(coh) -> list[dict]:
+    """The two checks that make the cohomology that of a Demushkin group."""
+    return [
         _check("cup_nondegenerate", coh.cup_nondegenerate),
         _check("bockstein_surjective", coh.bockstein_surjective),
     ]
-    return _report(config, results, checks)
+
+
+def _eigen_ranks(pres: DemushkinPresentation, action: InvolutionAction) -> tuple[list[int], bool | None]:
+    """The ranks of the H^1 eigenspaces (plus, minus) and, when the action
+    negates H^2, whether both are n/2 + 1 (None otherwise)."""
+    plus, minus = action.h1_eigenspaces()
+    ranks = [plus.rank, minus.rank]
+    return ranks, (ranks == [pres.n // 2 + 1] * 2) if action.h2_scalar == -1 else None
 
 
 def _action_checks(pres: DemushkinPresentation, endo: ClassTwoEndo):
@@ -200,19 +204,19 @@ def cmd_involution(args) -> dict:
     action, checks = _action_checks(pres, endo)
     results = {}
     if action is not None:
-        plus, minus = action.h1_eigenspaces()
+        ranks, balanced = _eigen_ranks(pres, action)
         results = {
             "h1_matrix": action.h1_matrix.to_json(),
             "h2_scalar": action.h2_scalar,
-            "eigen_ranks": [plus.rank, minus.rank],
+            "eigen_ranks": ranks,
         }
-        if action.h2_scalar == -1:
+        if balanced is not None:
             expected = pres.n // 2 + 1
             checks.append(
                 _check(
                     "eigen_ranks_balanced",
-                    plus.rank == expected and minus.rank == expected,
-                    f"expected ({expected}, {expected}), got ({plus.rank}, {minus.rank})",
+                    balanced,
+                    f"expected ({expected}, {expected}), got ({ranks[0]}, {ranks[1]})",
                 )
             )
     return _report(config, results, checks)
@@ -252,23 +256,26 @@ def cmd_symmetrize(args) -> dict:
     return _report(config, results, checks)
 
 
+def _certify(pres: DemushkinPresentation, action: InvolutionAction, sig: Signature):
+    """(certificate, measured signature or None when it is red) for the
+    target V of signature `sig`; a signature with no target is an InputError."""
+    try:
+        iso = build_V(pres, action, sig)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    cert = free_quotient(pres, action, iso)
+    return cert, (signature_of(cert, action) if cert.all_green else None)
+
+
 def cmd_quotient(args) -> dict:
     pres = _standard_presentation(args.p, args.f, args.n)
     if args.signature is None:
         raise InputError("quotient needs --signature U+ U-")
     sig = Signature(*args.signature)
     config = _config(args, signature=list(sig))
-    checks = []
-    try:
-        action = standard_involution(pres)
-        iso = build_V(pres, action, sig)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    cert = free_quotient(pres, action, iso)
+    cert, measured = _certify(pres, standard_involution(pres), sig)
     results = {"certificate": cert.to_json()}
-    for name, ok in cert.flags.items():
-        checks.append(_check(name, ok))
-    measured = signature_of(cert, action) if cert.all_green else None
+    checks = [_check(name, ok) for name, ok in cert.flags.items()]
     checks.append(
         _check(
             "signature_matches",
@@ -325,10 +332,8 @@ def cmd_sweep(args) -> dict:
             action = standard_involution(pres)
             for u_plus in range(n // 2 + 1):
                 sig = Signature(u_plus, n // 2 - u_plus)
-                iso = build_V(pres, action, sig)
-                cert = free_quotient(pres, action, iso)
+                cert, measured = _certify(pres, action, sig)
                 green = cert.all_green
-                measured = signature_of(cert, action) if green else None
                 label = f"n{n}_q{q}_sig{u_plus}+{n // 2 - u_plus}"
                 rows.append(
                     {
@@ -388,15 +393,10 @@ def cmd_preset_local_field(args) -> dict:
     p = args.p
     if p == 2:
         raise InputError("the local-field preset needs an odd prime")
-    mod = _modulus(p, 1)
-    n = p - 1
-    config = {"command": "preset", "p": p, "f": 1, "n": n}
-    pres = DemushkinPresentation.standard(n, mod)
-    action = standard_involution(pres)
+    pres = _standard_presentation(p, 1, p - 1)
+    config = {"command": "preset", "p": p, "f": 1, "n": pres.n}
     sig = Signature(0, (p - 1) // 2)
-    iso = build_V(pres, action, sig)
-    cert = free_quotient(pres, action, iso)
-    measured = signature_of(cert, action) if cert.all_green else None
+    cert, measured = _certify(pres, standard_involution(pres), sig)
     rank = len(cert.kept)
     eigen = [measured.u_plus + 1, measured.u_minus] if measured else None
     results = {
@@ -434,10 +434,7 @@ def cmd_verify(args) -> dict:
         "action_file": args.action,
     }
     coh = invariants(pres)
-    checks = [
-        _check("cup_nondegenerate", coh.cup_nondegenerate),
-        _check("bockstein_surjective", coh.bockstein_surjective),
-    ]
+    checks = _demushkin_checks(coh)
     try:
         line_ok = gamma_line(pres) == orthogonal_complement(
             coh.cup, bockstein_kernel(pres)
@@ -449,17 +446,11 @@ def cmd_verify(args) -> dict:
     checks.extend(action_checks)
     results = {"invariants": {"bockstein": [int(x) for x in coh.bockstein]}}
     if action is not None:
-        plus, minus = action.h1_eigenspaces()
+        ranks, balanced = _eigen_ranks(pres, action)
         results["h2_scalar"] = action.h2_scalar
-        results["eigen_ranks"] = [plus.rank, minus.rank]
-        if action.h2_scalar == -1:
-            expected = pres.n // 2 + 1
-            checks.append(
-                _check(
-                    "eigen_ranks_balanced",
-                    plus.rank == expected and minus.rank == expected,
-                )
-            )
+        results["eigen_ranks"] = ranks
+        if balanced is not None:
+            checks.append(_check("eigen_ranks_balanced", balanced))
         try:
             res = coinvariants(pres, action)
             expected_kind = "free" if action.h2_scalar == -1 else "demushkin"

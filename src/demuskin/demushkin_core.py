@@ -270,8 +270,9 @@ class InvolutionAction:
         L = endo.linear_matrix
         action = cls(endo, ZqMatrix(L, mod.q), None)
         action.require_acts_on(pres)
-        # g -> g^(+-1) squares to 1 by the power formula: no d^4 composition
-        if action.signs is None and compose(endo, endo) != ClassTwoEndo.identity(pres.gens, mod):
+        # g -> g^(+-1) squares to 1 by the power formula: no d^4 composition;
+        # any other square is the identity iff it is diagonal with all ones
+        if action.signs is None and not np.array_equal(compose(endo, endo).diagonal, np.ones(pres.d)):
             raise NotAnInvolutionError("endomorphism does not square to the identity on F/F^3")
         # an involution carrying w to a power w^t has t^2 = 1 modulo the
         # order of w, a power of the odd p, so w^t is w or w^-1
@@ -363,9 +364,8 @@ def lift_involution(
         raise ValueError("prescribed linear part is not an involution mod q")
     if not np.array_equal(perturbation.linear_matrix, lin):
         raise ValueError("perturbation does not reduce to the prescribed linear part")
-    ident = ClassTwoEndo.identity(pres.gens, mod).images
-    square_power = ident * compose(perturbation, perturbation).defects() ** ((mod.q - 1) // 2)
-    corrected = compose(perturbation, ClassTwoEndo(square_power))
+    z = compose(perturbation, perturbation).defects()
+    corrected = compose(perturbation, ClassTwoEndo.times_central(z ** ((mod.q - 1) // 2)))
     if not np.array_equal(corrected.linear_matrix, lin):
         raise AssertionError("order correction changed the linear part")
     return InvolutionAction.build(pres, corrected)
@@ -393,18 +393,15 @@ def symmetrized_change(endo: ClassTwoEndo, signs, change: ClassTwoEndo | None = 
     A non-central D_i is a ValueError, a failed check an AssertionError.
     """
     s = np.asarray(signs, dtype=np.int64)
-    if change is None:
-        y, endo_y = ClassTwoEndo.identity(endo.gens, endo.mod).images, endo.images
-    else:
-        y, endo_y = change.images, endo(change.images)
     # row i: y^-1 endo(y) = a for a fixed generator, y endo(y) = b for a
     # negated one
-    defects = y**-s * endo_y
+    defects = endo.defects(s) if change is None else change.images**-s * endo(change.images)
     off = ~defects.is_central
     if off.any():
         kind = "fixed" if s[off.argmax()] == 1 else "negated"
         raise ValueError(f"perturbation of a {kind} generator is not central")
-    total = ClassTwoEndo(y * central_sqrt(defects) ** s)
+    roots = central_sqrt(defects) ** s
+    total = ClassTwoEndo.times_central(roots) if change is None else ClassTwoEndo(change.images * roots)
     if ClassTwoEndo(endo(total.images)) != ClassTwoEndo(total.images**s):
         raise AssertionError("symmetrization did not produce a clean action")
     return total
@@ -428,8 +425,7 @@ def clean_frame(action: InvolutionAction) -> tuple[ClassTwoEndo | None, ClassTwo
     signs = _linear_signs(endo)
     if signs is not None:
         tau = symmetrized_change(endo, signs)
-        ident = ClassTwoEndo.identity(endo.gens, endo.mod).images
-        return tau, ClassTwoEndo(ident * tau.defects() ** -1), signs
+        return tau, ClassTwoEndo.times_central(tau.defects() ** -1), signs
     plus, minus = (space.free_basis() for space in action.f2_eigenspaces())
     if len(plus) + len(minus) != endo.gens.d:
         raise AssertionError("eigenspace ranks do not fill the module")

@@ -44,6 +44,7 @@ its standard shape there.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -87,34 +88,20 @@ class Signature(NamedTuple):
     u_minus: int
 
 
+@dataclass(frozen=True)
 class IsotropicSubmodule:
     """A candidate V with its validated condition flags."""
 
-    __slots__ = (
-        "V",
-        "free",
-        "delta_invariant",
-        "totally_isotropic",
-        "in_bockstein_kernel",
-        "gamma_contained",
-    )
-
-    def __init__(self, V, free, delta_invariant, totally_isotropic, in_bockstein_kernel, gamma_contained):
-        self.V = V
-        self.free = free
-        self.delta_invariant = delta_invariant
-        self.totally_isotropic = totally_isotropic
-        self.in_bockstein_kernel = in_bockstein_kernel
-        self.gamma_contained = gamma_contained  # None unless V has maximal rank
+    V: Submodule
+    free: bool
+    delta_invariant: bool
+    totally_isotropic: bool
+    in_bockstein_kernel: bool
+    gamma_contained: bool | None  # None unless V has maximal rank
 
     @property
     def ok(self) -> bool:
-        return (
-            self.free
-            and self.delta_invariant
-            and self.totally_isotropic
-            and self.in_bockstein_kernel
-        )
+        return all(self.flag_dict().values())
 
     @property
     def rank(self) -> int:
@@ -183,12 +170,10 @@ def validate_V(
 def build_V(
     pres: DemushkinPresentation, action: InvolutionAction, sig: Signature
 ) -> IsotropicSubmodule:
-    """The explicit maximal V with signature (u+, u-).
-
-    With u = 2 u+ - 1 the span consists of the dual of g, the duals of
-    x_(i+1) for i = 1, 3, ..., u (fixed generators) and the duals of
-    x_(i-1) for i = u+3, u+5, ..., n (negated generators); for u+ = 0 the
-    middle family is empty and the last one runs over i = 2, 4, ..., n.
+    """The explicit maximal V with signature (u+, u-), one dual per slot
+    of the module docstring: the dual of g from slot 0, and from slot
+    k >= 1 the dual of the fixed x_(2k) (index 2k + 1) for k <= u+ and of
+    the negated x_(2k-1) (index 2k) for k > u+.
     """
     action.require_acts_on(pres)
     sig = Signature(*sig)
@@ -200,10 +185,7 @@ def build_V(
     _require_clean_standard(pres, action)
     if action.h2_scalar != -1:
         raise ValueError("signature targets need an action with h2_scalar = -1")
-    u = 2 * sig.u_plus - 1
-    idx = [0]
-    idx += [i + 2 for i in range(1, u + 1, 2)]  # duals of x_(i+1), fixed
-    idx += [i for i in range(u + 3, n + 1, 2)]  # duals of x_(i-1), negated
+    idx = [0] + [2 * k + (k <= sig.u_plus) for k in range(1, n // 2 + 1)]
     iso = validate_V(pres, action, Submodule.coordinate(idx, pres.d, pres.mod.q))
     if not iso.ok or iso.rank != n // 2 + 1 or iso.gamma_contained is not True:
         raise AssertionError(
@@ -334,12 +316,11 @@ def _build_adapted_change(
         hplus = hminus = Submodule.full(d, q)
         vplus, vminus = V, Submodule.zero(d, q)
     else:
-        signs = standard_sign_pattern(pres.n)
-        eye = np.eye(d, dtype=np.int64)
-        hplus = Submodule(eye[signs == 1], d, q)
-        hminus = Submodule(eye[signs == -1], d, q)
+        plus, minus = (np.flatnonzero(action.signs == s) for s in (1, -1))
+        hplus, hminus = Submodule.coordinate(plus, d, q), Submodule.coordinate(minus, d, q)
         # an eigenpart is the part of V with no coordinate of the other sign
-        vplus, vminus = V.annihilated_by(eye[:, signs == -1]), V.annihilated_by(eye[:, signs == 1])
+        eye = np.eye(d, dtype=np.int64)
+        vplus, vminus = V.annihilated_by(eye[:, minus]), V.annihilated_by(eye[:, plus])
         if not (vplus.is_free and vminus.is_free):
             raise AssertionError("eigenparts of a validated V must be free")
         if vplus.rank + vminus.rank != V.rank:
@@ -458,8 +439,8 @@ def free_quotient(
     flags["surjective_mod_F2"] = True
 
     # the clean action is diagonal, +1 or -1 on each generator
-    diagonal = action.endo.linear_matrix.diagonal()[kept_idx]
-    sig = Signature(int((diagonal == 1).sum()) - 1, int((diagonal == pres.mod.q - 1).sum()))
+    kept_signs = action.signs[kept_idx]
+    sig = Signature(int((kept_signs == 1).sum()) - 1, int((kept_signs == -1).sum()))
     return FreeQuotientCertificate(
         basis_change=total,
         killed=killed,

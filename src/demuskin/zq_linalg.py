@@ -45,13 +45,14 @@ class Modulus:
     f: int
 
     def __post_init__(self):
-        if not _is_odd_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
         if self.f < 1:
             raise ValueError(f"f must be a positive integer, got {self.f}")
-        if self.p ** (2 * self.f) >= 2**63:
-            # exponents mod q^2 are stored in int64 arrays
+        # exponents mod q^2 are stored in int64 arrays; as |p| >= 2 gives p^64 >= 2^64, f capped
+        # at 32 decides the bound, and past it p < 3.04 * 10^9 keeps the trial division short
+        if self.p ** (2 * min(self.f, 32)) >= 2**63:
             raise ValueError(f"q^2 = {self.p}^{2 * self.f} does not fit in int64")
+        if not _is_odd_prime(self.p):
+            raise ValueError(f"p must be an odd prime, got {self.p}")
 
     @classmethod
     def from_q(cls, q: int) -> "Modulus":

@@ -2,7 +2,8 @@
 a presentation and its action by a basis change, and the coinvariant
 machine that diagonalized an action by its eigen-split, conjugated by it
 and substituted central square roots for the eliminated generators.  Also
-the validation of a target V by Howell forms alone, for every V."""
+the validation of a target V by Howell forms alone, for every V, and the
+map g_i -> g_i z_i as the identity's images times z."""
 
 from __future__ import annotations
 
@@ -146,3 +147,9 @@ def validate_V_reference(pres, action, V) -> IsotropicSubmodule:
     if v_free and V.rank == pres.n // 2 + 1:
         gamma_contained = V.contains_submodule(gamma)
     return IsotropicSubmodule(V, free, invariant, isotropic, in_ker, gamma_contained)
+
+
+def times_central_reference(z) -> ClassTwoEndo:
+    """g_i -> g_i z_i, built as the identity's image stack multiplied by z
+    row by row."""
+    return ClassTwoEndo(ClassTwoEndo.identity(z.gens, z.mod).images * z)

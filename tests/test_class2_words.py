@@ -23,6 +23,7 @@ from demuskin.class2_words import (
     quotient_kill,
 )
 from demuskin.zq_linalg import Modulus, ZqMatrix, inv_mod
+from frame_reference import times_central_reference
 
 rng = random.Random(357911)
 
@@ -1174,3 +1175,41 @@ class TestStackedForms:
         stack = ClassTwoStack.of(gens, mod, els)
         assert tq.are_trivial(stack).tolist() == tq.are_trivial(els).tolist()
         assert tq.are_trivial(stack)[[0, 1, 3]].all()
+
+
+@st.composite
+def central_stacks(draw, mod):
+    """d <= 6 generators and a stack of d central elements: generator
+    exponents divisible by q, any commutator exponents."""
+    d = draw(st.integers(1, 6))
+    gens = GeneratorSet(f"y{i}" for i in range(d))
+    ge = [mod.q * draw(st.integers(0, mod.q - 1)) for _ in range(d * d)]
+    cm = [draw(st.integers(0, mod.q - 1)) for _ in range(d * d * (d - 1) // 2)]
+    return ClassTwoStack(gens, mod, np.reshape(ge, (d, d)), np.reshape(cm, (d, d * (d - 1) // 2)))
+
+
+class TestTimesCentral:
+    @pytest.mark.parametrize("mod", [Modulus(3, 1), Modulus(5, 1), Modulus(3, 2)], ids=lambda m: f"q{m.p}^{m.f}")
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_identity_times_z(self, mod, data):
+        z = data.draw(central_stacks(mod))
+        assert ClassTwoEndo.times_central(z) == times_central_reference(z)
+        # a generator exponent that q does not divide makes its row non-central
+        d = z.gens.d
+        row, col = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+        ge = z.gen_exp.copy()
+        ge[row, col] += data.draw(st.integers(1, mod.q - 1))
+        with pytest.raises(ValueError, match="needs elements of F"):
+            ClassTwoEndo.times_central(ClassTwoStack(z.gens, mod, ge, z.comm))
+
+    def test_needs_one_element_per_generator(self):
+        mod = Modulus(3, 1)
+        gens = demushkin_generators(2)
+        z = ClassTwoStack.of(gens, mod, [parse_word("[x1,x2]", gens, mod)] * 3)
+        for bad in (z, z[0]):
+            with pytest.raises(ValueError, match="one central element per generator"):
+                ClassTwoEndo.times_central(bad)
+        assert ClassTwoEndo.times_central(ClassTwoStack.of(gens, mod, [z, z[0]])).images[3] == parse_word(
+            "x2 [x1,x2]", gens, mod
+        )

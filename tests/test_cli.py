@@ -63,6 +63,8 @@ class TestExitCodes:
 
 # a valid relator at p = 3, n = 2 (d = 4), spoiled one way per case
 GOOD_RELATOR = {"gen_exp": [0, 3, 0, 0], "comm_exp": [[0, 1, 1], [2, 3, 2]]}
+# the standard involution there
+GOOD_IMAGES = {"g": "g", "x0": "x0^-1", "x1": "x1^-1", "x2": "x2"}
 MALFORMED = {
     "lower-triangle-pair": {"relator": {**GOOD_RELATOR, "comm_exp": [[3, 2, 5]]}},
     "negative-coordinate": {"relator": {**GOOD_RELATOR, "comm_exp": [[0, -1, 1]]}},
@@ -75,8 +77,13 @@ MALFORMED = {
     "labels-as-one-string": {"labels": "gabc", "relator": "a^3 [a,g] [b,c]"},
     "integer-labels": {"labels": [1, 2, 3, 4], "relator": GOOD_RELATOR},
     # an action file whose images name a generator outside g, x0, x1, x2
-    "unknown-image-label": {"images": {"g": "g", "x0": "x0^-1", "x1": "x1^-1", "x2": "x2", "x9": "g"}},
+    "unknown-image-label": {"images": {**GOOD_IMAGES, "x9": "g"}},
+    # a JSON value of the wrong type where an object belongs
+    "relator-not-an-object": {"relator": 5},
+    "images-as-a-list": {"images": list(GOOD_IMAGES.values())},
 }
+# what the error line must name, where a case has a word for it
+NAMED_IN_ERROR = {"unknown-image-label": "'x9'", "relator-not-an-object": "got int", "images-as-a-list": "got list"}
 
 
 class TestMalformedJson:
@@ -96,17 +103,17 @@ class TestMalformedJson:
         if "images" not in MALFORMED[case]:
             pres.write_text(json.dumps({"p": 3, "f": 1, "n": 2, **MALFORMED[case]}))
             assert main(["invariants", "--presentation", str(pres)]) == 2
-            assert capsys.readouterr().err.startswith("error: bad presentation file")
+            err = capsys.readouterr().err
+            assert err.startswith("error: bad presentation file") and NAMED_IN_ERROR.get(case, "") in err
             return
         pres.write_text(json.dumps({"p": 3, "f": 1, "n": 2, "relator": GOOD_RELATOR}))
-        images = MALFORMED[case]["images"]
         act, kept = tmp_path / "act.json", tmp_path / "kept.json"
-        act.write_text(json.dumps({"images": images}))
-        kept.write_text(json.dumps({"images": {lab: w for lab, w in images.items() if lab != "x9"}}))
+        act.write_text(json.dumps(MALFORMED[case]))
+        kept.write_text(json.dumps({"images": GOOD_IMAGES}))
         for argv in (["verify", "--presentation", str(pres)], ["symmetrize", "--p", "3", "--n", "2"]):
             assert main([*argv, "--action", str(act)]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error: bad action file") and "'x9'" in err
+            assert err.startswith("error: bad action file") and NAMED_IN_ERROR[case] in err
             assert main([*argv, "--action", str(kept), "--output", str(tmp_path / "out.json")]) == 0
 
 
@@ -201,6 +208,26 @@ class TestModulusBound:
 
     def test_largest_accepted_exponent(self, capsys):
         assert main(["present", "--p", "3", "--f", "19"]) == 0
+
+    # the size checks run before the trial division, and q^2 is never formed
+    # for a huge f, so each input exits 2 at once; the timeout leaves room for
+    # interpreter start-up (about 0.3 s on a 2-core Xeon)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quotient", "--p", str(2**61 - 1), "--n", "2", "--signature", "1", "0"],
+            ["present", "--p", "3", "--f", "100000000"],
+            ["invariants", "--presentation", "BIG_P_FILE"],
+        ],
+        ids=["prime-p-past-int64", "huge-f", "presentation-file"],
+    )
+    def test_exits_two_without_hanging(self, tmp_path, argv):
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps({"p": 2**61 - 1, "f": 1, "n": 2}))
+        argv = [str(pres) if a == "BIG_P_FILE" else a for a in argv]
+        proc = subprocess.run([sys.executable, "-m", "demuskin", *argv], capture_output=True, text=True, timeout=3)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "does not fit in int64" in proc.stderr
 
 
 class TestLargeModulusVerify:
@@ -320,6 +347,38 @@ class TestQuotientCommand:
     def test_bad_signature_sum_is_two(self):
         proc = run_cli("quotient", "--p", "3", "--n", "2", "--signature", "2", "1")
         assert proc.returncode == 2
+
+
+# sha256 of the reports that no benchmark digest covers, recorded before
+# the certify path became one `_certify` in the CLI
+PINNED_REPORTS = {
+    (("preset", "--p", "3"), "json"): "1b2b1db55c12e08c4b70af50f894af97cbe13bc715a66b4b182dd74e30d05096",
+    (("preset", "--p", "3"), "text"): "34441315e4b28ad6eeac838a139f7470fb7b2123a4ce31edc5ab889d8eef5134",
+    (("preset", "--p", "5"), "json"): "d49d03fabd1aa8fdea54740e3f0a3583ec8c320a794de885878fad2c91691f0a",
+    (("preset", "--p", "5"), "text"): "817b4592cd4fe40719db309a73b839a292088451b9b91d3f9fe04ad89b9ba2a9",
+    (("preset", "--p", "7"), "json"): "7a685dc2c40732f25175f70992b9861796c4719b91aacd00e62188664413dd4f",
+    (("preset", "--p", "7"), "text"): "5635122c23d4f74d2f1a466d2c9db061fc59b18ec635a4a2a2def06042c84040",
+    (("preset", "--p", "11"), "json"): "ac22afa1c5a6a535043c89dfc2eefae3b27a985de000a99e53c8aabcd8496d7a",
+    (("preset", "--p", "11"), "text"): "98250d217e98e07388bef1000c805d314b0a37b6bc4349363fe71b1b783191fc",
+    (("preset", "--p", "13"), "json"): "c2b2b95ce49149872c81e0fe9062b8ffa69c8596ccbdf45cd614150aead5e524",
+    (("preset", "--p", "13"), "text"): "b77d6e116a8811e2e0512dc9c2f09e1adeebde27a3406f50e5755f19cf874968",
+    (("involution",), "json"): "5d7f1887c95215d6a3babfcbf97f707bbdaa80b62b77a9436f9a6392181ef841",
+    (("involution",), "text"): "7f0510b4f37cba75d60690d9d82d589eefc6dfa9c616d676adbc315f0cfc90aa",
+    (("involution", "--p", "5", "--n", "4"), "json"): "db2e9cc8543d73051555fc95916694883d60fcd7a86a6af17d0043b95159f824",
+    (("involution", "--p", "5", "--n", "4"), "text"): "0d717ff1203293d8ce73658e17454f409759fbb73ee303d516007a2ff221349f",
+    (("invariants",), "json"): "a3d6c3f7613b31cf4fdfa9bc355b1e5bcd7e84c437fcd990e861bc4833cafae7",
+    (("invariants",), "text"): "7b5511a063571d587ae4db632458232ac970fdbd463fcce4bf5eeb432579fe5f",
+    (("present",), "json"): "02e39f50b101149fd502f9482813d19d33f113cb200516bc8e19b81484ef890e",
+    (("present",), "text"): "a5602580c9aca7d42c676808b24511bd149c670810a9f128004c5c75b2f6631a",
+}
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("argv, fmt", PINNED_REPORTS, ids=lambda v: "-".join(v) if isinstance(v, tuple) else v)
+    def test_report_is_pinned(self, tmp_path, argv, fmt):
+        code, text = run_inproc(tmp_path, *argv, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[argv, fmt]
 
 
 class TestVerify:

@@ -67,12 +67,12 @@ def compose_power(e, k):
     return result
 
 
-def random_central(pres):
+def random_central(pres, source=rng):
     d = pres.d
     mod = pres.mod
-    ge = np.array([mod.q * rng.randrange(mod.q) for _ in range(d)], dtype=np.int64)
+    ge = np.array([mod.q * source.randrange(mod.q) for _ in range(d)], dtype=np.int64)
     # one commutator exponent per pair i < j, in row-major order
-    cm = [rng.randrange(mod.q) for _ in range(d * (d - 1) // 2)]
+    cm = [source.randrange(mod.q) for _ in range(d * (d - 1) // 2)]
     return ClassTwoElement(pres.gens, mod, ge, cm)
 
 
@@ -464,6 +464,33 @@ class TestLiftInvolution:
             assert compose(act.endo, act.endo) == ident
             assert np.array_equal(act.endo.linear_matrix, linear)
             assert act.h2_scalar == -1
+
+
+class TestIdentityBuilds:
+    def test_product_shape_lift_builds_no_identity(self, monkeypatch):
+        # g_i -> g_i z_i is one closed form (`ClassTwoEndo.times_central`),
+        # and `InvolutionAction.build` reads the square's diagonal, so no
+        # step on a product-shape lift builds the identity
+        mod = Modulus(3, 1)
+        pres = DemushkinPresentation.standard(12, mod)
+        base = standard_involution(pres)
+        source = random.Random(4021)
+        pert = ClassTwoEndo([im * random_central(pres, source) for im in base.endo.images])
+        calls = []
+        real = ClassTwoEndo.identity.__func__
+        monkeypatch.setattr(ClassTwoEndo, "identity", classmethod(lambda cls, *a: calls.append(a) or real(cls, *a)))
+        counts = {}
+        act = lift_involution(pres, base.endo.linear_matrix, pert)
+        counts["lift_involution"], calls[:] = len(calls), []
+        res = coinvariants(pres, act)
+        counts["coinvariants"], calls[:] = len(calls), []
+        basis, relator, clean = symmetrize_basis(pres, act)
+        counts["symmetrize_basis"] = len(calls)
+        assert counts == {"lift_involution": 0, "coinvariants": 0, "symmetrize_basis": 0}
+        # the lift is of product shape and not clean, so every path above ran
+        assert act.signs is None and np.array_equal(_linear_signs(act.endo), standard_sign_pattern(12))
+        assert (res.kind, res.rank) == ("free", 7)
+        assert relator == pres.relator and clean == base.endo and basis.diagonal is None
 
 
 class TestClosedFormsAtLargeModuli:
