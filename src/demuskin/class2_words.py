@@ -491,8 +491,7 @@ class ClassTwoEndo:
 
     def to_json(self) -> dict:
         labels = self.gens.labels
-        rows = zip(labels, self.images.gen_exp, self.images.comm)
-        return {"images": {lab: _format_exponents(labels, ge, cm) for lab, ge, cm in rows}}
+        return {"images": dict(zip(labels, _format_rows(labels, self.images.gen_exp, self.images.comm)))}
 
     @classmethod
     def from_json(cls, data: dict, gens: GeneratorSet, mod: Modulus) -> "ClassTwoEndo":
@@ -783,12 +782,21 @@ def parse_word(text: str, gens: GeneratorSet, mod: Modulus) -> ClassTwoElement:
 
 def format_word(el: ClassTwoElement) -> str:
     """Render the normal form; parse_word round-trips it."""
-    return _format_exponents(el.gens.labels, el.gen_exp, el.comm)
+    return _format_rows(el.gens.labels, el.gen_exp[None], el.comm[None])[0]
 
 
-def _format_exponents(labels, gen_exp, comm) -> str:
-    parts = [labels[i] if a == 1 else f"{labels[i]}^{int(a)}" for i, a in enumerate(gen_exp) if a]
-    for i, j, c in _pair_terms(comm, len(labels)):
+def _format_rows(labels, gen_exp, comm) -> list[str]:
+    """The word of each row of N x d generator and N x P commutator
+    exponents: its generator powers, then its commutator powers in slot
+    order, or "1" for a row with neither.  The nonzeros of all rows are
+    read by one np.nonzero per array, in row-major order."""
+    parts = [[] for _ in range(len(gen_exp))]
+    rows, cols = np.nonzero(gen_exp)
+    for r, i, a in zip(rows.tolist(), cols.tolist(), gen_exp[rows, cols].tolist()):
+        parts[r].append(labels[i] if a == 1 else f"{labels[i]}^{a}")
+    pi, pj = _pairs(len(labels))
+    rows, slots = np.nonzero(comm)
+    for r, i, j, c in zip(rows.tolist(), pi[slots].tolist(), pj[slots].tolist(), comm[rows, slots].tolist()):
         base = f"[{labels[j]},{labels[i]}]"
-        parts.append(base if c == 1 else f"{base}^{c}")
-    return " ".join(parts) if parts else "1"
+        parts[r].append(base if c == 1 else f"{base}^{c}")
+    return [" ".join(words) if words else "1" for words in parts]

@@ -21,6 +21,7 @@ from demuskin.demushkin_core import (
     NotAnInvolutionError,
     RelatorNotPreservedError,
     bockstein_kernel,
+    check_rank,
     coinvariants,
     gamma_line,
     invariants,
@@ -83,7 +84,7 @@ def _config(args, **extra) -> dict:
 
 def _standard_presentation(p: int, f: int, n: int) -> DemushkinPresentation:
     try:
-        return DemushkinPresentation.standard(n, Modulus(p, f))
+        return DemushkinPresentation.standard(check_rank(n), Modulus(p, f))
     except ValueError as exc:
         raise InputError(str(exc)) from None
 

@@ -42,6 +42,7 @@ from demuskin.zq_linalg import (
     ZqMatrix,
     as_integer,
     eigen_split,
+    exact_dtype,
     integers_mod,
     kernel,
     matmul_mod,
@@ -88,6 +89,18 @@ def standard_relator(n: int, mod: Modulus) -> ClassTwoElement:
     per (n, modulus)."""
     word = [f"x0^{mod.q}", "[x0,g]"] + [f"[x{k},x{k + 1}]" for k in range(1, n, 2)]
     return parse_word(" ".join(word), demushkin_generators(n), mod)
+
+
+MAX_N = 960
+
+
+def check_rank(n: int) -> int:
+    """n, or a ValueError naming MAX_N, the largest rank parameter taken
+    from input: the largest at which `quotient` has been timed (a few
+    seconds and about 2 GB)."""
+    if n > MAX_N:
+        raise ValueError(f"rank parameter n = {n} is past the bound n <= {MAX_N}")
+    return n
 
 
 class DemushkinPresentation:
@@ -143,8 +156,16 @@ class DemushkinPresentation:
 
     @classmethod
     def from_json(cls, data: dict) -> "DemushkinPresentation":
+        """The inverse of to_json.  A value that is not a JSON object, labels
+        or chi that are not a list, and n past MAX_N are each a ValueError
+        naming what they are, raised before anything is allocated."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a presentation must be a JSON object, got {type(data).__name__}")
+        for key in ("labels", "chi"):
+            if key in data and not isinstance(data[key], list):
+                raise ValueError(f"{key} must be a JSON list, got {type(data[key]).__name__}")
         mod = Modulus(as_integer(data["p"], "p"), as_integer(data["f"], "f"))
-        n = as_integer(data["n"], "n")
+        n = check_rank(as_integer(data["n"], "n"))
         gens = (
             GeneratorSet(data["labels"]) if "labels" in data else demushkin_generators(n)
         )
@@ -266,6 +287,11 @@ class InvolutionAction:
 
     @classmethod
     def build(cls, pres: DemushkinPresentation, endo: ClassTwoEndo) -> "InvolutionAction":
+        """The action of an involution `endo` of the presentation's group,
+        with t read off the image of the relator and the coherence
+        L^T G L = t G checked mod q.  A diagonal endo g_i -> g_i^(e_i) has
+        L = diag(e) mod q, so L^T G L is e_i e_j G_ij elementwise; any other
+        takes two products."""
         mod = pres.mod
         L = endo.linear_matrix
         action = cls(endo, ZqMatrix(L, mod.q), None)
@@ -287,9 +313,14 @@ class InvolutionAction:
                 "relator is not carried to a power of itself; "
                 "the action does not descend to the one-relator quotient"
             )
-        gram = invariants(pres).cup.gram.array
-        twisted = matmul_mod(matmul_mod(L.T, gram, mod.q), L, mod.q)
-        coherent = not ((twisted - t * gram) % mod.q).any()
+        q, gram = mod.q, invariants(pres).cup.gram.array
+        if endo.diagonal is None:
+            twisted = matmul_mod(matmul_mod(L.T, gram, q), L, q)
+        else:
+            # reduced after each product, so every intermediate stays below q^2
+            e1 = L.diagonal().astype(exact_dtype(q * q))
+            twisted = e1[:, None] * gram % q * e1 % q
+        coherent = not ((twisted - t * gram) % q).any()
         if not coherent:
             warnings.warn(
                 "cup-form coherence (M^T G M = t G) failed; this should be "

@@ -128,7 +128,8 @@ def validate_V(
     `free` means V and V + <gamma> are free: inside ker B = gamma^perp the
     sum is isotropic, and an adapted frame extends a free basis of it.
 
-    A span of coordinate duals e_J is read off arrays, with J^c the other
+    A span of coordinate duals e_J is read off arrays, with J its index set
+    (`Submodule.coordinate_indices`, read once per V), J^c the other
     indices, gamma = delta_map(pres, 1), M the H^1 matrix, G the gram
     matrix and B the Bockstein vector.  V + <gamma> is e_J plus the line of
     gamma on J^c, so `free` iff gamma on J^c is zero or has a unit entry;
@@ -136,24 +137,26 @@ def validate_V(
     block is invertible mod p (unit diagonal entries when it is diagonal,
     one mod-p rank otherwise); `totally_isotropic` iff G[J, J] = 0;
     `in_bockstein_kernel` iff B[J] = 0; `gamma_contained` iff gamma on J^c
-    is zero.  Any other V takes Howell forms.
+    is zero.  Each is a slice of rows J, then of columns, with no
+    elimination.  Any other V takes Howell forms.
     """
     if V.ambient != pres.d or V.modulus != pres.mod.q:
         raise ValueError("V does not live in H^1 of the presentation")
     action.require_acts_on(pres)
     coh = invariants(pres)
     p, q, maximal = pres.mod.p, pres.mod.q, pres.n // 2 + 1
-    J = _coordinate_dual_indices(V)
+    J = V.coordinate_indices
     if J is not None:
+        J = list(J)
         rest = np.ones(pres.d, dtype=bool)
         rest[J] = False
-        gamma_rest, mt = delta_map(pres, 1)[rest], action.h1_matrix.array.T
-        block = mt[np.ix_(J, J)]
+        gamma_rest, rows = delta_map(pres, 1)[rest], action.h1_matrix.array.T[J]
+        block = rows[:, J]
         diagonal = np.count_nonzero(block) == np.count_nonzero(block.diagonal())
         unimodular = bool((block.diagonal() % p).all()) if diagonal else Submodule(block % p, len(J), p).ngens == len(J)
         free = not gamma_rest.any() or bool((gamma_rest % p).any())
-        invariant = unimodular and not mt[np.ix_(J, rest)].any()
-        isotropic = not coh.cup.gram.array[np.ix_(J, J)].any()
+        invariant = unimodular and not rows[:, rest].any()
+        isotropic = not coh.cup.gram.array[J][:, J].any()
         in_ker = not coh.bockstein[J].any()
         gamma_contained = not gamma_rest.any() if len(J) == maximal else None
     else:
@@ -196,7 +199,9 @@ def build_V(
 
 def _require_clean_standard(pres: DemushkinPresentation, action: InvolutionAction):
     """The builder entry points work in the symmetrized standard frame."""
-    if pres.relator != standard_relator(pres.n, pres.mod):
+    # the standard relator is parsed once per (n, modulus), so it is mostly the same object
+    standard = standard_relator(pres.n, pres.mod)
+    if pres.relator is not standard and pres.relator != standard:
         raise ValueError("expected the standard relator; symmetrize the basis first")
     if not (action.is_trivial or np.array_equal(action.signs, standard_sign_pattern(pres.n))):
         raise ValueError(
@@ -293,14 +298,6 @@ def _symplectic_frame(pres: DemushkinPresentation, hplus: Submodule, hminus: Sub
     return t_star
 
 
-def _coordinate_dual_indices(V: Submodule) -> list[int] | None:
-    """Indices J when V is exactly the span of coordinate duals e_J."""
-    nz = V.basis != 0
-    if (nz.sum(axis=1) != 1).any() or (V.basis[nz] != 1).any():
-        return None
-    return nz.argmax(axis=1).tolist()
-
-
 def _build_adapted_change(
     pres: DemushkinPresentation, action: InvolutionAction, iso: IsotropicSubmodule
 ) -> ClassTwoEndo | None:
@@ -309,7 +306,7 @@ def _build_adapted_change(
     q = pres.mod.q
     d = pres.d
     V = iso.V
-    if _coordinate_dual_indices(V) is not None:
+    if V.coordinate_indices is not None:
         return None
 
     if action.is_trivial:
@@ -338,7 +335,7 @@ def _build_adapted_change(
     basis = ClassTwoEndo.linear(pres.gens, pres.mod, t_gen)
     # V expressed in the new dual coordinates must be a coordinate span
     new_coords = V.image_under(t_gen.T)
-    if _coordinate_dual_indices(new_coords) is None:
+    if new_coords.coordinate_indices is None:
         raise AssertionError("change of basis failed to realize V on generator duals")
     return basis
 
@@ -394,7 +391,14 @@ _PIPELINE_FLAGS = ("relator_contained", "delta_invariant_kill", "surjective_mod_
 def free_quotient(
     pres: DemushkinPresentation, action: InvolutionAction, V
 ) -> FreeQuotientCertificate:
-    """Run the full construction; failures surface as red flags, not errors."""
+    """Run the full construction; failures surface as red flags, not errors.
+
+    A coordinate span V = span(e_J) needs no change of basis in the standard
+    frame: J, read once per V (`Submodule.coordinate_indices`), is the set
+    of kept generators, and the relator and the images of the killed ones
+    die iff their exponents on the kept generators and their pairs vanish.
+    Any other V takes the adapted change of the module docstring, and the
+    kept generators are V's index set in the new coordinates."""
     action.require_acts_on(pres)
     iso = V if isinstance(V, IsotropicSubmodule) else validate_V(pres, action, V)
     flags = iso.flag_dict()
@@ -425,21 +429,20 @@ def free_quotient(
 
     # an adapted standard frame is its own new coordinates
     new_coords = iso.V if change is None else iso.V.image_under(total.linear_matrix.T)
-    kept_idx = _coordinate_dual_indices(new_coords)
+    kept_idx = new_coords.coordinate_indices
     if kept_idx is None:
         raise AssertionError("final frame does not realize V on generator duals")
-    kept_idx = sorted(kept_idx)
+    killed_idx = sorted(set(range(pres.d)).difference(kept_idx))
     labels = pres.gens.labels
-    kept = [labels[i] for i in kept_idx]
-    killed = [lab for i, lab in enumerate(labels) if i not in kept_idx]
-    dropped = action.endo.images[[pres.gens.index(lab) for lab in killed]]
+    kept, killed = [labels[i] for i in kept_idx], [labels[i] for i in killed_idx]
+    dropped = action.endo.images[killed_idx]
     flags["relator_contained"] = bool(quotient_kill(killed, pres.relator).is_identity) if kept else True
     flags["delta_invariant_kill"] = bool(quotient_kill(killed, dropped).is_identity.all()) if kept else True
     # kept generators project onto the quotient mod squares by construction
     flags["surjective_mod_F2"] = True
 
     # the clean action is diagonal, +1 or -1 on each generator
-    kept_signs = action.signs[kept_idx]
+    kept_signs = action.signs[list(kept_idx)]
     sig = Signature(int((kept_signs == 1).sum()) - 1, int((kept_signs == -1).sum()))
     return FreeQuotientCertificate(
         basis_change=total,

@@ -186,7 +186,7 @@ class ZqMatrix:
             "modulus": self.modulus,
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [int(x) for x in self.array.reshape(-1)],
+            "entries": self.array.reshape(-1).tolist(),
         }
 
     @classmethod
@@ -250,7 +250,7 @@ def _howell_rows(rows_in, ncols: int, m: int) -> np.ndarray:
 class Submodule:
     """Row span of a matrix over Z/m, held in Howell canonical form."""
 
-    __slots__ = ("modulus", "ambient", "basis", "_pivots", "_free")
+    __slots__ = ("modulus", "ambient", "basis", "_pivots", "_free", "_coords")
 
     def __init__(self, rows, ambient: int, modulus: int):
         self.modulus = int(modulus)
@@ -271,6 +271,7 @@ class Submodule:
         cols = np.logical_and.accumulate(basis == 0, axis=1).sum(axis=1)
         self._pivots = tuple(zip(cols.tolist(), basis[np.arange(len(basis)), cols].tolist()))
         self._free = None  # (is free, rank mod p), computed on first use
+        self._coords = False  # coordinate_indices, read on first use
 
     @classmethod
     def coordinate(cls, idx, ambient: int, modulus: int) -> "Submodule":
@@ -286,7 +287,7 @@ class Submodule:
         self.basis = np.zeros((len(cols), self.ambient), dtype=np.int64)
         self.basis[np.arange(len(cols)), cols] = 1
         self.basis.setflags(write=False)
-        self._pivots, self._free = tuple((j, 1) for j in cols), (True, len(cols))
+        self._pivots, self._free, self._coords = tuple((j, 1) for j in cols), (True, len(cols)), tuple(cols)
         return self
 
     @classmethod
@@ -296,6 +297,17 @@ class Submodule:
     @classmethod
     def full(cls, ambient: int, modulus: int) -> "Submodule":
         return cls.coordinate(range(ambient), ambient, modulus)
+
+    @property
+    def coordinate_indices(self) -> tuple[int, ...] | None:
+        """The sorted J when this is the span of the coordinate vectors e_j,
+        j in J, else None.  In Howell form that means unit pivots, each the
+        only nonzero entry of its row; read once per submodule, and known
+        without reading for a span built by `coordinate`."""
+        if self._coords is False:
+            unit = all(val == 1 for _, val in self._pivots) and np.count_nonzero(self.basis) == self.ngens
+            self._coords = tuple(c for c, _ in self._pivots) if unit else None
+        return self._coords
 
     @property
     def ngens(self) -> int:
@@ -435,7 +447,7 @@ class Submodule:
             "modulus": self.modulus,
             "rows": self.ngens,
             "cols": self.ambient,
-            "entries": [int(x) for x in self.basis.reshape(-1)],
+            "entries": self.basis.reshape(-1).tolist(),
         }
 
     @classmethod
@@ -500,8 +512,15 @@ class BilinearForm:
         return self.gram.modulus
 
     def is_nondegenerate(self) -> bool:
+        """Whether the gram matrix is invertible mod p.  A monomial one, with
+        exactly one nonzero entry mod p in each row and in each column, is a
+        permutation times a diagonal of units and needs no elimination; any
+        other takes the row count of its Howell form mod p."""
         p, _ = _prime_power_base(self.modulus)
-        return len(_howell_rows(self.gram.array % p, self.dim, p)) == self.dim
+        gram = self.gram.array % p
+        nonzero = gram != 0
+        monomial = (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()
+        return bool(monomial) or len(_howell_rows(gram, self.dim, p)) == self.dim
 
     def __repr__(self):
         return f"BilinearForm({self.gram!r}, {self.symmetry})"

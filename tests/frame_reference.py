@@ -2,8 +2,10 @@
 a presentation and its action by a basis change, and the coinvariant
 machine that diagonalized an action by its eigen-split, conjugated by it
 and substituted central square roots for the eliminated generators.  Also
-the validation of a target V by Howell forms alone, for every V, and the
-map g_i -> g_i z_i as the identity's images times z."""
+the validation of a target V by Howell forms alone, for every V, the map
+g_i -> g_i z_i as the identity's images times z, the index set of a
+coordinate span found by scanning its basis, and the word of an exponent
+row built one row at a time."""
 
 from __future__ import annotations
 
@@ -153,3 +155,24 @@ def times_central_reference(z) -> ClassTwoEndo:
     """g_i -> g_i z_i, built as the identity's image stack multiplied by z
     row by row."""
     return ClassTwoEndo(ClassTwoEndo.identity(z.gens, z.mod).images * z)
+
+
+def coordinate_indices_reference(V) -> list[int] | None:
+    """Indices J when V is exactly the span of coordinate duals e_J, by a
+    scan of the whole basis: each row has one nonzero entry, and it is 1."""
+    nz = V.basis != 0
+    if (nz.sum(axis=1) != 1).any() or (V.basis[nz] != 1).any():
+        return None
+    return nz.argmax(axis=1).tolist()
+
+
+def format_exponents_reference(labels, gen_exp, comm) -> str:
+    """The word of one row of exponents: each generator entry read in turn,
+    then the nonzero commutator slots in slot order."""
+    parts = [labels[i] if a == 1 else f"{labels[i]}^{int(a)}" for i, a in enumerate(gen_exp) if a]
+    rows, cols = np.triu_indices(len(labels), 1)
+    for s in np.flatnonzero(comm):
+        i, j, c = int(rows[s]), int(cols[s]), int(comm[s])
+        base = f"[{labels[j]},{labels[i]}]"
+        parts.append(base if c == 1 else f"{base}^{c}")
+    return " ".join(parts) if parts else "1"

@@ -23,7 +23,7 @@ from demuskin.class2_words import (
     quotient_kill,
 )
 from demuskin.zq_linalg import Modulus, ZqMatrix, inv_mod
-from frame_reference import times_central_reference
+from frame_reference import format_exponents_reference, times_central_reference
 
 rng = random.Random(357911)
 
@@ -1213,3 +1213,46 @@ class TestTimesCentral:
         assert ClassTwoEndo.times_central(ClassTwoStack.of(gens, mod, [z, z[0]])).images[3] == parse_word(
             "x2 [x1,x2]", gens, mod
         )
+
+
+@st.composite
+def sparse_stacks(draw, mod):
+    """d rows of exponents with zero rows, entries equal to 1 and larger
+    entries all drawn often; labels that are not the standard ones."""
+    d = draw(st.integers(1, 6))
+    P = d * (d - 1) // 2
+
+    def entry(m):
+        return st.one_of(st.just(0), st.just(0), st.just(1), st.integers(0, m - 1))
+
+    ge = np.array([[draw(entry(mod.q2)) for _ in range(d)] for _ in range(d)], dtype=np.int64).reshape(d, d)
+    cm = np.array([[draw(entry(mod.q)) for _ in range(P)] for _ in range(d)], dtype=np.int64).reshape(d, P)
+    for r in draw(st.lists(st.integers(0, d - 1), max_size=2)):
+        ge[r], cm[r] = 0, 0
+    labels = draw(st.sampled_from([[f"x{i}" for i in range(d)], [f"gen_{d - i}" for i in range(d)]]))
+    return ClassTwoStack(GeneratorSet(labels), mod, ge, cm)
+
+
+class TestStackedFormatting:
+    """`ClassTwoEndo.to_json` and `format_word` print every row from one
+    np.nonzero per exponent array; each word is the one the per-row
+    reference prints, and parses back to its row."""
+
+    @pytest.mark.parametrize("mod", [Modulus(3, 1), Modulus(5, 1), Modulus(3, 2)], ids=lambda m: f"q{m.p}^{m.f}")
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_per_row_reference(self, mod, data):
+        stack = data.draw(sparse_stacks(mod))
+        labels = stack.gens.labels
+        want = [format_exponents_reference(labels, ge, cm) for ge, cm in zip(stack.gen_exp, stack.comm)]
+        assert list(ClassTwoEndo(stack).to_json()["images"].values()) == want
+        assert [format_word(row) for row in stack] == want
+        assert all(parse_word(word, stack.gens, mod) == row for word, row in zip(want, stack))
+
+    def test_zero_rows_and_exponents(self):
+        mod = Modulus(3, 2)
+        gens = demushkin_generators(2)
+        ge = np.array([[0, 0, 0, 0], [1, 0, 12, 0], [0, 0, 0, 0], [0, 1, 0, 80]])
+        cm = np.array([[0] * 6, [1, 0, 0, 0, 0, 7], [0, 0, 0, 2, 0, 0], [0] * 6])
+        images = ClassTwoEndo(ClassTwoStack(gens, mod, ge, cm)).to_json()["images"]
+        assert images == {"g": "1", "x0": "g x1^12 [x0,g] [x2,x1]^7", "x1": "[x1,x0]^2", "x2": "x0 x2^80"}

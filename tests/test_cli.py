@@ -81,9 +81,18 @@ MALFORMED = {
     # a JSON value of the wrong type where an object belongs
     "relator-not-an-object": {"relator": 5},
     "images-as-a-list": {"images": list(GOOD_IMAGES.values())},
+    # labels and chi are lists; an object's keys are not labels
+    "labels-as-an-object": {"labels": {"g": 0, "a": 0, "b": 0, "c": 0}, "relator": "a^3 [a,g] [b,c]"},
+    "chi-not-a-list": {"relator": GOOD_RELATOR, "chi": 1},
 }
 # what the error line must name, where a case has a word for it
-NAMED_IN_ERROR = {"unknown-image-label": "'x9'", "relator-not-an-object": "got int", "images-as-a-list": "got list"}
+NAMED_IN_ERROR = {
+    "unknown-image-label": "'x9'",
+    "relator-not-an-object": "got int",
+    "images-as-a-list": "got list",
+    "labels-as-an-object": "labels must be a JSON list, got dict",
+    "chi-not-a-list": "chi must be a JSON list, got int",
+}
 
 
 class TestMalformedJson:
@@ -115,6 +124,41 @@ class TestMalformedJson:
             err = capsys.readouterr().err
             assert err.startswith("error: bad action file") and NAMED_IN_ERROR[case] in err
             assert main([*argv, "--action", str(kept), "--output", str(tmp_path / "out.json")]) == 0
+
+
+    @pytest.mark.parametrize("text, kind", [("[3, 1, 2]", "list"), ("null", "NoneType"), ('"p=3"', "str")])
+    def test_a_file_that_is_not_an_object(self, tmp_path, capsys, text, kind):
+        pres = tmp_path / "pres.json"
+        pres.write_text(text)
+        assert main(["invariants", "--presentation", str(pres)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad presentation file") and f"must be a JSON object, got {kind}" in err
+
+
+class TestRankBound:
+    def test_largest_accepted_rank(self, tmp_path):
+        code, text = run_inproc(tmp_path, "present", "--n", "960")
+        assert code == 0 and json.loads(text)["config"]["n"] == 960
+
+    # n is checked before any generator, relator or array is built, so each
+    # input exits 2 at once; the timeout leaves room for interpreter start-up
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["present", "--n", "962"],
+            ["quotient", "--p", "3", "--n", "1000000", "--signature", "1", "0"],
+            ["preset", "--p", "967"],
+            ["invariants", "--presentation", "BIG_N_FILE"],
+        ],
+        ids=["present", "quotient", "preset", "presentation-file"],
+    )
+    def test_exits_two_naming_the_bound(self, tmp_path, argv):
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps({"p": 3, "f": 1, "n": 1000000}))
+        argv = [str(pres) if a == "BIG_N_FILE" else a for a in argv]
+        proc = subprocess.run([sys.executable, "-m", "demuskin", *argv], capture_output=True, text=True, timeout=3)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "past the bound n <= 960" in proc.stderr
 
 
 class TestDeterminism:
@@ -339,6 +383,14 @@ class TestQuotientCommand:
         assert code == 0
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "d2ae66ba502f5ae170d48334351c74f9217572ea916b8186f5d08c413eafe1d2"
+
+    def test_larger_rank_report_is_pinned(self, tmp_path):
+        # n = 480 (d = 482), recorded before the standard frame's closed
+        # forms for the cup form, the coherence check and the image words
+        code, text = run_inproc(tmp_path, "quotient", "--p", "3", "--n", "480", "--signature", "120", "120")
+        assert code == 0
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "daef063c594e53cd58e8ac0c684f9cb214c4b7514afc9346207793a3707d27d9"
 
     def test_missing_signature_is_two(self):
         proc = run_cli("quotient", "--p", "3", "--n", "2")

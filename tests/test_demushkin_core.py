@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import warnings
 from itertools import product as cartesian
 
 import numpy as np
@@ -40,9 +42,12 @@ from demuskin.demushkin_core import (
     symmetrized_change,
 )
 from demuskin.zq_linalg import (
+    ANTISYMMETRIC,
+    BilinearForm,
     Modulus,
     Submodule,
     ZqMatrix,
+    matmul_mod,
     orthogonal_complement,
 )
 from frame_reference import cohomology_fields, reference_coinvariants, transform_presentation
@@ -880,3 +885,67 @@ class TestSignPattern:
     def test_pattern_layout(self):
         assert list(standard_sign_pattern(2)) == [1, -1, -1, 1]
         assert list(standard_sign_pattern(4)) == [1, -1, -1, 1, -1, 1]
+
+
+COHERENCE_MODULI = [Modulus(3, 1), Modulus(5, 1), Modulus(3, 2), Modulus(7, 1)]
+
+
+@st.composite
+def diagonal_coherence_cases(draw):
+    """(presentation, signs s, t, gram G): the relator x0^(q b), b in {0, 1},
+    which the diagonal map g_i -> g_i^(s_i) carries to its t-th power, and
+    an antisymmetric G to check that map against.  Half of the time G keeps
+    only the entries with s_i s_j = t, so it is coherent; otherwise every
+    entry is drawn."""
+    mod = draw(st.sampled_from(COHERENCE_MODULI))
+    q, n = mod.q, draw(st.sampled_from([0, 2, 4, 6]))
+    d = n + 2
+    s = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=d, max_size=d)), dtype=np.int64)
+    b = draw(st.integers(0, 1))
+    t = int(s[1]) if b else 1
+    gens = demushkin_generators(n)
+    relator = ClassTwoElement(gens, mod, np.eye(d, dtype=np.int64)[1] * q * b, np.zeros(d * (d - 1) // 2, dtype=np.int64))
+    upper = np.triu(np.array([[draw(st.integers(0, q - 1)) for _ in range(d)] for _ in range(d)]), 1)
+    if draw(st.booleans()):
+        upper = upper * (np.outer(s, s) == t)
+    gram = (upper - upper.T) % q
+    return DemushkinPresentation(n, mod, relator=relator), s, t, gram
+
+
+class TestElementwiseCoherence:
+    """`InvolutionAction.build` checks L^T G L = t G for a diagonal map
+    elementwise, as e_i e_j G_ij; it agrees with the two products mod q, and
+    warns exactly when they find the check failed.  A gram that the relator
+    does not give is put in place of `invariants`, so both outcomes occur."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(diagonal_coherence_cases())
+    def test_matches_the_matmul_reference(self, case):
+        pres, s, t, gram = case
+        q = pres.mod.q
+        coh = invariants(pres)
+        fake = dataclasses.replace(coh, cup=BilinearForm(ZqMatrix(gram, q), ANTISYMMETRIC))
+        L = np.diag(s) % q
+        want = not ((matmul_mod(matmul_mod(L.T, gram, q), L, q) - t * gram) % q).any()
+        endo = ClassTwoEndo.linear(pres.gens, pres.mod, np.diag(s))
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mp.setattr(demushkin_core, "invariants", lambda _: fake)
+            action = InvolutionAction.build(pres, endo)
+        assert action.h2_scalar == t and action.coherence_ok == want
+        assert [str(w.message).startswith("cup-form coherence") for w in caught] == ([] if want else [True])
+        event(f"coherent={want}")
+
+    def test_each_path_and_its_products(self, monkeypatch):
+        calls = []
+        real = demushkin_core.matmul_mod
+        monkeypatch.setattr(demushkin_core, "matmul_mod", lambda *args: calls.append(args[2]) or real(*args))
+        pres = DemushkinPresentation.standard(12, Modulus(3, 2))
+        action = standard_involution(pres)
+        assert action.coherence_ok and action.h2_scalar == -1 and calls == []
+        # x1 -> x2^-1, x2 -> x1^-1 is not diagonal: two products mod q
+        pres = DemushkinPresentation.standard(2, Modulus(3, 2))
+        swap = {"g": "g", "x0": "x0^-1", "x1": "x2^-1", "x2": "x1^-1"}
+        endo = ClassTwoEndo.from_json({"images": swap}, pres.gens, pres.mod)
+        action = InvolutionAction.build(pres, endo)
+        assert endo.diagonal is None and action.coherence_ok and action.h2_scalar == -1 and calls == [9, 9]

@@ -2,13 +2,14 @@ import hashlib
 import json
 import random
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demuskin import class2_words, demushkin_core, quotient_builder, zq_linalg
+from demuskin import class2_words, cli, demushkin_core, quotient_builder, zq_linalg
 from demuskin.class2_words import (
     ClassTwoElement,
     ClassTwoEndo,
@@ -51,9 +52,16 @@ from demuskin.zq_linalg import (
     inv_mod,
     isotropic_free_submodules,
 )
-from frame_reference import ReferenceMachine, transform_presentation, validate_V_reference
+from frame_reference import (
+    ReferenceMachine,
+    coordinate_indices_reference,
+    transform_presentation,
+    validate_V_reference,
+)
 
 rng = random.Random(420817)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SWEEP_MODULI = [Modulus(3, 1), Modulus(3, 2), Modulus(5, 1)]
 
@@ -277,6 +285,60 @@ class TestCoordinateSpanCost:
         calls = count_howell(monkeypatch)
         iso = validate_V(pres, act, V)
         assert iso.ok and len(calls) >= 3
+
+
+def count_coordinate_scans(monkeypatch):
+    """The submodules whose index set is read off their basis: the first
+    `coordinate_indices` of a span that came through a Howell form."""
+    scans = []
+    read = Submodule.coordinate_indices.fget
+
+    def counted(sub):
+        if sub._coords is False:
+            scans.append(sub)
+        return read(sub)
+
+    monkeypatch.setattr(Submodule, "coordinate_indices", property(counted))
+    return scans
+
+
+class TestStandardFrameCertifyCost:
+    """The standard frame certifies with no elimination, and a coordinate V
+    has its index set read at most once per certificate."""
+
+    @pytest.mark.parametrize("n", [2, 12, 40])
+    def test_certify_eliminates_nothing(self, monkeypatch, n):
+        pres = DemushkinPresentation.standard(n, Modulus(3, 1))
+        calls, scans = count_howell(monkeypatch), count_coordinate_scans(monkeypatch)
+        action = standard_involution(pres)
+        for u_plus in range(n // 2 + 1):
+            sig = Signature(u_plus, n // 2 - u_plus)
+            cert, measured = cli._certify(pres, action, sig)
+            assert cert.all_green and measured == sig
+        # build_V writes its V down with its index set, so nothing is scanned
+        assert calls == [] and scans == []
+
+    def test_a_coordinate_V_from_rows_is_scanned_once(self, monkeypatch):
+        # build_V's V at signature (1, 1), given as scaled rows out of order
+        pres, act = standard_setup(4, Modulus(3, 1))
+        V = Submodule([[0, 0, 0, 0, 1, 0], [2, 0, 0, 0, 0, 0], [0, 0, 0, 2, 0, 0]], 6, 3)
+        scans = count_coordinate_scans(monkeypatch)
+        cert = free_quotient(pres, act, V)
+        assert cert.all_green and cert.killed == ("x0", "x1", "x4") and cert.signature == Signature(1, 1)
+        assert [sub is V for sub in scans] == [True]
+
+    def test_certify_pass_eliminations(self, monkeypatch):
+        # one seed-7 pass of the benchmark's certify workload: 98 Howell
+        # forms while each new presentation's cup form took one (38 of them)
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+
+        monkeypatch.chdir(ROOT)
+        ops, expected = workloads.build_plan("certify", 7).ops, workloads.load_expected()
+        calls = count_howell(monkeypatch)
+        for op in ops:
+            assert workloads.check_output(op, op.run(), expected) is None
+        assert len(calls) <= 60
 
 
 class TestActionOnTheGroup:
@@ -1015,7 +1077,7 @@ def free_quotient_reference(pres, act, iso) -> FreeQuotientCertificate:
     basis, relator, clean = symmetrize_reference(*frame)
     total = basis if change is None else compose(change, basis)
     assert relator == standard_relator(pres.n, pres.mod)
-    kept_idx = sorted(quotient_builder._coordinate_dual_indices(iso.V.image_under(total.linear_matrix.T)))
+    kept_idx = sorted(coordinate_indices_reference(iso.V.image_under(total.linear_matrix.T)))
     labels = pres.gens.labels
     kept = [labels[i] for i in kept_idx]
     killed = [lab for i, lab in enumerate(labels) if i not in kept_idx]

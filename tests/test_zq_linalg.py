@@ -34,6 +34,7 @@ from demuskin.zq_linalg import (
     maximal_isotropic_free_submodules,
     orthogonal_complement,
 )
+from frame_reference import coordinate_indices_reference
 
 rng = random.Random(74210)
 
@@ -912,3 +913,103 @@ class TestUnitPivotFreeness:
         assert unit.is_free and unit.rank == 2 and calls == []
         # a non-unit pivot: free on one generator, decided mod p
         assert late.is_free and late.rank == 1 and calls == [3]
+
+
+NONDEGENERACY_MODULI = [(3, 1), (5, 1), (3, 2), (7, 1)]
+
+
+@st.composite
+def grams(draw, kind):
+    """A d x d gram over Z/p^f.  "monomial": a permutation times entries that
+    are units or, now and then, multiples of p, with multiples of p added
+    off the permutation half of the time; "dense": every entry drawn, so the
+    matrix is rarely monomial mod p."""
+    p, f = draw(st.sampled_from(NONDEGENERACY_MODULI))
+    q = p**f
+    d = draw(st.integers(1, 7))
+    if kind == "dense":
+        gram = np.array([[draw(st.integers(0, q - 1)) for _ in range(d)] for _ in range(d)], dtype=np.int64)
+        return ZqMatrix(gram, q)
+    perm = draw(st.permutations(range(d)))
+    gram = np.zeros((d, d), dtype=np.int64)
+    for i, j in enumerate(perm):
+        unit = draw(st.integers(1, p - 1)) + p * draw(st.integers(0, q // p - 1))
+        gram[i, j] = unit if draw(st.integers(0, 4)) else p * unit % q
+    if draw(st.booleans()):
+        gram = (gram + p * np.array([[draw(st.integers(0, q - 1)) for _ in range(d)] for _ in range(d)])) % q
+    return ZqMatrix(gram, q)
+
+
+def howell_nondegenerate(gram: ZqMatrix) -> bool:
+    """The reference: a full-rank Howell form of the gram matrix mod p."""
+    p = base_prime(gram.modulus)
+    return len(howell(ZqMatrix(gram.array % p, p))) == gram.rows
+
+
+class TestMonomialNondegeneracy:
+    """A gram matrix that is monomial mod p (one nonzero per row and per
+    column) is nondegenerate with no elimination; any other takes the Howell
+    form mod p, and both agree with the Howell reference."""
+
+    @pytest.mark.parametrize("kind", ["monomial", "dense"])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_howell_reference(self, kind, data):
+        gram = data.draw(grams(kind))
+        assert BilinearForm(gram).is_nondegenerate() == howell_nondegenerate(gram)
+
+    def test_each_path_and_its_eliminations(self, monkeypatch):
+        calls = []
+        real = zq_linalg._howell_rows
+        monkeypatch.setattr(zq_linalg, "_howell_rows", lambda *args: calls.append(args[2]) or real(*args))
+        # a permuted diagonal of units, with a multiple of p off it: monomial mod 3
+        monomial = ZqMatrix([[0, 2, 3], [4, 0, 0], [0, 6, 5]], 9)
+        assert BilinearForm(monomial).is_nondegenerate() and calls == []
+        # a p-divisible entry on the permutation leaves a zero row mod p
+        divisible = ZqMatrix([[0, 3, 0], [4, 0, 0], [0, 0, 5]], 9)
+        assert not BilinearForm(divisible).is_nondegenerate() and calls == [3]
+        # two nonzeros in a row: invertible, but not monomial
+        dense = ZqMatrix([[1, 1], [0, 1]], 3)
+        assert BilinearForm(dense).is_nondegenerate() and calls == [3, 3]
+
+    @pytest.mark.parametrize("n", [2, 12, 40])
+    def test_standard_cup_form_needs_no_elimination(self, monkeypatch, n):
+        calls = []
+        real = zq_linalg._howell_rows
+        monkeypatch.setattr(zq_linalg, "_howell_rows", lambda *args: calls.append(args[2]) or real(*args))
+        assert invariants(DemushkinPresentation.standard(n, Modulus(3, 2))).cup_nondegenerate
+        assert calls == []
+
+
+@st.composite
+def coordinate_like_spans(draw):
+    """Spans that are coordinate spans more often than not: unit multiples
+    of coordinate vectors, now and then with an extra entry in some row."""
+    m = draw(st.sampled_from([3, 9, 25, 27]))
+    p = base_prime(m)
+    d = draw(st.integers(1, 6))
+    J = draw(st.lists(st.integers(0, d - 1), max_size=d))
+    rows = np.zeros((len(J), d), dtype=np.int64)
+    for r, j in enumerate(J):
+        rows[r, j] = draw(st.integers(1, p - 1)) + p * draw(st.integers(0, m // p - 1))
+        if draw(st.integers(0, 5)) == 0:
+            rows[r, draw(st.integers(0, d - 1))] = draw(st.integers(0, m - 1))
+    return Submodule(rows, d, m)
+
+
+class TestCoordinateIndices:
+    """`Submodule.coordinate_indices` reads a coordinate span's index set
+    off its Howell form, once; it agrees with a scan of the whole basis."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(coordinate_like_spans(), spans()))
+    def test_matches_the_basis_scan(self, sub):
+        got, want = sub.coordinate_indices, coordinate_indices_reference(sub)
+        assert (None if got is None else list(got)) == want
+        assert sub.coordinate_indices is got
+
+    def test_written_down_for_a_coordinate_span(self):
+        assert Submodule.coordinate([4, 1, 4], 6, 9).coordinate_indices == (1, 4)
+        assert Submodule([[2, 0, 0], [0, 0, 4]], 3, 9).coordinate_indices == (0, 2)
+        assert Submodule([[3, 0, 0]], 3, 9).coordinate_indices is None
+        assert Submodule.zero(3, 9).coordinate_indices == ()
