@@ -286,10 +286,13 @@ class ClassTwoElement(_Exponents):
     def from_json(cls, data: dict, gens: GeneratorSet, mod: Modulus) -> "ClassTwoElement":
         """The inverse of to_json; a coordinate outside 0 <= i < j < d or a
         non-integer exponent is a ValueError, and so is a value that is not
-        a JSON object."""
+        a JSON object or a comm_exp that is not a list of [i, j, c] lists."""
+        terms = _json_object(data, "a class-2 element").get("comm_exp", [])
         cm = [0] * (gens.d * (gens.d - 1) // 2)
-        for i, j, c in _json_object(data, "a class-2 element").get("comm_exp", []):
-            cm[_slot(gens.d, i, j)] = c
+        for term in terms if isinstance(terms, list) else [terms]:
+            if not (isinstance(term, list) and len(term) == 3):
+                raise ValueError(f"comm_exp must be a JSON list of [i, j, c] lists, got {type(term).__name__} {term!r}")
+            cm[_slot(gens.d, term[0], term[1])] = term[2]
         return cls(gens, mod, data["gen_exp"], cm)
 
 
@@ -496,8 +499,8 @@ class ClassTwoEndo:
     @classmethod
     def from_json(cls, data: dict, gens: GeneratorSet, mod: Modulus) -> "ClassTwoEndo":
         """Every image word folded to exponents, and the rows made one stack;
-        an action or an `images` value that is not a JSON object is a
-        ValueError."""
+        an action or an `images` value that is not a JSON object, or an
+        image that is not a string, is a ValueError."""
         images = _json_object(_json_object(data, "an action")["images"], "images")
         for lab in images:
             if lab not in gens._index:
@@ -505,6 +508,8 @@ class ClassTwoEndo:
         for lab in gens.labels:
             if lab not in images:
                 raise ValueError(f"missing image for generator {lab!r}")
+            if not isinstance(images[lab], str):
+                raise ValueError(f"image for generator {lab!r} must be a word string, got {type(images[lab]).__name__}")
         return cls(_parse_words([images[lab] for lab in gens.labels], gens, mod))
 
 
@@ -661,6 +666,10 @@ class _WordParser:
     those generator powers and then adds e.
     """
 
+    # the deepest nesting of ( and [ in a word: each level takes three
+    # frames of the descent, so the bound stays far inside Python's limit
+    MAX_NESTING = 100
+
     def __init__(self, gens: GeneratorSet, mod: Modulus):
         self.gens = gens
         d = self.d = gens.d
@@ -670,7 +679,7 @@ class _WordParser:
 
     def fold(self, text: str) -> tuple[list[int], list[int]]:
         """The exponents (a mod q^2, c mod q) of one whole word."""
-        self.tokens, self.pos = _tokenize(text), 0
+        self.tokens, self.pos, self.depth = _tokenize(text), 0, 0
         a, c = self.parse_word()
         if self.pos < len(self.tokens):
             raise ValueError(f"trailing input in word: {text!r}")
@@ -753,18 +762,20 @@ class _WordParser:
             if text == "1":
                 return "gen", 0, 0
             raise ValueError(f"unexpected integer {text!r} in word")
+        if text not in ("[", "("):
+            raise ValueError(f"unexpected token {text!r}")
+        self.depth += 1
+        if self.depth > self.MAX_NESTING:
+            raise ValueError(f"word nests ( and [ deeper than the bound {self.MAX_NESTING}")
+        a, c = self.parse_word()
         if text == "[":
-            a, _ = self.parse_word()
             self.expect(",")
             b, _ = self.parse_word()
-            self.expect("]")
             # [u, v] = (0, b (x) a - a (x) b)
-            return "word", [0] * self.d, [s - t for s, t in zip(self.cross(b, a), self.cross(a, b))]
-        if text == "(":
-            inner = self.parse_word()
-            self.expect(")")
-            return ("word",) + inner
-        raise ValueError(f"unexpected token {text!r}")
+            a, c = [0] * self.d, [s - t for s, t in zip(self.cross(b, a), self.cross(a, b))]
+        self.expect("]" if text == "[" else ")")
+        self.depth -= 1
+        return "word", a, c
 
 
 def _parse_words(texts, gens: GeneratorSet, mod: Modulus) -> ClassTwoStack:

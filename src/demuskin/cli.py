@@ -34,7 +34,6 @@ from demuskin.quotient_builder import (
     Signature,
     build_V,
     free_quotient,
-    signature_of,
     uniqueness_check,
 )
 from demuskin.zq_linalg import (
@@ -265,7 +264,7 @@ def _certify(pres: DemushkinPresentation, action: InvolutionAction, sig: Signatu
     except ValueError as exc:
         raise InputError(str(exc)) from None
     cert = free_quotient(pres, action, iso)
-    return cert, (signature_of(cert, action) if cert.all_green else None)
+    return cert, (cert.signature if cert.all_green else None)
 
 
 def cmd_quotient(args) -> dict:

@@ -97,7 +97,7 @@ MAX_N = 960
 def check_rank(n: int) -> int:
     """n, or a ValueError naming MAX_N, the largest rank parameter taken
     from input: the largest at which `quotient` has been timed (a few
-    seconds and about 2 GB)."""
+    seconds and about 100 MB)."""
     if n > MAX_N:
         raise ValueError(f"rank parameter n = {n} is past the bound n <= {MAX_N}")
     return n
@@ -346,13 +346,6 @@ class InvolutionAction:
         """(plus, minus) eigenspaces on F/F^2, where rows map by a -> a . L."""
         return eigen_split(self.h1_matrix)
 
-    def to_json(self) -> dict:
-        return {
-            "images": self.endo.to_json()["images"],
-            "h1_matrix": self.h1_matrix.to_json(),
-            "h2_scalar": self.h2_scalar,
-        }
-
     def __repr__(self):
         return f"InvolutionAction(h2_scalar={self.h2_scalar}, endo={self.endo!r})"
 
@@ -473,10 +466,11 @@ def symmetrize_basis(
     For sigma(g) = g . a the new generator is g . a^(1/2); for
     sigma(g) = g^-1 . b it is b^(-1/2) . g.  Returns (basis, relator,
     clean_endo): the basis change, which is unipotent (`clean_frame` of a
-    product-shape action); the relator rewritten in the new basis, which
-    keeps its shape; and the clean action diag(+-1), which the basis change
-    is checked to conjugate the action to.  An action that is already clean
-    keeps the identity basis.
+    product-shape action); the relator in the new basis, which is the
+    relator itself, as g_i -> g_i z_i with z_i central fixes F^2/F^3
+    pointwise and the relator lies there; and the clean action diag(+-1),
+    which the basis change is checked to conjugate the action to.  An
+    action that is already clean keeps the identity basis.
     """
     if action.signs is None and _linear_signs(action.endo) is None:
         raise ValueError(
@@ -484,10 +478,10 @@ def symmetrize_basis(
             "itself or its inverse times a central element"
         )
     gens, mod = pres.gens, pres.mod
-    basis, basis_inv, signs = clean_frame(action)
+    basis, _, signs = clean_frame(action)
     if basis is None:
         return ClassTwoEndo.identity(gens, mod), pres.relator, action.endo
-    return basis, basis_inv(pres.relator), ClassTwoEndo.linear(gens, mod, np.diag(signs))
+    return basis, pres.relator, ClassTwoEndo.linear(gens, mod, np.diag(signs))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ machine that diagonalized an action by its eigen-split, conjugated by it
 and substituted central square roots for the eliminated generators.  Also
 the validation of a target V by Howell forms alone, for every V, the map
 g_i -> g_i z_i as the identity's images times z, the index set of a
-coordinate span found by scanning its basis, and the word of an exponent
-row built one row at a time."""
+coordinate span found by scanning its basis, the word of an exponent
+row built one row at a time, and the kill of the action's images of the
+killed generators behind a certificate's `delta_invariant_kill`."""
 
 from __future__ import annotations
 
@@ -176,3 +177,14 @@ def format_exponents_reference(labels, gen_exp, comm) -> str:
         base = f"[{labels[j]},{labels[i]}]"
         parts.append(base if c == 1 else f"{base}^{c}")
     return " ".join(parts) if parts else "1"
+
+
+def delta_invariant_kill_reference(action, killed) -> bool:
+    """Whether the action's images of the killed generators die in the
+    quotient, by copying those rows of its image stack and killing them;
+    True when nothing is kept."""
+    gens = action.endo.gens
+    if len(killed) == gens.d:
+        return True
+    dropped = action.endo.images[[gens.index(lab) for lab in killed]]
+    return bool(quotient_kill(killed, dropped).is_identity.all())

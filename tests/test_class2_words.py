@@ -888,6 +888,18 @@ class TestWordGrammar:
                 parse(bad, gens, mod)
             assert str(err.value) == message
 
+    def test_nesting_bound(self):
+        # ( and [ both count; a word nested exactly to the bound is its flat
+        # form, and one level more is a ValueError naming the bound
+        gens, mod = demushkin_generators(2), Modulus(3, 1)
+        flat = "x0 x1^2 [g,x2]"
+        assert parse_word("(" * 100 + flat + ")" * 100, gens, mod) == parse_word(flat, gens, mod)
+        commuted = "[" + "(" * 99 + "x0 x1" + ")" * 99 + ", g]"
+        assert parse_word(commuted, gens, mod) == parse_word("[x0 x1, g]", gens, mod)
+        for deep in ("(" * 101 + flat + ")" * 101, "[(" + commuted + "), x2]", "(" * 1000 + "x0" + ")" * 1000):
+            with pytest.raises(ValueError, match="deeper than the bound 100"):
+                parse_word(deep, gens, mod)
+
     def test_surrounding_whitespace_is_accepted(self):
         gens = demushkin_generators(2)
         mod = Modulus(3, 1)

@@ -84,6 +84,13 @@ MALFORMED = {
     # labels and chi are lists; an object's keys are not labels
     "labels-as-an-object": {"labels": {"g": 0, "a": 0, "b": 0, "c": 0}, "relator": "a^3 [a,g] [b,c]"},
     "chi-not-a-list": {"relator": GOOD_RELATOR, "chi": 1},
+    # comm_exp is a list of [i, j, c] lists, and an image is a word string
+    "comm-exp-not-a-list": {"relator": {**GOOD_RELATOR, "comm_exp": 5}},
+    "short-commutator-triple": {"relator": {**GOOD_RELATOR, "comm_exp": [[0, 1]]}},
+    "image-not-a-string": {"images": {**GOOD_IMAGES, "x0": 5}},
+    # words nested past the parser's bound, which overflowed its recursion
+    "deeply-nested-relator": {"relator": "(" * 1000 + "x0" + ")" * 1000},
+    "deeply-nested-image": {"images": {**GOOD_IMAGES, "g": "(" * 400 + "g" + ")" * 400}},
 }
 # what the error line must name, where a case has a word for it
 NAMED_IN_ERROR = {
@@ -92,6 +99,11 @@ NAMED_IN_ERROR = {
     "images-as-a-list": "got list",
     "labels-as-an-object": "labels must be a JSON list, got dict",
     "chi-not-a-list": "chi must be a JSON list, got int",
+    "comm-exp-not-a-list": "comm_exp must be a JSON list of [i, j, c] lists, got int 5",
+    "short-commutator-triple": "comm_exp must be a JSON list of [i, j, c] lists, got list [0, 1]",
+    "image-not-a-string": "image for generator 'x0' must be a word string, got int",
+    "deeply-nested-relator": "deeper than the bound 100",
+    "deeply-nested-image": "deeper than the bound 100",
 }
 
 
@@ -391,6 +403,22 @@ class TestQuotientCommand:
         assert code == 0
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "daef063c594e53cd58e8ac0c684f9cb214c4b7514afc9346207793a3707d27d9"
+
+    def test_largest_rank_report_is_pinned_and_small(self, tmp_path):
+        # n = 960 (d = 962), the rank bound, recorded while the certificate
+        # still copied the killed rows of the action's images (2.2 GB peak
+        # RSS); the child reports its own peak, which must stay below 1 GB
+        out = tmp_path / "report.json"
+        child = (
+            "import resource, sys; from demuskin.cli import main; code = main(sys.argv[1:]); "
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        )
+        argv = ["quotient", "--p", "3", "--n", "960", "--signature", "240", "240", "--output", str(out)]
+        proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True, timeout=30)
+        code, peak_kb = map(int, proc.stdout.split())
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == "f29aff6934c03d1c17ccd34f5abecdb0d88f2b4173cb992f25ff95e0d1f3a7d4"
+        assert peak_kb < 1024 * 1024
 
     def test_missing_signature_is_two(self):
         proc = run_cli("quotient", "--p", "3", "--n", "2")

@@ -22,7 +22,12 @@ def test_demo_exits_zero(demo):
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True
+        # the warning policy of the Tier-1 run: a new warning fails the demo
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning", str(demo)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

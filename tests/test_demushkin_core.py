@@ -621,6 +621,40 @@ class TestSymmetrizeBasis:
             symmetrize_basis(pres2, act2)
 
 
+UNIPOTENT_MODULI = [Modulus(3, 1), Modulus(5, 1), Modulus(3, 2), Modulus(7, 1)]
+
+
+class TestUnipotentChangeFixesTheRelator:
+    """symmetrize_basis returns the relator as it is: its basis change
+    g_i -> g_i z_i, z_i central, fixes F^2/F^3 pointwise, and the relator
+    lies there, so rewriting it through the inverse change gives it back."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(mod=st.sampled_from(UNIPOTENT_MODULI), n=st.sampled_from([0, 2, 4, 6]), seed=st.integers(0, 2**32 - 1))
+    def test_relator_is_the_rewritten_relator(self, mod, n, seed):
+        source = random.Random(seed)
+        pres = DemushkinPresentation.standard(n, mod)
+        base = standard_involution(pres)
+        pert = ClassTwoEndo([im * random_central(pres, source) for im in base.endo.images])
+        act = lift_involution(pres, base.endo.linear_matrix, pert)
+        basis, relator, _ = symmetrize_basis(pres, act)
+        _, basis_inv, _ = clean_frame(act)
+        assert relator is pres.relator
+        if basis_inv is not None:
+            assert basis_inv(pres.relator) == relator == invert_auto(basis)(pres.relator)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(mod=st.sampled_from(UNIPOTENT_MODULI), n=st.sampled_from([0, 2, 4, 6]), seed=st.integers(0, 2**32 - 1))
+    def test_times_central_fixes_central_elements(self, mod, n, seed):
+        source = random.Random(seed)
+        pres = DemushkinPresentation.standard(n, mod)
+        z = ClassTwoStack.of(pres.gens, mod, [random_central(pres, source) for _ in range(pres.d)])
+        change = ClassTwoEndo.times_central(z)
+        centrals = ClassTwoStack.of(pres.gens, mod, [random_central(pres, source) for _ in range(5)])
+        assert list(change(centrals)) == list(centrals)
+        assert all(change(c) == c for c in centrals)
+
+
 class TestSymmetrizedChange:
     """The closed-form correction and its one-application check."""
 

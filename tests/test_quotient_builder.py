@@ -55,6 +55,7 @@ from demuskin.zq_linalg import (
 from frame_reference import (
     ReferenceMachine,
     coordinate_indices_reference,
+    delta_invariant_kill_reference,
     transform_presentation,
     validate_V_reference,
 )
@@ -339,6 +340,52 @@ class TestStandardFrameCertifyCost:
         for op in ops:
             assert workloads.check_output(op, op.run(), expected) is None
         assert len(calls) <= 60
+
+
+SWEEP_GRID_Q = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25]
+
+
+class TestDeltaInvariantKill:
+    """`delta_invariant_kill` is read off the action's diagonal; it agrees
+    with killing the images of the killed generators, and free_quotient
+    realizes a non-coordinate V once and reads no image of the action."""
+
+    def test_agrees_with_the_kill_on_the_sweep_grid(self):
+        # every certificate of the whole allowed sweep: even n <= 12, odd
+        # prime powers q <= 25
+        count = 0
+        for n in range(0, cli.SWEEP_MAX_N + 1, 2):
+            for q in SWEEP_GRID_Q:
+                pres, act = standard_setup(n, Modulus.from_q(q))
+                for u_plus in range(n // 2 + 1):
+                    cert, _ = cli._certify(pres, act, Signature(u_plus, n // 2 - u_plus))
+                    assert cert.flags["delta_invariant_kill"] is True
+                    assert delta_invariant_kill_reference(act, cert.killed) is True
+                    count += 1
+        assert count == 280
+
+    @pytest.mark.parametrize("coordinate", [True, False], ids=["coordinate-V", "mixed-V"])
+    def test_one_realization_and_no_image_read(self, monkeypatch, coordinate):
+        pres, act = standard_setup(4, Modulus(3, 2))
+        if coordinate:
+            V = build_V(pres, act, Signature(1, 1)).V
+        else:
+            V = Submodule([[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 1], [0, 0, 1, 0, 8, 0]], 6, 9)
+        iso = validate_V(pres, act, V)
+        realizations, reads = [], []
+        image_under, getitem = Submodule.image_under, class2_words.ClassTwoStack.__getitem__
+        monkeypatch.setattr(Submodule, "image_under", lambda sub, m: realizations.append(sub) or image_under(sub, m))
+
+        def counted(stack, idx):
+            if stack is act.endo.images:
+                reads.append(idx)
+            return getitem(stack, idx)
+
+        monkeypatch.setattr(class2_words.ClassTwoStack, "__getitem__", counted)
+        cert = free_quotient(pres, act, iso)
+        assert cert.all_green and cert.signature == Signature(1, 1)
+        assert [sub is V for sub in realizations] == ([] if coordinate else [True])
+        assert reads == []
 
 
 class TestActionOnTheGroup:
@@ -1013,6 +1060,7 @@ class TestRandomEquivariantFrame:
             assert signature_of(cert, act) == sig
             assert cert.V_realized == V
             assert len(cert.kept) == k + 1
+            assert cert.flags["delta_invariant_kill"] == delta_invariant_kill_reference(act, cert.killed)
 
 
 def reference_cyclotomic_partner(rows, w, bvec, mod):
