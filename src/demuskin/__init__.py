@@ -55,6 +55,7 @@ from demuskin.quotient_builder import (
 )
 from demuskin.zq_linalg import (
     BilinearForm,
+    IsotropicOracle,
     Modulus,
     OracleGuardError,
     Submodule,
@@ -63,9 +64,9 @@ from demuskin.zq_linalg import (
     inv_mod,
     is_totally_isotropic,
     isotropic_free_submodules,
+    isotropic_oracle,
     kernel,
     max_isotropic_oracle,
-    maximal_isotropic_free_submodules,
     orthogonal_complement,
 )
 

@@ -23,6 +23,7 @@ from demuskin.demushkin_core import (
     bockstein_kernel,
     check_rank,
     coinvariants,
+    delta_map,
     gamma_line,
     invariants,
     lift_involution,
@@ -39,9 +40,7 @@ from demuskin.quotient_builder import (
 from demuskin.zq_linalg import (
     Modulus,
     OracleGuardError,
-    Submodule,
-    max_isotropic_oracle,
-    maximal_isotropic_free_submodules,
+    isotropic_oracle,
     orthogonal_complement,
 )
 
@@ -366,25 +365,24 @@ def cmd_oracle(args) -> dict:
     pres = _standard_presentation(args.p, args.f, args.n)
     config = _config(args)
     coh = invariants(pres)
-    kerb = bockstein_kernel(pres)
-    d = pres.d
     try:
-        full_max = max_isotropic_oracle(coh.cup, Submodule.full(d, pres.mod.q))
-        kerb_max, maximal = maximal_isotropic_free_submodules(coh.cup, kerb)
+        # one search: ker B is cut out by the Bockstein vector, and gamma is
+        # the dual vector of the cyclotomic line
+        found = isotropic_oracle(coh.cup, coh.bockstein, delta_map(pres, 1))
     except OracleGuardError as exc:
         raise InputError(str(exc)) from None
-    line = gamma_line(pres)
-    contain = all(sub.contains_submodule(line) for sub in maximal)
     expected = pres.n // 2 + 1
+    missing = found.first_missing
+    witness = "" if missing is None else f"the maximal V with normal basis {missing.tolist()} misses gamma"
     results = {
-        "max_isotropic_rank": full_max,
-        "max_isotropic_rank_in_bockstein_kernel": kerb_max,
-        "maximal_count_in_bockstein_kernel": len(maximal),
+        "max_isotropic_rank": found.max_rank,
+        "max_isotropic_rank_in_bockstein_kernel": found.max_rank_in_kernel,
+        "maximal_count_in_bockstein_kernel": found.maximal_count_in_kernel,
     }
     checks = [
-        _check("max_rank_bound", full_max == expected, f"expected {expected}"),
-        _check("kernel_max_rank", kerb_max == expected, f"expected {expected}"),
-        _check("maximal_contain_cyclotomic_line", contain),
+        _check("max_rank_bound", found.max_rank == expected, f"expected {expected}"),
+        _check("kernel_max_rank", found.max_rank_in_kernel == expected, f"expected {expected}"),
+        _check("maximal_contain_cyclotomic_line", found.all_contain_vec, witness),
     ]
     return _report(config, results, checks)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,7 @@ NO_SYMMETRY = "none"
 # Exhaustive search guards for the isotropic-submodule oracle.
 ORACLE_MAX_DIM = 6
 ORACLE_MAX_MOD = 9
+ORACLE_MAX_SPAN = 5**6  # q^d: (Z/5)^6 takes ~2 s, (Z/7)^6 86 s, (Z/9)^6 did not finish in 900 s
 _GRID_CELLS = 1 << 18  # bounds the node x vector slice a search level holds at once
 
 
@@ -569,20 +571,35 @@ def eigen_split(action: ZqMatrix) -> tuple[Submodule, Submodule]:
 
 
 class OracleGuardError(ValueError):
-    """An exhaustive search asked for outside ORACLE_MAX_DIM and ORACLE_MAX_MOD."""
+    """An exhaustive search asked for outside ORACLE_MAX_DIM, ORACLE_MAX_MOD
+    and ORACLE_MAX_SPAN."""
 
 
 def _oracle_guard(form: BilinearForm):
-    if form.dim > ORACLE_MAX_DIM or form.modulus > ORACLE_MAX_MOD:
+    m, d = form.modulus, form.dim
+    if d > ORACLE_MAX_DIM or m > ORACLE_MAX_MOD:
         raise OracleGuardError(
             "exhaustive search limited to ambient rank <= "
             f"{ORACLE_MAX_DIM} and modulus <= {ORACLE_MAX_MOD}; "
-            f"got rank {form.dim}, modulus {form.modulus}"
+            f"got rank {d}, modulus {m}"
+        )
+    if m**d > ORACLE_MAX_SPAN:
+        raise OracleGuardError(
+            f"exhaustive search limited to a span of q^d <= {ORACLE_MAX_SPAN} vectors; "
+            f"got {m}^{d} = {m**d}"
         )
 
 
-def _isotropic_normal_bases(form: BilinearForm, constraint: Submodule, top: int) -> list[np.ndarray]:
-    """Ranks 0..top of the search tree, each a nonempty (N, r, d) array of normal bases."""
+def _isotropic_normal_bases(
+    form: BilinearForm, constraint: Submodule, top: int, columns: np.ndarray | None = None
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Ranks 0..top of the search tree, each a nonempty (N, r, d) array of
+    normal bases, and per rank a mask of the nodes whose rows all lie in
+    {v : v @ columns = 0} (every node without `columns`).
+
+    A node's parent drops its last row, so the masked nodes are exactly the
+    tree of that kernel inside `constraint`: one search answers for both.
+    """
     _oracle_guard(form)
     if form.dim != constraint.ambient or form.modulus != constraint.modulus:
         raise ValueError("form and constraint have mismatched dimensions")
@@ -594,9 +611,10 @@ def _isotropic_normal_bases(form: BilinearForm, constraint: Submodule, top: int)
     left = (vecs @ gram) % m  # <v, b> = left[v] . b
     keep = ((vecs * lead).sum(axis=1) == 1) & ((left * vecs).sum(axis=1) % m == 0)
     vecs, lead_bit, left = vecs[keep], (lead @ bit)[keep], left[keep]
+    in_kernel = np.ones(len(vecs), dtype=bool) if columns is None else ~((vecs @ columns) % m).any(axis=1)
     support = (vecs != 0) @ bit
     pairs = np.stack([left, (vecs @ gram.T) % m], axis=1)  # and <b, v> = pairs[v, 1] . b
-    levels = [np.zeros((1, 0, d), dtype=np.int64)]
+    levels, inside = [np.zeros((1, 0, d), dtype=np.int64)], [np.ones(1, dtype=bool)]
     piv = used = np.zeros(1, dtype=bit.dtype)  # each node's pivot and nonzero columns
     step = max(1, _GRID_CELLS // max(1, len(vecs)))  # nodes per slice of the grid
     while len(levels) <= top:
@@ -611,8 +629,9 @@ def _isotropic_normal_bases(form: BilinearForm, constraint: Submodule, top: int)
         if not len(ni):
             break
         levels.append(np.concatenate([levels[-1][ni], vecs[vj, None]], axis=1))
+        inside.append(inside[-1][ni] & in_kernel[vj])
         piv, used = piv[ni] | lead_bit[vj], used[ni] | support[vj]
-    return levels
+    return levels, inside
 
 
 def isotropic_free_submodules(
@@ -633,24 +652,58 @@ def isotropic_free_submodules(
     The result starts with the zero submodule, then rank 1, rank 2, and so
     on, in a deterministic order within a rank; with `rank` given, only that
     rank.  The search visits every submodule, so OracleGuardError guards it
-    beyond ORACLE_MAX_DIM and ORACLE_MAX_MOD.
+    beyond ORACLE_MAX_DIM, ORACLE_MAX_MOD and ORACLE_MAX_SPAN.
     """
-    levels = _isotropic_normal_bases(form, constraint, form.dim if rank is None else rank)
+    levels, _ = _isotropic_normal_bases(form, constraint, form.dim if rank is None else rank)
     if rank is not None:
         levels = levels[rank : rank + 1] if rank >= 0 else []
     return [Submodule(basis, form.dim, form.modulus) for level in levels for basis in level]
 
 
-def maximal_isotropic_free_submodules(form: BilinearForm, constraint: Submodule) -> tuple[int, list[Submodule]]:
-    """The maximum rank r of a free totally isotropic submodule inside
-    `constraint` and every such submodule of rank r, in the order of
-    `isotropic_free_submodules(form, constraint, rank=r)`, from one search.
-    Guarded like the search."""
-    levels = _isotropic_normal_bases(form, constraint, form.dim)
-    return len(levels) - 1, [Submodule(basis, form.dim, form.modulus) for basis in levels[-1]]
-
-
 def max_isotropic_oracle(form: BilinearForm, constraint: Submodule) -> int:
     """Maximum rank of a free totally isotropic submodule inside `constraint`: the
     depth of the search tree, with no Submodule built.  Guarded like the search."""
-    return len(_isotropic_normal_bases(form, constraint, form.dim)) - 1
+    return len(_isotropic_normal_bases(form, constraint, form.dim)[0]) - 1
+
+
+class IsotropicOracle(NamedTuple):
+    """What one search of the whole module states about the free totally
+    isotropic submodules V, and those inside a kernel K."""
+
+    max_rank: int
+    max_rank_in_kernel: int
+    maximal_count_in_kernel: int
+    # the normal basis of the first V of maximal rank in K without `vec`, or None
+    first_missing: np.ndarray | None
+
+    @property
+    def all_contain_vec(self) -> bool:
+        """Whether every V of maximal rank in K contains `vec`."""
+        return self.first_missing is None
+
+
+def isotropic_oracle(form: BilinearForm, columns, vec) -> IsotropicOracle:
+    """One search of (Z/m)^d, read for the whole module and for the kernel
+    K = {v : v @ columns = 0} (`columns` a d x k array, a vector read as one
+    column): both maximal ranks, the number of maximal V in K, and whether
+    each of them contains `vec`.
+
+    No Howell form is taken.  A normal basis B has B[:, P] = I on its pivot
+    columns P, so `vec` lies in span(B) iff vec = vec[P] . B mod m.  Guarded
+    like the search.
+    """
+    m, d = form.modulus, form.dim
+    cols = integers_mod(columns, m, "kernel columns")
+    cols = cols[:, None] if cols.ndim == 1 else cols
+    target = integers_mod(vec, m, "vector")
+    if cols.ndim != 2 or cols.shape[0] != d or target.shape != (d,):
+        raise ValueError(f"columns must have {d} rows and the vector {d} entries")
+    levels, inside = _isotropic_normal_bases(form, Submodule.full(d, m), d, cols)
+    top = max(r for r, mask in enumerate(inside) if mask.any())
+    maximal = levels[top][inside[top]]
+    pivots = (maximal % _prime_power_base(m)[0] != 0).argmax(axis=2)  # each row's first unit
+    spanned = np.einsum("nr,nrd->nd", target[pivots], maximal) % m
+    missing = np.flatnonzero((spanned != target).any(axis=1))
+    return IsotropicOracle(
+        len(levels) - 1, top, len(maximal), maximal[missing[0]] if len(missing) else None
+    )

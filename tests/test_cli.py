@@ -2,7 +2,9 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
+import numpy as np
 import pytest
 
 from demuskin import cli, zq_linalg
@@ -578,22 +580,49 @@ class TestOracleCommand:
             "got rank 2, modulus 27\n"
         )
 
+    @pytest.mark.parametrize("p,f,n,span", [(7, 1, 4, "7^6 = 117649"), (3, 2, 4, "9^6 = 531441")])
+    def test_span_guard_refuses_cells_that_do_not_finish(self, p, f, n, span):
+        # (7,1,4) took 86 s and (3,2,4) did not finish in 900 s; the span
+        # bound refuses both before the search starts
+        proc = run_cli("oracle", "--p", str(p), "--f", str(f), "--n", str(n))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: exhaustive search limited to a span of q^d <= 15625 vectors; got {span}\n"
+        start = time.perf_counter()
+        assert main(["oracle", "--p", str(p), "--f", str(f), "--n", str(n)]) == 2
+        assert time.perf_counter() - start < 1
+
     def test_searches_each_space_once(self, tmp_path, monkeypatch):
-        # one search of the whole space and one of ker B, which gives both the
-        # maximal rank and the maximal submodules there
+        # one search of the whole space gives both maximal ranks, the count
+        # in ker B and the containment of gamma; no Howell form is taken
         real = zq_linalg._isotropic_normal_bases
         spaces = []
         monkeypatch.setattr(zq_linalg, "_isotropic_normal_bases", lambda *a: spaces.append(a[1]) or real(*a))
+
+        def no_elimination(*args):
+            raise AssertionError("oracle took a Howell form")
+
+        monkeypatch.setattr(zq_linalg, "_howell_rows", no_elimination)
         code, _ = run_inproc(tmp_path, "oracle", "--p", "3", "--n", "2")
-        assert code == 0 and len(spaces) == 2 and spaces[0] != spaces[1]
+        assert code == 0 and spaces == [zq_linalg.Submodule.full(4, 3)]
 
     def test_fault_in_search_is_not_an_input_error(self, monkeypatch):
-        def broken(form, constraint):
+        def broken(form, columns, vec):
             raise ValueError("fault inside the search")
 
-        monkeypatch.setattr(cli, "max_isotropic_oracle", broken)
+        monkeypatch.setattr(cli, "isotropic_oracle", broken)
         with pytest.raises(ValueError, match="fault inside the search"):
             main(["oracle", "--p", "3", "--n", "0"])
+
+    def test_red_containment_names_its_witness(self, tmp_path, monkeypatch):
+        # with the dual of x0 in place of gamma, the first maximal V in ker B
+        # that misses it is named by its normal basis; green detail is empty
+        code, text = run_inproc(tmp_path, "oracle", "--p", "3", "--n", "2")
+        assert code == 0 and json.loads(text)["checks"][2]["detail"] == ""
+        monkeypatch.setattr(cli, "delta_map", lambda pres, i: np.eye(pres.d, dtype=np.int64)[1])
+        code, text = run_inproc(tmp_path, "oracle", "--p", "3", "--n", "2")
+        check = json.loads(text)["checks"][2]
+        assert code == 1 and check["name"] == "maximal_contain_cyclotomic_line" and not check["pass"]
+        assert check["detail"] == "the maximal V with normal basis [[1, 0, 0, 0], [0, 0, 0, 1]] misses gamma"
 
     @pytest.mark.parametrize("p,f,n,count", [(7, 1, 2, 8), (3, 2, 2, 12), (3, 1, 4, 40)])
     def test_largest_cells(self, tmp_path, p, f, n, count):

@@ -1,14 +1,19 @@
 """Source hygiene of the package, read with the stdlib `ast`: no module
-imports a name it never uses, and no module defines a private name (at
-module level or as a method) that the package never references."""
+imports a name it never uses, no module defines a private name (at module
+level or as a method) that the package never references, and no public
+function or class is kept for the tests alone."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "demuskin"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "demuskin"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+# the code that uses the package: its own modules (the re-exports of
+# `__init__.py` are no use), the demos and the benchmark
+USERS = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def parse(path: Path) -> ast.Module:
@@ -69,4 +74,15 @@ def test_no_unused_import(path):
 def test_no_unreferenced_private_name(path):
     referenced = set().union(*(loaded_names(parse(p)) for p in PACKAGE.glob("*.py")))
     defined = private_definitions(parse(path))
+    assert [(name, line) for name, line in defined if name not in referenced] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_public_name_kept_for_tests_alone(path):
+    referenced = set().union(*(loaded_names(parse(p)) for p in USERS))
+    defined = [
+        (node.name, node.lineno)
+        for node in parse(path).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not is_private(node.name)
+    ]
     assert [(name, line) for name, line in defined if name not in referenced] == []

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 from math import gcd, prod
 
@@ -12,6 +13,7 @@ from demuskin import zq_linalg
 from demuskin.demushkin_core import (
     DemushkinPresentation,
     bockstein_kernel,
+    delta_map,
     gamma_line,
     invariants,
 )
@@ -28,10 +30,10 @@ from demuskin.zq_linalg import (
     inv_mod,
     is_totally_isotropic,
     isotropic_free_submodules,
+    isotropic_oracle,
     kernel,
     matmul_mod,
     max_isotropic_oracle,
-    maximal_isotropic_free_submodules,
     orthogonal_complement,
 )
 from frame_reference import coordinate_indices_reference
@@ -514,19 +516,24 @@ class TestIsotropicOracle:
     @pytest.mark.parametrize("p,f,n", [(3, 1, 0), (3, 2, 0), (3, 1, 2), (5, 1, 2)])
     def test_maximal_submodules_from_one_search(self, monkeypatch, p, f, n):
         pres, cup = standard_cup(p, f, n)
-        for constraint in (Submodule.full(pres.d, p**f), bockstein_kernel(pres)):
-            top = max_isotropic_oracle(cup, constraint)
-            want = isotropic_free_submodules(cup, constraint, rank=top)
-            searches = []
-            real = zq_linalg._isotropic_normal_bases
-            monkeypatch.setattr(zq_linalg, "_isotropic_normal_bases", lambda *a: searches.append(a) or real(*a))
-            assert maximal_isotropic_free_submodules(cup, constraint) == (top, want)
-            assert len(searches) == 1
-            monkeypatch.undo()
+        # the whole module, once; TestOneSearchOracle compares the result
+        # with searches of the whole module and of ker B
+        searches = []
+        real = zq_linalg._isotropic_normal_bases
+        monkeypatch.setattr(zq_linalg, "_isotropic_normal_bases", lambda *a: searches.append(a[1]) or real(*a))
+        isotropic_oracle(cup, invariants(pres).bockstein, delta_map(pres, 1))
+        assert searches == [Submodule.full(pres.d, p**f)]
 
     def test_maximal_submodules_guarded(self):
         with pytest.raises(OracleGuardError):
-            maximal_isotropic_free_submodules(BilinearForm(zeros(7, 7, 3), NO_SYMMETRY), Submodule.full(7, 3))
+            isotropic_oracle(BilinearForm(zeros(7, 7, 3), NO_SYMMETRY), np.zeros(7, dtype=np.int64), [0] * 7)
+
+    @pytest.mark.parametrize("m,d", [(7, 6), (9, 6)])
+    def test_span_guard(self, m, d):
+        # inside the rank and modulus bounds, but past q^d <= 5^6
+        form = BilinearForm(zeros(d, d, m), NO_SYMMETRY)
+        with pytest.raises(OracleGuardError, match=f"q\\^d <= 15625 vectors; got {m}\\^{d} = {m**d}"):
+            max_isotropic_oracle(form, Submodule.zero(d, m))
 
     def test_rank_by_rank_order(self):
         form = standard_gram_4()
@@ -586,6 +593,85 @@ class TestOracleClosedForms:
         assert len(maximal) == lagrangian_count(p, f, n // 2) == count
         line = gamma_line(pres)
         assert all(s.contains_submodule(line) for s in maximal)
+
+
+def maximal_isotropic_free_submodules(form, constraint):
+    """The maximum rank r of a free totally isotropic submodule inside
+    `constraint` and every such submodule of rank r, as Howell Submodules:
+    the reference for `isotropic_oracle`, searching `constraint` itself."""
+    top = max_isotropic_oracle(form, constraint)
+    return top, isotropic_free_submodules(form, constraint, rank=top)
+
+
+# (p, f, n) and the closed-form count of maximal V in ker B
+ORACLE_CELLS = [
+    (3, 1, 0, 1), (3, 1, 2, 4), (5, 1, 0, 1), (5, 1, 2, 6), (7, 1, 0, 1),
+    (7, 1, 2, 8), (3, 2, 0, 1), (3, 2, 2, 12), (3, 1, 4, 40), (5, 1, 4, 156),
+]
+
+
+@lru_cache(maxsize=None)
+def one_search(p, f, n, vec=None):
+    """`isotropic_oracle` on the standard presentation, for ker B and gamma
+    (or the coordinate vector e_vec)."""
+    pres, cup = standard_cup(p, f, n)
+    target = delta_map(pres, 1) if vec is None else np.eye(pres.d, dtype=np.int64)[vec]
+    return isotropic_oracle(cup, invariants(pres).bockstein, target)
+
+
+class TestOneSearchOracle:
+    """`isotropic_oracle` against the searches it replaces: the whole module,
+    ker B searched by itself, and Howell containment of the cyclotomic line."""
+
+    @pytest.mark.parametrize("p,f,n,count", ORACLE_CELLS)
+    def test_matches_two_searches(self, p, f, n, count):
+        pres, cup = standard_cup(p, f, n)
+        top, maximal = maximal_isotropic_free_submodules(cup, bockstein_kernel(pres))
+        found = one_search(p, f, n)
+        assert found.max_rank == max_isotropic_oracle(cup, Submodule.full(pres.d, p**f))
+        assert (found.max_rank_in_kernel, found.maximal_count_in_kernel) == (top, len(maximal))
+        line = gamma_line(pres)
+        assert found.all_contain_vec and all(s.contains_submodule(line) for s in maximal)
+        assert found.first_missing is None
+
+    @pytest.mark.parametrize("p,f,n,count", ORACLE_CELLS)
+    def test_maximal_count_closed_form(self, p, f, n, count):
+        # the maximal V in ker B are the Lagrangians of gamma^perp / gamma,
+        # free symplectic of rank n (Taylor, The Geometry of the Classical
+        # Groups, 1992).  f >= 2 with n/2 >= 2 stays unchecked: the search of
+        # Z/9 at d = 6 does not finish, and the span guard refuses it.
+        assert lagrangian_count(p, f, n // 2) == count
+        assert one_search(p, f, n).maximal_count_in_kernel == count
+
+    @pytest.mark.parametrize("p,f,n,count", ORACLE_CELLS)
+    def test_dual_of_x0_is_missed_with_witness(self, p, f, n, count):
+        # ker B is cut out by x0's coordinate, so no V inside contains e_x0;
+        # the witness is the normal basis of a maximal V of the reference
+        pres, cup = standard_cup(p, f, n)
+        found = one_search(p, f, n, vec=1)
+        assert not found.all_contain_vec
+        witness = Submodule(found.first_missing, pres.d, p**f)
+        assert not witness.contains(np.eye(pres.d, dtype=np.int64)[1])
+        assert witness in maximal_isotropic_free_submodules(cup, bockstein_kernel(pres))[1]
+
+    def test_witness_is_a_normal_basis_outside_the_vector(self):
+        # over the standard form of rank 4, e_2 lies in some maximal V of
+        # ker B and misses others: the witness is the first that misses it
+        pres, cup = standard_cup(3, 1, 2)
+        found = one_search(3, 1, 2, vec=2)
+        assert not found.all_contain_vec
+        basis = found.first_missing
+        pivots = (basis % 3 != 0).argmax(axis=1)
+        assert np.array_equal(basis[:, pivots], np.eye(len(basis), dtype=np.int64))
+        assert not Submodule(basis, 4, 3).contains([0, 0, 1, 0])
+        assert any(s.contains([0, 0, 1, 0]) for s in maximal_isotropic_free_submodules(cup, bockstein_kernel(pres))[1])
+
+    def test_rejects_mismatched_shapes(self):
+        pres, cup = standard_cup(3, 1, 2)
+        with pytest.raises(ValueError):
+            isotropic_oracle(cup, np.zeros(3, dtype=np.int64), [0] * 4)
+        with pytest.raises(ValueError):
+            isotropic_oracle(cup, np.zeros(4, dtype=np.int64), [0] * 3)
 
 
 def gaussian_binomial(d, r, p):
