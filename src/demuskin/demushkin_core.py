@@ -35,7 +35,6 @@ from demuskin.class2_words import (
     quotient_kill,
 )
 from demuskin.zq_linalg import (
-    ANTISYMMETRIC,
     BilinearForm,
     Modulus,
     Submodule,
@@ -190,7 +189,6 @@ class DemushkinPresentation:
 class CohomologyData:
     """Cup form and Bockstein vector read off the collected relator."""
 
-    h1_rank: int
     cup: BilinearForm
     bockstein: np.ndarray
     cup_nondegenerate: bool
@@ -208,12 +206,11 @@ def invariants(pres: DemushkinPresentation) -> CohomologyData:
         return pres._cohomology
     q = pres.mod.q
     w = pres.relator
-    cup = BilinearForm(ZqMatrix(w.commutator_form, q), ANTISYMMETRIC)
+    cup = BilinearForm(ZqMatrix(w.commutator_form, q))
     bockstein = (w.gen_exp // q) % q
     bockstein.setflags(write=False)
     surjective = bool(((bockstein % pres.mod.p) != 0).any())
     pres._cohomology = CohomologyData(
-        h1_rank=pres.d,
         cup=cup,
         bockstein=bockstein,
         cup_nondegenerate=cup.is_nondegenerate(),

@@ -25,12 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-ANTISYMMETRIC = "antisymmetric"
-NO_SYMMETRY = "none"
-
 # Exhaustive search guards for the isotropic-submodule oracle.
-ORACLE_MAX_DIM = 6
-ORACLE_MAX_MOD = 9
+ORACLE_MAX_DIM = 6  # rank 8: (Z/3)^8 takes 18 s and 435 MB
 ORACLE_MAX_SPAN = 5**6  # q^d: (Z/5)^6 takes ~2 s, (Z/7)^6 86 s, (Z/9)^6 did not finish in 900 s
 _GRID_CELLS = 1 << 18  # bounds the node x vector slice a search level holds at once
 
@@ -488,22 +484,20 @@ def inv_mod(mat: ZqMatrix) -> ZqMatrix:
 
 
 class BilinearForm:
-    """A bilinear pairing <u, v> = u . gram . v on (Z/m)^d."""
+    """An alternating pairing <u, v> = u . gram . v on (Z/m)^d: the gram is
+    antisymmetric with zero diagonal, so <v, u> = -<u, v> and <v, v> = 0.
+    The cup product H^1 x H^1 -> H^2 of a Demushkin group is one for odd p
+    (Labute, Canad. J. Math. 19, 1967)."""
 
-    __slots__ = ("gram", "symmetry")
+    __slots__ = ("gram",)
 
-    def __init__(self, gram: ZqMatrix, symmetry: str = NO_SYMMETRY):
+    def __init__(self, gram: ZqMatrix):
         if gram.rows != gram.cols:
             raise ValueError("gram matrix must be square")
-        if symmetry not in (ANTISYMMETRIC, NO_SYMMETRY):
-            raise ValueError(f"unknown symmetry tag {symmetry!r}")
         a = gram.array
-        m = gram.modulus
-        if symmetry == ANTISYMMETRIC:
-            if not np.array_equal(a.T % m, (-a) % m) or a.diagonal().any():
-                raise ValueError("form is not antisymmetric with zero diagonal")
+        if not np.array_equal(a.T, (-a) % gram.modulus) or a.diagonal().any():
+            raise ValueError("form is not antisymmetric with zero diagonal")
         self.gram = gram
-        self.symmetry = symmetry
 
     @property
     def dim(self) -> int:
@@ -525,7 +519,7 @@ class BilinearForm:
         return bool(monomial) or len(_howell_rows(gram, self.dim, p)) == self.dim
 
     def __repr__(self):
-        return f"BilinearForm({self.gram!r}, {self.symmetry})"
+        return f"BilinearForm({self.gram!r})"
 
 
 def orthogonal_complement(form: BilinearForm, s: Submodule) -> Submodule:
@@ -571,18 +565,14 @@ def eigen_split(action: ZqMatrix) -> tuple[Submodule, Submodule]:
 
 
 class OracleGuardError(ValueError):
-    """An exhaustive search asked for outside ORACLE_MAX_DIM, ORACLE_MAX_MOD
-    and ORACLE_MAX_SPAN."""
+    """An exhaustive search asked for outside ORACLE_MAX_DIM and
+    ORACLE_MAX_SPAN."""
 
 
 def _oracle_guard(form: BilinearForm):
     m, d = form.modulus, form.dim
-    if d > ORACLE_MAX_DIM or m > ORACLE_MAX_MOD:
-        raise OracleGuardError(
-            "exhaustive search limited to ambient rank <= "
-            f"{ORACLE_MAX_DIM} and modulus <= {ORACLE_MAX_MOD}; "
-            f"got rank {d}, modulus {m}"
-        )
+    if d > ORACLE_MAX_DIM:
+        raise OracleGuardError(f"exhaustive search limited to ambient rank <= {ORACLE_MAX_DIM}; got rank {d}")
     if m**d > ORACLE_MAX_SPAN:
         raise OracleGuardError(
             f"exhaustive search limited to a span of q^d <= {ORACLE_MAX_SPAN} vectors; "
@@ -608,12 +598,11 @@ def _isotropic_normal_bases(
     vecs = constraint._span_array()
     units = vecs % _prime_power_base(m)[0] != 0
     lead = units & (np.cumsum(units, axis=1) == 1)  # one-hot at the first unit
-    left = (vecs @ gram) % m  # <v, b> = left[v] . b
-    keep = ((vecs * lead).sum(axis=1) == 1) & ((left * vecs).sum(axis=1) % m == 0)
+    left = (vecs @ gram) % m  # <v, b> = left[v] . b, and <b, v> = -<v, b>
+    keep = (vecs * lead).sum(axis=1) == 1
     vecs, lead_bit, left = vecs[keep], (lead @ bit)[keep], left[keep]
     in_kernel = np.ones(len(vecs), dtype=bool) if columns is None else ~((vecs @ columns) % m).any(axis=1)
     support = (vecs != 0) @ bit
-    pairs = np.stack([left, (vecs @ gram.T) % m], axis=1)  # and <b, v> = pairs[v, 1] . b
     levels, inside = [np.zeros((1, 0, d), dtype=np.int64)], [np.ones(1, dtype=bool)]
     piv = used = np.zeros(1, dtype=bit.dtype)  # each node's pivot and nonzero columns
     step = max(1, _GRID_CELLS // max(1, len(vecs)))  # nodes per slice of the grid
@@ -622,8 +611,7 @@ def _isotropic_normal_bases(
         for at in (slice(lo, lo + step) for lo in range(0, len(piv), step)):
             grid = (lead_bit > piv[at, None]) & ((piv[at, None] & support) == 0)
             ni, vj = np.nonzero(grid & ((used[at, None] & lead_bit) == 0))
-            pairing = np.einsum("krd,ksd->krs", levels[-1][at][ni], pairs[vj]) % m
-            orth = ~pairing.any(axis=(1, 2))
+            orth = ~(np.einsum("krd,kd->kr", levels[-1][at][ni], left[vj]) % m).any(axis=1)
             kids.append((ni[orth] + at.start, vj[orth]))
         ni, vj = (np.concatenate(x) for x in zip(*kids))
         if not len(ni):
@@ -643,8 +631,9 @@ def isotropic_free_submodules(
     by all but the last row of T's normal basis B: B[:, P] = I for the pivot
     set P of T mod p, with pZ entries before each row's pivot (canonical
     augmentation, McKay, J. Algorithms 26, 1998).  A node S grows by each
-    isotropic v in `constraint` whose first unit entry is a 1 at
-    lead(v) > max P, with v[P] = 0, S[:, lead(v)] = 0 and <S, v> = <v, S> = 0.
+    v in `constraint` whose first unit entry is a 1 at lead(v) > max P, with
+    v[P] = 0, S[:, lead(v)] = 0 and <v, S> = 0 (the form is alternating, so
+    <v, v> = 0 and <S, v> = -<v, S>).
     Column conditions are bit masks on the node x vector grid; only the pairs
     that pass them are paired.  Nothing is built twice, and Submodules
     (Howell forms) are built only for the ranks returned.
@@ -652,7 +641,7 @@ def isotropic_free_submodules(
     The result starts with the zero submodule, then rank 1, rank 2, and so
     on, in a deterministic order within a rank; with `rank` given, only that
     rank.  The search visits every submodule, so OracleGuardError guards it
-    beyond ORACLE_MAX_DIM, ORACLE_MAX_MOD and ORACLE_MAX_SPAN.
+    beyond ORACLE_MAX_DIM and ORACLE_MAX_SPAN.
     """
     levels, _ = _isotropic_normal_bases(form, constraint, form.dim if rank is None else rank)
     if rank is not None:

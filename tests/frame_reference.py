@@ -122,7 +122,6 @@ def cohomology_fields(coh) -> tuple | None:
     if coh is None:
         return None
     return (
-        coh.h1_rank,
         coh.cup.gram.array.tolist(),
         coh.bockstein.tolist(),
         coh.cup_nondegenerate,

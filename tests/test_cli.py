@@ -1,14 +1,21 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from demuskin import cli, zq_linalg
 from demuskin.cli import main
+from demuskin.zq_linalg import Modulus
 
 
 def run_cli(*argv):
@@ -147,6 +154,181 @@ class TestMalformedJson:
         assert main(["invariants", "--presentation", str(pres)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad presentation file") and f"must be a JSON object, got {kind}" in err
+
+
+def mostly(common, rare):
+    """`common` nine times in ten, `rare` otherwise (at a k inside the range:
+    hypothesis draws its ends more often)."""
+    return st.integers(0, 9).flatmap(lambda k: rare if k == 4 else common)
+
+
+# integers of every kind an option meets: negative, zero, small primes and
+# composites, primes past 2^31 and 2^61, and ranks past MAX_N = 960.  Ranks
+# 13 to 960 are left out: there an admitted command takes seconds.
+INTEGERS = mostly(
+    st.integers(-3, 13),
+    st.sampled_from([961, 967, 1000, 2**31 - 1, 2**31 + 11, 2**32 + 15, 2**61 - 1, 10**30]),
+)
+NOT_INTEGERS = st.sampled_from(["", " ", "x", "1.5", "3e2", "0x10"])
+WORDS = st.sampled_from(
+    ["x0^3 [x0,g] [x2,x1]", "x0^-1", "x0^99999999999999999999", "[x0,x0]", "", "x9", "(", "x0^", "[x0,g", "(" * 200 + "g" + ")" * 200]
+)
+LABELS = st.sampled_from([["g", "a", "b", "c"], ["g", "g", "a", "b"], ["g", "a b", "c", "d"], ["1", "2", "3", "4"], ["g", "a"]])
+JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.sampled_from([2**70, 1.5, "", "x0", "g g"])),
+    lambda kids: st.one_of(st.lists(kids, max_size=3), st.dictionaries(st.sampled_from(["p", "gen_exp", "x0", "g"]), kids, max_size=3)),
+    max_leaves=6,
+)
+# a valid file of each kind, and the keys at which one is spoiled
+PRESENTATION = {"p": 3, "f": 1, "n": 2, "relator": GOOD_RELATOR, "chi": [4, 1, 1, 1]}
+PRESENTATION_KEYS = [("p",), ("f",), ("n",), ("relator",), ("relator", "gen_exp"), ("relator", "comm_exp"), ("chi",), ("labels",)]
+ACTION = {"images": GOOD_IMAGES}
+ACTION_KEYS = [("images",), ("images", "g"), ("images", "x0"), ("images", "x9")]
+WRONG_TYPES = [None, True, 5, -1, 2**70, 1.5, "x0", "", [], [1, "g"], {}, {"g": [None]}]
+DROPPED = object()
+
+
+def spoiled(data, path, value):
+    """`data` as JSON text with `value` at the key `path`, or that key
+    dropped for DROPPED."""
+    data = copy.deepcopy(data)
+    *path, key = path
+    at = data
+    for k in path:
+        at = at[k]
+    if value is DROPPED:
+        at.pop(key, None)
+    else:
+        at[key] = value
+    return json.dumps(data)
+
+
+@st.composite
+def file_texts(draw, data, keys):
+    """`data` as JSON text, kept, or with one key dropped or set to a value
+    of any type, or text that is not a JSON object at all."""
+    how = draw(st.sampled_from(["spoiled", "kept", "dropped", "kept", "not-json", "kept", "not-an-object", "spoiled"]))
+    if how == "not-json":
+        return draw(st.sampled_from(["{not json", "", "[1, 2", '{"p": 3,}']))
+    if how == "not-an-object":
+        return json.dumps(draw(JUNK))
+    if how == "kept":
+        return json.dumps(data)
+    value = DROPPED if how == "dropped" else draw(st.one_of(INTEGERS, WORDS, LABELS, JUNK))
+    return spoiled(data, draw(st.sampled_from(keys)), value)
+
+
+def option_tokens(usual):
+    """A usual value or any integer, and now and then a token that is not one."""
+    return mostly(st.one_of(st.sampled_from(usual), INTEGERS).map(str), NOT_INTEGERS)
+
+
+def int_lists(usual):
+    """Comma-separated lists, well formed or not, for --sweep-n and --sweep-q."""
+    return st.lists(option_tokens(usual), max_size=3).map(",".join)
+
+
+VALUES = {
+    "--p": option_tokens([3, 5, 7]).map(lambda v: [v]),
+    "--f": option_tokens([1, 2]).map(lambda v: [v]),
+    "--n": option_tokens([0, 2]).map(lambda v: [v]),
+    "--signature": st.lists(option_tokens([0, 1]), min_size=2, max_size=2),
+    "--sweep-n": int_lists([2, 4]).map(lambda v: [v]),
+    "--sweep-q": int_lists([3, 5, 9, 25]).map(lambda v: [v]),
+    "--format": mostly(st.sampled_from([["json"], ["text"]]), st.just(["xml"])),
+}
+COMMAND_OPTIONS = {
+    "present": ("--p", "--f", "--n"),
+    "invariants": ("--p", "--f", "--n", "--presentation"),
+    "involution": ("--p", "--f", "--n", "--action"),
+    "symmetrize": ("--p", "--f", "--n", "--action"),
+    "quotient": ("--p", "--f", "--n", "--signature"),
+    "sweep": ("--sweep-n", "--sweep-q"),
+    "oracle": ("--p", "--f", "--n"),
+    "preset": ("--p",),
+    "verify": ("--presentation", "--action"),
+}
+
+
+@st.composite
+def cli_inputs(draw):
+    """An argv for one of the nine subcommands, each option given or not,
+    now and then with a stray argument, and the text of the files it names."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    argv, files = [command], {}
+    for option in COMMAND_OPTIONS[command] + ("--format",):
+        if draw(st.booleans()):
+            continue
+        if option in ("--presentation", "--action"):
+            name = option[2:] + ".json"
+            if draw(st.integers(0, 9)):
+                data, keys = (PRESENTATION, PRESENTATION_KEYS) if name == "presentation.json" else (ACTION, ACTION_KEYS)
+                files[name] = draw(file_texts(data, keys))
+            argv += [option, name]
+        else:
+            argv += [option, *draw(VALUES[option])]
+    if not draw(st.integers(0, 9)):
+        argv += draw(st.sampled_from([["--bogus"], ["--p"], ["extra"], ["--signature", "1"], ["--help-me"]]))
+    return argv, files
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of one in-process call, an argparse
+    refusal read as 2; any other exception escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            code = "usage"
+    assert time.perf_counter() - start < 5, argv
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_reports_or_exits_two(argv):
+    """The property of every input: a report (exit 0 or 1) that a second
+    call repeats byte for byte, or exit 2, through an InputError with one
+    error line and no report, or through argparse."""
+    code, out, err = run_main(argv)
+    assert code in (0, 1, 2, "usage"), argv
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and out == "", (argv, err)
+    elif code in (0, 1):
+        assert run_main(argv) == (code, out, err), argv
+
+
+class TestFuzzedInput:
+    """Any argv and any file contents either compute a report or exit 2."""
+
+    @settings(
+        max_examples=500,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=cli_inputs())
+    def test_every_input_reports_or_exits_two(self, tmp_path, case):
+        argv, files = case
+        for name in ("presentation.json", "action.json"):
+            (tmp_path / name).unlink(missing_ok=True)
+            if name in files:
+                (tmp_path / name).write_text(files[name])
+        assert_reports_or_exits_two([str(tmp_path / a) if a in ("presentation.json", "action.json") else a for a in argv])
+
+    def test_a_wrong_type_at_each_key(self, tmp_path):
+        pres, act = tmp_path / "presentation.json", tmp_path / "action.json"
+        for path in PRESENTATION_KEYS:
+            for value in WRONG_TYPES + [DROPPED]:
+                pres.write_text(spoiled(PRESENTATION, path, value))
+                assert_reports_or_exits_two(["invariants", "--presentation", str(pres)])
+        pres.write_text(json.dumps(PRESENTATION))
+        for path in ACTION_KEYS:
+            for value in WRONG_TYPES + [DROPPED]:
+                act.write_text(spoiled(ACTION, path, value))
+                for argv in (["verify", "--presentation", str(pres)], ["involution"], ["symmetrize"]):
+                    assert_reports_or_exits_two([*argv, "--action", str(act)])
 
 
 class TestRankBound:
@@ -573,12 +755,42 @@ class TestSymmetrizeCommand:
 
 class TestOracleCommand:
     def test_guard_is_two(self):
-        proc = run_cli("oracle", "--p", "3", "--f", "3", "--n", "0")
+        # (Z/3)^8 took 18 s and 435 MB with the guards lifted
+        proc = run_cli("oracle", "--p", "3", "--n", "6")
         assert proc.returncode == 2
-        assert proc.stderr == (
-            "error: exhaustive search limited to ambient rank <= 6 and modulus <= 9; "
-            "got rank 2, modulus 27\n"
-        )
+        assert proc.stderr == "error: exhaustive search limited to ambient rank <= 6; got rank 8\n"
+
+    def test_guard_table(self, capsys):
+        # every odd prime power q <= 125 and n in 0..6: a refused cell exits 2
+        # at once naming its bound, an admitted one counts the maximal V in
+        # ker B as p^((f-1)m(m+1)/2) prod_{i<=m} (p^i + 1), m = n/2.  (5,1,4)
+        # takes 1.5 s and is counted in the tests of the search itself
+        admitted = {(5, 1, 4)}
+        for q in range(3, 126, 2):
+            try:
+                mod = Modulus.from_q(q)
+            except ValueError:
+                continue
+            p, f = mod.p, mod.f
+            for n in (0, 2, 4, 6):
+                if (p, f, n) == (5, 1, 4):
+                    continue
+                cell, m = (p, f, n), n // 2
+                start = time.perf_counter()
+                code = main(["oracle", "--p", str(p), "--f", str(f), "--n", str(n)])
+                out, err = capsys.readouterr()
+                if code == 2:
+                    bound = "ambient rank <= 6" if n + 2 > 6 else "a span of q^d <= 15625 vectors"
+                    assert f"error: exhaustive search limited to {bound}" in err, cell
+                    assert time.perf_counter() - start < 1, cell
+                    continue
+                count = p ** ((f - 1) * m * (m + 1) // 2) * prod(p**i + 1 for i in range(1, m + 1))
+                assert code == 0, cell
+                assert json.loads(out)["results"]["maximal_count_in_bockstein_kernel"] == count, cell
+                admitted.add(cell)
+        # all 36 cells at n = 0, and q^(n+2) <= 5^6 past it
+        assert len(admitted) == 43
+        assert {(p**f, n) for p, f, n in admitted if n} == {(3, 2), (5, 2), (7, 2), (9, 2), (11, 2), (3, 4), (5, 4)}
 
     @pytest.mark.parametrize("p,f,n,span", [(7, 1, 4, "7^6 = 117649"), (3, 2, 4, "9^6 = 531441")])
     def test_span_guard_refuses_cells_that_do_not_finish(self, p, f, n, span):

@@ -18,8 +18,6 @@ from demuskin.demushkin_core import (
     invariants,
 )
 from demuskin.zq_linalg import (
-    ANTISYMMETRIC,
-    NO_SYMMETRY,
     BilinearForm,
     Modulus,
     OracleGuardError,
@@ -81,7 +79,7 @@ def standard_gram_4(m=3):
     g = np.zeros((4, 4), dtype=np.int64)
     g[0, 1], g[1, 0] = 1, m - 1
     g[2, 3], g[3, 2] = m - 1, 1
-    return BilinearForm(ZqMatrix(g, m), ANTISYMMETRIC)
+    return BilinearForm(ZqMatrix(g, m))
 
 
 class TestModulus:
@@ -342,6 +340,17 @@ class TestAnnihilatedBy:
             getattr(sub, method)([[1.5, 0], [0, 1]])
 
 
+class TestAlternatingForm:
+    @pytest.mark.parametrize("gram", [[[0, 1], [1, 0]], [[1, 0], [0, 0]]], ids=["symmetric", "diagonal"])
+    def test_rejects_a_gram_that_is_not_alternating(self, gram):
+        with pytest.raises(ValueError, match="antisymmetric with zero diagonal"):
+            BilinearForm(ZqMatrix(gram, 3))
+
+    def test_accepts_an_alternating_gram(self):
+        form = BilinearForm(ZqMatrix([[0, 1], [-1, 0]], 9))
+        assert form.gram.array.tolist() == [[0, 1], [8, 0]] and form.is_nondegenerate()
+
+
 class TestOrthogonalComplement:
     def test_complement_of_zero_is_full(self):
         form = standard_gram_4()
@@ -488,16 +497,16 @@ class TestIsotropicOracle:
             assert s.contains_submodule(line)
 
     def test_zero_form_full_rank(self):
-        form = BilinearForm(zeros(2, 2, 3), NO_SYMMETRY)
+        form = BilinearForm(zeros(2, 2, 3))
         assert max_isotropic_oracle(form, Submodule.full(2, 3)) == 2
 
     def test_guard_rejects_large_instances(self):
-        form = BilinearForm(zeros(7, 7, 3), NO_SYMMETRY)
+        form = BilinearForm(zeros(7, 7, 3))
         with pytest.raises(ValueError):
             max_isotropic_oracle(form, Submodule.full(7, 3))
-        form25 = BilinearForm(zeros(2, 2, 25), NO_SYMMETRY)
-        with pytest.raises(ValueError):
-            max_isotropic_oracle(form25, Submodule.full(2, 25))
+        # no bound on the modulus by itself: 25^2 lies inside the span bound
+        form25 = BilinearForm(zeros(2, 2, 25))
+        assert max_isotropic_oracle(form25, Submodule.full(2, 25)) == 2
 
     def test_enumeration_matches_naive_filter_small(self):
         # rank-1 isotropic submodules over (Z/3)^4: every line is isotropic
@@ -508,7 +517,7 @@ class TestIsotropicOracle:
 
     def test_zero_node_rejects_non_free_lines(self):
         # over Z/9 the line spanned by 3 is isotropic but not free
-        form = BilinearForm(zeros(2, 2, 9), NO_SYMMETRY)
+        form = BilinearForm(zeros(2, 2, 9))
         subs = isotropic_free_submodules(form, Submodule([[3, 0], [0, 1]], 2, 9))
         assert all(s.is_free for s in subs)
         assert [s.rank for s in subs] == [0, 1, 1, 1]  # (3a, 1) for a in 0, 1, 2
@@ -526,12 +535,12 @@ class TestIsotropicOracle:
 
     def test_maximal_submodules_guarded(self):
         with pytest.raises(OracleGuardError):
-            isotropic_oracle(BilinearForm(zeros(7, 7, 3), NO_SYMMETRY), np.zeros(7, dtype=np.int64), [0] * 7)
+            isotropic_oracle(BilinearForm(zeros(7, 7, 3)), np.zeros(7, dtype=np.int64), [0] * 7)
 
     @pytest.mark.parametrize("m,d", [(7, 6), (9, 6)])
     def test_span_guard(self, m, d):
-        # inside the rank and modulus bounds, but past q^d <= 5^6
-        form = BilinearForm(zeros(d, d, m), NO_SYMMETRY)
+        # inside the rank bound, but past q^d <= 5^6
+        form = BilinearForm(zeros(d, d, m))
         with pytest.raises(OracleGuardError, match=f"q\\^d <= 15625 vectors; got {m}\\^{d} = {m**d}"):
             max_isotropic_oracle(form, Submodule.zero(d, m))
 
@@ -684,7 +693,7 @@ def test_zero_form_counts_direct_summands(p, k, d):
     # under the zero form every free submodule is isotropic; the free
     # rank-r submodules of (Z/p^k)^d number p^((k-1)r(d-r)) [d choose r]_p
     q = p**k
-    form = BilinearForm(zeros(d, d, q), NO_SYMMETRY)
+    form = BilinearForm(zeros(d, d, q))
     ranks = Counter(s.rank for s in isotropic_free_submodules(form, Submodule.full(d, q)))
     assert ranks == {
         r: p ** ((k - 1) * r * (d - r)) * gaussian_binomial(d, r, p) for r in range(d + 1)
@@ -728,24 +737,19 @@ def reference_isotropic_free_submodules(form, constraint):
 def forms_and_constraints(draw):
     m = draw(st.sampled_from([3, 5, 9]))
     d = draw(st.integers(1, 3))
-    shape = draw(st.sampled_from(["any", "symmetric", "antisymmetric"]))
     entries = st.lists(st.integers(0, m - 1), min_size=d * d, max_size=d * d)
     a = np.array(draw(entries), dtype=np.int64).reshape(d, d)
-    if shape == "symmetric":
-        a = np.triu(a) + np.triu(a, 1).T
-    elif shape == "antisymmetric":
-        a = np.triu(a, 1) - np.triu(a, 1).T
-    tag = ANTISYMMETRIC if shape == "antisymmetric" else NO_SYMMETRY
+    a = np.triu(a, 1) - np.triu(a, 1).T
     # The reference tries every constraint vector at every node: over the
     # whole of (Z/9)^3 (729 vectors) one degenerate form takes tens of
     # seconds, so there the constraint has at most two generators; the
     # whole module is covered by test_zero_form_counts_direct_summands.
     small = m**d <= 125
     if small and draw(st.booleans()):
-        return BilinearForm(ZqMatrix(a, m), tag), Submodule.full(d, m)
+        return BilinearForm(ZqMatrix(a, m)), Submodule.full(d, m)
     vec = st.lists(st.integers(0, m - 1), min_size=d, max_size=d)
     rows = draw(st.lists(vec, min_size=1, max_size=3 if small else 2))
-    return BilinearForm(ZqMatrix(a, m), tag), Submodule(rows, d, m)
+    return BilinearForm(ZqMatrix(a, m)), Submodule(rows, d, m)
 
 
 def assert_matches_reference(form, constraint):
@@ -898,7 +902,7 @@ class TestLargeModuli:
         # the standard symplectic form stays nondegenerate whatever the size
         # of its entries
         w = [[0, 1, 0, 0], [m - 1, 0, 0, 0], [0, 0, 0, m - 1], [0, 0, 1, 0]]
-        assert BilinearForm(ZqMatrix(w, m), ANTISYMMETRIC).is_nondegenerate()
+        assert BilinearForm(ZqMatrix(w, m)).is_nondegenerate()
 
 
 class TestRanksAgainstSympy:
@@ -939,9 +943,10 @@ class TestRanksAgainstSympy:
         field = GF(p)
         seen = set()
         for n in [2, 3, 4, 5] * 8:
-            # a Smith-shaped matrix (mostly degenerate mod p) and a uniform one
+            # b - b^T for a Smith-shaped b (mostly degenerate mod p) and a uniform one
             shaped, _ = smith_case(r, m, n, n, 2)
-            for a in (shaped, [[r.randrange(m) for _ in range(n)] for _ in range(n)]):
+            for b in (shaped, [[r.randrange(m) for _ in range(n)] for _ in range(n)]):
+                a = [[b[i][j] - b[j][i] for j in range(n)] for i in range(n)]  # alternating
                 rank = DomainMatrix([[field(x % p) for x in row] for row in a], (n, n), field).rank()
                 form = BilinearForm(ZqMatrix([[x % m for x in row] for row in a], m))
                 assert form.is_nondegenerate() == (rank == n)
@@ -1006,23 +1011,29 @@ NONDEGENERACY_MODULI = [(3, 1), (5, 1), (3, 2), (7, 1)]
 
 @st.composite
 def grams(draw, kind):
-    """A d x d gram over Z/p^f.  "monomial": a permutation times entries that
-    are units or, now and then, multiples of p, with multiples of p added
-    off the permutation half of the time; "dense": every entry drawn, so the
-    matrix is rarely monomial mod p."""
+    """A d x d alternating gram over Z/p^f.  "monomial": the indices paired
+    in a drawn order, <e_i, e_j> = u and <e_j, e_i> = -u for a unit u or,
+    now and then, a multiple of p (an odd d leaves one index unpaired), with
+    multiples of p added off the pairs half of the time; "dense": a - a^T
+    for a drawn a, so the matrix is rarely monomial mod p."""
     p, f = draw(st.sampled_from(NONDEGENERACY_MODULI))
     q = p**f
     d = draw(st.integers(1, 7))
+
+    def drawn_alternating(scale):
+        a = np.array([[draw(st.integers(0, q - 1)) for _ in range(d)] for _ in range(d)], dtype=np.int64)
+        return scale * (a - a.T)
+
     if kind == "dense":
-        gram = np.array([[draw(st.integers(0, q - 1)) for _ in range(d)] for _ in range(d)], dtype=np.int64)
-        return ZqMatrix(gram, q)
+        return ZqMatrix(drawn_alternating(1) % q, q)
     perm = draw(st.permutations(range(d)))
     gram = np.zeros((d, d), dtype=np.int64)
-    for i, j in enumerate(perm):
+    for i, j in zip(perm[0::2], perm[1::2]):
         unit = draw(st.integers(1, p - 1)) + p * draw(st.integers(0, q // p - 1))
         gram[i, j] = unit if draw(st.integers(0, 4)) else p * unit % q
+        gram[j, i] = -gram[i, j] % q
     if draw(st.booleans()):
-        gram = (gram + p * np.array([[draw(st.integers(0, q - 1)) for _ in range(d)] for _ in range(d)])) % q
+        gram = (gram + drawn_alternating(p)) % q
     return ZqMatrix(gram, q)
 
 
@@ -1048,14 +1059,15 @@ class TestMonomialNondegeneracy:
         calls = []
         real = zq_linalg._howell_rows
         monkeypatch.setattr(zq_linalg, "_howell_rows", lambda *args: calls.append(args[2]) or real(*args))
-        # a permuted diagonal of units, with a multiple of p off it: monomial mod 3
-        monomial = ZqMatrix([[0, 2, 3], [4, 0, 0], [0, 6, 5]], 9)
+        # units pairing e0 with e2 and e1 with e3, with a multiple of p off
+        # the pairs: monomial mod 3
+        monomial = ZqMatrix([[0, 3, 2, 0], [6, 0, 0, 4], [7, 0, 0, 0], [0, 5, 0, 0]], 9)
         assert BilinearForm(monomial).is_nondegenerate() and calls == []
-        # a p-divisible entry on the permutation leaves a zero row mod p
-        divisible = ZqMatrix([[0, 3, 0], [4, 0, 0], [0, 0, 5]], 9)
+        # a p-divisible entry on a pair leaves two zero rows mod p
+        divisible = ZqMatrix([[0, 0, 3, 0], [0, 0, 0, 4], [6, 0, 0, 0], [0, 5, 0, 0]], 9)
         assert not BilinearForm(divisible).is_nondegenerate() and calls == [3]
-        # two nonzeros in a row: invertible, but not monomial
-        dense = ZqMatrix([[1, 1], [0, 1]], 3)
+        # two nonzeros in a row: Pfaffian 1, invertible, but not monomial
+        dense = ZqMatrix([[0, 1, 1, 0], [2, 0, 0, 0], [2, 0, 0, 1], [0, 0, 2, 0]], 3)
         assert BilinearForm(dense).is_nondegenerate() and calls == [3, 3]
 
     @pytest.mark.parametrize("n", [2, 12, 40])
