@@ -63,10 +63,8 @@ from demuskin.zq_linalg import (
     eigen_split,
     inv_mod,
     is_totally_isotropic,
-    isotropic_free_submodules,
     isotropic_oracle,
     kernel,
-    max_isotropic_oracle,
     orthogonal_complement,
 )
 

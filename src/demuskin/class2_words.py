@@ -614,9 +614,6 @@ class TruncatedQuotient:
             raise ValueError("elements live in a different truncated group")
         return ~self._span.residues(self._lifts(elements)).any(axis=1)
 
-    def is_trivial(self, u: ClassTwoElement) -> bool:
-        return bool(self.are_trivial([u])[0])
-
 
 # ---------------------------------------------------------------------------
 # word grammar: juxtaposition = product, ^k = integer power, [a,b] =

@@ -236,20 +236,20 @@ def cmd_symmetrize(args) -> dict:
         checks.append(_check("lift_to_exact_involution", False, str(exc)))
         return _report(config, results, checks)
     try:
-        basis, relator, clean_endo = symmetrize_basis(pres, action)
+        basis, clean_endo = symmetrize_basis(pres, action)
     except (ValueError, AssertionError) as exc:
         checks.append(_check("clean_diagonal_action", False, str(exc)))
         return _report(config, results, checks)
     results = {
         "basis_change": basis.to_json()["images"],
-        "relator": format_word(relator),
+        "relator": format_word(pres.relator),
         "clean_action": clean_endo.to_json()["images"],
     }
     checks.append(_check("clean_diagonal_action", True))
     checks.append(
         _check(
             "relator_shape_preserved",
-            relator == standard_relator(pres.n, pres.mod),
+            pres.relator == standard_relator(pres.n, pres.mod),
         )
     )
     return _report(config, results, checks)

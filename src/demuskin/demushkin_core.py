@@ -140,9 +140,6 @@ class DemushkinPresentation:
     def d(self) -> int:
         return self.gens.d
 
-    def element(self, text: str) -> ClassTwoElement:
-        return parse_word(text, self.gens, self.mod)
-
     def to_json(self) -> dict:
         return {
             "p": self.mod.p,
@@ -457,17 +454,17 @@ def clean_frame(action: InvolutionAction) -> tuple[ClassTwoEndo | None, ClassTwo
 
 def symmetrize_basis(
     pres: DemushkinPresentation, action: InvolutionAction
-) -> tuple[ClassTwoEndo, ClassTwoElement, ClassTwoEndo]:
+) -> tuple[ClassTwoEndo, ClassTwoEndo]:
     """Absorb central perturbations into the basis via central square roots.
 
     For sigma(g) = g . a the new generator is g . a^(1/2); for
-    sigma(g) = g^-1 . b it is b^(-1/2) . g.  Returns (basis, relator,
-    clean_endo): the basis change, which is unipotent (`clean_frame` of a
-    product-shape action); the relator in the new basis, which is the
+    sigma(g) = g^-1 . b it is b^(-1/2) . g.  Returns (basis, clean_endo):
+    the basis change, which is unipotent (`clean_frame` of a product-shape
+    action), and the clean action diag(+-1), which the basis change is
+    checked to conjugate the action to.  The relator in the new basis is the
     relator itself, as g_i -> g_i z_i with z_i central fixes F^2/F^3
-    pointwise and the relator lies there; and the clean action diag(+-1),
-    which the basis change is checked to conjugate the action to.  An
-    action that is already clean keeps the identity basis.
+    pointwise and the relator lies there.  An action that is already clean
+    keeps the identity basis.
     """
     if action.signs is None and _linear_signs(action.endo) is None:
         raise ValueError(
@@ -477,8 +474,8 @@ def symmetrize_basis(
     gens, mod = pres.gens, pres.mod
     basis, _, signs = clean_frame(action)
     if basis is None:
-        return ClassTwoEndo.identity(gens, mod), pres.relator, action.endo
-    return basis, pres.relator, ClassTwoEndo.linear(gens, mod, np.diag(signs))
+        return ClassTwoEndo.identity(gens, mod), action.endo
+    return basis, ClassTwoEndo.linear(gens, mod, np.diag(signs))
 
 
 @dataclass(frozen=True)

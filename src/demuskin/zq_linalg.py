@@ -187,13 +187,6 @@ class ZqMatrix:
             "entries": self.array.reshape(-1).tolist(),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ZqMatrix":
-        rows, cols, m = (as_integer(data[k], k) for k in ("rows", "cols", "modulus"))
-        if rows < 0 or cols < 0:
-            raise ValueError(f"matrix shape must be nonnegative, got {rows} x {cols}")
-        return cls(np.asarray(data["entries"]).reshape(rows, cols), m)
-
 
 def _howell_rows(rows_in, ncols: int, m: int) -> np.ndarray:
     """Howell canonical form of the given rows, entries in [0, m), as a
@@ -448,11 +441,6 @@ class Submodule:
             "entries": self.basis.reshape(-1).tolist(),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Submodule":
-        mat = ZqMatrix.from_json(data)
-        return cls(mat.array, mat.cols, mat.modulus)
-
 
 def _kernel_rows(a: np.ndarray, m: int) -> np.ndarray:
     """Rows spanning {c : c . a = 0} for a (k x r) array `a` over Z/m: the
@@ -583,12 +571,27 @@ def _oracle_guard(form: BilinearForm):
 def _isotropic_normal_bases(
     form: BilinearForm, constraint: Submodule, top: int, columns: np.ndarray | None = None
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Ranks 0..top of the search tree, each a nonempty (N, r, d) array of
-    normal bases, and per rank a mask of the nodes whose rows all lie in
-    {v : v @ columns = 0} (every node without `columns`).
+    """Every free totally isotropic submodule of `constraint` up to rank
+    `top`, by its normal basis: ranks 0..top of the search tree, each a
+    nonempty (N, r, d) array, in a deterministic order within a rank, and
+    per rank a mask of the nodes whose rows all lie in {v : v @ columns = 0}
+    (every node without `columns`).
 
-    A node's parent drops its last row, so the masked nodes are exactly the
-    tree of that kernel inside `constraint`: one search answers for both.
+    The search is a tree in which each submodule T has one parent, spanned
+    by all but the last row of T's normal basis B: B[:, P] = I for the pivot
+    set P of T mod p, with pZ entries before each row's pivot (canonical
+    augmentation, McKay, J. Algorithms 26, 1998).  A node S grows by each
+    v in `constraint` whose first unit entry is a 1 at lead(v) > max P, with
+    v[P] = 0, S[:, lead(v)] = 0 and <v, S> = 0 (the form is alternating, so
+    <v, v> = 0 and <S, v> = -<v, S>).
+    Column conditions are bit masks on the node x vector grid; only the pairs
+    that pass them are paired.  Nothing is built twice, and no Submodule
+    (Howell form) is built.
+
+    As a node's parent drops its last row, the masked nodes are exactly the
+    tree of the kernel inside `constraint`: one search answers for both.
+    The search visits every submodule, so OracleGuardError guards it beyond
+    ORACLE_MAX_DIM and ORACLE_MAX_SPAN.
     """
     _oracle_guard(form)
     if form.dim != constraint.ambient or form.modulus != constraint.modulus:
@@ -620,39 +623,6 @@ def _isotropic_normal_bases(
         inside.append(inside[-1][ni] & in_kernel[vj])
         piv, used = piv[ni] | lead_bit[vj], used[ni] | support[vj]
     return levels, inside
-
-
-def isotropic_free_submodules(
-    form: BilinearForm, constraint: Submodule, rank: int | None = None
-) -> list[Submodule]:
-    """Every free totally isotropic submodule of `constraint`, rank by rank.
-
-    The search is a tree in which each submodule T has one parent, spanned
-    by all but the last row of T's normal basis B: B[:, P] = I for the pivot
-    set P of T mod p, with pZ entries before each row's pivot (canonical
-    augmentation, McKay, J. Algorithms 26, 1998).  A node S grows by each
-    v in `constraint` whose first unit entry is a 1 at lead(v) > max P, with
-    v[P] = 0, S[:, lead(v)] = 0 and <v, S> = 0 (the form is alternating, so
-    <v, v> = 0 and <S, v> = -<v, S>).
-    Column conditions are bit masks on the node x vector grid; only the pairs
-    that pass them are paired.  Nothing is built twice, and Submodules
-    (Howell forms) are built only for the ranks returned.
-
-    The result starts with the zero submodule, then rank 1, rank 2, and so
-    on, in a deterministic order within a rank; with `rank` given, only that
-    rank.  The search visits every submodule, so OracleGuardError guards it
-    beyond ORACLE_MAX_DIM and ORACLE_MAX_SPAN.
-    """
-    levels, _ = _isotropic_normal_bases(form, constraint, form.dim if rank is None else rank)
-    if rank is not None:
-        levels = levels[rank : rank + 1] if rank >= 0 else []
-    return [Submodule(basis, form.dim, form.modulus) for level in levels for basis in level]
-
-
-def max_isotropic_oracle(form: BilinearForm, constraint: Submodule) -> int:
-    """Maximum rank of a free totally isotropic submodule inside `constraint`: the
-    depth of the search tree, with no Submodule built.  Guarded like the search."""
-    return len(_isotropic_normal_bases(form, constraint, form.dim)[0]) - 1
 
 
 class IsotropicOracle(NamedTuple):

@@ -5,8 +5,10 @@ and substituted central square roots for the eliminated generators.  Also
 the validation of a target V by Howell forms alone, for every V, the map
 g_i -> g_i z_i as the identity's images times z, the index set of a
 coordinate span found by scanning its basis, the word of an exponent
-row built one row at a time, and the kill of the action's images of the
-killed generators behind a certificate's `delta_invariant_kill`."""
+row built one row at a time, the kill of the action's images of the
+killed generators behind a certificate's `delta_invariant_kill`, and the
+free totally isotropic submodules of a constraint as Howell Submodules,
+read off the levels of the one isotropy search."""
 
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from demuskin.demushkin_core import (
     invariants,
 )
 from demuskin.quotient_builder import IsotropicSubmodule
-from demuskin.zq_linalg import Submodule, is_totally_isotropic, matmul_mod
+from demuskin.zq_linalg import Submodule, _isotropic_normal_bases, is_totally_isotropic, matmul_mod
 
 
 def transform_presentation(pres, action, basis):
@@ -96,7 +98,7 @@ def reference_coinvariants(pres, action) -> dict:
     machine = ReferenceMachine(pres, action)
     rank = len(machine.kept)
     wbar = machine.relator_image
-    free = TruncatedQuotient(machine.small_gens, pres.mod, machine.central_relators).is_trivial(wbar)
+    free = bool(TruncatedQuotient(machine.small_gens, pres.mod, machine.central_relators).are_trivial([wbar])[0])
     out = {
         "rank": rank,
         "kind": "free" if free else "demushkin",
@@ -187,3 +189,10 @@ def delta_invariant_kill_reference(action, killed) -> bool:
         return True
     dropped = action.endo.images[[gens.index(lab) for lab in killed]]
     return bool(quotient_kill(killed, dropped).is_identity.all())
+
+
+def isotropic_submodules(form, constraint) -> list[list[Submodule]]:
+    """Per rank 0, 1, ..., every free totally isotropic submodule of
+    `constraint` as a Submodule, in the search's order within a rank."""
+    levels, _ = _isotropic_normal_bases(form, constraint, form.dim)
+    return [[Submodule(basis, form.dim, form.modulus) for basis in level] for level in levels]

@@ -23,7 +23,7 @@ def test_demo_exits_zero(demo):
     )
     proc = subprocess.run(
         # the warning policy of the Tier-1 run: a new warning fails the demo
-        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning", str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,

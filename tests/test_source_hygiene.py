@@ -1,7 +1,7 @@
 """Source hygiene of the package, read with the stdlib `ast`: no module
 imports a name it never uses, no module defines a private name (at module
 level or as a method) that the package never references, and no public
-function or class is kept for the tests alone."""
+function, class, method or property is kept for the tests alone."""
 
 import ast
 from pathlib import Path
@@ -77,12 +77,26 @@ def test_no_unreferenced_private_name(path):
     assert [(name, line) for name, line in defined if name not in referenced] == []
 
 
+def public_definitions(tree: ast.Module):
+    """(name, line) of each public module-level function or class, and of
+    each public method or property of a module-level class."""
+    defs = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        defs.append((node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            defs.extend(
+                (f"{node.name}.{item.name}", item.lineno)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+            )
+    return [(name, line) for name, line in defs if not is_private(name)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_public_name_kept_for_tests_alone(path):
+    # a member is read by its name alone, so one read on any class keeps it
     referenced = set().union(*(loaded_names(parse(p)) for p in USERS))
-    defined = [
-        (node.name, node.lineno)
-        for node in parse(path).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not is_private(node.name)
-    ]
-    assert [(name, line) for name, line in defined if name not in referenced] == []
+    defined = public_definitions(parse(path))
+    assert [(name, line) for name, line in defined if name.rsplit(".", 1)[-1] not in referenced] == []

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from functools import lru_cache
 from itertools import product
 from math import gcd, prod
@@ -18,6 +17,8 @@ from demuskin.demushkin_core import (
     invariants,
 )
 from demuskin.zq_linalg import (
+    ORACLE_MAX_DIM,
+    ORACLE_MAX_SPAN,
     BilinearForm,
     Modulus,
     OracleGuardError,
@@ -27,14 +28,12 @@ from demuskin.zq_linalg import (
     integers_mod,
     inv_mod,
     is_totally_isotropic,
-    isotropic_free_submodules,
     isotropic_oracle,
     kernel,
     matmul_mod,
-    max_isotropic_oracle,
     orthogonal_complement,
 )
-from frame_reference import coordinate_indices_reference
+from frame_reference import coordinate_indices_reference, isotropic_submodules
 
 rng = random.Random(74210)
 
@@ -233,10 +232,6 @@ class TestSubmodule:
     def test_coordinate_span_rejects_bad_indices(self, idx):
         with pytest.raises(ValueError):
             Submodule.coordinate(idx, 6, 9)
-
-    def test_json_round_trip(self):
-        s = Submodule([[1, 2, 3], [0, 3, 6]], 3, 9)
-        assert Submodule.from_json(s.to_json()) == s
 
 
 class TestEntries:
@@ -483,42 +478,49 @@ class TestInverse:
             inv_mod(ZqMatrix(entries, m))
 
 
+def search_levels(form, constraint):
+    """The levels of the one search of `constraint`: per rank 0, 1, ...,
+    the (N, r, d) normal bases of its free totally isotropic submodules."""
+    return zq_linalg._isotropic_normal_bases(form, constraint, form.dim)[0]
+
+
 class TestIsotropicOracle:
     def test_standard_form_maximum(self):
         form = standard_gram_4()
-        assert max_isotropic_oracle(form, Submodule.full(4, 3)) == 2
+        assert len(search_levels(form, Submodule.full(4, 3))) - 1 == 2
 
     def test_within_bockstein_kernel(self):
         form = standard_gram_4()
         constraint = Submodule([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 4, 3)
-        assert max_isotropic_oracle(form, constraint) == 2
+        levels = isotropic_submodules(form, constraint)
+        assert len(levels) - 1 == 2
         line = Submodule([[1, 0, 0, 0]], 4, 3)
-        for s in isotropic_free_submodules(form, constraint, rank=2):
+        for s in levels[2]:
             assert s.contains_submodule(line)
 
     def test_zero_form_full_rank(self):
         form = BilinearForm(zeros(2, 2, 3))
-        assert max_isotropic_oracle(form, Submodule.full(2, 3)) == 2
+        assert len(search_levels(form, Submodule.full(2, 3))) - 1 == 2
 
     def test_guard_rejects_large_instances(self):
         form = BilinearForm(zeros(7, 7, 3))
         with pytest.raises(ValueError):
-            max_isotropic_oracle(form, Submodule.full(7, 3))
+            search_levels(form, Submodule.full(7, 3))
         # no bound on the modulus by itself: 25^2 lies inside the span bound
         form25 = BilinearForm(zeros(2, 2, 25))
-        assert max_isotropic_oracle(form25, Submodule.full(2, 25)) == 2
+        assert len(search_levels(form25, Submodule.full(2, 25))) - 1 == 2
 
     def test_enumeration_matches_naive_filter_small(self):
         # rank-1 isotropic submodules over (Z/3)^4: every line is isotropic
         # for an antisymmetric form, so count lines
         form = standard_gram_4()
-        lines = isotropic_free_submodules(form, Submodule.full(4, 3), rank=1)
+        lines = search_levels(form, Submodule.full(4, 3))[1]
         assert len(lines) == (3 ** 4 - 1) // (3 - 1)
 
     def test_zero_node_rejects_non_free_lines(self):
         # over Z/9 the line spanned by 3 is isotropic but not free
         form = BilinearForm(zeros(2, 2, 9))
-        subs = isotropic_free_submodules(form, Submodule([[3, 0], [0, 1]], 2, 9))
+        subs = [s for level in isotropic_submodules(form, Submodule([[3, 0], [0, 1]], 2, 9)) for s in level]
         assert all(s.is_free for s in subs)
         assert [s.rank for s in subs] == [0, 1, 1, 1]  # (3a, 1) for a in 0, 1, 2
 
@@ -542,19 +544,13 @@ class TestIsotropicOracle:
         # inside the rank bound, but past q^d <= 5^6
         form = BilinearForm(zeros(d, d, m))
         with pytest.raises(OracleGuardError, match=f"q\\^d <= 15625 vectors; got {m}\\^{d} = {m**d}"):
-            max_isotropic_oracle(form, Submodule.zero(d, m))
+            search_levels(form, Submodule.zero(d, m))
 
     def test_rank_by_rank_order(self):
-        form = standard_gram_4()
-        full = Submodule.full(4, 3)
-        subs = isotropic_free_submodules(form, full)
-        ranks = [s.rank for s in subs]
-        assert ranks == sorted(ranks) and ranks[0] == 0
+        levels = isotropic_submodules(standard_gram_4(), Submodule.full(4, 3))
+        assert [{s.rank for s in level} for level in levels] == [{0}, {1}, {2}]
+        subs = [s for level in levels for s in level]
         assert len({s.basis.tobytes() for s in subs}) == len(subs)
-        assert isotropic_free_submodules(form, full, rank=2) == [
-            s for s in subs if s.rank == 2
-        ]
-        assert isotropic_free_submodules(form, full, rank=3) == []
 
 
 def lagrangian_count(p, k, g):
@@ -566,27 +562,73 @@ def lagrangian_count(p, k, g):
     return p ** ((k - 1) * g * (g + 1) // 2) * prod(p**i + 1 for i in range(1, g + 1))
 
 
+def isotropic_node_count(p, f, n, k):
+    """N_k, the number of free totally isotropic rank-k submodules of the
+    nondegenerate alternating (Z/p^f)^(2m), m = n/2 + 1: the F_p count
+    [m choose k]_p prod_{i<k} (p^(m-i) + 1) (Taylor, The Geometry of the
+    Classical Groups, 1992) times the Hensel lifts of a smooth variety of
+    dimension 2k(m-k) + k(k+1)/2."""
+    m = n // 2 + 1
+    lifts = p ** ((f - 1) * (2 * k * (m - k) + k * (k + 1) // 2))
+    return lifts * gaussian_binomial(m, k, p) * prod(p ** (m - i) + 1 for i in range(k))
+
+
+def admitted_cells():
+    """(p, f, n) of each odd prime power q = p^f <= 125 and n in {0, 2, 4, 6}
+    that the oracle guards admit."""
+    cells = []
+    for q in range(3, 126, 2):
+        try:
+            mod = Modulus.from_q(q)
+        except ValueError:
+            continue
+        admitted = (n for n in (0, 2, 4, 6) if n + 2 <= ORACLE_MAX_DIM and q ** (n + 2) <= ORACLE_MAX_SPAN)
+        cells += [(mod.p, mod.f, n) for n in admitted]
+    return cells
+
+
+ADMITTED_CELLS = admitted_cells()
+
+
 def standard_cup(p, f, n):
     pres = DemushkinPresentation.standard(n, Modulus(p, f))
     return pres, invariants(pres).cup
 
 
+@lru_cache(maxsize=None)
+def level_sizes(p, f, n):
+    """Per rank, the node count of the one search of the whole module on the
+    standard presentation: one search per cell serves every test here."""
+    pres, cup = standard_cup(p, f, n)
+    return tuple(len(level) for level in search_levels(cup, Submodule.full(pres.d, p**f)))
+
+
 class TestOracleClosedForms:
     """Counts of the search against closed forms on standard presentations."""
 
+    def test_admitted_cells(self):
+        # all 36 cells at n = 0, and q^(n+2) <= 5^6 past it
+        assert len(ADMITTED_CELLS) == 43
+        assert {(p**f, n) for p, f, n in ADMITTED_CELLS if n} == {
+            (3, 2), (5, 2), (7, 2), (9, 2), (11, 2), (3, 4), (5, 4)
+        }
+
+    @pytest.mark.parametrize("p,f,n", ADMITTED_CELLS)
+    def test_node_counts(self, p, f, n):
+        # every level of the whole-module search has N_k nodes, up to the
+        # Lagrangians at k = n/2 + 1
+        assert level_sizes(p, f, n) == tuple(isotropic_node_count(p, f, n, k) for k in range(n // 2 + 2))
+
     @pytest.mark.parametrize("p,f,n", [(3, 1, 2), (5, 1, 2), (7, 1, 2), (3, 2, 2), (3, 1, 4)])
     def test_full_module_counts(self, p, f, n):
-        pres, cup = standard_cup(p, f, n)
-        q, d, g = p**f, pres.d, n // 2 + 1
-        ranks = Counter(s.rank for s in isotropic_free_submodules(cup, Submodule.full(d, q)))
-        assert max(ranks) == g
+        q, d, g = p**f, n + 2, n // 2 + 1
+        ranks = level_sizes(p, f, n)
+        assert len(ranks) - 1 == g
         assert ranks[g] == lagrangian_count(p, f, g)
         assert ranks[1] == (q**d - (q // p) ** d) // (q - q // p)
 
     def test_free_lines_over_z9(self):
-        pres, cup = standard_cup(3, 2, 2)
-        lines = isotropic_free_submodules(cup, Submodule.full(4, 9), rank=1)
-        assert len(lines) == (9**4 - 3**4) // 6
+        assert level_sizes(3, 2, 2)[1] == (9**4 - 3**4) // 6
 
     @pytest.mark.parametrize(
         "p,f,n,count",
@@ -597,8 +639,8 @@ class TestOracleClosedForms:
         # free isotropic submodule there contains it: they are the
         # Lagrangians of line^perp / line, a symplectic module of rank n
         pres, cup = standard_cup(p, f, n)
-        g = n // 2 + 1
-        maximal = isotropic_free_submodules(cup, bockstein_kernel(pres), rank=g)
+        top, maximal = maximal_isotropic_free_submodules(cup, bockstein_kernel(pres))
+        assert top == n // 2 + 1
         assert len(maximal) == lagrangian_count(p, f, n // 2) == count
         line = gamma_line(pres)
         assert all(s.contains_submodule(line) for s in maximal)
@@ -608,8 +650,8 @@ def maximal_isotropic_free_submodules(form, constraint):
     """The maximum rank r of a free totally isotropic submodule inside
     `constraint` and every such submodule of rank r, as Howell Submodules:
     the reference for `isotropic_oracle`, searching `constraint` itself."""
-    top = max_isotropic_oracle(form, constraint)
-    return top, isotropic_free_submodules(form, constraint, rank=top)
+    levels = search_levels(form, constraint)
+    return len(levels) - 1, [Submodule(basis, form.dim, form.modulus) for basis in levels[-1]]
 
 
 # (p, f, n) and the closed-form count of maximal V in ker B
@@ -637,7 +679,7 @@ class TestOneSearchOracle:
         pres, cup = standard_cup(p, f, n)
         top, maximal = maximal_isotropic_free_submodules(cup, bockstein_kernel(pres))
         found = one_search(p, f, n)
-        assert found.max_rank == max_isotropic_oracle(cup, Submodule.full(pres.d, p**f))
+        assert found.max_rank == len(level_sizes(p, f, n)) - 1
         assert (found.max_rank_in_kernel, found.maximal_count_in_kernel) == (top, len(maximal))
         line = gamma_line(pres)
         assert found.all_contain_vec and all(s.contains_submodule(line) for s in maximal)
@@ -694,10 +736,8 @@ def test_zero_form_counts_direct_summands(p, k, d):
     # rank-r submodules of (Z/p^k)^d number p^((k-1)r(d-r)) [d choose r]_p
     q = p**k
     form = BilinearForm(zeros(d, d, q))
-    ranks = Counter(s.rank for s in isotropic_free_submodules(form, Submodule.full(d, q)))
-    assert ranks == {
-        r: p ** ((k - 1) * r * (d - r)) * gaussian_binomial(d, r, p) for r in range(d + 1)
-    }
+    ranks = [len(level) for level in search_levels(form, Submodule.full(d, q))]
+    assert ranks == [p ** ((k - 1) * r * (d - r)) * gaussian_binomial(d, r, p) for r in range(d + 1)]
 
 
 def reference_isotropic_free_submodules(form, constraint):
@@ -753,13 +793,12 @@ def forms_and_constraints(draw):
 
 
 def assert_matches_reference(form, constraint):
-    got = isotropic_free_submodules(form, constraint)
+    levels = isotropic_submodules(form, constraint)
     want = reference_isotropic_free_submodules(form, constraint)
-    keys = [s.basis.tobytes() for s in got]
+    keys = [s.basis.tobytes() for level in levels for s in level]
     assert len(set(keys)) == len(keys)
     assert set(keys) == {s.basis.tobytes() for s in want}
-    ranks = [s.rank for s in got]
-    assert ranks == sorted(ranks)
+    assert all(s.rank == r for r, level in enumerate(levels) for s in level)
 
 
 class TestOracleAgainstReference:
@@ -776,30 +815,6 @@ class TestOracleAgainstReference:
             assert_matches_reference(cup, Submodule.full(pres.d, p**f))
         else:
             assert_matches_reference(cup, bockstein_kernel(pres))
-
-
-class TestJson:
-    def test_matrix_round_trip(self):
-        a = random_matrix(2, 3, 9)
-        assert ZqMatrix.from_json(a.to_json()) == a
-
-    @pytest.mark.parametrize("field,value", [
-        ("rows", 1.9), ("cols", 1.0), ("modulus", 9.0), ("entries", [2.7]), ("rows", True), ("entries", [False]),
-    ])
-    def test_matrix_rejects_non_integral_values(self, field, value):
-        data = {"modulus": 9, "rows": 1, "cols": 1, "entries": [2], field: value}
-        with pytest.raises(ValueError, match="must be (an )?integer"):
-            ZqMatrix.from_json(data)
-
-    @pytest.mark.parametrize("rows,cols", [(-1, 1), (2, -1)])
-    def test_matrix_rejects_a_negative_shape(self, rows, cols):
-        data = {"modulus": 9, "rows": rows, "cols": cols, "entries": [2]}
-        with pytest.raises(ValueError, match="nonnegative"):
-            ZqMatrix.from_json(data)
-
-    def test_matrix_entries_beyond_int64_are_reduced(self):
-        data = {"modulus": 9, "rows": 1, "cols": 2, "entries": [2**70 + 1, -1]}
-        assert ZqMatrix.from_json(data).array.tolist() == [[(2**70 + 1) % 9, 8]]
 
 
 # ---------------------------------------------------------------------------
