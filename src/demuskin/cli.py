@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from demuskin import __version__
 from demuskin.class2_words import ClassTwoEndo, format_word
@@ -80,7 +81,11 @@ def _config(args, **extra) -> dict:
     return {"command": args.command, "p": args.p, "f": args.f, "n": args.n, **extra}
 
 
+@functools.cache
 def _standard_presentation(p: int, f: int, n: int) -> DemushkinPresentation:
+    """The standard presentation at (p, f, n), built once per process with
+    its invariants (it is never changed: its arrays are read-only and its
+    cohomology is filled once); bad input is an InputError, never cached."""
     try:
         return DemushkinPresentation.standard(check_rank(n), Modulus(p, f))
     except ValueError as exc:
@@ -327,7 +332,7 @@ def cmd_sweep(args) -> dict:
     for n in n_list:
         for q in q_list:
             mod = _modulus_for_q(q)
-            pres = DemushkinPresentation.standard(n, mod)
+            pres = _standard_presentation(mod.p, mod.f, n)
             action = standard_involution(pres)
             for u_plus in range(n // 2 + 1):
                 sig = Signature(u_plus, n // 2 - u_plus)
@@ -481,10 +486,49 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the JSON text of each scalar type, exactly as json.dumps writes it with
+# ensure_ascii; a subclass (a numpy str, an IntEnum) is not looked up
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json(value, pad: str) -> str:
+    """`value` as json.dumps(value, indent=2) writes it, at the indent `pad`.
+    A list whose items share one scalar type is one str.join; any value
+    that is not a dict, list, str, int, bool or None, and any dict key
+    that is not a str, is a TypeError."""
+    kind = type(value)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    if kind is not list and kind is not dict:
+        raise TypeError(f"a report holds no {kind.__name__}: {value!r}")
+    if not value:
+        return "[]" if kind is list else "{}"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is list:
+        kinds = set(map(type, value))
+        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        body = sep.join(map(scalar, value) if scalar else [_json(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    for key in value:
+        if type(key) is not str:
+            raise TypeError(f"a report key must be a str, got {type(key).__name__}: {key!r}")
+    body = sep.join([f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()])
+    return f"{{\n{inner}{body}\n{pad}}}"
+
+
 def render(report: dict, fmt: str) -> str:
+    """The report as text, or as the bytes of json.dumps(report, indent=2)
+    and a newline, written with the C string escaper."""
     if fmt == "text":
         return render_text(report)
-    return json.dumps(report, indent=2) + "\n"
+    return _json(report, "") + "\n"
 
 
 _OPTIONS = {

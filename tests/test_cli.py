@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from demuskin import cli, zq_linalg
 from demuskin.cli import main
-from demuskin.zq_linalg import Modulus
+from demuskin.demushkin_core import DemushkinPresentation, invariants
+from demuskin.zq_linalg import BilinearForm, Modulus
 
 
 def run_cli(*argv):
@@ -877,3 +878,116 @@ class TestLargeModuli:
         report = json.loads(text)
         assert code == 0 and report["all_pass"]
         assert report["results"]["coinvariants"] == {"kind": "free", "rank": 2}
+
+
+# strings that need escaping, or that json.dumps writes as \u escapes
+AWKWARD_CHARS = st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "é", " ", "\ud800", "\udfff", "\U0001f600"])
+REPORT_STRINGS = st.text(st.one_of(st.characters(), AWKWARD_CHARS), max_size=8)
+REPORT_VALUES = st.recursive(
+    st.one_of(
+        REPORT_STRINGS,
+        st.integers(),
+        st.integers(2**63 - 2, 2**100),
+        st.integers(-(2**100), -(2**63) + 2),
+        st.booleans(),
+        st.none(),
+    ),
+    lambda kids: st.one_of(st.lists(kids, max_size=5), st.dictionaries(REPORT_STRINGS, kids, max_size=5)),
+    max_leaves=30,
+)
+
+
+class TestRender:
+    """The JSON writer gives the bytes of json.dumps(report, indent=2) and a
+    newline, and refuses every value that json.dumps would have to convert."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(report=REPORT_VALUES)
+    def test_equals_json_dumps(self, report):
+        assert cli.render(report, "json") == json.dumps(report, indent=2) + "\n"
+
+    def test_empty_and_uniform_lists(self):
+        report = {"a": [], "b": {}, "c": [[], {}], "d": [True, False], "e": [None], "f": [1, "1", None, True]}
+        assert cli.render(report, "json") == json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(1.5, "float"), ((1, 2), "tuple"), (np.int64(3), "int64"), ({1: "one"}, "int")],
+        ids=["float", "tuple", "numpy-scalar", "non-str-key"],
+    )
+    def test_other_types_raise(self, value, kind):
+        with pytest.raises(TypeError, match=kind):
+            cli.render({"results": {"rows": [0, value]}}, "json")
+
+
+def reachable_arrays(root):
+    """Every numpy array reachable from `root` through slots, instance
+    dicts and containers (the base of a view is not followed)."""
+    arrays, seen, todo = [], set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (str, int, float, type(None))):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, dict):
+            todo += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple)):
+            todo += obj
+        else:
+            for klass in type(obj).__mro__:
+                todo += [getattr(obj, slot) for slot in getattr(klass, "__slots__", ()) if hasattr(obj, slot)]
+            todo += list(getattr(obj, "__dict__", {}).values())
+    return arrays
+
+
+class TestStandardPresentationCache:
+    """The CLI builds one standard presentation, and its invariants, per
+    (p, f, n) and process; bad input is refused every time."""
+
+    def test_a_repeated_cell_gives_the_same_object(self):
+        pres = cli._standard_presentation(3, 1, 4)
+        assert cli._standard_presentation(3, 1, 4) is pres
+        assert cli._standard_presentation(3, 2, 4) is not pres
+
+    def test_a_second_oracle_op_builds_nothing(self, capsys, monkeypatch):
+        argv = ["oracle", "--p", "3", "--n", "2"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        built = []
+        for klass in (DemushkinPresentation, BilinearForm):
+            real = klass.__init__
+            monkeypatch.setattr(klass, "__init__", lambda self, *a, real=real, **k: built.append(self) or real(self, *a, **k))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert built == []
+
+    @pytest.mark.parametrize("argv", [["present", "--n", "3"], ["present", "--p", "9"]], ids=["odd-n", "prime-power-p"])
+    def test_bad_input_is_refused_each_time(self, capsys, argv):
+        errors = []
+        for _ in range(2):
+            assert main(argv) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("error: ") and errors[0] == errors[1]
+
+    def test_sweep_and_quotient_share_the_presentation(self, capsys, monkeypatch):
+        seen = []
+        real = cli.standard_involution
+        monkeypatch.setattr(cli, "standard_involution", lambda pres: seen.append(pres) or real(pres))
+        assert main(["sweep", "--sweep-n", "2", "--sweep-q", "3"]) == 0
+        assert main(["quotient", "--p", "3", "--n", "2", "--signature", "1", "0"]) == 0
+        capsys.readouterr()
+        assert len(seen) == 2 and seen[0] is seen[1] is cli._standard_presentation(3, 1, 2)
+
+    @pytest.mark.parametrize("p,f,n", [(3, 1, 2), (5, 2, 4), (3, 12, 2)])
+    def test_every_reachable_array_is_read_only(self, p, f, n):
+        pres = cli._standard_presentation(p, f, n)
+        coh = invariants(pres)
+        arrays = reachable_arrays(pres)
+        named = [pres.chi.values, pres.relator.gen_exp, pres.relator.comm, coh.cup.gram.array, coh.bockstein]
+        assert all(any(a is b for b in arrays) for a in named)
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = a[(0,) * a.ndim]
