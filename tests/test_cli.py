@@ -906,10 +906,6 @@ class TestRender:
     def test_equals_json_dumps(self, report):
         assert cli.render(report, "json") == json.dumps(report, indent=2) + "\n"
 
-    def test_empty_and_uniform_lists(self):
-        report = {"a": [], "b": {}, "c": [[], {}], "d": [True, False], "e": [None], "f": [1, "1", None, True]}
-        assert cli.render(report, "json") == json.dumps(report, indent=2) + "\n"
-
     @pytest.mark.parametrize(
         "value, kind",
         [(1.5, "float"), ((1, 2), "tuple"), (np.int64(3), "int64"), ({1: "one"}, "int")],
