@@ -23,7 +23,7 @@ for n, mod in [(2, Modulus(3, 1)), (0, Modulus(5, 1)), (4, Modulus(3, 2))]:
     coh = invariants(pres)
     print(f"n = {n}, q = {mod.q}")
     print("  relator      :", format_word(pres.relator))
-    print("  gram         :", coh.cup.gram.array.tolist())
+    print("  gram         :", coh.cup.gram.tolist())
     print("  nondegenerate:", coh.cup_nondegenerate)
     print("  bockstein    :", list(map(int, coh.bockstein)), "(surjective:", coh.bockstein_surjective, ")")
     line = gamma_line(pres)

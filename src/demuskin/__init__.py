@@ -59,7 +59,6 @@ from demuskin.zq_linalg import (
     Modulus,
     OracleGuardError,
     Submodule,
-    ZqMatrix,
     eigen_split,
     inv_mod,
     is_totally_isotropic,

@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from demuskin.zq_linalg import Modulus, Submodule, ZqMatrix, exact_dtype, integers_mod, inv_mod, matmul_mod
+from demuskin.zq_linalg import Modulus, Submodule, exact_dtype, integers_mod, inv_mod, matmul_mod
 
 
 # a generator label, and a name in the word grammar below
@@ -527,9 +527,8 @@ def invert_auto(e: ClassTwoEndo) -> ClassTwoEndo:
     defect: the composite e . f0 fixes every generator up to an element of
     F^2/F^3, and such a map is undone by dividing the defects back out.
     """
-    m = ZqMatrix(e.images.gen_exp, e.mod.q2)
     try:
-        minv = inv_mod(m).array
+        minv = inv_mod(e.images.gen_exp, e.mod.q2)
     except ValueError:
         raise ValueError("endomorphism is not an automorphism (singular linear part)")
     gens, mod = e.gens, e.mod

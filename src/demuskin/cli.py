@@ -40,8 +40,9 @@ from demuskin.quotient_builder import (
 )
 from demuskin.zq_linalg import (
     Modulus,
-    OracleGuardError,
     isotropic_oracle,
+    matrix_json,
+    oracle_guard,
     orthogonal_complement,
 )
 
@@ -150,7 +151,7 @@ def cmd_invariants(args) -> dict:
     }
     coh = invariants(pres)
     results = {
-        "gram": coh.cup.gram.to_json(),
+        "gram": matrix_json(coh.cup.gram, coh.cup.modulus),
         "bockstein": [int(x) for x in coh.bockstein],
         "gamma_line": gamma_line(pres).to_json(),
         "is_demushkin": coh.is_demushkin,
@@ -210,7 +211,7 @@ def cmd_involution(args) -> dict:
     if action is not None:
         ranks, balanced = _eigen_ranks(pres, action)
         results = {
-            "h1_matrix": action.h1_matrix.to_json(),
+            "h1_matrix": matrix_json(action.h1_matrix, pres.mod.q),
             "h2_scalar": action.h2_scalar,
             "eigen_ranks": ranks,
         }
@@ -367,15 +368,21 @@ def cmd_sweep(args) -> dict:
 
 
 def cmd_oracle(args) -> dict:
+    try:
+        # a cell past the search guards is refused before its presentation
+        # and cup form are built; a bad p, f or n is named as every command
+        # names it, and an odd or negative n by the presentation
+        d, q = check_rank(args.n) + 2, Modulus(args.p, args.f).q
+        if args.n % 2 == 0:
+            oracle_guard(q, d)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     pres = _standard_presentation(args.p, args.f, args.n)
     config = _config(args)
     coh = invariants(pres)
-    try:
-        # one search: ker B is cut out by the Bockstein vector, and gamma is
-        # the dual vector of the cyclotomic line
-        found = isotropic_oracle(coh.cup, coh.bockstein, delta_map(pres, 1))
-    except OracleGuardError as exc:
-        raise InputError(str(exc)) from None
+    # one search: ker B is cut out by the Bockstein vector, and gamma is the
+    # dual vector of the cyclotomic line
+    found = isotropic_oracle(coh.cup, coh.bockstein, delta_map(pres, 1))
     expected = pres.n // 2 + 1
     missing = found.first_missing
     witness = "" if missing is None else f"the maximal V with normal basis {missing.tolist()} misses gamma"

@@ -38,7 +38,6 @@ from demuskin.zq_linalg import (
     BilinearForm,
     Modulus,
     Submodule,
-    ZqMatrix,
     as_integer,
     eigen_split,
     exact_dtype,
@@ -203,7 +202,7 @@ def invariants(pres: DemushkinPresentation) -> CohomologyData:
         return pres._cohomology
     q = pres.mod.q
     w = pres.relator
-    cup = BilinearForm(ZqMatrix(w.commutator_form, q))
+    cup = BilinearForm(w.commutator_form, q)
     bockstein = (w.gen_exp // q) % q
     bockstein.setflags(write=False)
     surjective = bool(((bockstein % pres.mod.p) != 0).any())
@@ -233,7 +232,7 @@ def gamma_line(pres: DemushkinPresentation) -> Submodule:
 
 def bockstein_kernel(pres: DemushkinPresentation) -> Submodule:
     coh = invariants(pres)
-    return kernel(ZqMatrix(coh.bockstein.reshape(1, -1), pres.mod.q))
+    return kernel(coh.bockstein, pres.mod.q)
 
 
 class NotAnInvolutionError(ValueError):
@@ -247,20 +246,21 @@ class RelatorNotPreservedError(ValueError):
 class InvolutionAction:
     """An order <= 2 automorphism of F/F^3 compatible with the relator.
 
-    Carries the induced matrix on H^1 (which equals the matrix of generator
-    images mod q) and the H^2 scalar, i.e. the sign t with w -> w^t.  The
-    identity (h1_matrix)^T . gram . h1_matrix = t . gram is verified on
-    construction; at this truncation it is a consequence of the relator
-    condition, so a failure is reported loudly.  `signs` is the read-only
-    vector s with endo(g_i) = g_i^(s_i) exactly, s_i = +-1, or None when some
-    image is not of that form.
+    Carries the induced matrix on H^1, the read-only matrix of generator
+    images mod q (`endo.linear_matrix`), and the H^2 scalar, i.e. the sign
+    t with w -> w^t.  The identity (h1_matrix)^T . gram . h1_matrix =
+    t . gram is verified on construction; at this truncation it is a
+    consequence of the relator condition, so a failure is reported loudly.
+    `signs` is the read-only vector s with endo(g_i) = g_i^(s_i) exactly,
+    s_i = +-1, or None when some image is not of that form.
     """
 
     __slots__ = ("endo", "h1_matrix", "h2_scalar", "coherence_ok", "_signs")
 
-    def __init__(self, endo, h1_matrix, h2_scalar, coherence_ok=True):
+    def __init__(self, endo, h2_scalar, coherence_ok=True):
         self.endo = endo
-        self.h1_matrix = h1_matrix
+        self.h1_matrix = endo.linear_matrix
+        self.h1_matrix.setflags(write=False)
         self.h2_scalar = h2_scalar
         self.coherence_ok = coherence_ok
         # clean: a diagonal map g_i -> g_i^(e_i) with every e_i = +-1 mod q^2
@@ -286,9 +286,8 @@ class InvolutionAction:
         L^T G L = t G checked mod q.  A diagonal endo g_i -> g_i^(e_i) has
         L = diag(e) mod q, so L^T G L is e_i e_j G_ij elementwise; any other
         takes two products."""
-        mod = pres.mod
-        L = endo.linear_matrix
-        action = cls(endo, ZqMatrix(L, mod.q), None)
+        action = cls(endo, None)
+        L = action.h1_matrix
         action.require_acts_on(pres)
         # g -> g^(+-1) squares to 1 by the power formula: no d^4 composition;
         # any other square is the identity iff it is diagonal with all ones
@@ -307,7 +306,7 @@ class InvolutionAction:
                 "relator is not carried to a power of itself; "
                 "the action does not descend to the one-relator quotient"
             )
-        q, gram = mod.q, invariants(pres).cup.gram.array
+        q, gram = pres.mod.q, invariants(pres).cup.gram
         if endo.diagonal is None:
             twisted = matmul_mod(matmul_mod(L.T, gram, q), L, q)
         else:
@@ -334,11 +333,11 @@ class InvolutionAction:
         Dual vectors transform by phi -> phi . L^T, so split with the
         transpose.
         """
-        return eigen_split(ZqMatrix(self.h1_matrix.array.T, self.h1_matrix.modulus))
+        return eigen_split(self.h1_matrix.T, self.endo.mod.q)
 
     def f2_eigenspaces(self) -> tuple[Submodule, Submodule]:
         """(plus, minus) eigenspaces on F/F^2, where rows map by a -> a . L."""
-        return eigen_split(self.h1_matrix)
+        return eigen_split(self.h1_matrix, self.endo.mod.q)
 
     def __repr__(self):
         return f"InvolutionAction(h2_scalar={self.h2_scalar}, endo={self.endo!r})"

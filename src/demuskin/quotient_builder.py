@@ -70,7 +70,6 @@ from demuskin.demushkin_core import (
 )
 from demuskin.zq_linalg import (
     Submodule,
-    ZqMatrix,
     inv_mod,
     is_totally_isotropic,
     matmul_mod,
@@ -150,20 +149,20 @@ def validate_V(
         J = list(J)
         rest = np.ones(pres.d, dtype=bool)
         rest[J] = False
-        gamma_rest, rows = delta_map(pres, 1)[rest], action.h1_matrix.array.T[J]
+        gamma_rest, rows = delta_map(pres, 1)[rest], action.h1_matrix.T[J]
         block = rows[:, J]
         diagonal = np.count_nonzero(block) == np.count_nonzero(block.diagonal())
         unimodular = bool((block.diagonal() % p).all()) if diagonal else Submodule(block % p, len(J), p).ngens == len(J)
         free = not gamma_rest.any() or bool((gamma_rest % p).any())
         invariant = unimodular and not rows[:, rest].any()
-        isotropic = not coh.cup.gram.array[J][:, J].any()
+        isotropic = not coh.cup.gram[J][:, J].any()
         in_ker = not coh.bockstein[J].any()
         gamma_contained = not gamma_rest.any() if len(J) == maximal else None
     else:
         gamma = gamma_line(pres)
         v_free = V.is_free
         free = v_free and Submodule(np.vstack([V.basis, gamma.basis]), pres.d, q).is_free
-        invariant = V.image_under(action.h1_matrix.array.T) == V
+        invariant = V.image_under(action.h1_matrix.T) == V
         isotropic = is_totally_isotropic(coh.cup, V)
         in_ker = not matmul_mod(V.basis, coh.bockstein, q).any() if V.ngens else True
         gamma_contained = V.contains_submodule(gamma) if v_free and V.rank == maximal else None
@@ -241,7 +240,7 @@ def _symplectic_frame(pres: DemushkinPresentation, hplus: Submodule, hminus: Sub
     "minus") of each."""
     mod, q = pres.mod, pres.mod.q
     coh = invariants(pres)
-    gram, bvec = coh.cup.gram.array, coh.bockstein
+    gram, bvec = coh.cup.gram, coh.bockstein
     plus_k, minus_k = (h.annihilated_by(bvec.reshape(-1, 1)) for h in (hplus, hminus))
     slots = [None] * (pres.n // 2 + 1)  # (a, b) per hyperbolic pair
     placed: list[np.ndarray] = []
@@ -331,31 +330,21 @@ def _build_adapted_change(
 
     queue = [(row, "plus") for row in plus_rows] + [(row, "minus") for row in minus_rows]
     t_star = _symplectic_frame(pres, hplus, hminus, queue)
-    t_gen = inv_mod(ZqMatrix(t_star, q)).array.T % q
+    t_gen = inv_mod(t_star, q).T % q
     return ClassTwoEndo.linear(pres.gens, pres.mod, t_gen)
 
 
+@dataclass(frozen=True, slots=True)
 class FreeQuotientCertificate:
     """Outcome of the kill construction, green or red."""
 
-    __slots__ = (
-        "basis_change",
-        "killed",
-        "kept",
-        "signature",
-        "flags",
-        "V_realized",
-        "note",
-    )
-
-    def __init__(self, basis_change, killed, kept, signature, flags, V_realized, note):
-        self.basis_change = basis_change
-        self.killed = tuple(killed)
-        self.kept = tuple(kept)
-        self.signature = signature
-        self.flags = dict(flags)
-        self.V_realized = V_realized
-        self.note = note
+    basis_change: ClassTwoEndo
+    killed: tuple[str, ...]
+    kept: tuple[str, ...]
+    signature: Signature | None
+    flags: dict[str, bool]
+    V_realized: Submodule
+    note: str
 
     @property
     def all_green(self) -> bool:
@@ -429,7 +418,7 @@ def free_quotient(
         raise AssertionError("final frame does not realize V on generator duals")
     killed_idx = sorted(set(range(pres.d)).difference(kept_idx))
     labels = pres.gens.labels
-    kept, killed = [labels[i] for i in kept_idx], [labels[i] for i in killed_idx]
+    kept, killed = tuple(labels[i] for i in kept_idx), tuple(labels[i] for i in killed_idx)
     flags["relator_contained"] = bool(quotient_kill(killed, pres.relator).is_identity) if kept else True
     # a diagonal sigma sends each killed g_k to g_k^(e_k), which dies with g_k
     flags["delta_invariant_kill"] = action.endo.diagonal is not None

@@ -1,7 +1,8 @@
 """Exact linear algebra over the chain rings Z/p^f and Z/p^(2f), p an odd prime.
 
 Matrices are small dense numpy int64 arrays with entries canonically reduced
-to [0, modulus).  Submodules are represented by their Howell canonical form,
+to [0, modulus), passed with their modulus; those a value keeps are
+read-only.  Submodules are represented by their Howell canonical form,
 which is unique per row span, so submodule equality is array equality.  All
 operations are pure; every value is immutable after construction.
 
@@ -118,7 +119,9 @@ def integers_mod(values, m: int, what: str = "exponents") -> np.ndarray:
 
 
 def _rows_mod(values, m: int, what: str) -> np.ndarray:
-    """`integers_mod` as a 2-D array, a vector read as one row."""
+    """`integers_mod` as a 2-D array, a vector read as one row; a ValueError
+    unless m is a prime power."""
+    _prime_power_base(m)
     arr = integers_mod(values, m, what)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
@@ -145,47 +148,11 @@ def _valuation(x: int, p: int, cap: int) -> int:
     return v
 
 
-class ZqMatrix:
-    """Integer matrix with entries reduced mod `modulus` (a prime power)."""
-
-    __slots__ = ("modulus", "array")
-
-    def __init__(self, entries, modulus: int):
-        self.modulus = int(modulus)
-        _prime_power_base(self.modulus)
-        arr = _rows_mod(entries, self.modulus, "matrix entries")
-        arr.setflags(write=False)
-        self.array = arr
-
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ZqMatrix)
-            and self.modulus == other.modulus
-            and self.array.shape == other.array.shape
-            and np.array_equal(self.array, other.array)
-        )
-
-    def __hash__(self):
-        return hash((self.modulus, self.array.shape, self.array.tobytes()))
-
-    def __repr__(self):
-        return f"ZqMatrix({self.array.tolist()}, mod {self.modulus})"
-
-    def to_json(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": self.array.reshape(-1).tolist(),
-        }
+def matrix_json(array: np.ndarray, modulus: int) -> dict:
+    """A (rows x cols) matrix over Z/modulus in the report layout: its
+    entries row by row."""
+    rows, cols = array.shape
+    return {"modulus": int(modulus), "rows": rows, "cols": cols, "entries": array.reshape(-1).tolist()}
 
 
 def _howell_rows(rows_in, ncols: int, m: int) -> np.ndarray:
@@ -246,7 +213,6 @@ class Submodule:
     def __init__(self, rows, ambient: int, modulus: int):
         self.modulus = int(modulus)
         self.ambient = int(ambient)
-        _prime_power_base(self.modulus)
         arr = _rows_mod(rows, self.modulus, "submodule entries")
         if arr.size == 0:
             arr = np.zeros((0, self.ambient), dtype=np.int64)
@@ -351,15 +317,9 @@ class Submodule:
                 out.append(row)
         return out
 
-    def reduce(self, vec) -> np.ndarray:
-        """Residue of `vec` after clearing every pivot; zero iff contained."""
-        v = np.asarray(vec, dtype=np.int64)
-        if v.shape != (self.ambient,):
-            raise ValueError("vector has wrong length")
-        return self.residues(v[None])[0]
-
     def residues(self, rows) -> np.ndarray:
-        """`reduce` applied to every row of a (k x ambient) array at once."""
+        """The residue of each row of a (k x ambient) array after clearing
+        every pivot; a row's residue is zero iff the row is contained."""
         m = self.modulus
         dt = exact_dtype(m * m)
         v = np.mod(rows, m).astype(dt, copy=False)
@@ -368,7 +328,7 @@ class Submodule:
         return v.astype(np.int64, copy=False)
 
     def contains(self, vec) -> bool:
-        return not self.reduce(vec).any()
+        return not self.residues(np.reshape(vec, (1, self.ambient))).any()
 
     def contains_submodule(self, other: "Submodule") -> bool:
         if self.ambient != other.ambient or self.modulus != other.modulus:
@@ -376,15 +336,12 @@ class Submodule:
         return not self.residues(other.basis).any()
 
     def _right_operand(self, matrix) -> np.ndarray:
-        """The array of a ZqMatrix over this modulus, or of integer entries
-        read mod it, with one row per ambient coordinate."""
-        if not isinstance(matrix, ZqMatrix):
-            matrix = ZqMatrix(matrix, self.modulus)
-        elif matrix.modulus != self.modulus:
-            raise ValueError(f"matrix is over Z/{matrix.modulus}, submodule over Z/{self.modulus}")
-        if matrix.rows != self.ambient:
-            raise ValueError(f"matrix has {matrix.rows} rows, ambient rank is {self.ambient}")
-        return matrix.array
+        """Integer entries read mod this modulus, with one row per ambient
+        coordinate."""
+        mat = _rows_mod(matrix, self.modulus, "matrix entries")
+        if mat.shape[0] != self.ambient:
+            raise ValueError(f"matrix has {mat.shape[0]} rows, ambient rank is {self.ambient}")
+        return mat
 
     def image_under(self, matrix) -> "Submodule":
         """Span of basis @ matrix, for a right action on row vectors."""
@@ -408,7 +365,7 @@ class Submodule:
         """All elements of the span, each once, as the rows of one array.
 
         In Howell form every element is sum c_i * row_i for exactly one
-        choice of c_i in [0, m / pivot_i): `reduce` finds these c_i, and
+        choice of c_i in [0, m / pivot_i): `residues` finds these c_i, and
         their number is the size of the span.
         """
         sizes = tuple(self.modulus // pk for _, pk in self._pivots)
@@ -434,12 +391,7 @@ class Submodule:
         )
 
     def to_json(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "rows": self.ngens,
-            "cols": self.ambient,
-            "entries": self.basis.reshape(-1).tolist(),
-        }
+        return matrix_json(self.basis, self.modulus)
 
 
 def _kernel_rows(a: np.ndarray, m: int) -> np.ndarray:
@@ -452,48 +404,48 @@ def _kernel_rows(a: np.ndarray, m: int) -> np.ndarray:
     return h[~h[:, :r].any(axis=1), r:]
 
 
-def kernel(mat: ZqMatrix) -> Submodule:
-    """The row-vector kernel {v : v . mat^T = 0} over Z/m."""
-    return Submodule(_kernel_rows(mat.array.T, mat.modulus), mat.cols, mat.modulus)
+def kernel(a, m: int) -> Submodule:
+    """The row-vector kernel {v : v . a^T = 0} of integer entries over Z/m."""
+    a = _rows_mod(a, m, "matrix entries")
+    return Submodule(_kernel_rows(a.T, m), a.shape[1], m)
 
 
-def inv_mod(mat: ZqMatrix) -> ZqMatrix:
-    """Inverse over Z/m, read off the Howell form of [A | I]: that form is
-    [I | A^-1] exactly when A is invertible, i.e. invertible mod p."""
-    a = mat.array
+def inv_mod(a, m: int) -> np.ndarray:
+    """The inverse of integer entries over Z/m, read off the Howell form of
+    [A | I]: that form is [I | A^-1] exactly when A is invertible, i.e.
+    invertible mod p."""
+    a = _rows_mod(a, m, "matrix entries")
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError("only square matrices can be inverted")
     eye = np.eye(n, dtype=np.int64)
-    h = _howell_rows(np.hstack([a, eye]), 2 * n, mat.modulus)
+    h = _howell_rows(np.hstack([a, eye]), 2 * n, m)
     if h.shape[0] != n or not np.array_equal(h[:, :n], eye):
         raise ValueError("matrix is not invertible (no unit pivot)")
-    return ZqMatrix(h[:, n:], mat.modulus)
+    return h[:, n:]
 
 
 class BilinearForm:
     """An alternating pairing <u, v> = u . gram . v on (Z/m)^d: the gram is
     antisymmetric with zero diagonal, so <v, u> = -<u, v> and <v, v> = 0.
     The cup product H^1 x H^1 -> H^2 of a Demushkin group is one for odd p
-    (Labute, Canad. J. Math. 19, 1967)."""
+    (Labute, Canad. J. Math. 19, 1967).  `gram` is a read-only array."""
 
-    __slots__ = ("gram",)
+    __slots__ = ("gram", "modulus")
 
-    def __init__(self, gram: ZqMatrix):
-        if gram.rows != gram.cols:
+    def __init__(self, gram, modulus: int):
+        self.modulus = int(modulus)
+        a = _rows_mod(gram, self.modulus, "gram entries")
+        if a.shape[0] != a.shape[1]:
             raise ValueError("gram matrix must be square")
-        a = gram.array
-        if not np.array_equal(a.T, (-a) % gram.modulus) or a.diagonal().any():
+        if not np.array_equal(a.T, (-a) % self.modulus) or a.diagonal().any():
             raise ValueError("form is not antisymmetric with zero diagonal")
-        self.gram = gram
+        a.setflags(write=False)
+        self.gram = a
 
     @property
     def dim(self) -> int:
-        return self.gram.rows
-
-    @property
-    def modulus(self) -> int:
-        return self.gram.modulus
+        return self.gram.shape[0]
 
     def is_nondegenerate(self) -> bool:
         """Whether the gram matrix is invertible mod p.  A monomial one, with
@@ -501,13 +453,13 @@ class BilinearForm:
         permutation times a diagonal of units and needs no elimination; any
         other takes the row count of its Howell form mod p."""
         p, _ = _prime_power_base(self.modulus)
-        gram = self.gram.array % p
+        gram = self.gram % p
         nonzero = gram != 0
         monomial = (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()
         return bool(monomial) or len(_howell_rows(gram, self.dim, p)) == self.dim
 
     def __repr__(self):
-        return f"BilinearForm({self.gram!r})"
+        return f"BilinearForm({self.gram.tolist()}, mod {self.modulus})"
 
 
 def orthogonal_complement(form: BilinearForm, s: Submodule) -> Submodule:
@@ -516,8 +468,7 @@ def orthogonal_complement(form: BilinearForm, s: Submodule) -> Submodule:
         raise ValueError("form and submodule have mismatched dimensions")
     if s.ngens == 0:
         return Submodule.full(s.ambient, s.modulus)
-    mat = ZqMatrix(matmul_mod(s.basis, form.gram.array.T, s.modulus), s.modulus)
-    return kernel(mat)
+    return kernel(matmul_mod(s.basis, form.gram.T, s.modulus), s.modulus)
 
 
 def is_totally_isotropic(form: BilinearForm, s: Submodule) -> bool:
@@ -527,16 +478,16 @@ def is_totally_isotropic(form: BilinearForm, s: Submodule) -> bool:
     if s.ngens == 0:
         return True
     m = s.modulus
-    return not matmul_mod(matmul_mod(s.basis, form.gram.array, m), s.basis.T, m).any()
+    return not matmul_mod(matmul_mod(s.basis, form.gram, m), s.basis.T, m).any()
 
 
-def eigen_split(action: ZqMatrix) -> tuple[Submodule, Submodule]:
-    """(M+, M-) for an involution acting on row vectors by v -> v @ action.
+def eigen_split(action, m: int) -> tuple[Submodule, Submodule]:
+    """(M+, M-) for an involution with integer entries over Z/m, acting on
+    row vectors by v -> v @ action.
 
     Uses the projectors (1 +- action)/2, so 2 must be invertible (odd modulus).
     """
-    m = action.modulus
-    a = action.array
+    a = _rows_mod(action, m, "matrix entries")
     d = a.shape[0]
     if a.shape[1] != d:
         raise ValueError("action matrix must be square")
@@ -557,8 +508,9 @@ class OracleGuardError(ValueError):
     ORACLE_MAX_SPAN."""
 
 
-def _oracle_guard(form: BilinearForm):
-    m, d = form.modulus, form.dim
+def oracle_guard(m: int, d: int):
+    """An OracleGuardError unless an exhaustive search of (Z/m)^d lies
+    within ORACLE_MAX_DIM and ORACLE_MAX_SPAN."""
     if d > ORACLE_MAX_DIM:
         raise OracleGuardError(f"exhaustive search limited to ambient rank <= {ORACLE_MAX_DIM}; got rank {d}")
     if m**d > ORACLE_MAX_SPAN:
@@ -593,10 +545,10 @@ def _isotropic_normal_bases(
     The search visits every submodule, so OracleGuardError guards it beyond
     ORACLE_MAX_DIM and ORACLE_MAX_SPAN.
     """
-    _oracle_guard(form)
+    oracle_guard(form.modulus, form.dim)
     if form.dim != constraint.ambient or form.modulus != constraint.modulus:
         raise ValueError("form and constraint have mismatched dimensions")
-    m, d, gram = form.modulus, form.dim, form.gram.array
+    m, d, gram = form.modulus, form.dim, form.gram
     bit = (1 << np.arange(d)).astype(np.min_scalar_type(1 << d))
     vecs = constraint._span_array()
     units = vecs % _prime_power_base(m)[0] != 0

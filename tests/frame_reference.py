@@ -124,7 +124,7 @@ def cohomology_fields(coh) -> tuple | None:
     if coh is None:
         return None
     return (
-        coh.cup.gram.array.tolist(),
+        coh.cup.gram.tolist(),
         coh.bockstein.tolist(),
         coh.cup_nondegenerate,
         coh.bockstein_surjective,
@@ -142,7 +142,7 @@ def validate_V_reference(pres, action, V) -> IsotropicSubmodule:
     gamma = gamma_line(pres)
     v_free = V.is_free
     free = v_free and Submodule(np.vstack([V.basis, gamma.basis]), pres.d, pres.mod.q).is_free
-    image = V.image_under(action.h1_matrix.array.T)
+    image = V.image_under(action.h1_matrix.T)
     invariant = image == V
     isotropic = is_totally_isotropic(coh.cup, V)
     q = pres.mod.q

@@ -142,7 +142,7 @@ def test_criterion_2_demushkin_invariants():
     ok = True
     for n, mod in INVARIANT_GRID:
         coh = invariants(DemushkinPresentation.standard(n, mod))
-        gram = coh.cup.gram.array
+        gram = coh.cup.gram
         antisym = np.array_equal(gram.T % mod.q, (-gram) % mod.q) and not gram.diagonal().any()
         ok &= antisym and coh.cup_nondegenerate and coh.bockstein_surjective
     verdict(2, "nondegenerate cup form and surjective Bockstein", ok)
@@ -159,7 +159,7 @@ def test_criterion_3_cyclotomic_line_identity():
     coh = invariants(pres)
     from itertools import product
 
-    gram = coh.cup.gram.array
+    gram = coh.cup.gram
     kerb = [np.array(v) for v in product(range(3), repeat=4) if (np.array(v) @ coh.bockstein) % 3 == 0]
     perp = {
         tuple(int(x) for x in v)

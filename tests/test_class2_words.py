@@ -22,7 +22,7 @@ from demuskin.class2_words import (
     parse_word,
     quotient_kill,
 )
-from demuskin.zq_linalg import Modulus, ZqMatrix, inv_mod
+from demuskin.zq_linalg import Modulus, inv_mod
 from frame_reference import format_exponents_reference, times_central_reference
 
 rng = random.Random(357911)
@@ -66,7 +66,7 @@ def comm_of(u):
 def is_automorphism(e: ClassTwoEndo) -> bool:
     """An endomorphism of F/F^3 is invertible iff its linear part is mod q."""
     try:
-        inv_mod(ZqMatrix(e.linear_matrix, e.mod.q))
+        inv_mod(e.linear_matrix, e.mod.q)
     except ValueError:
         return False
     return True

@@ -761,11 +761,15 @@ class TestOracleCommand:
         assert proc.returncode == 2
         assert proc.stderr == "error: exhaustive search limited to ambient rank <= 6; got rank 8\n"
 
-    def test_guard_table(self, capsys):
+    def test_guard_table(self, capsys, monkeypatch):
         # every odd prime power q <= 125 and n in 0..6: a refused cell exits 2
-        # at once naming its bound, an admitted one counts the maximal V in
-        # ker B as p^((f-1)m(m+1)/2) prod_{i<=m} (p^i + 1), m = n/2.  (5,1,4)
-        # takes 1.5 s and is counted in the tests of the search itself
+        # at once naming its bound, with no cup form built; an admitted one
+        # counts the maximal V in ker B as p^((f-1)m(m+1)/2) prod_{i<=m}
+        # (p^i + 1), m = n/2.  (5,1,4) takes 1.5 s and is counted in the tests
+        # of the search itself
+        read = []
+        real = cli.invariants
+        monkeypatch.setattr(cli, "invariants", lambda pres: read.append((pres.mod.p, pres.mod.f, pres.n)) or real(pres))
         admitted = {(5, 1, 4)}
         for q in range(3, 126, 2):
             try:
@@ -790,7 +794,7 @@ class TestOracleCommand:
                 assert json.loads(out)["results"]["maximal_count_in_bockstein_kernel"] == count, cell
                 admitted.add(cell)
         # all 36 cells at n = 0, and q^(n+2) <= 5^6 past it
-        assert len(admitted) == 43
+        assert len(admitted) == 43 and set(read) == admitted - {(5, 1, 4)}
         assert {(p**f, n) for p, f, n in admitted if n} == {(3, 2), (5, 2), (7, 2), (9, 2), (11, 2), (3, 4), (5, 4)}
 
     @pytest.mark.parametrize("p,f,n,span", [(7, 1, 4, "7^6 = 117649"), (3, 2, 4, "9^6 = 531441")])
@@ -803,6 +807,31 @@ class TestOracleCommand:
         start = time.perf_counter()
         assert main(["oracle", "--p", str(p), "--f", str(f), "--n", str(n)]) == 2
         assert time.perf_counter() - start < 1
+
+    def test_a_refused_cell_builds_no_presentation(self, capsys, monkeypatch):
+        # the guard runs first: a refused cell caches no presentation, and one
+        # already cached keeps its cohomology unset
+        read = []
+        monkeypatch.setattr(cli, "invariants", read.append)
+        cli._standard_presentation.cache_clear()
+        assert main(["oracle", "--n", "960"]) == 2
+        assert capsys.readouterr().err == "error: exhaustive search limited to ambient rank <= 6; got rank 962\n"
+        assert cli._standard_presentation.cache_info().currsize == 0
+        pres = cli._standard_presentation(3, 1, 6)
+        assert main(["oracle", "--n", "6"]) == 2
+        assert pres._cohomology is None and read == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "7"], ["--n", "-2"], ["--n", "-1"], ["--n", "962"], ["--n", "963"],
+        ["--p", "9", "--n", "8"], ["--p", "4", "--n", "7"], ["--f", "0", "--n", "962"],
+    ])
+    def test_bad_input_is_named_as_the_presentation_names_it(self, capsys, argv):
+        # an input both bad and past the guards names what is bad, as
+        # `present` does
+        assert main(["present", *argv]) == 2
+        want = capsys.readouterr().err
+        assert main(["oracle", *argv]) == 2
+        assert capsys.readouterr().err == want
 
     def test_searches_each_space_once(self, tmp_path, monkeypatch):
         # one search of the whole space gives both maximal ranks, the count
@@ -981,7 +1010,7 @@ class TestStandardPresentationCache:
         pres = cli._standard_presentation(p, f, n)
         coh = invariants(pres)
         arrays = reachable_arrays(pres)
-        named = [pres.chi.values, pres.relator.gen_exp, pres.relator.comm, coh.cup.gram.array, coh.bockstein]
+        named = [pres.chi.values, pres.relator.gen_exp, pres.relator.comm, coh.cup.gram, coh.bockstein]
         assert all(any(a is b for b in arrays) for a in named)
         for a in arrays:
             assert not a.flags.writeable

@@ -45,7 +45,6 @@ from demuskin.zq_linalg import (
     BilinearForm,
     Modulus,
     Submodule,
-    ZqMatrix,
     matmul_mod,
     orthogonal_complement,
 )
@@ -152,7 +151,7 @@ class TestInvariants:
     def test_gram_and_bockstein_n2_q3(self):
         pres = DemushkinPresentation.standard(2, Modulus(3, 1))
         coh = invariants(pres)
-        gram = coh.cup.gram.array
+        gram = coh.cup.gram
         assert gram[0, 1] == 1 and gram[1, 0] == 2
         assert gram[2, 3] == 2 and gram[3, 2] == 1
         assert coh.cup_nondegenerate
@@ -173,7 +172,7 @@ class TestInvariants:
     def test_rank_two_case(self):
         pres = DemushkinPresentation.standard(0, Modulus(5, 1))
         coh = invariants(pres)
-        assert coh.cup.gram.array[0, 1] == 1
+        assert coh.cup.gram[0, 1] == 1
         kerb = bockstein_kernel(pres)
         assert kerb == Submodule([[1, 0]], 2, 5)
         assert orthogonal_complement(coh.cup, kerb) == gamma_line(pres)
@@ -195,7 +194,7 @@ class TestInvariants:
         with pytest.raises(ValueError):
             coh.bockstein[0] = 1
         with pytest.raises(ValueError):
-            coh.cup.gram.array[0, 1] = 0
+            coh.cup.gram[0, 1] = 0
         # a new presentation with the same data computes its own
         assert invariants(DemushkinPresentation.standard(4, Modulus(3, 1))) is not coh
 
@@ -216,7 +215,7 @@ class TestGammaLine:
     def test_exhaustive_cross_check_n2_q3(self):
         pres = DemushkinPresentation.standard(2, Modulus(3, 1))
         coh = invariants(pres)
-        gram = coh.cup.gram.array
+        gram = coh.cup.gram
         kerb_vectors = [
             np.array(v)
             for v in cartesian(range(3), repeat=4)
@@ -243,7 +242,7 @@ class TestStandardInvolution:
     def test_n2_q3_matrices(self):
         pres = DemushkinPresentation.standard(2, Modulus(3, 1))
         act = standard_involution(pres)
-        assert np.array_equal(act.h1_matrix.array, np.diag([1, 2, 2, 1]))
+        assert np.array_equal(act.h1_matrix, np.diag([1, 2, 2, 1]))
         assert act.h2_scalar == -1
         assert act.coherence_ok
         plus, minus = act.h1_eigenspaces()
@@ -252,8 +251,15 @@ class TestStandardInvolution:
     def test_n0_q5(self):
         pres = DemushkinPresentation.standard(0, Modulus(5, 1))
         act = standard_involution(pres)
-        assert np.array_equal(act.h1_matrix.array, np.diag([1, 4]))
+        assert np.array_equal(act.h1_matrix, np.diag([1, 4]))
         assert act.h2_scalar == -1
+
+    @pytest.mark.parametrize("n,mod", GRID, ids=lambda v: str(v))
+    def test_h1_matrix_is_the_read_only_linear_matrix(self, n, mod):
+        act = standard_involution(DemushkinPresentation.standard(n, mod))
+        assert np.array_equal(act.h1_matrix, act.endo.linear_matrix)
+        with pytest.raises(ValueError):
+            act.h1_matrix[0, 0] = 0
 
     @pytest.mark.parametrize("n,mod", GRID, ids=lambda v: str(v))
     def test_eigen_ranks_across_grid(self, n, mod):
@@ -407,7 +413,7 @@ class TestInvolutionBuildProperty:
             return
         except RelatorNotPreservedError:
             assert involution
-            act = InvolutionAction(endo, ZqMatrix(endo.linear_matrix, pres.mod.q), 1)
+            act = InvolutionAction(endo, 1)
         assert involution
         # clean: endo is diag(s) exactly; product shape: diag(s) mod q
         signs = np.where(endo.linear_matrix.diagonal() == 1, 1, -1)
@@ -686,7 +692,7 @@ class TestSymmetrizedChange:
         for change in (None, shear):
             with pytest.raises(AssertionError, match="did not produce a clean action"):
                 symmetrized_change(endo, self.signs, change)
-        act = InvolutionAction(endo, ZqMatrix(endo.linear_matrix, self.mod.q), -1)
+        act = InvolutionAction(endo, -1)
         with pytest.raises(AssertionError, match="did not produce a clean action"):
             symmetrize_basis(self.pres, act)
 
@@ -735,7 +741,7 @@ class TestCleanSigns:
             u = parse_word(extra, self.pres.gens, self.pres.mod)
             endo = ClassTwoEndo(images[:1] + [images[1] * u] + images[2:])
             assert endo != clean
-            act = InvolutionAction(endo, ZqMatrix(endo.linear_matrix, self.mod.q), -1)
+            act = InvolutionAction(endo, -1)
             assert act.signs is None
             signs = _linear_signs(endo)
             assert np.array_equal(signs, self.signs) if u.is_central else signs is None
@@ -955,7 +961,7 @@ class TestElementwiseCoherence:
         pres, s, t, gram = case
         q = pres.mod.q
         coh = invariants(pres)
-        fake = dataclasses.replace(coh, cup=BilinearForm(ZqMatrix(gram, q)))
+        fake = dataclasses.replace(coh, cup=BilinearForm(gram, q))
         L = np.diag(s) % q
         want = not ((matmul_mod(matmul_mod(L.T, gram, q), L, q) - t * gram) % q).any()
         endo = ClassTwoEndo.linear(pres.gens, pres.mod, np.diag(s))

@@ -49,7 +49,6 @@ from demuskin.quotient_builder import (
 from demuskin.zq_linalg import (
     Modulus,
     Submodule,
-    ZqMatrix,
     inv_mod,
 )
 from frame_reference import (
@@ -253,7 +252,7 @@ class TestCoordinateSpanFlags:
         T = np.eye(4, dtype=np.int64)
         T[2, 3] = 1  # x1 -> x1 x2 mixes a negated and a fixed generator
         pres2, act2 = transform_presentation(*standard_setup(2, mod), ClassTwoEndo.linear(pres.gens, mod, T))
-        assert np.count_nonzero(act2.h1_matrix.array[np.ix_([2, 3], [2, 3])]) == 3
+        assert np.count_nonzero(act2.h1_matrix[np.ix_([2, 3], [2, 3])]) == 3
         for J in ([2, 3], [2], [3], [0, 1, 2, 3]):
             V = Submodule.coordinate(J, 4, 9)
             iso, ref = validate_V(pres2, act2, V), validate_V_reference(pres2, act2, V)
@@ -1050,7 +1049,7 @@ class TestRandomEquivariantFrame:
         b_idx = [2 * j for j in range(1, k + 1)]
         T = np.eye(d, dtype=np.int64)
         T[np.ix_(a_idx, a_idx)] = N
-        T[np.ix_(b_idx, b_idx)] = inv_mod(ZqMatrix(N, q)).array.T
+        T[np.ix_(b_idx, b_idx)] = inv_mod(N, q).T
         for u_plus in range(k + 1):
             sig = Signature(u_plus, k - u_plus)
             V = build_V(pres, act, sig).V.image_under(T)
@@ -1138,7 +1137,7 @@ def free_quotient_reference(pres, act, iso) -> FreeQuotientCertificate:
     flags["surjective_mod_F2"] = True
     diagonal = clean.linear_matrix.diagonal()[kept_idx]
     sig = Signature(int((diagonal == 1).sum()) - 1, int((diagonal == pres.mod.q - 1).sum()))
-    return FreeQuotientCertificate(total, killed, kept, sig, flags, iso.V, quotient_builder.LIFTING_NOTE)
+    return FreeQuotientCertificate(total, tuple(killed), tuple(kept), sig, flags, iso.V, quotient_builder.LIFTING_NOTE)
 
 
 def pool_mixed_V(pres, rng_units):
@@ -1163,7 +1162,7 @@ def equivariant_frame(N, mod, n):
     b_idx = [2 * j for j in range(1, k + 1)]
     T = np.eye(d, dtype=np.int64)
     T[np.ix_(a_idx, a_idx)] = N
-    T[np.ix_(b_idx, b_idx)] = inv_mod(ZqMatrix(N, mod.q)).array.T
+    T[np.ix_(b_idx, b_idx)] = inv_mod(N, mod.q).T
     return T
 
 
@@ -1172,7 +1171,7 @@ def symplectic_shear(draw, pres):
     the x duals: an isometry of the cup form that fixes g*, x0* and ker B,
     so it keeps every condition for the trivial action."""
     q, d = pres.mod.q, pres.d
-    gram = invariants(pres).cup.gram.array
+    gram = invariants(pres).cup.gram
     T = np.eye(d, dtype=np.int64)
     for _ in range(draw(st.integers(1, 3))):
         v = np.array([0, 0] + [draw(st.integers(0, q - 1)) for _ in range(d - 2)], dtype=np.int64)
@@ -1311,3 +1310,19 @@ class TestCorrectionChecks:
         assert inverse(pres.relator) == pres.relator
         assert cert.all_green and cert.basis_change != plain.basis_change
         assert (cert.kept, cert.signature) == (plain.kept, plain.signature)
+
+
+class TestCertificateValue:
+    """A certificate is a frozen value: its fields cannot be rebound, and
+    its repr names its state, kept generators and signature."""
+
+    def test_frozen_with_tuples_and_repr(self):
+        pres, act = standard_setup(2, Modulus(3, 1))
+        green = free_quotient(pres, act, build_V(pres, act, Signature(1, 0)))
+        assert green.all_green and green.kept == ("g", "x2") and green.killed == ("x0", "x1")
+        assert repr(green) == "FreeQuotientCertificate(green, kept=('g', 'x2'), signature=Signature(u_plus=1, u_minus=0))"
+        with pytest.raises(AttributeError):
+            green.kept = ()
+        red = free_quotient(pres, act, Submodule([[1, 0, 0, 0], [0, 1, 0, 0]], 4, 3))
+        assert not red.all_green and (red.kept, red.killed, red.signature) == ((), (), None)
+        assert repr(red) == "FreeQuotientCertificate(red, kept=(), signature=None)"

@@ -1,7 +1,8 @@
 """Source hygiene of the package, read with the stdlib `ast`: no module
-imports a name it never uses, no module defines a private name (at module
-level or as a method) that the package never references, and no public
-function, class, method or property is kept for the tests alone."""
+imports a name it never uses or a private name of another `demuskin`
+module, no module defines a private name (at module level or as a method)
+that the package never references, and no public function, class, method
+or property is kept for the tests alone."""
 
 import ast
 from pathlib import Path
@@ -68,6 +69,18 @@ def test_no_unused_import(path):
             imported += [(alias.asname or alias.name, node.lineno) for alias in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [(name, line) for name, line in imported if name not in used] == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_private_name_imported_from_another_module(path):
+    # `from demuskin.m import name`, `from . import name` or `import demuskin.m`
+    imported = []
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "demuskin"):
+            imported += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.name, node.lineno) for alias in node.names if alias.name.startswith("demuskin.")]
+    assert [(name, line) for name, line in imported if any(map(is_private, name.split(".")))] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
