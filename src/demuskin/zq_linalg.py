@@ -520,6 +520,28 @@ def oracle_guard(m: int, d: int):
         )
 
 
+def _first_units(vecs: np.ndarray, p: int) -> np.ndarray:
+    """One-hot along the last axis at each row's first unit entry; all
+    False on a row without a unit."""
+    units = vecs % p != 0
+    return units & (np.cumsum(units, axis=-1) == 1)
+
+
+@lru_cache(maxsize=16)  # within the guards a table has at most 3,906 lines (5^6): 16 stay under 4 MB
+def _line_table(constraint: Submodule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vectors of `constraint` whose first unit entry is a 1, one per
+    free line, in span order, with the bit of that entry's column and the
+    bits of their nonzero columns: read-only, built once per constraint."""
+    bit = (1 << np.arange(constraint.ambient)).astype(np.min_scalar_type(1 << constraint.ambient))
+    vecs = constraint._span_array()
+    lead = _first_units(vecs, _prime_power_base(constraint.modulus)[0])
+    keep = (vecs * lead).sum(axis=1) == 1
+    table = vecs[keep], (lead @ bit)[keep], ((vecs != 0) @ bit)[keep]
+    for array in table:
+        array.setflags(write=False)
+    return table
+
+
 def _isotropic_normal_bases(
     form: BilinearForm, constraint: Submodule, top: int, columns: np.ndarray | None = None
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -536,9 +558,13 @@ def _isotropic_normal_bases(
     v in `constraint` whose first unit entry is a 1 at lead(v) > max P, with
     v[P] = 0, S[:, lead(v)] = 0 and <v, S> = 0 (the form is alternating, so
     <v, v> = 0 and <S, v> = -<v, S>).
-    Column conditions are bit masks on the node x vector grid; only the pairs
-    that pass them are paired.  Nothing is built twice, and no Submodule
-    (Howell form) is built.
+    Those v, their lead bits and supports depend on `constraint` alone: they
+    are `_line_table`, built once per constraint.  The root has no rows, so
+    its children are exactly the table's lines and rank 1 is the table
+    itself; only the pairing with the form and the kernel flags are worked
+    out per search.  Below rank 1, column conditions are bit masks on the
+    node x vector grid; only the pairs that pass them are paired.  Nothing
+    is built twice, and no Submodule (Howell form) is built.
 
     As a node's parent drops its last row, the masked nodes are exactly the
     tree of the kernel inside `constraint`: one search answers for both.
@@ -548,19 +574,17 @@ def _isotropic_normal_bases(
     oracle_guard(form.modulus, form.dim)
     if form.dim != constraint.ambient or form.modulus != constraint.modulus:
         raise ValueError("form and constraint have mismatched dimensions")
-    m, d, gram = form.modulus, form.dim, form.gram
-    bit = (1 << np.arange(d)).astype(np.min_scalar_type(1 << d))
-    vecs = constraint._span_array()
-    units = vecs % _prime_power_base(m)[0] != 0
-    lead = units & (np.cumsum(units, axis=1) == 1)  # one-hot at the first unit
-    left = (vecs @ gram) % m  # <v, b> = left[v] . b, and <b, v> = -<v, b>
-    keep = (vecs * lead).sum(axis=1) == 1
-    vecs, lead_bit, left = vecs[keep], (lead @ bit)[keep], left[keep]
-    in_kernel = np.ones(len(vecs), dtype=bool) if columns is None else ~((vecs @ columns) % m).any(axis=1)
-    support = (vecs != 0) @ bit
+    m, d = form.modulus, form.dim
     levels, inside = [np.zeros((1, 0, d), dtype=np.int64)], [np.ones(1, dtype=bool)]
-    piv = used = np.zeros(1, dtype=bit.dtype)  # each node's pivot and nonzero columns
-    step = max(1, _GRID_CELLS // max(1, len(vecs)))  # nodes per slice of the grid
+    vecs, lead_bit, support = _line_table(constraint)
+    if top < 1 or not len(vecs):
+        return levels, inside
+    left = (vecs @ form.gram) % m  # <v, b> = left[v] . b, and <b, v> = -<v, b>
+    in_kernel = np.ones(len(vecs), dtype=bool) if columns is None else ~((vecs @ columns) % m).any(axis=1)
+    levels.append(vecs[:, None])
+    inside.append(in_kernel)
+    piv, used = lead_bit, support  # each node's pivot and nonzero columns
+    step = max(1, _GRID_CELLS // len(vecs))  # nodes per slice of the grid
     while len(levels) <= top:
         kids = []
         for at in (slice(lo, lo + step) for lo in range(0, len(piv), step)):
@@ -612,8 +636,8 @@ def isotropic_oracle(form: BilinearForm, columns, vec) -> IsotropicOracle:
     levels, inside = _isotropic_normal_bases(form, Submodule.full(d, m), d, cols)
     top = max(r for r, mask in enumerate(inside) if mask.any())
     maximal = levels[top][inside[top]]
-    pivots = (maximal % _prime_power_base(m)[0] != 0).argmax(axis=2)  # each row's first unit
-    spanned = np.einsum("nr,nrd->nd", target[pivots], maximal) % m
+    coeffs = _first_units(maximal, _prime_power_base(m)[0]) @ target  # vec at each row's pivot
+    spanned = np.einsum("nr,nrd->nd", coeffs, maximal) % m
     missing = np.flatnonzero((spanned != target).any(axis=1))
     return IsotropicOracle(
         len(levels) - 1, top, len(maximal), maximal[missing[0]] if len(missing) else None

@@ -17,6 +17,7 @@ from demuskin import cli, zq_linalg
 from demuskin.cli import main
 from demuskin.demushkin_core import DemushkinPresentation, invariants
 from demuskin.zq_linalg import BilinearForm, Modulus
+from test_zq_linalg import ADMITTED_CELLS
 
 
 def run_cli(*argv):
@@ -644,6 +645,67 @@ class TestPinnedReports:
         code, text = run_inproc(tmp_path, *argv, "--format", fmt)
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[argv, fmt]
+
+
+# sha256 of the JSON `oracle` report of each admitted cell (p, f, n),
+# recorded before the search read its free lines from a per-constraint table
+PINNED_ORACLE_REPORTS = {
+    (3, 1, 0): "613a672f7bc03227b38e25056429ea04a680e36c25cc396f5591aa534acab482",
+    (3, 1, 2): "6b715e8ff02bb857de5ea26f4d99dc668871144cd146fd72639d43d776238692",
+    (3, 1, 4): "62d3a69874fbf8f0479973e101e44f140af83a7cc2d69d1d775d6b5c3e8cfc9e",
+    (3, 2, 0): "e03d7e8e9731822067c5270c1ee1016f2157e0a2d9f127dcaa807bd522e3188f",
+    (3, 2, 2): "05364304c211cb230939e2480ef510baf35c1a6bcbb82de7a50717fe4a21ef3d",
+    (3, 3, 0): "0806f06fc1ab65e99ad13e3d944a1c2db6fb3d5ba6af892b109669793bb659c5",
+    (3, 4, 0): "a23b8aa3c99a071783754566a3429f5e8d83b5916de4d35eb41663d1c34069c3",
+    (5, 1, 0): "b311d681b47458fd1a33ba60a3b8e8ea4ad2eac02631f4670c382a75c7fb8108",
+    (5, 1, 2): "01c532f7fadebfd9898475bdcab9f1d24da2e5c0238cb7c952447fd611a97db3",
+    (5, 1, 4): "fd0b3d42ffca5c0177cd9959205b8545ae18d01d0a539902972cda86d146aed3",
+    (5, 2, 0): "b56052183bb87def56865eb2938173e8e1eb9aa56b2acb45586847de44e27f8a",
+    (5, 3, 0): "ab29788b152d8bf3e32b29b832c653a0345ef18ff445b77cb2a3b1a221a11400",
+    (7, 1, 0): "1a4a9fa657613ae0e117605da54f6a84e99e725926201faa1e49ba251e8110a6",
+    (7, 1, 2): "5a3b01fdc45c6805d12eabac17bbfbdf299ccbdb28a53e09ca2bfbb7b3612e25",
+    (7, 2, 0): "46d835d5c6fc47ce377fe3963d5b1cdfba22dc87742eff25d941d8b09e15b38a",
+    (11, 1, 0): "bcb333f58871390e3a9c1dc5a708c5014c167528469e32eee54f0b029e6bfa8c",
+    (11, 1, 2): "ac0c5c24b6081311f04f2d97bbcf03961041cb820985189d85bd3e9cf431b524",
+    (11, 2, 0): "244cead47efbcc9162693a3363fa51cfe18b857356cbec17e33892901526cdc5",
+    (13, 1, 0): "b6ac400e55271f9e3e28ed0bdf05b49f62899180b9e6edac77b09e3acab8c216",
+    (17, 1, 0): "7465987459a097e8ea0eed5aad42e68394f4e7238d6e72fa511309306c37b3e6",
+    (19, 1, 0): "90abe8cf472ddf614e2cffc83cbb24b5a5e4f5fbc7c4419ebfebdd26be2232d7",
+    (23, 1, 0): "432635c95606dca3ce782715a37c47009e4d113fa35570939da94886d2927d2a",
+    (29, 1, 0): "7dbe1b10346ddf204334a091cb6d660e3cee7e5f46b44e4078f48018a85eb526",
+    (31, 1, 0): "ce303b29633ab18c9663d796504b158eb414b636fda2e0a55fbdf241da8ce48b",
+    (37, 1, 0): "e0cb9eef6a3bf7a90c17ec63fe1b108653b21837fcaa760d786bf1ccd0cb8063",
+    (41, 1, 0): "da294f1d1bd9e84a7f9dc9ee882e7ccdf5bb3761d10e58b378277267d4ffeb9b",
+    (43, 1, 0): "e4aad56592ab277bb32c918bfe629d4b27b92610b4f6302a10a4cb0c8cbd4ab4",
+    (47, 1, 0): "4718e955202c2f845e5ac159d9c7c0a0fb607f1b9bf82f6cf265e8b9d60e5c8d",
+    (53, 1, 0): "2ec225e6adfc40de98ff83c1e8dceba6bb891e20c9534d60bd27691b20a6cdd2",
+    (59, 1, 0): "3b731b7d5a8fd96406fb7cb101c61cf232de11b8155c0b6db2fbcca5def87119",
+    (61, 1, 0): "c2399dffcde8217389555752c6398b86ba5e27e498dea721d74b6f014d4a8daf",
+    (67, 1, 0): "5cbc83bc57f2ab07e001f37c01fe02066cd8bc4ffe4a68702aee6e94b807fbf1",
+    (71, 1, 0): "919d3cd3b0c5e9bf391db6da7aa6d1b02f0e6dd7278aef32637645fb055b7210",
+    (73, 1, 0): "3f99651d5dda47edb610c8947fe81483edbc32a4e0bd410cc314ee4050df119e",
+    (79, 1, 0): "e0fb9d96428a45be8e720a5e63d6b397735f5e9d5311e61a2a6e9eb644ba9e6e",
+    (83, 1, 0): "cf24edb250a641e5c040783da8ad0bb14556adcb1b7b8806652b078f24a783d1",
+    (89, 1, 0): "f95b2c7dd43723861e95a6b832fdd168601f2e144fe932fc729035ff4e20d7d6",
+    (97, 1, 0): "49575c77f2516b877acffc23e1987249ddf119ecdd5d2c4df4b9cdaaecb97491",
+    (101, 1, 0): "7eeee49d18f22f19695de36beb2f38e9ad1c0b50b05645041003d97ee3a08145",
+    (103, 1, 0): "f55059f25b163ab6cdb1a95e6a47a97481033d2e84dd58135a4f64a95c7ffe44",
+    (107, 1, 0): "e071d646115fb6cd83da7ba263d29cb3c9616843f99830cb9bcd7e93f95da74d",
+    (109, 1, 0): "79fe4855614f3d1e07c240b3c03fba9bfc2f1bc171d13a63ebf68c733ebfaba3",
+    (113, 1, 0): "9efc53d76906217b85c4fad2586898af3f2715a0fd52043a27086d720eec332b",
+}
+
+
+class TestPinnedOracleReports:
+    def test_every_admitted_cell_is_pinned(self):
+        assert sorted(PINNED_ORACLE_REPORTS) == sorted(ADMITTED_CELLS)
+
+    @pytest.mark.parametrize("cell", PINNED_ORACLE_REPORTS, ids=lambda c: "-".join(map(str, c)))
+    def test_report_is_pinned(self, tmp_path, cell):
+        p, f, n = map(str, cell)
+        code, text = run_inproc(tmp_path, "oracle", "--p", p, "--f", f, "--n", n, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ORACLE_REPORTS[cell]
 
 
 class TestVerify:

@@ -563,6 +563,68 @@ class TestIsotropicOracle:
         assert len({s.basis.tobytes() for s in subs}) == len(subs)
 
 
+class TestLineTable:
+    """The search's per-constraint table of free lines and the rank it seeds."""
+
+    @pytest.mark.parametrize("p,f,n", [(3, 1, 0), (3, 2, 0), (3, 1, 2), (5, 1, 2)])
+    def test_rank_one_is_the_table(self, p, f, n):
+        pres, cup = standard_cup(p, f, n)
+        q, full = p**f, Submodule.full(pres.d, p**f)
+        columns = invariants(pres).bockstein[:, None]
+        levels, inside = zq_linalg._isotropic_normal_bases(cup, full, pres.d, columns)
+        lines, lead_bit, support = zq_linalg._line_table(full)
+        assert levels[1].shape == (len(lines), 1, pres.d)
+        assert np.array_equal(levels[1][:, 0], lines)
+        assert np.array_equal(inside[1], ~((lines @ columns) % q).any(axis=1))
+        # one line per free line: its first unit entry is a 1, at its lead bit
+        first = (lines % p != 0).argmax(axis=1)
+        assert (lines[np.arange(len(lines)), first] == 1).all()
+        assert np.array_equal(lead_bit, 1 << first)
+        assert np.array_equal(support, ((lines != 0) * (1 << np.arange(pres.d))).sum(axis=1))
+
+    def test_equal_constraints_share_one_read_only_table(self):
+        table = zq_linalg._line_table(Submodule.full(4, 3))
+        assert zq_linalg._line_table(Submodule([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]], 4, 3)) is table
+        for array in table:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_cache_stays_bounded(self):
+        maxsize = zq_linalg._line_table.cache_info().maxsize
+        assert maxsize is not None
+        for idx in product(*[[(), (j,)] for j in range(5)]):
+            zq_linalg._line_table(Submodule.coordinate(sum(idx, ()), 5, 3))
+        assert 32 > maxsize and zq_linalg._line_table.cache_info().currsize <= maxsize
+
+    @pytest.mark.parametrize(
+        "top, constraint",
+        [(0, Submodule.full(2, 9)), (2, Submodule.zero(2, 9)), (2, Submodule([[3, 0]], 2, 9))],
+        ids=["top-0", "zero", "no-free-line"],
+    )
+    def test_only_the_root(self, top, constraint):
+        form = BilinearForm(np.zeros((2, 2), dtype=np.int64), 9)
+        levels, inside = zq_linalg._isotropic_normal_bases(form, constraint, top)
+        assert [level.shape for level in levels] == [(1, 0, 2)]
+        assert [mask.tolist() for mask in inside] == [[True]]
+
+    @pytest.mark.parametrize("p,f,n", [(3, 1, 2), (3, 2, 0)])
+    def test_cold_and_warm_searches_agree(self, p, f, n):
+        pres, cup = standard_cup(p, f, n)
+        columns = invariants(pres).bockstein[:, None]
+
+        def search():
+            return zq_linalg._isotropic_normal_bases(cup, Submodule.full(pres.d, p**f), pres.d, columns)
+
+        zq_linalg._line_table.cache_clear()
+        cold = search()
+        hits = zq_linalg._line_table.cache_info().hits
+        warm = search()
+        assert zq_linalg._line_table.cache_info().hits == hits + 1
+        for got, want in zip(warm, cold):
+            assert len(got) == len(want)
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def lagrangian_count(p, k, g):
     """Free Lagrangians of a rank-2g symplectic Z/p^k module.
 
@@ -726,6 +788,12 @@ class TestOneSearchOracle:
         assert np.array_equal(basis[:, pivots], np.eye(len(basis), dtype=np.int64))
         assert not Submodule(basis, 4, 3).contains([0, 0, 1, 0])
         assert any(s.contains([0, 0, 1, 0]) for s in maximal_isotropic_free_submodules(cup, bockstein_kernel(pres))[1])
+
+    def test_rank_zero_form(self):
+        # the zero module is the one V, of rank 0, and it holds the zero vector
+        form = BilinearForm(np.zeros((0, 0), dtype=np.int64), 3)
+        found = isotropic_oracle(form, np.zeros((0, 1), dtype=np.int64), np.zeros(0, dtype=np.int64))
+        assert found == (0, 0, 1, None) and found.all_contain_vec
 
     def test_rejects_mismatched_shapes(self):
         pres, cup = standard_cup(3, 1, 2)
