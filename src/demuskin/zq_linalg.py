@@ -561,10 +561,11 @@ def _isotropic_normal_bases(
     Those v, their lead bits and supports depend on `constraint` alone: they
     are `_line_table`, built once per constraint.  The root has no rows, so
     its children are exactly the table's lines and rank 1 is the table
-    itself; only the pairing with the form and the kernel flags are worked
-    out per search.  Below rank 1, column conditions are bit masks on the
-    node x vector grid; only the pairs that pass them are paired.  Nothing
-    is built twice, and no Submodule (Howell form) is built.
+    itself, read-only; only the pairing with the form and the kernel flags
+    are worked out per search.  From rank 1 on, column conditions are bit
+    masks on the node x vector grid; only the pairs that pass them are
+    paired.  Nothing is built twice, and no Submodule (Howell form) is
+    built.
 
     As a node's parent drops its last row, the masked nodes are exactly the
     tree of the kernel inside `constraint`: one search answers for both.
