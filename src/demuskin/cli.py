@@ -252,12 +252,11 @@ def cmd_symmetrize(args) -> dict:
         "clean_action": clean_endo.to_json()["images"],
     }
     checks.append(_check("clean_diagonal_action", True))
-    checks.append(
-        _check(
-            "relator_shape_preserved",
-            pres.relator == standard_relator(pres.n, pres.mod),
-        )
-    )
+    # the new basis keeps the standard relator exactly when the basis change fixes it
+    image = basis(pres.relator)
+    kept = image == pres.relator
+    witness = "" if kept else f"the basis change carries the relator to {format_word(image)}"
+    checks.append(_check("relator_shape_preserved", kept, witness))
     return _report(config, results, checks)
 
 

@@ -7,10 +7,10 @@ which is unique per row span, so submodule equality is array equality.  All
 operations are pure; every value is immutable after construction.
 
 There is one elimination, `_howell_rows`, under the one dtype rule
-`exact_dtype`.  Everything else is read off a Howell form: the kernel of A
-is the part of the form of [A^T | I] that vanishes on the A^T columns, the
-part of a submodule with basis S that A annihilates is C . S for the kernel
-rows C of the small matrix S . A, the inverse of A is the right half of the
+`exact_dtype`.  Everything else is read off a Howell form: the part of a
+submodule with basis S that A annihilates is C . S for the rows (0, C) of
+the form of [S . A | I], the kernel of A is that part of the whole module
+for A^T, the inverse of A is the right half of the
 form [I | A^-1] of [A | I], the rank mod p is the row count of the form of a
 matrix reduced mod p, and freeness holds when every Howell pivot is 1 and
 otherwise compares that rank with the size given by the pivots (Howell,
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, prod
+from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -352,25 +352,15 @@ class Submodule:
 
     def annihilated_by(self, matrix) -> "Submodule":
         """{v in self : v @ matrix = 0}: every v in self is c . S for the
-        Howell basis S, so this is the span of C . S for the kernel rows C of
-        c -> c . (S @ matrix), one Howell form of [S @ matrix | I]."""
+        Howell basis S, so this is the span of C . S for the rows (0, C) of
+        the Howell form of [S @ matrix | I], which by the span property of
+        that form span every such (0, c)."""
         mat = self._right_operand(matrix)
         if self.ngens == 0:
             return self
-        m = self.modulus
-        rows = matmul_mod(_kernel_rows(matmul_mod(self.basis, mat, m), m), self.basis, m)
-        return Submodule(rows, self.ambient, m)
-
-    def _span_array(self) -> np.ndarray:
-        """All elements of the span, each once, as the rows of one array.
-
-        In Howell form every element is sum c_i * row_i for exactly one
-        choice of c_i in [0, m / pivot_i): `residues` finds these c_i, and
-        their number is the size of the span.
-        """
-        sizes = tuple(self.modulus // pk for _, pk in self._pivots)
-        coeffs = np.indices(sizes, dtype=np.int64).reshape(len(sizes), prod(sizes)).T
-        return (coeffs @ self.basis) % self.modulus
+        m, k, r = self.modulus, self.ngens, mat.shape[1]
+        h = _howell_rows(np.hstack([matmul_mod(self.basis, mat, m), np.eye(k, dtype=np.int64)]), r + k, m)
+        return Submodule(matmul_mod(h[~h[:, :r].any(axis=1), r:], self.basis, m), self.ambient, m)
 
     def __eq__(self, other):
         return (
@@ -394,20 +384,10 @@ class Submodule:
         return matrix_json(self.basis, self.modulus)
 
 
-def _kernel_rows(a: np.ndarray, m: int) -> np.ndarray:
-    """Rows spanning {c : c . a = 0} for a (k x r) array `a` over Z/m: the
-    right halves of the rows of the Howell form of [a | I_k] that vanish on
-    the columns of `a` (by the span property of that form, they span every
-    (0, c) in its row span)."""
-    k, r = a.shape
-    h = _howell_rows(np.hstack([a, np.eye(k, dtype=np.int64)]), r + k, m)
-    return h[~h[:, :r].any(axis=1), r:]
-
-
 def kernel(a, m: int) -> Submodule:
     """The row-vector kernel {v : v . a^T = 0} of integer entries over Z/m."""
     a = _rows_mod(a, m, "matrix entries")
-    return Submodule(_kernel_rows(a.T, m), a.shape[1], m)
+    return Submodule.full(a.shape[1], m).annihilated_by(a.T)
 
 
 def inv_mod(a, m: int) -> np.ndarray:
@@ -466,8 +446,6 @@ def orthogonal_complement(form: BilinearForm, s: Submodule) -> Submodule:
     """{v : <v, w> = 0 for every w in s}."""
     if form.dim != s.ambient or form.modulus != s.modulus:
         raise ValueError("form and submodule have mismatched dimensions")
-    if s.ngens == 0:
-        return Submodule.full(s.ambient, s.modulus)
     return kernel(matmul_mod(s.basis, form.gram.T, s.modulus), s.modulus)
 
 
@@ -528,13 +506,13 @@ def _first_units(vecs: np.ndarray, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)  # within the guards a table has at most 3,906 lines (5^6): 16 stay under 4 MB
-def _line_table(constraint: Submodule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The vectors of `constraint` whose first unit entry is a 1, one per
-    free line, in span order, with the bit of that entry's column and the
-    bits of their nonzero columns: read-only, built once per constraint."""
-    bit = (1 << np.arange(constraint.ambient)).astype(np.min_scalar_type(1 << constraint.ambient))
-    vecs = constraint._span_array()
-    lead = _first_units(vecs, _prime_power_base(constraint.modulus)[0])
+def _line_table(d: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vectors of (Z/m)^d whose first unit entry is a 1, one per free
+    line, in lexicographic order, with the bit of that entry's column
+    and the bits of their nonzero columns: read-only, built once per (d, m)."""
+    bit = (1 << np.arange(d)).astype(np.min_scalar_type(1 << d))
+    vecs = np.indices((m,) * d, dtype=np.int64).reshape(d, m**d).T
+    lead = _first_units(vecs, _prime_power_base(m)[0])
     keep = (vecs * lead).sum(axis=1) == 1
     table = vecs[keep], (lead @ bit)[keep], ((vecs != 0) @ bit)[keep]
     for array in table:
@@ -542,51 +520,46 @@ def _line_table(constraint: Submodule) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return table
 
 
-def _isotropic_normal_bases(
-    form: BilinearForm, constraint: Submodule, top: int, columns: np.ndarray | None = None
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Every free totally isotropic submodule of `constraint` up to rank
-    `top`, by its normal basis: ranks 0..top of the search tree, each a
-    nonempty (N, r, d) array, in a deterministic order within a rank, and
-    per rank a mask of the nodes whose rows all lie in {v : v @ columns = 0}
-    (every node without `columns`).
+def _isotropic_normal_bases(form: BilinearForm, columns: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Every free totally isotropic submodule of (Z/m)^d by its normal
+    basis: ranks 0, 1, ... of the search tree, each a nonempty (N, r, d)
+    array, in a deterministic order within a rank, and per rank a mask of
+    the nodes whose rows all lie in the kernel K = {v : v @ columns = 0}.
 
     The search is a tree in which each submodule T has one parent, spanned
     by all but the last row of T's normal basis B: B[:, P] = I for the pivot
     set P of T mod p, with pZ entries before each row's pivot (canonical
     augmentation, McKay, J. Algorithms 26, 1998).  A node S grows by each
-    v in `constraint` whose first unit entry is a 1 at lead(v) > max P, with
-    v[P] = 0, S[:, lead(v)] = 0 and <v, S> = 0 (the form is alternating, so
-    <v, v> = 0 and <S, v> = -<v, S>).
-    Those v, their lead bits and supports depend on `constraint` alone: they
-    are `_line_table`, built once per constraint.  The root has no rows, so
-    its children are exactly the table's lines and rank 1 is the table
-    itself, read-only; only the pairing with the form and the kernel flags
-    are worked out per search.  From rank 1 on, column conditions are bit
-    masks on the node x vector grid; only the pairs that pass them are
-    paired.  Nothing is built twice, and no Submodule (Howell form) is
-    built.
+    v whose first unit entry is a 1 at lead(v) > max P, with v[P] = 0,
+    S[:, lead(v)] = 0 and <v, S> = 0 (the form is alternating, so <v, v> = 0
+    and <S, v> = -<v, S>).  Those v, their lead bits and supports depend on
+    (d, m) alone: they are `_line_table`.  The root has no rows, so rank 1
+    is the table itself, read-only; only the pairing with the form and the
+    kernel flags are worked out per search.  From rank 1 on, column
+    conditions are bit masks on the node x vector grid; only the pairs that
+    pass them are paired.  No Submodule (Howell form) is built.
 
     As a node's parent drops its last row, the masked nodes are exactly the
-    tree of the kernel inside `constraint`: one search answers for both.
-    The search visits every submodule, so OracleGuardError guards it beyond
+    tree of K: the masks are the one way to restrict the search.  Over
+    Z/p^k every submodule S is a kernel, S = ann(ann(S)) (Z/p^k is
+    quasi-Frobenius; Lam, Lectures on Modules and Rings, 1999, §15), so S is
+    searched with the columns `kernel(S.basis, m).basis.T`.  The search
+    visits every submodule, so OracleGuardError guards it beyond
     ORACLE_MAX_DIM and ORACLE_MAX_SPAN.
     """
     oracle_guard(form.modulus, form.dim)
-    if form.dim != constraint.ambient or form.modulus != constraint.modulus:
-        raise ValueError("form and constraint have mismatched dimensions")
     m, d = form.modulus, form.dim
     levels, inside = [np.zeros((1, 0, d), dtype=np.int64)], [np.ones(1, dtype=bool)]
-    vecs, lead_bit, support = _line_table(constraint)
-    if top < 1 or not len(vecs):
+    vecs, lead_bit, support = _line_table(d, m)
+    if not len(vecs):
         return levels, inside
     left = (vecs @ form.gram) % m  # <v, b> = left[v] . b, and <b, v> = -<v, b>
-    in_kernel = np.ones(len(vecs), dtype=bool) if columns is None else ~((vecs @ columns) % m).any(axis=1)
+    in_kernel = ~((vecs @ columns) % m).any(axis=1)
     levels.append(vecs[:, None])
     inside.append(in_kernel)
     piv, used = lead_bit, support  # each node's pivot and nonzero columns
     step = max(1, _GRID_CELLS // len(vecs))  # nodes per slice of the grid
-    while len(levels) <= top:
+    while True:
         kids = []
         for at in (slice(lo, lo + step) for lo in range(0, len(piv), step)):
             grid = (lead_bit > piv[at, None]) & ((piv[at, None] & support) == 0)
@@ -595,11 +568,10 @@ def _isotropic_normal_bases(
             kids.append((ni[orth] + at.start, vj[orth]))
         ni, vj = (np.concatenate(x) for x in zip(*kids))
         if not len(ni):
-            break
+            return levels, inside
         levels.append(np.concatenate([levels[-1][ni], vecs[vj, None]], axis=1))
         inside.append(inside[-1][ni] & in_kernel[vj])
         piv, used = piv[ni] | lead_bit[vj], used[ni] | support[vj]
-    return levels, inside
 
 
 class IsotropicOracle(NamedTuple):
@@ -634,7 +606,7 @@ def isotropic_oracle(form: BilinearForm, columns, vec) -> IsotropicOracle:
     target = integers_mod(vec, m, "vector")
     if cols.ndim != 2 or cols.shape[0] != d or target.shape != (d,):
         raise ValueError(f"columns must have {d} rows and the vector {d} entries")
-    levels, inside = _isotropic_normal_bases(form, Submodule.full(d, m), d, cols)
+    levels, inside = _isotropic_normal_bases(form, cols)
     top = max(r for r, mask in enumerate(inside) if mask.any())
     maximal = levels[top][inside[top]]
     coeffs = _first_units(maximal, _prime_power_base(m)[0]) @ target  # vec at each row's pivot

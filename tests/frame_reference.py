@@ -8,7 +8,7 @@ coordinate span found by scanning its basis, the word of an exponent
 row built one row at a time, the kill of the action's images of the
 killed generators behind a certificate's `delta_invariant_kill`, and the
 free totally isotropic submodules of a constraint as Howell Submodules,
-read off the levels of the one isotropy search."""
+read off the masked levels of the one isotropy search."""
 
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from demuskin.demushkin_core import (
     invariants,
 )
 from demuskin.quotient_builder import IsotropicSubmodule
-from demuskin.zq_linalg import Submodule, _isotropic_normal_bases, is_totally_isotropic, matmul_mod
+from demuskin.zq_linalg import Submodule, _isotropic_normal_bases, is_totally_isotropic, kernel, matmul_mod
 
 
 def transform_presentation(pres, action, basis):
@@ -191,8 +191,16 @@ def delta_invariant_kill_reference(action, killed) -> bool:
     return bool(quotient_kill(killed, dropped).is_identity.all())
 
 
+def search_levels(form, constraint) -> list[np.ndarray]:
+    """Per rank 0, 1, ..., the (N, r, d) normal bases of the free totally
+    isotropic submodules of `constraint`: the masked nodes of the one search
+    with the columns of its annihilator, as S = ann(ann(S)) over Z/p^k."""
+    columns = kernel(constraint.basis, form.modulus).basis.T
+    levels, inside = _isotropic_normal_bases(form, columns)
+    return [level[mask] for level, mask in zip(levels, inside) if mask.any()]
+
+
 def isotropic_submodules(form, constraint) -> list[list[Submodule]]:
     """Per rank 0, 1, ..., every free totally isotropic submodule of
     `constraint` as a Submodule, in the search's order within a rank."""
-    levels, _ = _isotropic_normal_bases(form, constraint, form.dim)
-    return [[Submodule(basis, form.dim, form.modulus) for basis in level] for level in levels]
+    return [[Submodule(basis, form.dim, form.modulus) for basis in level] for level in search_levels(form, constraint)]

@@ -14,10 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from demuskin import cli, zq_linalg
+from demuskin.class2_words import ClassTwoEndo
 from demuskin.cli import main
 from demuskin.demushkin_core import DemushkinPresentation, invariants
 from demuskin.zq_linalg import BilinearForm, Modulus
-from test_zq_linalg import ADMITTED_CELLS
+from test_zq_linalg import ADMITTED_CELLS, watch_submodule_builds
 
 
 def run_cli(*argv):
@@ -814,6 +815,24 @@ class TestSymmetrizeCommand:
         clean = report["results"]["clean_action"]
         assert clean == {"g": "g", "x0": "x0^8", "x1": "x1^8", "x2": "x2"}
         assert report["results"]["relator"] == "x0^3 [x0,g] [x2,x1]^2"
+        assert report["checks"][-1] == {"name": "relator_shape_preserved", "pass": True, "detail": ""}
+
+    def test_basis_that_moves_the_relator_fails_with_its_image(self, tmp_path, monkeypatch):
+        # swapping x1 and x2 inverts [x2,x1]: the new basis does not keep the
+        # standard relator, and the check names the image
+        act = tmp_path / "act.json"
+        act.write_text(json.dumps({"images": {"g": "g", "x0": "x0^-1", "x1": "x1^-1", "x2": "x2"}}))
+        real = cli.symmetrize_basis
+
+        def swapped(pres, action):
+            swap = ClassTwoEndo.linear(pres.gens, pres.mod, np.eye(4, dtype=np.int64)[[0, 1, 3, 2]])
+            return swap, real(pres, action)[1]
+
+        monkeypatch.setattr(cli, "symmetrize_basis", swapped)
+        code, text = run_inproc(tmp_path, "symmetrize", "--p", "3", "--n", "2", "--action", str(act))
+        check = json.loads(text)["checks"][-1]
+        assert code == 1 and check["name"] == "relator_shape_preserved" and not check["pass"]
+        assert check["detail"] == "the basis change carries the relator to x0^3 [x0,g] [x2,x1]"
 
 
 class TestOracleCommand:
@@ -896,18 +915,17 @@ class TestOracleCommand:
         assert capsys.readouterr().err == want
 
     def test_searches_each_space_once(self, tmp_path, monkeypatch):
-        # one search of the whole space gives both maximal ranks, the count
-        # in ker B and the containment of gamma; no Howell form is taken
+        # one search of the whole space, masked by the Bockstein column, gives
+        # both maximal ranks, the count in ker B and the containment of gamma;
+        # no Submodule is built and no Howell form is taken
         real = zq_linalg._isotropic_normal_bases
-        spaces = []
-        monkeypatch.setattr(zq_linalg, "_isotropic_normal_bases", lambda *a: spaces.append(a[1]) or real(*a))
-
-        def no_elimination(*args):
-            raise AssertionError("oracle took a Howell form")
-
-        monkeypatch.setattr(zq_linalg, "_howell_rows", no_elimination)
+        columns, built = [], []
+        monkeypatch.setattr(zq_linalg, "_isotropic_normal_bases", lambda *a: columns.append(a[1]) or real(*a))
+        watch_submodule_builds(monkeypatch, built)
         code, _ = run_inproc(tmp_path, "oracle", "--p", "3", "--n", "2")
-        assert code == 0 and spaces == [zq_linalg.Submodule.full(4, 3)]
+        bockstein = invariants(cli._standard_presentation(3, 1, 2)).bockstein
+        assert code == 0 and len(columns) == 1 and np.array_equal(columns[0], bockstein[:, None])
+        assert built == []
 
     def test_fault_in_search_is_not_an_input_error(self, monkeypatch):
         def broken(form, columns, vec):

@@ -32,7 +32,7 @@ from demuskin.zq_linalg import (
     matmul_mod,
     orthogonal_complement,
 )
-from frame_reference import coordinate_indices_reference, isotropic_submodules
+from frame_reference import coordinate_indices_reference, isotropic_submodules, search_levels
 
 rng = random.Random(74210)
 
@@ -128,6 +128,15 @@ class TestHowell:
                 assert np.array_equal(howell(b, m), howell(a, m))
 
 
+@st.composite
+def submodules_over_prime_powers(draw):
+    m = draw(st.sampled_from([9, 25, 27]))
+    d = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(0, m - 1), min_size=d, max_size=d)
+    rows = draw(st.lists(vec, max_size=d + 1))
+    return Submodule(np.array(rows, dtype=np.int64).reshape(len(rows), d), d, m)
+
+
 class TestKernel:
     def test_kernel_of_identity_is_zero(self):
         assert kernel(np.eye(3, dtype=np.int64), 9).rank == 0
@@ -152,6 +161,15 @@ class TestKernel:
                     if not (np.array(v) @ a.T % m).any()
                 }
                 assert brute_span(k.basis, m, 3) == truth
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(submodules_over_prime_powers())
+    def test_double_annihilator_is_the_submodule(self, s):
+        # Z/p^k is quasi-Frobenius, so every submodule is the kernel of its
+        # annihilator (Lam, Lectures on Modules and Rings, 1999, §15): the
+        # isotropy search restricts to S by the columns of ann(S)
+        m = s.modulus
+        assert kernel(kernel(s.basis, m).basis, m) == s
 
 
 class TestSubmodule:
@@ -201,14 +219,6 @@ class TestSubmodule:
             b = Submodule([[rng.randrange(m) for _ in range(3)] for _ in range(2)], 3, m)
             truth = brute_span(a.basis, m, 3) & brute_span(b.basis, m, 3)
             assert brute_span(intersection(a, b).basis, m, 3) == truth
-
-    def test_span_array_lists_the_span_once(self):
-        for m in (9, 25, 27):
-            for _ in range(10):
-                rows = [[rng.randrange(m) for _ in range(3)] for _ in range(rng.randrange(4))]
-                got = [tuple(v) for v in Submodule(rows, 3, m)._span_array().tolist()]
-                assert len(got) == len(set(got))
-                assert set(got) == brute_span(rows, m, 3)
 
     @pytest.mark.parametrize("m", [3, 9, 25, 3**19])
     def test_coordinate_span_is_its_howell_form(self, m):
@@ -488,12 +498,6 @@ class TestInverse:
             inv_mod(entries, m)
 
 
-def search_levels(form, constraint):
-    """The levels of the one search of `constraint`: per rank 0, 1, ...,
-    the (N, r, d) normal bases of its free totally isotropic submodules."""
-    return zq_linalg._isotropic_normal_bases(form, constraint, form.dim)[0]
-
-
 class TestIsotropicOracle:
     def test_standard_form_maximum(self):
         form = standard_gram_4()
@@ -537,13 +541,16 @@ class TestIsotropicOracle:
     @pytest.mark.parametrize("p,f,n", [(3, 1, 0), (3, 2, 0), (3, 1, 2), (5, 1, 2)])
     def test_maximal_submodules_from_one_search(self, monkeypatch, p, f, n):
         pres, cup = standard_cup(p, f, n)
-        # the whole module, once; TestOneSearchOracle compares the result
-        # with searches of the whole module and of ker B
-        searches = []
+        bockstein, gamma = invariants(pres).bockstein, delta_map(pres, 1)
+        # one search, masked by the Bockstein column, and no Submodule built;
+        # TestOneSearchOracle compares the result with the whole module and ker B
+        searches, built = [], []
         real = zq_linalg._isotropic_normal_bases
         monkeypatch.setattr(zq_linalg, "_isotropic_normal_bases", lambda *a: searches.append(a[1]) or real(*a))
-        isotropic_oracle(cup, invariants(pres).bockstein, delta_map(pres, 1))
-        assert searches == [Submodule.full(pres.d, p**f)]
+        watch_submodule_builds(monkeypatch, built)
+        isotropic_oracle(cup, bockstein, gamma)
+        assert len(searches) == 1 and np.array_equal(searches[0], bockstein[:, None] % p**f)
+        assert built == []
 
     def test_maximal_submodules_guarded(self):
         with pytest.raises(OracleGuardError):
@@ -563,28 +570,44 @@ class TestIsotropicOracle:
         assert len({s.basis.tobytes() for s in subs}) == len(subs)
 
 
+def watch_submodule_builds(monkeypatch, built):
+    """Record in `built` every Submodule made by `__init__` or `coordinate`
+    (`zero` and `full` go through `coordinate`), and refuse any Howell form."""
+    init, coordinate = Submodule.__init__, Submodule.coordinate.__func__
+    monkeypatch.setattr(Submodule, "__init__", lambda self, *a: built.append("__init__") or init(self, *a))
+    monkeypatch.setattr(Submodule, "coordinate", classmethod(lambda cls, *a: built.append("coordinate") or coordinate(cls, *a)))
+
+    def no_elimination(*args):
+        raise AssertionError("a Howell form was taken")
+
+    monkeypatch.setattr(zq_linalg, "_howell_rows", no_elimination)
+
+
 class TestLineTable:
-    """The search's per-constraint table of free lines and the rank it seeds."""
+    """The search's per-(d, m) table of free lines and the rank it seeds."""
 
     @pytest.mark.parametrize("p,f,n", [(3, 1, 0), (3, 2, 0), (3, 1, 2), (5, 1, 2)])
     def test_rank_one_is_the_table(self, p, f, n):
         pres, cup = standard_cup(p, f, n)
-        q, full = p**f, Submodule.full(pres.d, p**f)
+        q = p**f
         columns = invariants(pres).bockstein[:, None]
-        levels, inside = zq_linalg._isotropic_normal_bases(cup, full, pres.d, columns)
-        lines, lead_bit, support = zq_linalg._line_table(full)
+        levels, inside = zq_linalg._isotropic_normal_bases(cup, columns)
+        lines, lead_bit, support = zq_linalg._line_table(pres.d, q)
         assert levels[1].shape == (len(lines), 1, pres.d)
         assert np.array_equal(levels[1][:, 0], lines)
         assert np.array_equal(inside[1], ~((lines @ columns) % q).any(axis=1))
-        # one line per free line: its first unit entry is a 1, at its lead bit
+        # one line per free line, in the lexicographic order of (Z/q)^d: its
+        # first unit entry is a 1, at its lead bit
         first = (lines % p != 0).argmax(axis=1)
         assert (lines[np.arange(len(lines)), first] == 1).all()
+        want = [v for v in product(range(q), repeat=pres.d) if any(x % p for x in v)]
+        assert lines.tolist() == [list(v) for v in want if next(x for x in v if x % p) == 1]
         assert np.array_equal(lead_bit, 1 << first)
         assert np.array_equal(support, ((lines != 0) * (1 << np.arange(pres.d))).sum(axis=1))
 
-    def test_equal_constraints_share_one_read_only_table(self):
-        table = zq_linalg._line_table(Submodule.full(4, 3))
-        assert zq_linalg._line_table(Submodule([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]], 4, 3)) is table
+    def test_one_read_only_table_per_space(self):
+        table = zq_linalg._line_table(4, 3)
+        assert zq_linalg._line_table(4, 3) is table
         for array in table:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
@@ -592,33 +615,33 @@ class TestLineTable:
     def test_cache_stays_bounded(self):
         maxsize = zq_linalg._line_table.cache_info().maxsize
         assert maxsize is not None
-        for k in range(32):  # every coordinate span of (Z/3)^5
-            zq_linalg._line_table(Submodule.coordinate([j for j in range(5) if k >> j & 1], 5, 3))
-        assert 32 > maxsize and zq_linalg._line_table.cache_info().currsize <= maxsize
+        spaces = [(d, m) for d in (1, 2, 3) for m in (3, 5, 7, 9, 11, 13, 25)]
+        for d, m in spaces:
+            zq_linalg._line_table(d, m)
+        assert len(spaces) > maxsize and zq_linalg._line_table.cache_info().currsize <= maxsize
 
     @pytest.mark.parametrize(
-        "top, constraint",
-        [(0, Submodule.full(2, 9)), (2, Submodule.zero(2, 9)), (2, Submodule([[3, 0]], 2, 9))],
-        ids=["top-0", "zero", "no-free-line"],
+        "columns",
+        [np.eye(2, dtype=np.int64), kernel(Submodule([[3, 0]], 2, 9).basis, 9).basis.T],
+        ids=["zero-kernel", "no-free-line"],
     )
-    def test_only_the_root(self, top, constraint):
+    def test_masks_every_node_past_the_root(self, columns):
+        # the zero form on (Z/9)^2 has 12 free lines and one free plane;
+        # neither kernel holds a free line
         form = BilinearForm(np.zeros((2, 2), dtype=np.int64), 9)
-        levels, inside = zq_linalg._isotropic_normal_bases(form, constraint, top)
-        assert [level.shape for level in levels] == [(1, 0, 2)]
-        assert [mask.tolist() for mask in inside] == [[True]]
+        levels, inside = zq_linalg._isotropic_normal_bases(form, columns)
+        assert [len(level) for level in levels] == [1, 12, 1]
+        assert inside[0].tolist() == [True]
+        assert not any(mask.any() for mask in inside[1:])
 
     @pytest.mark.parametrize("p,f,n", [(3, 1, 2), (3, 2, 0)])
     def test_cold_and_warm_searches_agree(self, p, f, n):
         pres, cup = standard_cup(p, f, n)
         columns = invariants(pres).bockstein[:, None]
-
-        def search():
-            return zq_linalg._isotropic_normal_bases(cup, Submodule.full(pres.d, p**f), pres.d, columns)
-
         zq_linalg._line_table.cache_clear()
-        cold = search()
+        cold = zq_linalg._isotropic_normal_bases(cup, columns)
         hits = zq_linalg._line_table.cache_info().hits
-        warm = search()
+        warm = zq_linalg._isotropic_normal_bases(cup, columns)
         assert zq_linalg._line_table.cache_info().hits == hits + 1
         for got, want in zip(warm, cold):
             assert len(got) == len(want)
