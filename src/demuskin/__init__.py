@@ -12,6 +12,7 @@ from demuskin.class2_words import (
     ClassTwoEndo,
     ClassTwoStack,
     GeneratorSet,
+    KillQuotient,
     TruncatedQuotient,
     central_sqrt,
     commutator,
@@ -26,7 +27,6 @@ from demuskin.demushkin_core import (
     CharacterData,
     CohomologyData,
     CoinvariantMachine,
-    CoinvariantsResult,
     DemushkinPresentation,
     InvolutionAction,
     NotAnInvolutionError,

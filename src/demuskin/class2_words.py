@@ -614,6 +614,38 @@ class TruncatedQuotient:
         return ~self._span.residues(self._lifts(elements)).any(axis=1)
 
 
+class KillQuotient:
+    """The class-2 quotient of F/F^3 by a central relator w and by the
+    generators tau(g_k), k eliminated, of a frame tau: `project(u)` kills
+    those generators in tau^-1(u) (`tau_inv` is None for the identity frame)
+    and lands in the truncated free group on the kept generators.  The
+    relator and a stack of bases go through it in one stacked pass.
+
+    `bases_die` says whether the bases die modulo the relator image, with
+    one Howell reduction (`TruncatedQuotient`) built when asked.  That
+    decides their normal closure: the quotient divides by a span of central
+    relators, so a base that dies maps to a central element, and every
+    conjugate of it and every commutator [b, u] dies with it.
+    """
+
+    def __init__(self, relator: ClassTwoElement, tau_inv: ClassTwoEndo | None, eliminated, bases: ClassTwoStack):
+        self.tau_inv = tau_inv
+        self.eliminated_labels = tuple(eliminated)
+        images = self.project(ClassTwoStack.of(relator.gens, relator.mod, [bases, relator]))
+        self.kept_labels = images.gens.labels
+        self.base_images, self.relator_image = images[:-1], images[-1]
+
+    def project(self, u):
+        """Image of an element or a stack in the truncated free group on the
+        kept generators."""
+        return quotient_kill(self.eliminated_labels, u if self.tau_inv is None else self.tau_inv(u))
+
+    def bases_die(self) -> bool:
+        """Whether every base image lies in the span of the relator image."""
+        w = self.relator_image
+        return bool(TruncatedQuotient(w.gens, w.mod, [w]).are_trivial(self.base_images).all())
+
+
 # ---------------------------------------------------------------------------
 # word grammar: juxtaposition = product, ^k = integer power, [a,b] =
 # commutator, parentheses group, "1" is the identity

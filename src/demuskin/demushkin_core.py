@@ -24,15 +24,14 @@ import numpy as np
 from demuskin.class2_words import (
     ClassTwoElement,
     ClassTwoEndo,
-    ClassTwoStack,
     GeneratorSet,
+    KillQuotient,
     central_sqrt,
     compose,
     demushkin_generators,
     format_word,
     invert_auto,
     parse_word,
-    quotient_kill,
 )
 from demuskin.zq_linalg import (
     BilinearForm,
@@ -477,23 +476,9 @@ def symmetrize_basis(
     return basis, ClassTwoEndo.linear(gens, mod, np.diag(signs))
 
 
-@dataclass(frozen=True)
-class CoinvariantsResult:
-    """Outcome of forming the maximal quotient with trivial action."""
-
-    rank: int
-    kind: str  # "free" or "demushkin"
-    m: int | None
-    kept_labels: tuple
-    eliminated_labels: tuple
-    induced: CohomologyData | None
-    induced_relator: ClassTwoElement | None
-    warnings: tuple
-
-
-class CoinvariantMachine:
-    """The quotient map onto the coinvariant truncation, read in the
-    action's clean frame.
+class CoinvariantMachine(KillQuotient):
+    """The coinvariant truncation: the kill quotient of the action's clean
+    frame, with the difference relators as bases, and the outcome read off it.
 
     `clean_frame` gives tau with tau^-1 . sigma . tau = diag(s).  In the
     basis h_i = tau(g_i) an h_i with s_i = -1 satisfies h_i = h_i^-1 in the
@@ -509,72 +494,51 @@ class CoinvariantMachine:
     every coordinate that touches only kept generators; D has none, and it
     projects to 1.  In general the kill k satisfies k . diag(s) = k, so
     u^-1 sigma(u) projects to k(v)^-1 k(v) = 1 with v = tau^-1(u).  The
-    difference relators g_i^-1 sigma(g_i), which `uniqueness_check` reads
-    too, are checked to project to 1.
+    difference relators g_i^-1 sigma(g_i), the bases, are checked to
+    project to 1.
+
+    The outcome: `rank` counts the kept generators; `kind` is "free" when
+    the relator image is the identity and "demushkin" otherwise, with
+    m = rank - 2, the image as `induced_relator` and, for even m >= 0, the
+    `induced` invariants of the presentation it gives with `kept_chi`;
+    `warnings` names an odd or negative m and a degenerate induced pairing.
     """
 
     def __init__(self, pres: DemushkinPresentation, action: InvolutionAction):
-        tau, self.tau_inv, signs = clean_frame(action)
+        tau, tau_inv, signs = clean_frame(action)
         mod = pres.mod
-        self.kept = [i for i, s in enumerate(signs) if s == 1]
-        self.kept_labels = tuple(pres.gens.labels[i] for i in self.kept)
-        self.elim_labels = tuple(lab for lab, s in zip(pres.gens.labels, signs) if s == -1)
-        if not self.kept:
+        kept = np.flatnonzero(signs == 1)
+        if not len(kept):
             raise ValueError("no generator survives; the coinvariants are trivial")
+        eliminated = [lab for lab, s in zip(pres.gens.labels, signs) if s == -1]
+        super().__init__(pres.relator, tau_inv, eliminated, action.endo.defects())
+        if not self.base_images.is_identity.all():
+            raise AssertionError("a difference relator did not project to the identity")
         # chi is multiplicative and kills F^2, so it transforms through the
         # linear part T of tau: with chi(g_k) = 1 + q c_k mod q^2,
         # chi(h_i) = prod_k (1 + q c_k)^(T_ik) = 1 + q (T c)_i mod q^2
         chi = pres.chi.values
         if tau is not None:
             chi = 1 + mod.q * matmul_mod(tau.linear_matrix, delta_map(pres, 1), mod.q)
-        self.kept_chi = [int(chi[i]) for i in self.kept]
-        # the difference relators and the relator, projected in one batch
-        self.difference_relators = action.endo.defects()
-        images = self.project(ClassTwoStack.of(pres.gens, mod, [self.difference_relators, pres.relator]))
-        if not images.is_identity[:-1].all():
-            raise AssertionError("a difference relator did not project to the identity")
-        self.small_gens = images.gens
-        self.relator_image = images[-1]
+        self.kept_chi = [int(chi[i]) for i in kept]
+        self.rank, wbar = len(kept), self.relator_image
+        free = bool(wbar.is_identity)
+        self.kind, self.m, self.induced_relator = ("free", None, None) if free else ("demushkin", self.rank - 2, wbar)
+        self.induced, warns = None, []
+        if not free and (self.m < 0 or self.m % 2):
+            warns.append(
+                f"coinvariant rank {self.rank} is not of the form m + 2 with m even "
+                ">= 0; reporting raw truncation data"
+            )
+        elif not free:
+            chi = CharacterData(self.kept_chi, mod)
+            self.induced = invariants(DemushkinPresentation(self.m, mod, relator=wbar, chi=chi, gens=wbar.gens))
+            if not self.induced.cup_nondegenerate:
+                warns.append("induced pairing on the coinvariants is degenerate")
+        self.warnings = tuple(warns)
 
-    def project(self, u):
-        """Image of an element or a stack in the truncated free group on the
-        kept generators."""
-        return quotient_kill(self.elim_labels, u if self.tau_inv is None else self.tau_inv(u))
 
-
-def coinvariants(pres: DemushkinPresentation, action: InvolutionAction) -> CoinvariantsResult:
-    """Rank and free/Demushkin dichotomy of the coinvariant truncation."""
-    machine = CoinvariantMachine(pres, action)
-    mod = pres.mod
-    rank = len(machine.kept)
-    wbar = machine.relator_image
-    warns = []
-    free = bool(wbar.is_identity)
-    m = None if free else rank - 2
-    induced = None
-    if not free and (m < 0 or m % 2):
-        warns.append(
-            f"coinvariant rank {rank} is not of the form m + 2 with m even "
-            ">= 0; reporting raw truncation data"
-        )
-    elif not free:
-        induced_pres = DemushkinPresentation(
-            m,
-            mod,
-            relator=wbar,
-            chi=CharacterData(machine.kept_chi, mod),
-            gens=machine.small_gens,
-        )
-        induced = invariants(induced_pres)
-        if not induced.cup_nondegenerate:
-            warns.append("induced pairing on the coinvariants is degenerate")
-    return CoinvariantsResult(
-        rank=rank,
-        kind="free" if free else "demushkin",
-        m=m,
-        kept_labels=machine.kept_labels,
-        eliminated_labels=machine.elim_labels,
-        induced=induced,
-        induced_relator=None if free else wbar,
-        warnings=tuple(warns),
-    )
+def coinvariants(pres: DemushkinPresentation, action: InvolutionAction) -> CoinvariantMachine:
+    """Rank and free/Demushkin dichotomy of the coinvariant truncation: the
+    action's `CoinvariantMachine`, which carries them."""
+    return CoinvariantMachine(pres, action)

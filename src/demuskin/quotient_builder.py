@@ -51,14 +51,11 @@ import numpy as np
 
 from demuskin.class2_words import (
     ClassTwoEndo,
-    ClassTwoStack,
-    GeneratorSet,
-    TruncatedQuotient,
+    KillQuotient,
     invert_auto,
     quotient_kill,
 )
 from demuskin.demushkin_core import (
-    CoinvariantMachine,
     DemushkinPresentation,
     InvolutionAction,
     delta_map,
@@ -457,11 +454,13 @@ def uniqueness_check(
     class-2 quotient; equality certifies the trivial-signature quotient is
     the maximal one with trivial action.
 
-    Each kernel is the normal closure of a few generators: the relator and
-    the difference relators g_i^-1 sigma(g_i) on one side; the relator and
-    the killed tau(g_k) on the other.  Each side's candidates are mapped
-    into the other quotient as one stack and tested there with one Howell
-    reduction."""
+    Each kernel is the normal closure of the relator and a few bases: the
+    difference relators g_i^-1 sigma(g_i) for the coinvariants, the killed
+    tau(g_k) for the certificate.  Each side's bases are tested in the
+    other side's `KillQuotient`: the killed tau(g_k) in the coinvariants,
+    which are the kill of the negated generators in the identity frame as
+    the action is clean, and the difference relators in the certificate's
+    quotient, the kill of `cert.killed` in the frame tau."""
     action.require_acts_on(pres)
     if not cert.all_green:
         raise ValueError("uniqueness check needs a green certificate")
@@ -472,42 +471,14 @@ def uniqueness_check(
         )
     if action.h2_scalar != -1:
         raise ValueError("uniqueness check needs an action with h2_scalar = -1")
-    # the coinvariant machine must work in the certificate's frame
+    # the coinvariants are read in the identity frame, which is clean
     _require_clean_standard(pres, action)
-
-    machine = CoinvariantMachine(pres, action)
-    wbar = machine.relator_image
-    coinv_span = TruncatedQuotient(machine.small_gens, pres.mod, [] if wbar.is_identity else [wbar])
-
     tau = cert.basis_change
-    killed = list(cert.killed)
     # a certificate in the standard frame (its change is diagonal, all ones) needs no change of coordinates
     tau_inv = None if np.array_equal(tau.diagonal, np.ones(pres.d)) else invert_auto(tau)
-
-    def kill_image(u):
-        return quotient_kill(killed, u if tau_inv is None else tau_inv(u))
-
-    kill_rel = kill_image(pres.relator)
-    kill_span = TruncatedQuotient(
-        GeneratorSet(cert.kept),
-        pres.mod,
-        [kill_rel] if not kill_rel.is_identity else [],
-    )
-
-    # tau(g_i) is the i-th image of tau
-    kills = tau.images[[pres.gens.index(lab) for lab in killed]]
-    return bool(
-        coinv_span.are_trivial(_closure_images(machine.project, pres.relator, kills)).all()
-        and kill_span.are_trivial(_closure_images(kill_image, pres.relator, machine.difference_relators)).all()
-    )
-
-
-def _closure_images(hom, relator, bases: ClassTwoStack) -> ClassTwoStack:
-    """The images under the homomorphism `hom` of the relator and of each
-    base, in one stacked pass.
-
-    They decide whether the normal closure of the relator and the bases
-    dies: both quotients divide by spans of central relators, so a base
-    that dies maps to a central element, and then every conjugate of it
-    and every commutator [b, p] dies as well."""
-    return hom(ClassTwoStack.of(relator.gens, relator.mod, [relator, bases]))
+    negated = [lab for lab, s in zip(pres.gens.labels, action.signs) if s == -1]
+    # tau(g_k) is the k-th image of tau
+    kills = tau.images[[pres.gens.index(lab) for lab in cert.killed]]
+    coinv = KillQuotient(pres.relator, None, negated, kills)
+    kill = KillQuotient(pres.relator, tau_inv, cert.killed, action.endo.defects())
+    return coinv.bases_die() and kill.bases_die()

@@ -835,6 +835,51 @@ class TestSymmetrizeCommand:
         assert check["detail"] == "the basis change carries the relator to x0^3 [x0,g] [x2,x1]"
 
 
+# the engine call behind each guarded check, the subcommand that makes it and the check it feeds
+GUARDED_CHECKS = [
+    ("lift_involution", "symmetrize", "lift_to_exact_involution"),
+    ("symmetrize_basis", "symmetrize", "clean_diagonal_action"),
+    ("coinvariants", "verify", "coinvariants_dichotomy"),
+]
+
+
+class TestEngineFaults:
+    """A ValueError from the engine is a mathematical failure and becomes
+    a red check naming it; an AssertionError is an engine inconsistency
+    and leaves `main` as it is."""
+
+    def argv(self, tmp_path, command):
+        act = tmp_path / "act.json"
+        act.write_text(json.dumps({"images": {"g": "g", "x0": "x0^-1", "x1": "x1^-1", "x2": "x2"}}))
+        if command == "symmetrize":
+            return ["symmetrize", "--p", "3", "--n", "2", "--action", str(act)]
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps({"p": 3, "f": 1, "n": 2}))
+        return ["verify", "--presentation", str(pres), "--action", str(act)]
+
+    def plant(self, monkeypatch, name, error):
+        def broken(*args):
+            raise error("planted fault")
+
+        monkeypatch.setattr(cli, name, broken)
+
+    @pytest.mark.parametrize("name, command, check", GUARDED_CHECKS)
+    def test_value_error_is_a_red_check(self, tmp_path, monkeypatch, name, command, check):
+        argv = self.argv(tmp_path, command)
+        self.plant(monkeypatch, name, ValueError)
+        code, text = run_inproc(tmp_path, *argv)
+        assert code == 1
+        assert json.loads(text)["checks"][-1] == {"name": check, "pass": False, "detail": "planted fault"}
+
+    @pytest.mark.parametrize("name, command, check", GUARDED_CHECKS)
+    def test_assertion_error_propagates(self, tmp_path, monkeypatch, name, command, check):
+        argv = self.argv(tmp_path, command)
+        self.plant(monkeypatch, name, AssertionError)
+        with pytest.raises(AssertionError, match="planted fault"):
+            main([*argv, "--output", str(tmp_path / "report.json")])
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestOracleCommand:
     def test_guard_is_two(self):
         # (Z/3)^8 took 18 s and 435 MB with the guards lifted

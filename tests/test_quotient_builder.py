@@ -14,6 +14,7 @@ from demuskin.class2_words import (
     ClassTwoElement,
     ClassTwoEndo,
     GeneratorSet,
+    KillQuotient,
     TruncatedQuotient,
     central_sqrt,
     commutator,
@@ -845,14 +846,7 @@ class TestStackedUniqueness:
     @pytest.mark.parametrize("n, mod", STACKED_CELLS[::3] + [(2, Modulus(5, 1))], ids=str)
     def test_machine_matches_the_per_generator_build(self, n, mod):
         pres, _ = standard_setup(n, mod)
-        # a central perturbation of every image, squared away by lift_involution
-        signs = demushkin_core.standard_sign_pattern(n)
-        pert = ClassTwoEndo(
-            ClassTwoElement.generator(pres.gens, mod, i) ** int(s) * parse_word(f"[g,x0]^{i + 1}", pres.gens, pres.mod)
-            for i, s in enumerate(signs)
-        )
-        lin = np.diag(signs) % mod.q
-        for act in (standard_involution(pres), demushkin_core.lift_involution(pres, lin, pert)):
+        for act in (standard_involution(pres), product_shape_lift(pres)):
             machine = CoinvariantMachine(pres, act)
             subst, zeroed, relators = machine_reference(pres, act)
             assert relators == []
@@ -860,8 +854,8 @@ class TestStackedUniqueness:
             # and the zeroing changes nothing once the kill has been applied
             gens = ClassTwoEndo.identity(pres.gens, mod).images
             projected = list(machine.project(gens))
-            assert projected == list(quotient_kill(machine.elim_labels, subst(gens)))
-            assert projected == list(quotient_kill(machine.elim_labels, zeroed(gens)))
+            assert projected == list(quotient_kill(machine.eliminated_labels, subst(gens)))
+            assert projected == list(quotient_kill(machine.eliminated_labels, zeroed(gens)))
 
     @pytest.mark.parametrize("n", [2, 6, 12])
     def test_no_element_per_candidate(self, monkeypatch, n):
@@ -925,6 +919,62 @@ class TestStackedUniqueness:
         assert shear.diagonal is None
         shear(pres.relator)
         assert calls["matmul_mod"] > 0
+
+
+def count_endo_applications(monkeypatch):
+    """Calls of ClassTwoEndo.__call__, one per element or stack mapped."""
+    calls = []
+    real = ClassTwoEndo.__call__
+    monkeypatch.setattr(ClassTwoEndo, "__call__", lambda self, u: calls.append(u) or real(self, u))
+    return calls
+
+
+def product_shape_lift(pres):
+    """A central perturbation [g,x0]^(i+1) of every image of the standard
+    involution, squared away by lift_involution."""
+    signs = demushkin_core.standard_sign_pattern(pres.n)
+    pert = ClassTwoEndo(
+        ClassTwoElement.generator(pres.gens, pres.mod, i) ** int(s) * parse_word(f"[g,x0]^{i + 1}", pres.gens, pres.mod)
+        for i, s in enumerate(signs)
+    )
+    return demushkin_core.lift_involution(pres, np.diag(signs) % pres.mod.q, pert)
+
+
+class TestKillQuotientCost:
+    """The coinvariants and both sides of uniqueness_check are KillQuotients;
+    each maps its bases and relator in one pass and eliminates only when
+    asked whether the bases die, so a standard-frame uniqueness check makes
+    two eliminations and no endomorphism application, and the coinvariants
+    of a product-shape lift two applications and no elimination."""
+
+    @pytest.mark.parametrize("n, q", [(2, 3), (6, 9), (12, 25)])
+    def test_uniqueness_in_the_standard_frame(self, monkeypatch, n, q):
+        pres, act = standard_setup(n, Modulus.from_q(q))
+        cert = free_quotient(pres, act, build_V(pres, act, Signature(n // 2, 0)))
+        howell, applied = count_howell(monkeypatch), count_endo_applications(monkeypatch)
+        inversions = count_calls(monkeypatch, "invert_auto")
+        assert uniqueness_check(pres, act, cert)
+        assert (len(howell), len(applied), len(inversions)) == (2, 0, 0)
+
+    @pytest.mark.parametrize("n, mod", STACKED_CELLS[::3] + [(2, Modulus(5, 1))], ids=str)
+    def test_coinvariants_of_a_product_shape_lift(self, monkeypatch, n, mod):
+        pres, _ = standard_setup(n, mod)
+        act = product_shape_lift(pres)
+        howell, applied = count_howell(monkeypatch), count_endo_applications(monkeypatch)
+        res = coinvariants(pres, act)
+        assert (res.kind, res.rank) == ("free", n // 2 + 1)
+        # one application checks the symmetrized frame, one maps the stack
+        assert (len(howell), len(applied)) == (0, 2)
+
+    def test_the_span_is_built_when_asked(self, monkeypatch):
+        pres, act = standard_setup(4, Modulus(3, 2))
+        howell = count_howell(monkeypatch)
+        machine = CoinvariantMachine(pres, act)
+        assert isinstance(machine, KillQuotient) and howell == []
+        assert machine.bases_die() and len(howell) == 1
+        # a kept generator does not die in the coinvariants
+        kept = KillQuotient(pres.relator, None, machine.eliminated_labels, ClassTwoEndo.identity(pres.gens, pres.mod).images)
+        assert kept.kept_labels == ("g", "x2", "x4") and not kept.bases_die()
 
 
 class TestLargeModulusFrame:

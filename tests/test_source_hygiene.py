@@ -1,8 +1,9 @@
 """Source hygiene of the package, read with the stdlib `ast`: no module
 imports a name it never uses or a private name of another `demuskin`
 module, no module defines a private name (at module level or as a method)
-that the package never references, and no public function, class, method
-or property is kept for the tests alone."""
+that the package never references, no public function, class, method
+or property is kept for the tests alone, and the CLI turns no
+AssertionError into a report."""
 
 import ast
 from pathlib import Path
@@ -113,3 +114,14 @@ def test_no_public_name_kept_for_tests_alone(path):
     referenced = set().union(*(loaded_names(parse(p)) for p in USERS))
     defined = public_definitions(parse(path))
     assert [(name, line) for name, line in defined if name.rsplit(".", 1)[-1] not in referenced] == []
+
+
+def test_cli_catches_no_assertion_error():
+    # an AssertionError is an engine inconsistency: it propagates with its
+    # traceback, never read as a red check
+    lines = []
+    for node in ast.walk(parse(PACKAGE / "cli.py")):
+        if isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            lines += [node.lineno for t in types if isinstance(t, ast.Name) and t.id == "AssertionError"]
+    assert lines == []
