@@ -13,7 +13,6 @@ from demuskin.class2_words import (
     ClassTwoStack,
     GeneratorSet,
     KillQuotient,
-    TruncatedQuotient,
     central_sqrt,
     commutator,
     compose,

@@ -575,45 +575,6 @@ def _kill_plan(gens: GeneratorSet, kill: frozenset) -> tuple[np.ndarray, np.ndar
     return keep, slots, gens._select(keep)
 
 
-class TruncatedQuotient:
-    """(F/F^3) / <central relators>, with equality decided by linear algebra.
-
-    The mixed module (Z/q^2)^d + (Z/q)^P embeds into (Z/q^2)^(d+P) by
-    scaling the commutator slots with q, so one Howell computation answers
-    membership in the relator span.
-    """
-
-    __slots__ = ("gens", "mod", "central_relators", "_span")
-
-    def __init__(self, gens: GeneratorSet, mod: Modulus, central_relators):
-        self.gens = gens
-        self.mod = mod
-        relators = tuple(central_relators)
-        for r in relators:
-            if r.gens != gens or r.mod != mod:
-                raise ValueError("relator lives in a different truncated group")
-            if not r.is_central:
-                raise ValueError(f"relator {r!r} is not central (not in F^2/F^3)")
-        self.central_relators = relators
-        lifts = self._lifts(ClassTwoStack.of(gens, mod, relators))
-        self._span = Submodule(lifts, lifts.shape[1], mod.q2)
-
-    def _lifts(self, stack: ClassTwoStack) -> np.ndarray:
-        """One row (a, q c) mod q^2 per element of the stack."""
-        return np.concatenate([stack.gen_exp, self.mod.q * stack.comm], axis=1) % self.mod.q2
-
-    def are_trivial(self, elements) -> np.ndarray:
-        """Per element of a stack or an iterable of elements, whether it dies
-        in the quotient: one stacked lift and one Howell reduction for the
-        whole batch.  A non-central element is never in the span, as every
-        relator's generator part is divisible by q."""
-        if not isinstance(elements, ClassTwoStack):
-            elements = ClassTwoStack.of(self.gens, self.mod, elements)
-        if elements.gens != self.gens or elements.mod != self.mod:
-            raise ValueError("elements live in a different truncated group")
-        return ~self._span.residues(self._lifts(elements)).any(axis=1)
-
-
 class KillQuotient:
     """The class-2 quotient of F/F^3 by a central relator w and by the
     generators tau(g_k), k eliminated, of a frame tau: `project(u)` kills
@@ -622,10 +583,10 @@ class KillQuotient:
     relator and a stack of bases go through it in one stacked pass.
 
     `bases_die` says whether the bases die modulo the relator image, with
-    one Howell reduction (`TruncatedQuotient`) built when asked.  That
-    decides their normal closure: the quotient divides by a span of central
-    relators, so a base that dies maps to a central element, and every
-    conjugate of it and every commutator [b, u] dies with it.
+    one Howell reduction of the relator image built when asked.  That
+    decides their normal closure: the quotient divides by the span of a
+    central relator, so a base that dies maps to a central element, and
+    every conjugate of it and every commutator [b, u] dies with it.
     """
 
     def __init__(self, relator: ClassTwoElement, tau_inv: ClassTwoEndo | None, eliminated, bases: ClassTwoStack):
@@ -641,9 +602,21 @@ class KillQuotient:
         return quotient_kill(self.eliminated_labels, u if self.tau_inv is None else self.tau_inv(u))
 
     def bases_die(self) -> bool:
-        """Whether every base image lies in the span of the relator image."""
+        """Whether every base image lies in the span of the relator image.
+
+        The mixed module (Z/q^2)^d + (Z/q)^P embeds into (Z/q^2)^(d+P) by
+        scaling the commutator slots with q, so each element lifts to the
+        row (a, q c) mod q^2, and one Howell reduction of the relator
+        image's row answers for the whole stack.  A non-central base is
+        never in the span, as the relator image's generator part is
+        divisible by q; a relator image that is not central is a ValueError.
+        """
         w = self.relator_image
-        return bool(TruncatedQuotient(w.gens, w.mod, [w]).are_trivial(self.base_images).all())
+        if not w.is_central:
+            raise ValueError(f"relator {w!r} is not central (not in F^2/F^3)")
+        q, q2 = w.mod.q, w.mod.q2
+        row, lifts = (np.concatenate([u.gen_exp, q * u.comm], axis=-1) % q2 for u in (w, self.base_images))
+        return not Submodule(row, len(row), q2).residues(lifts).any()
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,8 @@ class DemushkinPresentation:
     def from_json(cls, data: dict) -> "DemushkinPresentation":
         """The inverse of to_json.  A value that is not a JSON object, labels
         or chi that are not a list, and n past MAX_N are each a ValueError
-        naming what they are, raised before anything is allocated."""
+        naming what they are, raised before anything is allocated.  Labels
+        other than g, x0, ..., xn need a relator of their own."""
         if not isinstance(data, dict):
             raise ValueError(f"a presentation must be a JSON object, got {type(data).__name__}")
         for key in ("labels", "chi"):
@@ -170,6 +171,8 @@ class DemushkinPresentation:
                 relator = parse_word(raw, gens, mod)
             else:
                 relator = ClassTwoElement.from_json(raw, gens, mod)
+        elif gens.d == n + 2 and gens != demushkin_generators(n):
+            raise ValueError(f"labels {list(gens.labels)} need a relator: the standard relator is written in g, x0, ..., x{n}")
         chi = CharacterData(data["chi"], mod) if "chi" in data else None
         return cls(n, mod, relator=relator, chi=chi, gens=gens)
 

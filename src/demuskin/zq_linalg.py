@@ -346,8 +346,6 @@ class Submodule:
     def image_under(self, matrix) -> "Submodule":
         """Span of basis @ matrix, for a right action on row vectors."""
         mat = self._right_operand(matrix)
-        if self.ngens == 0:
-            return Submodule.zero(mat.shape[1], self.modulus)
         return Submodule(matmul_mod(self.basis, mat, self.modulus), mat.shape[1], self.modulus)
 
     def annihilated_by(self, matrix) -> "Submodule":
@@ -356,8 +354,6 @@ class Submodule:
         the Howell form of [S @ matrix | I], which by the span property of
         that form span every such (0, c)."""
         mat = self._right_operand(matrix)
-        if self.ngens == 0:
-            return self
         m, k, r = self.modulus, self.ngens, mat.shape[1]
         h = _howell_rows(np.hstack([matmul_mod(self.basis, mat, m), np.eye(k, dtype=np.int64)]), r + k, m)
         return Submodule(matmul_mod(h[~h[:, :r].any(axis=1), r:], self.basis, m), self.ambient, m)
@@ -453,8 +449,6 @@ def is_totally_isotropic(form: BilinearForm, s: Submodule) -> bool:
     """True iff the form vanishes on s x s (checked on basis rows)."""
     if form.dim != s.ambient or form.modulus != s.modulus:
         raise ValueError("form and submodule have mismatched dimensions")
-    if s.ngens == 0:
-        return True
     m = s.modulus
     return not matmul_mod(matmul_mod(s.basis, form.gram, m), s.basis.T, m).any()
 

@@ -12,7 +12,7 @@ from demuskin.class2_words import (
     ClassTwoEndo,
     ClassTwoStack,
     GeneratorSet,
-    TruncatedQuotient,
+    KillQuotient,
     central_sqrt,
     commutator,
     compose,
@@ -582,50 +582,57 @@ class TestQuotientKill:
             quotient_kill([which], self.w)
 
 
-class TestTruncatedQuotient:
+class TestKillQuotientMembership:
+    """`bases_die` of a quotient by a central relator w that eliminates
+    nothing, so the bases die iff they lie in the span of w."""
+
     def setup_method(self):
         self.mod = Modulus(3, 1)
         self.gens = demushkin_generators(2)
         self.w = parse_word("x0^3 [x0,g] [x1,x2]", self.gens, self.mod)
-        self.tq = TruncatedQuotient(self.gens, self.mod, [self.w])
+
+    def dies(self, *bases):
+        return KillQuotient(self.w, None, (), ClassTwoStack.of(self.gens, self.mod, bases)).bases_die()
 
     def test_reflexive(self):
         u = random_element(self.gens, self.mod)
-        assert self.tq.are_trivial([u * u.inverse()])[0]
+        assert self.dies(u * u.inverse())
 
     def test_relator_is_trivial(self):
-        assert self.tq.are_trivial([self.w])[0]
-        assert self.tq.are_trivial([self.w ** 2])[0]
+        assert self.dies(self.w)
+        assert self.dies(self.w ** 2)
 
     def test_two_sides_of_the_relation(self):
         u = parse_word("x0^3", self.gens, self.mod)
         v = parse_word("[x0,g]^-1 [x1,x2]^-1", self.gens, self.mod)
-        assert self.tq.are_trivial([u * v.inverse()])[0]
+        assert self.dies(u * v.inverse())
 
     def test_distinct_elements_differ(self):
         u = parse_word("x0", self.gens, self.mod)
         v = parse_word("x1", self.gens, self.mod)
-        assert not self.tq.are_trivial([u * v.inverse()])[0]
+        assert not self.dies(u * v.inverse())
 
     def test_congruence_under_multiplication(self):
         for _ in range(40):
             u = random_element(self.gens, self.mod)
-            assert self.tq.are_trivial([u * self.w * u.inverse()])[0]
+            assert self.dies(u * self.w * u.inverse())
 
-    def test_empty_batch(self):
-        assert self.tq.are_trivial([]).shape == (0,)
+    def test_empty_stack(self):
+        kq = KillQuotient(self.w, None, (), ClassTwoStack.of(self.gens, self.mod, []))
+        assert len(kq.base_images) == 0 and kq.bases_die()
 
     def test_non_central_relator_rejected(self):
         bad = parse_word("x0", self.gens, self.mod)
-        with pytest.raises(ValueError):
-            TruncatedQuotient(self.gens, self.mod, [bad])
+        kq = KillQuotient(bad, None, (), ClassTwoStack.of(self.gens, self.mod, [bad]))
+        with pytest.raises(ValueError, match=re.escape("relator <x0> is not central (not in F^2/F^3)")):
+            kq.bases_die()
 
 
 @st.composite
 def membership_cases(draw):
-    """A quotient by random central relators and a list of elements:
-    central and non-central ones, the identity, and words in the relators,
-    which die in the quotient, alone or times a random element."""
+    """A random central relator w and a list of bases: central and
+    non-central ones, the identity, and powers of w, which die in the
+    quotient, alone or times a random element."""
     mod = draw(st.sampled_from([Modulus(3, 1), Modulus(3, 2), Modulus(5, 2)]))
     d = draw(st.integers(1, 5))
     gens = GeneratorSet(f"y{i}" for i in range(d))
@@ -637,41 +644,42 @@ def membership_cases(draw):
         cm = draw(st.lists(st.integers(0, mod.q - 1), min_size=npairs, max_size=npairs))
         return ClassTwoElement(gens, mod, ge, cm)
 
-    relators = [element(True) for _ in range(draw(st.integers(0, 3)))]
-    kinds = ["central", "any", "identity", "word", "word times central", "word times any"]
-    elements = []
+    w = element(True)
+    kinds = ["central", "any", "identity", "w^k", "w^k times central", "w^k times any"]
+    bases = []
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=8)):
         u = ClassTwoElement.identity(gens, mod)
-        if kind.startswith("word"):
-            for r in relators:
-                u = u * r ** draw(st.integers(-mod.q2, mod.q2))
+        if kind.startswith("w^k"):
+            u = w ** draw(st.integers(-mod.q2, mod.q2))
         if kind.endswith("central"):
             u = u * element(True)
         elif kind.endswith("any"):
             u = u * element(False)
-        elements.append(u)
-    return TruncatedQuotient(gens, mod, relators), elements
+        bases.append(u)
+    return w, bases
 
 
 class TestBatchedMembership:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(membership_cases())
-    def test_matches_per_element_reference(self, case):
-        tq, elements = case
-        q, q2 = tq.mod.q, tq.mod.q2
-        want = [
-            u.is_central and tq._span.contains(np.concatenate([u.gen_exp, q * u.comm]) % q2)
-            for u in elements
-        ]
-        got = tq.are_trivial(elements)
-        assert got.shape == (len(elements),) and got.tolist() == want
-        assert [tq.are_trivial([u])[0] for u in elements] == want
+    def test_matches_powers_of_the_relator(self, case):
+        # w is central of order dividing q, so its span is {w^k : 0 <= k < q}
+        w, bases = case
+        powers = [w ** k for k in range(w.mod.q)]
+        want = [b in powers for b in bases]
+
+        def dies(items):
+            return KillQuotient(w, None, (), ClassTwoStack.of(w.gens, w.mod, items)).bases_die()
+
+        assert dies(bases) == all(want)
+        assert [dies([b]) for b in bases] == want
 
     def test_other_group_rejected(self):
         mod = Modulus(3, 1)
-        tq = TruncatedQuotient(GeneratorSet(("a", "b")), mod, [])
+        w = ClassTwoElement.identity(GeneratorSet(("a", "b")), mod)
+        bases = ClassTwoStack.of(GeneratorSet(("a", "c")), mod, [ClassTwoElement.identity(GeneratorSet(("a", "c")), mod)])
         with pytest.raises(ValueError, match="different truncated group"):
-            tq.are_trivial([ClassTwoElement.identity(GeneratorSet(("a", "c")), mod)])
+            KillQuotient(w, None, (), bases)
 
 
 # ---------------------------------------------------------------------------
@@ -1177,16 +1185,6 @@ class TestStackedForms:
         roots = central_sqrt(ClassTwoStack.of(gens, mod, central))
         assert list(roots) == [central_sqrt(c) for c in central]
         assert all(r * r == c for r, c in zip(roots, central))
-
-    def test_truncated_quotient_takes_a_stack(self):
-        mod = Modulus(3, 1)
-        gens = demushkin_generators(2)
-        w = parse_word("x0^3 [x0,g] [x1,x2]", gens, mod)
-        tq = TruncatedQuotient(gens, mod, [w])
-        els = [w, w ** 2, random_element(gens, mod), ClassTwoElement.identity(gens, mod)]
-        stack = ClassTwoStack.of(gens, mod, els)
-        assert tq.are_trivial(stack).tolist() == tq.are_trivial(els).tolist()
-        assert tq.are_trivial(stack)[[0, 1, 3]].all()
 
 
 @st.composite

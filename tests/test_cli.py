@@ -88,6 +88,9 @@ MALFORMED = {
     # labels must be a list of names of the word grammar
     "labels-as-one-string": {"labels": "gabc", "relator": "a^3 [a,g] [b,c]"},
     "integer-labels": {"labels": [1, 2, 3, 4], "relator": GOOD_RELATOR},
+    # the standard relator is a word in g, x0, x1, x2, not in the file's labels
+    "own-labels-without-relator": {"labels": ["a", "b", "c", "d"]},
+    "wrong-label-count-without-relator": {"labels": ["a", "b", "c"]},
     # an action file whose images name a generator outside g, x0, x1, x2
     "unknown-image-label": {"images": {**GOOD_IMAGES, "x9": "g"}},
     # a JSON value of the wrong type where an object belongs
@@ -106,6 +109,8 @@ MALFORMED = {
 }
 # what the error line must name, where a case has a word for it
 NAMED_IN_ERROR = {
+    "own-labels-without-relator": "labels ['a', 'b', 'c', 'd'] need a relator: the standard relator is written in g, x0, ..., x2",
+    "wrong-label-count-without-relator": "generator count must be n + 2",
     "unknown-image-label": "'x9'",
     "relator-not-an-object": "got int",
     "images-as-a-list": "got list",
@@ -128,6 +133,9 @@ class TestMalformedJson:
     def test_a_list_of_labels_passes(self, tmp_path, capsys):
         pres = tmp_path / "pres.json"
         pres.write_text(json.dumps({"p": 3, "f": 1, "n": 2, "labels": ["g", "a", "b", "c"], "relator": "a^3 [a,g] [b,c]"}))
+        assert main(["invariants", "--presentation", str(pres)]) == 0
+        # the standard labels need no relator
+        pres.write_text(json.dumps({"p": 3, "f": 1, "n": 2, "labels": ["g", "x0", "x1", "x2"]}))
         assert main(["invariants", "--presentation", str(pres)]) == 0
 
     @pytest.mark.parametrize("case", MALFORMED, ids=list(MALFORMED))

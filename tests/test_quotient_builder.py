@@ -15,7 +15,6 @@ from demuskin.class2_words import (
     ClassTwoEndo,
     GeneratorSet,
     KillQuotient,
-    TruncatedQuotient,
     central_sqrt,
     commutator,
     compose,
@@ -56,6 +55,7 @@ from frame_reference import (
     ReferenceMachine,
     coordinate_indices_reference,
     delta_invariant_kill_reference,
+    die_modulo_central,
     isotropic_submodules,
     transform_presentation,
     validate_V_reference,
@@ -759,11 +759,8 @@ def uniqueness_reference(pres, act, cert) -> bool:
     candidate is its own element, mapped and tested one at a time, with the
     coinvariant machine of the reference."""
     machine = ReferenceMachine(pres, act)
-    coinv_span = TruncatedQuotient(
-        machine.small_gens,
-        pres.mod,
-        list(machine.central_relators)
-        + ([machine.relator_image] if not machine.relator_image.is_identity else []),
+    coinv_relators = list(machine.central_relators) + (
+        [machine.relator_image] if not machine.relator_image.is_identity else []
     )
     tau = cert.basis_change
     killed = list(cert.killed)
@@ -773,9 +770,7 @@ def uniqueness_reference(pres, act, cert) -> bool:
         return quotient_kill(killed, tau_inv(u))
 
     kill_rel = kill_image(pres.relator)
-    kill_span = TruncatedQuotient(
-        GeneratorSet(cert.kept), pres.mod, [kill_rel] if not kill_rel.is_identity else []
-    )
+    kill_relators = [kill_rel] if not kill_rel.is_identity else []
     gens = [ClassTwoElement.generator(pres.gens, pres.mod, i) for i in range(pres.d)]
     coinv_generators = [pres.relator]
     for i, g in enumerate(gens):
@@ -787,9 +782,10 @@ def uniqueness_reference(pres, act, cert) -> bool:
         ke = tau.images[pres.gens.index(lab)]
         kill_generators.append(ke)
         kill_generators.extend(commutator(ke, h) for h in tau.images)
-    return bool(
-        coinv_span.are_trivial([machine.project(u) for u in kill_generators]).all()
-        and kill_span.are_trivial([kill_image(u) for u in coinv_generators]).all()
+    coinv_images = [machine.project(u) for u in kill_generators]
+    kill_images = [kill_image(u) for u in coinv_generators]
+    return all(die_modulo_central(coinv_relators, coinv_images, machine.small_gens, pres.mod)) and all(
+        die_modulo_central(kill_relators, kill_images, GeneratorSet(cert.kept), pres.mod)
     )
 
 

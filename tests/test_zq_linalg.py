@@ -345,6 +345,10 @@ class TestAnnihilatedBy:
         assert Submodule.full(3, 9).annihilated_by(np.eye(3, dtype=np.int64)) == Submodule.zero(3, 9)
         sub = Submodule([[3, 1, 0]], 3, 9)
         assert sub.annihilated_by(np.zeros((3, 0), dtype=np.int64)) == sub
+        for m in (9, 3**19):
+            image = Submodule.zero(3, m).image_under(np.ones((3, 2), dtype=np.int64))
+            assert image == Submodule.zero(2, m)
+            assert (image.rank, image.coordinate_indices) == (0, ())
 
     @pytest.mark.parametrize("method", ["image_under", "annihilated_by"])
     def test_operand_must_match_the_submodule(self, method):
