@@ -284,15 +284,20 @@ class ClassTwoElement(_Exponents):
 
     @classmethod
     def from_json(cls, data: dict, gens: GeneratorSet, mod: Modulus) -> "ClassTwoElement":
-        """The inverse of to_json; a coordinate outside 0 <= i < j < d or a
-        non-integer exponent is a ValueError, and so is a value that is not
-        a JSON object or a comm_exp that is not a list of [i, j, c] lists."""
+        """The inverse of to_json; a coordinate outside 0 <= i < j < d, a
+        coordinate given twice or a non-integer exponent is a ValueError,
+        and so is a value that is not a JSON object or a comm_exp that is
+        not a list of [i, j, c] lists."""
         terms = _json_object(data, "a class-2 element").get("comm_exp", [])
-        cm = [0] * (gens.d * (gens.d - 1) // 2)
+        cm, seen = [0] * (gens.d * (gens.d - 1) // 2), set()
         for term in terms if isinstance(terms, list) else [terms]:
             if not (isinstance(term, list) and len(term) == 3):
                 raise ValueError(f"comm_exp must be a JSON list of [i, j, c] lists, got {type(term).__name__} {term!r}")
-            cm[_slot(gens.d, term[0], term[1])] = term[2]
+            s = _slot(gens.d, term[0], term[1])
+            if s in seen:
+                raise ValueError(f"commutator coordinate ({term[0]}, {term[1]}) is given twice in comm_exp")
+            seen.add(s)
+            cm[s] = term[2]
         return cls(gens, mod, data["gen_exp"], cm)
 
 
@@ -631,158 +636,115 @@ _TOKEN = re.compile(
     rf"\s*(?:({_NAME}){_POWER}|\[\s*({_NAME})\s*,\s*({_NAME})\s*\]{_POWER}|(-?\d+)|([\[\],()^]))"
     r"|(\s*\S[\s\S]*)"
 )
+# the deepest nesting of ( and [ in a word: each level holds one d-list and
+# one P-list on the fold's stack
+MAX_NESTING = 100
 
 
-def _tokenize(text: str) -> list[tuple]:
-    """The tokens of a word in one regex pass, each (kind, text, k, pair):
-    a flat factor x^k or [x,y]^k is one "name" or "comm" token with its
-    exponent k (None when absent) and, for a commutator, pair = (x, y);
-    "int" and "sym" tokens carry their text only.  `text` is the factor's
-    first lexeme, the one an error message quotes."""
+def _fold_word(text: str, gens: GeneratorSet, mod: Modulus) -> tuple[list[int], list[int]]:
+    """The exponents (a mod q^2, c mod q) of one word, folded left to right
+    into dense lists over Python ints, reduced only after a power of a
+    subword and at the end, so every modulus is exact without a dtype rule.
+
+    The whole word is tokenized first.  A flat factor x^k or [x,y]^k
+    carries its exponent; a "^ k" after any other factor is read by one
+    lookahead.  A factor joins the word (a, c) by the cocycle
+    (a + b, c + e + b (x) a): g_i^k adds k a_j to c_ij for each j > i,
+    then k to a_i; a commutator adds +-k to one slot; a subword (b, e),
+    being g_1^(b_1) ... g_d^(b_d) times central e, folds as those
+    generator powers and then adds e.  "(" and "[" push (the closer they
+    expect next, first operand, outer word); "," in "[" stores the first
+    operand.  ")" and "]" pop: [u, v] = (0, b (x) a - a (x) b) for
+    u = (a, c) and v = (b, e), then (a, c)^n = (n a, n c + C(n, 2) a (x) a)
+    for a "^ n", and the subword folds into the outer word.
+    """
     found = _TOKEN.findall(text)
     if found and found[-1][-1]:
         raise ValueError(f"cannot tokenize word at {found[-1][-1]!r}")
-    tokens = []
-    for name, k, left, right, kc, num, sym, _ in found:
-        if name:
-            tokens.append(("name", name, int(k) if k else None, None))
-        elif left:
-            tokens.append(("comm", "[", int(kc) if kc else None, (left, right)))
-        else:
-            tokens.append(("int", num, None, None) if num else ("sym", sym, None, None))
-    return tokens
+    d, q, q2 = gens.d, mod.q, mod.q2
+    P = d * (d - 1) // 2
+    # slot(i, j) = offsets[i] + j for i < j
+    offsets = [i * (2 * d - i - 1) // 2 - i - 1 for i in range(d)]
 
-
-class _WordParser:
-    """Recursive descent that folds each (sub)word into dense exponent lists
-    over Python ints: a of length d and c of length P, reduced mod q^2 and
-    mod q only after a power of a subword and at the end, so every modulus
-    is exact without a dtype rule.
-
-    A factor is ("gen", i, k) for g_i^k, ("comm", s, k) for the k-th power
-    of the commutator in slot s, or ("word", b, e) for a subword (b, e).  It
-    joins the word (a, c) by the cocycle (a + b, c + e + b (x) a): g_i^k adds
-    k a_j to c_ij for each j > i, then k to a_i; a commutator adds k to one
-    slot; a subword, being g_1^(b_1) ... g_d^(b_d) times central e, folds as
-    those generator powers and then adds e.
-    """
-
-    # the deepest nesting of ( and [ in a word: each level takes three
-    # frames of the descent, so the bound stays far inside Python's limit
-    MAX_NESTING = 100
-
-    def __init__(self, gens: GeneratorSet, mod: Modulus):
-        self.gens = gens
-        d = self.d = gens.d
-        # slot(i, j) = offsets[i] + j for i < j
-        self.offsets = [i * (2 * d - i - 1) // 2 - i - 1 for i in range(d)]
-        self.q, self.q2 = mod.q, mod.q2
-
-    def fold(self, text: str) -> tuple[list[int], list[int]]:
-        """The exponents (a mod q^2, c mod q) of one whole word."""
-        self.tokens, self.pos, self.depth = _tokenize(text), 0, 0
-        a, c = self.parse_word()
-        if self.pos < len(self.tokens):
-            raise ValueError(f"trailing input in word: {text!r}")
-        return [x % self.q2 for x in a], [x % self.q for x in c]
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of word")
-        self.pos += 1
-        return tok
-
-    def expect(self, sym: str):
-        kind, text, _, _ = self.take()
-        if (kind, text) != ("sym", sym):
-            raise ValueError(f"expected {sym!r}, got {(kind, text)}")
-
-    def fold_gen(self, a: list, c: list, i: int, k: int):
+    def times_gen(a: list, c: list, i: int, k: int):
         """(a, c) times g_i^k, written into a and c."""
-        o = self.offsets[i]
-        for j in range(i + 1, self.d):
+        o = offsets[i]
+        for j in range(i + 1, d):
             c[o + j] += k * a[j]
         a[i] += k
 
-    def cross(self, x: list, y: list) -> list:
+    def cross(x: list, y: list) -> list:
         """x (x) y: x_i y_j over the pairs i < j, in slot order."""
-        d = self.d
         return [xi * y[j] for i, xi in enumerate(x) for j in range(i + 1, d)]
 
-    def parse_word(self):
-        a, c = [0] * self.d, [0] * (self.d * (self.d - 1) // 2)
-        while True:
-            tok = self.peek()
-            if tok is None or (tok[0] == "sym" and tok[1] in "]),"):
-                return a, c
-            kind, x, k = self.parse_factor()
-            if kind == "gen":
-                self.fold_gen(a, c, x, k)
-            elif kind == "comm":
-                c[x] += k
-            else:
-                for i, bi in enumerate(x):
-                    if bi:
-                        self.fold_gen(a, c, i, bi)
-                c = [ci + ei for ci, ei in zip(c, k)]
+    def power(pos: int) -> tuple[int, int]:
+        """The k of a "^ k" at found[pos] (1 if none) and the position after it."""
+        if pos == len(found) or found[pos][6] != "^":
+            return 1, pos
+        if pos + 1 == len(found):
+            raise ValueError("unexpected end of word")
+        name, _, _, _, _, num, sym, _ = found[pos + 1]
+        if not num:
+            # the first lexeme of a flat commutator is its "["
+            raise ValueError(f"expected integer exponent, got {name or sym or '['!r}")
+        return int(num), pos + 2
 
-    def parse_factor(self):
-        tok = self.take()
-        kind, x, k = self.parse_atom(tok)
-        if tok[2] is not None:  # a flat factor that brought its exponent
-            return kind, x, k * tok[2]
-        if self.peek() != ("sym", "^", None, None):
-            return kind, x, k
-        self.take()
-        kind_k, text, _, _ = self.take()
-        if kind_k != "int":
-            raise ValueError(f"expected integer exponent, got {text!r}")
-        n = int(text)
-        if kind != "word":
-            return kind, x, k * n
-        # (a, c)^n = (n a, n c + C(n, 2) a (x) a)
-        half = n * (n - 1) // 2
-        aa = self.cross(x, x)
-        return kind, [n * ai % self.q2 for ai in x], [(n * ci + half * t) % self.q for ci, t in zip(k, aa)]
-
-    def parse_atom(self, tok):
-        kind, text, _, pair = tok
-        if kind == "name":
-            return "gen", self.gens.index(text), 1
-        if kind == "comm":
-            i, j = self.gens.index(pair[0]), self.gens.index(pair[1])
-            if i == j:
-                return "gen", i, 0  # [g_i, g_i] = 1 = g_i^0
-            # [g_i, g_j] = [g_j, g_i]^-1 sits in slot (i, j) for i < j
-            return ("comm", self.offsets[i] + j, -1) if i < j else ("comm", self.offsets[j] + i, 1)
-        if kind == "int":
-            if text == "1":
-                return "gen", 0, 0
-            raise ValueError(f"unexpected integer {text!r} in word")
-        if text not in ("[", "("):
-            raise ValueError(f"unexpected token {text!r}")
-        self.depth += 1
-        if self.depth > self.MAX_NESTING:
-            raise ValueError(f"word nests ( and [ deeper than the bound {self.MAX_NESTING}")
-        a, c = self.parse_word()
-        if text == "[":
-            self.expect(",")
-            b, _ = self.parse_word()
-            # [u, v] = (0, b (x) a - a (x) b)
-            a, c = [0] * self.d, [s - t for s, t in zip(self.cross(b, a), self.cross(a, b))]
-        self.expect("]" if text == "[" else ")")
-        self.depth -= 1
-        return "word", a, c
+    a, c, stack, pos = [0] * d, [0] * P, [], 0
+    while pos < len(found):
+        name, k, left, right, kc, num, sym, _ = found[pos]
+        pos += 1
+        if name:
+            i = gens.index(name)
+            n, pos = (int(k), pos) if k else power(pos)
+            times_gen(a, c, i, n)
+        elif left:
+            i, j = gens.index(left), gens.index(right)
+            n, pos = (int(kc), pos) if kc else power(pos)
+            # [g_i, g_j] = [g_j, g_i]^-1 sits in slot (i, j) for i < j, and [g_i, g_i] = 1
+            if i != j:
+                s, n = (offsets[i] + j, -n) if i < j else (offsets[j] + i, n)
+                c[s] += n
+        elif num:
+            if num != "1":
+                raise ValueError(f"unexpected integer {num!r} in word")
+            pos = power(pos)[1]
+        elif sym in "([":
+            if len(stack) == MAX_NESTING:
+                raise ValueError(f"word nests ( and [ deeper than the bound {MAX_NESTING}")
+            stack.append((")" if sym == "(" else ",", None, a, c))
+            a, c = [0] * d, [0] * P
+        elif sym == "^":
+            raise ValueError(f"unexpected token {sym!r}")
+        elif not stack:
+            raise ValueError(f"trailing input in word: {text!r}")
+        else:
+            want, first, outer_a, outer_c = stack[-1]
+            if sym != want:
+                raise ValueError(f"expected {want!r}, got {('sym', sym)}")
+            if sym == ",":
+                stack[-1] = ("]", a, outer_a, outer_c)
+                a, c = [0] * d, [0] * P
+                continue
+            stack.pop()
+            if sym == "]":
+                # [u, v] with u's generator exponents `first` and v = (a, c)
+                a, c = [0] * d, [s - t for s, t in zip(cross(a, first), cross(first, a))]
+            n, pos = power(pos)
+            if n != 1:
+                half = n * (n - 1) // 2
+                a, c = [n * x % q2 for x in a], [(n * y + half * t) % q for y, t in zip(c, cross(a, a))]
+            for i, bi in enumerate(a):
+                if bi:
+                    times_gen(outer_a, outer_c, i, bi)
+            a, c = outer_a, [x + y for x, y in zip(outer_c, c)]
+    if stack:
+        raise ValueError("unexpected end of word")
+    return [x % q2 for x in a], [x % q for x in c]
 
 
 def _parse_words(texts, gens: GeneratorSet, mod: Modulus) -> ClassTwoStack:
     """One stack whose row r is the element the word texts[r] spells."""
-    parser = _WordParser(gens, mod)
-    rows = [parser.fold(text) for text in texts]
+    rows = [_fold_word(text, gens, mod) for text in texts]
     gen_exp = np.array([a for a, _ in rows], dtype=np.int64).reshape(len(rows), gens.d)
     comm = np.array([c for _, c in rows], dtype=np.int64).reshape(len(rows), gens.d * (gens.d - 1) // 2)
     return ClassTwoStack._normal(gens, mod, gen_exp, comm)

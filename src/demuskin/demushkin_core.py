@@ -57,6 +57,8 @@ class CharacterData:
 
     def __init__(self, values, mod: Modulus):
         vals = integers_mod(values, mod.q2, "character values")
+        if vals.ndim != 1:
+            raise ValueError(f"character values must be a flat list, got an array of shape {vals.shape}")
         if ((vals % mod.p) == 0).any():
             raise ValueError("character values must be units")
         if ((vals - 1) % mod.q).any():

@@ -852,6 +852,14 @@ PARSE_ERRORS = [
     # the whole word is tokenized before any of it is parsed
     ("x9 +1", "cannot tokenize word at ' +1'"),
     ("x0) [x1,x2]^2 .5", "cannot tokenize word at ' .5'"),
+    # each branch of the closing rule: a ")", "]" or "," that the innermost
+    # opener does not expect, and a power read after a closed subword
+    ("(x0]", "expected ')', got ('sym', ']')"),
+    ("[x0)", "expected ',', got ('sym', ')')"),
+    ("[x0,x1)", "expected ']', got ('sym', ')')"),
+    ("(x0,x1)", "expected ')', got ('sym', ',')"),
+    ("[x0,x1,x2]", "expected ']', got ('sym', ',')"),
+    ("()^x0", "expected integer exponent, got 'x0'"),
 ]
 
 
@@ -994,6 +1002,15 @@ class TestWordGrammar:
             again = ClassTwoStack.of(gens, mod, [ClassTwoElement.from_json(r.to_json(), gens, mod) for r in image])
             assert again.comm.shape == image.comm.shape and list(again) == list(empty) == []
             assert len(commutator(empty, u)) == 0 and quotient_kill([], empty) is empty
+
+    def test_json_rejects_a_repeated_coordinate(self):
+        # the last triple used to win silently
+        gens, mod = demushkin_generators(0), Modulus(3, 1)
+        data = {"gen_exp": [0, 3], "comm_exp": [[0, 1, 1], [0, 1, 2]]}
+        with pytest.raises(ValueError, match=re.escape("commutator coordinate (0, 1) is given twice in comm_exp")):
+            ClassTwoElement.from_json(data, gens, mod)
+        data["comm_exp"] = [[0, 1, 1]]
+        assert ClassTwoElement.from_json(data, gens, mod) == parse_word("x0^3 [x0,g]", gens, mod)
 
 
 class TestGeneratorSet:

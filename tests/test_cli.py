@@ -102,6 +102,11 @@ MALFORMED = {
     # comm_exp is a list of [i, j, c] lists, and an image is a word string
     "comm-exp-not-a-list": {"relator": {**GOOD_RELATOR, "comm_exp": 5}},
     "short-commutator-triple": {"relator": {**GOOD_RELATOR, "comm_exp": [[0, 1]]}},
+    # a pair given twice, of which the last triple used to win silently
+    "repeated-commutator-coordinate": {"relator": {**GOOD_RELATOR, "comm_exp": [[0, 1, 1], [0, 1, 2]]}},
+    # chi of d rows: one column passed as a flat chi, two columns died with a traceback
+    "chi-as-a-column": {"relator": GOOD_RELATOR, "chi": [[4], [1], [1], [1]]},
+    "chi-as-rows": {"relator": GOOD_RELATOR, "chi": [[4, 1], [1, 1], [1, 1], [1, 1]]},
     "image-not-a-string": {"images": {**GOOD_IMAGES, "x0": 5}},
     # words nested past the parser's bound, which overflowed its recursion
     "deeply-nested-relator": {"relator": "(" * 1000 + "x0" + ")" * 1000},
@@ -118,6 +123,9 @@ NAMED_IN_ERROR = {
     "chi-not-a-list": "chi must be a JSON list, got int",
     "comm-exp-not-a-list": "comm_exp must be a JSON list of [i, j, c] lists, got int 5",
     "short-commutator-triple": "comm_exp must be a JSON list of [i, j, c] lists, got list [0, 1]",
+    "repeated-commutator-coordinate": "commutator coordinate (0, 1) is given twice in comm_exp",
+    "chi-as-a-column": "character values must be a flat list, got an array of shape (4, 1)",
+    "chi-as-rows": "character values must be a flat list, got an array of shape (4, 2)",
     "image-not-a-string": "image for generator 'x0' must be a word string, got int",
     "deeply-nested-relator": "deeper than the bound 100",
     "deeply-nested-image": "deeper than the bound 100",
@@ -146,6 +154,7 @@ class TestMalformedJson:
             assert main(["invariants", "--presentation", str(pres)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: bad presentation file") and NAMED_IN_ERROR.get(case, "") in err
+            assert err.count("\n") == 1
             return
         pres.write_text(json.dumps({"p": 3, "f": 1, "n": 2, "relator": GOOD_RELATOR}))
         act, kept = tmp_path / "act.json", tmp_path / "kept.json"
@@ -196,6 +205,8 @@ PRESENTATION_KEYS = [("p",), ("f",), ("n",), ("relator",), ("relator", "gen_exp"
 ACTION = {"images": GOOD_IMAGES}
 ACTION_KEYS = [("images",), ("images", "g"), ("images", "x0"), ("images", "x9")]
 WRONG_TYPES = [None, True, 5, -1, 2**70, 1.5, "x0", "", [], [1, "g"], {}, {"g": [None]}]
+# values of the right length but the wrong shape, put at one key only
+SHAPED = {("chi",): [[[4], [1], [1], [1]], [[4, 1], [1, 1], [1, 1], [1, 1]]]}
 DROPPED = object()
 
 
@@ -225,8 +236,10 @@ def file_texts(draw, data, keys):
         return json.dumps(draw(JUNK))
     if how == "kept":
         return json.dumps(data)
-    value = DROPPED if how == "dropped" else draw(st.one_of(INTEGERS, WORDS, LABELS, JUNK))
-    return spoiled(data, draw(st.sampled_from(keys)), value)
+    key = draw(st.sampled_from(keys))
+    shaped = [st.sampled_from(SHAPED[key])] if key in SHAPED else []
+    value = DROPPED if how == "dropped" else draw(st.one_of(INTEGERS, WORDS, LABELS, JUNK, *shaped))
+    return spoiled(data, key, value)
 
 
 def option_tokens(usual):
@@ -331,7 +344,7 @@ class TestFuzzedInput:
     def test_a_wrong_type_at_each_key(self, tmp_path):
         pres, act = tmp_path / "presentation.json", tmp_path / "action.json"
         for path in PRESENTATION_KEYS:
-            for value in WRONG_TYPES + [DROPPED]:
+            for value in WRONG_TYPES + SHAPED.get(path, []) + [DROPPED]:
                 pres.write_text(spoiled(PRESENTATION, path, value))
                 assert_reports_or_exits_two(["invariants", "--presentation", str(pres)])
         pres.write_text(json.dumps(PRESENTATION))
@@ -775,6 +788,18 @@ class TestVerify:
         # the pairing is 3 times a unimodular one, degenerate mod p
         assert not checks["cup_nondegenerate"]["pass"]
         assert code == 1
+
+    def test_trivial_relator_fails_the_line_check(self, tmp_path):
+        # the relator 1 has a zero cup form and a zero Bockstein, so the
+        # orthocomplement of the Bockstein kernel is the whole space and not
+        # the cyclotomic line: the check reads false and raises nothing
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps({"p": 3, "f": 1, "n": 0, "relator": "1"}))
+        act = tmp_path / "act.json"
+        act.write_text(json.dumps({"images": {"g": "g", "x0": "x0^-1"}}))
+        code, text = run_inproc(tmp_path, "verify", "--presentation", str(pres), "--action", str(act))
+        checks = {c["name"]: c["pass"] for c in json.loads(text)["checks"]}
+        assert code == 1 and checks["cyclotomic_line_matches_orthocomplement"] is False
 
     def test_missing_action_argument(self, tmp_path):
         pres, _ = self.write_inputs(tmp_path)
