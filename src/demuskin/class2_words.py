@@ -293,6 +293,8 @@ class ClassTwoElement(_Exponents):
         for term in terms if isinstance(terms, list) else [terms]:
             if not (isinstance(term, list) and len(term) == 3):
                 raise ValueError(f"comm_exp must be a JSON list of [i, j, c] lists, got {type(term).__name__} {term!r}")
+            if type(term[0]) is not int or type(term[1]) is not int:
+                raise ValueError(f"commutator coordinate ({term[0]}, {term[1]}) is not a pair of integers")
             s = _slot(gens.d, term[0], term[1])
             if s in seen:
                 raise ValueError(f"commutator coordinate ({term[0]}, {term[1]}) is given twice in comm_exp")
@@ -397,7 +399,9 @@ class ClassTwoEndo:
         return cls(ClassTwoStack._normal(gens, mod, gen_exp, _no_comm(d, d)))
 
     @classmethod
+    @lru_cache(maxsize=64)
     def identity(cls, gens: GeneratorSet, mod: Modulus) -> "ClassTwoEndo":
+        """One shared identity per (gens, mod): its arrays are read-only."""
         return cls.linear(gens, mod, np.eye(gens.d, dtype=np.int64))
 
     @classmethod
@@ -763,14 +767,16 @@ def _format_rows(labels, gen_exp, comm) -> list[str]:
     """The word of each row of N x d generator and N x P commutator
     exponents: its generator powers, then its commutator powers in slot
     order, or "1" for a row with neither.  The nonzeros of all rows are
-    read by one np.nonzero per array, in row-major order."""
+    read by one flat scan per array, in row-major order."""
     parts = [[] for _ in range(len(gen_exp))]
-    rows, cols = np.nonzero(gen_exp)
-    for r, i, a in zip(rows.tolist(), cols.tolist(), gen_exp[rows, cols].tolist()):
+    flat = np.flatnonzero(gen_exp)
+    rows, cols = np.divmod(flat, gen_exp.shape[1])
+    for r, i, a in zip(rows.tolist(), cols.tolist(), gen_exp.ravel()[flat].tolist()):
         parts[r].append(labels[i] if a == 1 else f"{labels[i]}^{a}")
     pi, pj = _pairs(len(labels))
-    rows, slots = np.nonzero(comm)
-    for r, i, j, c in zip(rows.tolist(), pi[slots].tolist(), pj[slots].tolist(), comm[rows, slots].tolist()):
+    flat = np.flatnonzero(comm)
+    rows, slots = np.divmod(flat, comm.shape[1])  # no division when P = 0: flat is empty
+    for r, i, j, c in zip(rows.tolist(), pi[slots].tolist(), pj[slots].tolist(), comm.ravel()[flat].tolist()):
         base = f"[{labels[j]},{labels[i]}]"
         parts[r].append(base if c == 1 else f"{base}^{c}")
     return [" ".join(words) if words else "1" for words in parts]

@@ -499,9 +499,10 @@ _SCALARS = {
 
 def _json(value, pad: str) -> str:
     """`value` as json.dumps(value, indent=2) writes it, at the indent `pad`.
-    A list whose items share one scalar type is one str.join; any value
-    that is not a dict, list, str, int, bool or None, and any dict key
-    that is not a str, is a TypeError."""
+    A list of ints is its own str with the separators replaced, and one
+    whose items share another scalar type is one str.join; any value that
+    is not a dict, list, str, int, bool or None, and any dict key that is
+    not a str, is a TypeError."""
     kind = type(value)
     scalar = _SCALARS.get(kind)
     if scalar is not None:
@@ -514,8 +515,11 @@ def _json(value, pad: str) -> str:
     sep = ",\n" + inner
     if kind is list:
         kinds = set(map(type, value))
-        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-        body = sep.join(map(scalar, value) if scalar else [_json(v, inner) for v in value])
+        if kinds == {int}:
+            body = str(value)[1:-1].replace(", ", sep)
+        else:
+            scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+            body = sep.join(map(scalar, value) if scalar else [_json(v, inner) for v in value])
         return f"[\n{inner}{body}\n{pad}]"
     for key in value:
         if type(key) is not str:

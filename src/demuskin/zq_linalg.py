@@ -106,7 +106,10 @@ def matmul_mod(a, b, m: int) -> np.ndarray:
 def integers_mod(values, m: int, what: str = "exponents") -> np.ndarray:
     """Integer values (any shape, any size) reduced to [0, m) as int64; a
     ValueError for anything else, so a float is never truncated."""
-    a = np.asarray(values)
+    try:
+        a = np.asarray(values)
+    except ValueError:  # a ragged nesting of lists
+        raise ValueError(f"{what} must be integers in a rectangular array") from None
     if a is not values or a.dtype.kind not in "iu":
         # numpy reads [True, 2] as int64, so only the entries show a bool;
         # an integer ndarray is taken as it is

@@ -292,6 +292,15 @@ class TestEndomorphisms:
         u = random_element(self.gens, self.mod)
         assert e(u) == u
 
+    def test_one_shared_read_only_identity(self):
+        e = ClassTwoEndo.identity(self.gens, self.mod)
+        assert ClassTwoEndo.identity(GeneratorSet(("a", "b")), Modulus(3, 1)) is e
+        assert ClassTwoEndo.identity(self.gens, Modulus(5, 1)) is not e
+        assert ClassTwoEndo.identity(GeneratorSet(("b", "a")), self.mod) is not e
+        for a in (e.images.gen_exp, e.images.comm, e.diagonal):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1
+
     def test_unipotent_central_example(self):
         c = commutator(self.g2, self.g1)
         e = ClassTwoEndo([self.g1 * c, self.g2])
@@ -1260,10 +1269,40 @@ def sparse_stacks(draw, mod):
     return ClassTwoStack(GeneratorSet(labels), mod, ge, cm)
 
 
+def seeded_block(rows, d, density, seed, mod):
+    """rows x d generator and rows x P commutator exponents, each entry
+    nonzero with the given probability."""
+    rng = np.random.default_rng(seed)
+    P = d * (d - 1) // 2
+    ge = np.where(rng.random((rows, d)) < density, rng.integers(1, mod.q2, (rows, d)), 0)
+    cm = np.where(rng.random((rows, P)) < density, rng.integers(1, mod.q, (rows, P)), 0)
+    return ge, cm
+
+
 class TestStackedFormatting:
     """`ClassTwoEndo.to_json` and `format_word` print every row from one
-    np.nonzero per exponent array; each word is the one the per-row
+    flat scan per exponent array; each word is the one the per-row
     reference prints, and parses back to its row."""
+
+    @pytest.mark.parametrize(
+        "rows, d, density, seed",
+        [(8, 8, 1.0, 1), (3, 1, 1.0, 2), (2, 1, 0.0, 3), (5, 12, 0.1, 4), (7, 30, 0.01, 5), (1, 42, 0.02, 6)],
+        ids=["dense-8x28", "d1-dense", "d1-zero", "sparse-12", "sparse-30", "one-row-42"],
+    )
+    def test_seeded_blocks_match_the_per_entry_reference(self, rows, d, density, seed):
+        ge, cm = seeded_block(rows, d, density, seed, Modulus(5, 1))
+        labels = [f"x{i}" for i in range(d)]
+        want = [format_exponents_reference(labels, a, c) for a, c in zip(ge, cm)]
+        assert class2_words._format_rows(labels, ge, cm) == want
+
+    def test_the_identity_at_d_42(self):
+        # the all-zero 42 x 861 commutator block of an identity basis change
+        mod = Modulus(3, 1)
+        images = ClassTwoEndo.identity(demushkin_generators(40), mod).images
+        assert images.comm.shape == (42, 861) and not images.comm.any()
+        labels = images.gens.labels
+        want = [format_exponents_reference(labels, a, c) for a, c in zip(images.gen_exp, images.comm)]
+        assert class2_words._format_rows(labels, images.gen_exp, images.comm) == want == list(labels)
 
     @pytest.mark.parametrize("mod", [Modulus(3, 1), Modulus(5, 1), Modulus(3, 2)], ids=lambda m: f"q{m.p}^{m.f}")
     @settings(max_examples=60, deadline=None, derandomize=True)

@@ -3,6 +3,7 @@ import copy
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from demuskin import cli, zq_linalg
 from demuskin.class2_words import ClassTwoEndo
 from demuskin.cli import main
-from demuskin.demushkin_core import DemushkinPresentation, invariants
+from demuskin.demushkin_core import DemushkinPresentation, invariants, standard_involution, standard_sign_pattern
 from demuskin.zq_linalg import BilinearForm, Modulus
 from test_zq_linalg import ADMITTED_CELLS, watch_submodule_builds
 
@@ -108,6 +109,11 @@ MALFORMED = {
     "chi-as-a-column": {"relator": GOOD_RELATOR, "chi": [[4], [1], [1], [1]]},
     "chi-as-rows": {"relator": GOOD_RELATOR, "chi": [[4, 1], [1, 1], [1, 1], [1, 1]]},
     "image-not-a-string": {"images": {**GOOD_IMAGES, "x0": 5}},
+    # a coordinate given as a one-element list, which used to reach the slot
+    # arithmetic as an array; ragged chi, which used to print numpy's message
+    "commutator-coordinate-as-lists": {"relator": {**GOOD_RELATOR, "comm_exp": [[[0], [1], 1]]}},
+    "chi-ragged-rows": {"relator": GOOD_RELATOR, "chi": [[4], [1, 1], [1], [1]]},
+    "chi-ragged-entry": {"relator": GOOD_RELATOR, "chi": [4, [1], 1, 1]},
     # words nested past the parser's bound, which overflowed its recursion
     "deeply-nested-relator": {"relator": "(" * 1000 + "x0" + ")" * 1000},
     "deeply-nested-image": {"images": {**GOOD_IMAGES, "g": "(" * 400 + "g" + ")" * 400}},
@@ -127,6 +133,9 @@ NAMED_IN_ERROR = {
     "chi-as-a-column": "character values must be a flat list, got an array of shape (4, 1)",
     "chi-as-rows": "character values must be a flat list, got an array of shape (4, 2)",
     "image-not-a-string": "image for generator 'x0' must be a word string, got int",
+    "commutator-coordinate-as-lists": "commutator coordinate ([0], [1]) is not a pair of integers",
+    "chi-ragged-rows": "character values must be integers in a rectangular array",
+    "chi-ragged-entry": "character values must be integers in a rectangular array",
     "deeply-nested-relator": "deeper than the bound 100",
     "deeply-nested-image": "deeper than the bound 100",
 }
@@ -206,7 +215,7 @@ ACTION = {"images": GOOD_IMAGES}
 ACTION_KEYS = [("images",), ("images", "g"), ("images", "x0"), ("images", "x9")]
 WRONG_TYPES = [None, True, 5, -1, 2**70, 1.5, "x0", "", [], [1, "g"], {}, {"g": [None]}]
 # values of the right length but the wrong shape, put at one key only
-SHAPED = {("chi",): [[[4], [1], [1], [1]], [[4, 1], [1, 1], [1, 1], [1, 1]]]}
+SHAPED = {("chi",): [[[4], [1], [1], [1]], [[4, 1], [1, 1], [1, 1], [1, 1]], [[4], [1, 1], [1], [1]], [4, [1], 1, 1]]}
 DROPPED = object()
 
 
@@ -1093,6 +1102,15 @@ class TestRender:
     def test_equals_json_dumps(self, report):
         assert cli.render(report, "json") == json.dumps(report, indent=2) + "\n"
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(size=st.integers(0, 2000), seed=st.integers(0, 2**32 - 1))
+    def test_int_lists_equal_json_dumps(self, size, seed):
+        # small, negative and past 2^63, as a list of ints is written by its str
+        rng = random.Random(seed)
+        values = [rng.choice([rng.randint(-9, 9), rng.randint(-(2**64), 2**64), rng.randint(0, 10**30)]) for _ in range(size)]
+        report = {"results": {"V": values, "rows": [values[:3], [True, *values[:2]]]}}
+        assert cli.render(report, "json") == json.dumps(report, indent=2) + "\n"
+
     @pytest.mark.parametrize(
         "value, kind",
         [(1.5, "float"), ((1, 2), "tuple"), (np.int64(3), "int64"), ({1: "one"}, "int")],
@@ -1162,6 +1180,26 @@ class TestStandardPresentationCache:
         assert main(["quotient", "--p", "3", "--n", "2", "--signature", "1", "0"]) == 0
         capsys.readouterr()
         assert len(seen) == 2 and seen[0] is seen[1] is cli._standard_presentation(3, 1, 2)
+
+    @pytest.mark.parametrize("p,f,n", [(3, 1, 2), (5, 2, 4), (3, 12, 2)])
+    def test_the_memos_hold_read_only_arrays(self, p, f, n):
+        # the standard action kept on the presentation, the shared identity
+        # and the cached sign pattern are read by every later op
+        pres = cli._standard_presentation(p, f, n)
+        action = standard_involution(pres)
+        ident = ClassTwoEndo.identity(pres.gens, pres.mod)
+        signs = standard_sign_pattern(n)
+        named = [
+            action.h1_matrix, action.signs, action.endo.images.gen_exp, action.endo.images.comm, action.endo.diagonal,
+            ident.images.gen_exp, ident.images.comm, ident.diagonal, signs,
+        ]
+        arrays = reachable_arrays([pres, ident, signs])
+        assert pres._standard_action is action
+        assert all(any(a is b for b in arrays) for a in named)
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = a[(0,) * a.ndim]
 
     @pytest.mark.parametrize("p,f,n", [(3, 1, 2), (5, 2, 4), (3, 12, 2)])
     def test_every_reachable_array_is_read_only(self, p, f, n):

@@ -923,6 +923,48 @@ class TestSignPattern:
         assert list(standard_sign_pattern(2)) == [1, -1, -1, 1]
         assert list(standard_sign_pattern(4)) == [1, -1, -1, 1, -1, 1]
 
+    def test_one_read_only_pattern_per_n(self):
+        signs = standard_sign_pattern(6)
+        assert standard_sign_pattern(6) is signs and standard_sign_pattern(8) is not signs
+        with pytest.raises(ValueError):
+            signs[0] = -1
+
+
+class TestStandardActionMemo:
+    """`standard_involution` builds and checks the action once per
+    presentation and keeps it on the presentation."""
+
+    def count_builds(self, monkeypatch):
+        builds = []
+        real = InvolutionAction.build.__func__
+        monkeypatch.setattr(InvolutionAction, "build", classmethod(lambda cls, pres, endo: builds.append(pres) or real(cls, pres, endo)))
+        return builds
+
+    def test_built_once_per_presentation(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        pres = DemushkinPresentation.standard(4, Modulus(3, 1))
+        act = standard_involution(pres)
+        assert all(standard_involution(pres) is act for _ in range(3))
+        assert builds == [pres]
+
+    def test_an_equal_presentation_builds_its_own(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        pres = DemushkinPresentation.standard(4, Modulus(3, 1))
+        twin = DemushkinPresentation.from_json(pres.to_json())
+        assert twin is not pres and twin.to_json() == pres.to_json()
+        act, twin_act = standard_involution(pres), standard_involution(twin)
+        assert twin_act is not act and twin_act.endo == act.endo
+        assert builds == [pres, twin]
+
+    def test_a_non_standard_relator_is_refused_each_time(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        mod = Modulus(3, 1)
+        pres = DemushkinPresentation(2, mod, relator=parse_word("x0^3 [x0,g] [x1,x2]^2", demushkin_generators(2), mod))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="needs the standard relator"):
+                standard_involution(pres)
+        assert pres._standard_action is None and builds == []
+
 
 COHERENCE_MODULI = [Modulus(3, 1), Modulus(5, 1), Modulus(3, 2), Modulus(7, 1)]
 
